@@ -13,6 +13,11 @@ The axiom vocabulary:
 * EF: every far pair is separated by some subset K.
 * K1..K4: the Kuratowski closure axioms for B -> { y : {y} near B }.
 
+On a Cech table (one whose ``point_graph`` is not None) each checker first
+decides a passing verdict on the point relation P, at most n^2 point pairs;
+each reduction is proved in the checker's docstring.  The table scan runs
+only when that verdict is not "pass", so every witness comes from the scan.
+
 Full scans over triples cost 8^n, so checks are capped at carriers of size
 ``DEFAULT_SCAN_CAP`` unless the caller raises ``max_size`` explicitly.
 """
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .relations import ProximityRelation
-from .spaces import FiniteSpace, bits
+from .spaces import FiniteSpace, bits, union_table
 
 DEFAULT_SCAN_CAP = 5
 
@@ -59,6 +64,14 @@ def require_scan_size(space: FiniteSpace, max_size: int, what: str) -> None:
 
 
 def _check_l1_l4(rel: ProximityRelation) -> tuple[dict, dict]:
+    """L1-L4 verdicts and witnesses.
+
+    They all pass exactly when ``rel.point_graph`` is not None (proof in
+    :attr:`~proxikit.relations.ProximityRelation.point_graph`); only other
+    tables are scanned.
+    """
+    if rel.point_graph is not None:
+        return dict.fromkeys(("L1", "L2", "L3", "L4"), True), {}
     m = rel.space.n_subsets
     rows = rel.rows
     verdicts: dict[str, bool] = {}
@@ -123,6 +136,17 @@ def check_cech(rel: ProximityRelation, *, max_size: int = DEFAULT_SCAN_CAP) -> A
     return AxiomReport(verdicts, witnesses)
 
 
+def _equivalence(rel: ProximityRelation) -> tuple[int, ...] | None:
+    """The point relation P of a Cech table when P is also transitive (so an
+    equivalence relation), else None."""
+    points = rel.point_graph
+    if points is None or any(
+        points[j] & ~points[i] for i in range(len(points)) for j in bits(points[i])
+    ):
+        return None
+    return points
+
+
 def _singleton_row_meet(rel: ProximityRelation) -> list[int]:
     """For each subset B, the set of C near every singleton of B (as a bitset)."""
     m = rel.space.n_subsets
@@ -136,9 +160,19 @@ def _singleton_row_meet(rel: ProximityRelation) -> list[int]:
 
 
 def check_lodato(rel: ProximityRelation, *, max_size: int = DEFAULT_SCAN_CAP) -> AxiomReport:
-    """L1-L4 plus the chaining axiom L5."""
+    """L1-L4 plus the chaining axiom L5.
+
+    On a Cech table with point relation P, L5 holds exactly when P is
+    transitive.  If P is transitive and A near B, {b} near C for every b
+    in B: some a in A, b in B have a P b, and b P c for some c in C, so
+    a P c and A near C.  If x P y and y P z, then L5 with A = {x},
+    B = {y}, C = {z} gives {x} near {z}, that is x P z.
+    """
     require_scan_size(rel.space, max_size, "L1-L5")
     verdicts, witnesses = _check_l1_l4(rel)
+    if _equivalence(rel) is not None:
+        verdicts["L5"] = True
+        return AxiomReport(verdicts, witnesses)
     m = rel.space.n_subsets
     rows = rel.rows
     meet = _singleton_row_meet(rel)
@@ -164,11 +198,32 @@ def check_efremovic(
 
     When EF passes, the smallest K found for each far pair is recorded in
     ``ef_examples``.
+
+    On a Cech table with point relation P, write R(B) for the union of P
+    over B.  A far K exactly when K misses R(A), and (carrier - K) far B
+    exactly when K contains R(B) (P is symmetric), so the separating K of a
+    far pair are the masks from R(B) up to carrier - R(A).
+    EF holds exactly when P is transitive.  If it is, R(A) and R(B) are
+    unions of disjoint classes and meet only if A near B, so every far
+    pair is separated, and the numerically smallest separating mask is
+    R(B) itself.  If x P y and y P z but not x P z, no K separates {x}
+    from {z}: K containing y is near {x}, and K missing y leaves y, which
+    is near {z}, in the complement.
     """
     require_scan_size(rel.space, max_size, "L1-L4+EF")
     verdicts, witnesses = _check_l1_l4(rel)
     m = rel.space.n_subsets
     rows = rel.rows
+    points = _equivalence(rel)
+    if points is not None:
+        reach = union_table(points)
+        everything = (1 << m) - 1
+        verdicts["EF"] = True
+        return AxiomReport(
+            verdicts,
+            witnesses,
+            {(a, b): reach[b] for a in range(m) for b in bits(everything ^ rows[a])},
+        )
     full = rel.space.full_mask
     verdicts["EF"] = True
     examples: dict[tuple[int, int], int] = {}
@@ -201,14 +256,31 @@ def closure(rel: ProximityRelation, b: int) -> int:
 
 
 def closure_table(rel: ProximityRelation) -> tuple[int, ...]:
+    """Closure of every subset, indexed by mask.
+
+    On a Cech table with point relation P, {y} near B iff y P b for some b
+    in B, so by the symmetry of P the closure of B is the union of P over B.
+    """
+    points = rel.point_graph
+    if points is not None:
+        return tuple(union_table(points))
     return tuple(closure(rel, b) for b in range(rel.space.n_subsets))
 
 
 def check_kuratowski(
     rel: ProximityRelation, *, max_size: int = DEFAULT_SCAN_CAP
 ) -> AxiomReport:
-    """K1 cl(empty)=empty, K2 B<=clB, K3 cl(A|B)=clA|clB, K4 idempotence."""
+    """K1 cl(empty)=empty, K2 B<=clB, K3 cl(A|B)=clA|clB, K4 idempotence.
+
+    On a Cech table with point relation P, cl(B) is the union of P over B
+    (see :func:`closure_table`): K1 and K3 hold for any such union, K2 by
+    reflexivity.  K4 holds exactly when P is transitive: then cl(B) is a
+    union of classes and closed; if x P y and y P z but not x P z, then y
+    is in cl({z}) and x in cl(cl({z})) but not in cl({z}).
+    """
     require_scan_size(rel.space, max_size, "Kuratowski")
+    if _equivalence(rel) is not None:
+        return AxiomReport(dict.fromkeys(("K1", "K2", "K3", "K4"), True))
     cl = closure_table(rel)
     m = rel.space.n_subsets
     verdicts: dict[str, bool] = {}

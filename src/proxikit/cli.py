@@ -616,12 +616,19 @@ def _cmd_fuzz(ws, flags):
     if theorem is None:
         known = ", ".join(sorted(THEOREMS))
         raise WorkspaceError("flags", f"fuzz needs --theorem ID; known ids: {known}")
+    max_order, classes = flags.get("max_order"), flags.get("classes")
+    if max_order is not None and max_order < 1:
+        raise WorkspaceError("flags", f"--max-order must be at least 1, got {max_order}")
+    if classes is not None and not all(classes.split(",")):
+        raise WorkspaceError(
+            "flags", f"--classes needs comma-separated relation sources, got {classes!r}"
+        )
     scope = None
-    if flags.get("max_order") is not None or flags.get("classes") is not None:
+    if max_order is not None or classes is not None:
         default_scope = THEOREMS[theorem][0] if theorem in THEOREMS else FuzzScope(3, ("cech",))
         scope = FuzzScope(
-            flags.get("max_order") or default_scope.max_order,
-            tuple((flags.get("classes") or ",".join(default_scope.relation_classes)).split(",")),
+            default_scope.max_order if max_order is None else max_order,
+            default_scope.relation_classes if classes is None else tuple(classes.split(",")),
         )
     outcome = fuzz_theorem(theorem, scope)
     ok = not outcome.counterexamples

@@ -405,6 +405,15 @@ class FuzzScope:
     max_order: int
     relation_classes: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        if self.max_order < 1:
+            raise ValueError(f"max_order must be at least 1, got {self.max_order}")
+        if not self.relation_classes or not all(self.relation_classes):
+            raise ValueError(
+                "relation_classes must name at least one relation source,"
+                f" got {self.relation_classes!r}"
+            )
+
 
 @dataclass(frozen=True)
 class FuzzOutcome:

@@ -10,7 +10,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .axioms import AxiomReport, check_cech, check_efremovic, check_lodato
+from .axioms import (
+    AxiomReport,
+    check_cech,
+    check_efremovic,
+    check_lodato,
+    require_scan_size,
+)
 from .maps import SpaceMap, check_pcont, check_proximal_isomorphism
 from .relations import (
     ProximityRelation,
@@ -326,13 +332,36 @@ def _near_matrix(rel: ProximityRelation) -> np.ndarray:
     return out
 
 
+def _point_mu1(g: FiniteGroup, points: tuple[int, ...]) -> bool:
+    """b1 P c1 and b2 P c2 imply b1*b2 P c1*c2, for all elements."""
+    cay = g.cayley
+    n = g.order
+    return all(
+        (points[cay[b1][b2]] >> cay[c1][c2]) & 1
+        for b1 in range(n)
+        for c1 in bits(points[b1])
+        for b2 in range(n)
+        for c2 in bits(points[b2])
+    )
+
+
 def _mu1_check(g: FiniteGroup, rel: ProximityRelation) -> Check:
     """Rectangle continuity of subset multiplication.
 
     Quantifies over all factor 4-tuples (B1, B2, C1, C2): nearness of the
     rectangles B1 x B2 and C1 x C2 must force subset products near.  The
     scan is vectorized per B1 slice to keep memory at m^3 booleans.
+
+    On a Cech table with point relation P it passes exactly when b1 P c1
+    and b2 P c2 imply b1*b2 P c1*c2.  The rectangles are near iff
+    B1 near C1 and B2 near C2, that is iff some b1 P c1 and b2 P c2 with
+    b1, b2, c1, c2 in B1, B2, C1, C2; then b1*b2 P c1*c2 lies in
+    B1*B2 x C1*C2 and the products are near.  Singletons give the converse.
+    The scan runs only when this point condition fails, or on other tables.
     """
+    points = rel.point_graph
+    if points is not None and _point_mu1(g, points):
+        return Check(True)
     near = _near_matrix(rel)
     prod = np.array(subset_product_table(g), dtype=np.int64)
     m = near.shape[0]
@@ -432,8 +461,6 @@ def check_transitivity_property(
     rel: ProximityRelation, *, max_size: int = GROUP_SCAN_CAP
 ) -> AxiomReport:
     """Near is transitive: A near B and B near C force A near C."""
-    from .axioms import require_scan_size
-
     require_scan_size(rel.space, max_size, "transitivity")
     rows = rel.rows
     m = rel.space.n_subsets

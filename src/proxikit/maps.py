@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from .axioms import AxiomReport
 from .relations import ProximityRelation
-from .spaces import FiniteSpace, bits
+from .spaces import FiniteSpace, bits, union_table
 
 PCONT_SCAN_CAP = 8
 
@@ -71,12 +71,7 @@ def compose(f: SpaceMap, g: SpaceMap) -> SpaceMap:
 
 def all_image_masks(f: SpaceMap) -> list[int]:
     """Image mask of every subset of the domain, indexed by subset mask."""
-    m = f.domain.n_subsets
-    out = [0] * m
-    for mask in range(1, m):
-        low = mask & -mask
-        out[mask] = out[mask ^ low] | (1 << f.images[low.bit_length() - 1])
-    return out
+    return union_table([1 << img for img in f.images])
 
 
 def check_pcont(
@@ -87,7 +82,15 @@ def check_pcont(
     max_size: int = PCONT_SCAN_CAP,
     key: str = "pcont",
 ) -> AxiomReport:
-    """Pass iff every near pair maps to a near pair of images."""
+    """Pass iff every near pair maps to a near pair of images.
+
+    When both tables are Cech with point relations P1 and P2, this holds
+    exactly when f is a homomorphism of the point graphs: i P1 j implies
+    f(i) P2 f(j).  A near pair A, B has i P1 j with i in A and j in B, so
+    f(i) P2 f(j) with f(i) in f(A) and f(j) in f(B), and the images are
+    near; singletons give the converse.  The table scan runs only when
+    that condition fails, or when either table is not Cech.
+    """
     if f.domain != rel1.space or f.codomain != rel2.space:
         raise ValueError("map endpoints do not match the relation carriers")
     if f.domain.size > max_size:
@@ -95,6 +98,13 @@ def check_pcont(
             f"pcont scan on a {f.domain.size}-element carrier exceeds the cap"
             f" {max_size}; pass max_size={f.domain.size} to run it anyway"
         )
+    p1, p2 = rel1.point_graph, rel2.point_graph
+    if p1 is not None and p2 is not None and all(
+        (p2[f.images[i]] >> f.images[j]) & 1
+        for i in range(f.domain.size)
+        for j in bits(p1[i])
+    ):
+        return AxiomReport({key: True})
     img = all_image_masks(f)
     for a, row in enumerate(rel1.rows):
         for b in bits(row):

@@ -9,6 +9,7 @@ assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .spaces import (
@@ -17,6 +18,7 @@ from .spaces import (
     product_space,
     rectangle_mask,
     split_rectangle,
+    union_table,
 )
 
 PROVENANCES = (
@@ -69,6 +71,43 @@ class ProximityRelation:
         """Entry-for-entry table equality (labels ignored, sizes must match)."""
         return self.space.size == other.space.size and self.rows == other.rows
 
+    @cached_property
+    def point_graph(self) -> tuple[int, ...] | None:
+        """The point relation P of a Cech table, or None for any other table.
+
+        ``P[i]`` is the carrier mask of the j with {i} near {j}, read off the
+        singleton rows.  P is returned exactly when it is reflexive and
+        symmetric and :func:`relation_from_point_pairs` rebuilds ``rows``
+        from it; by the following, that is exactly when L1-L4 hold.
+
+        * If so, the table is the existential extension of a reflexive
+          symmetric P.  It is symmetric (L1), never relates the empty set,
+          which has no member to witness (L2), relates intersecting sets
+          through a shared point x with x P x (L3), and A has a point
+          related to a point of B | C exactly when it has one related to a
+          point of B or to a point of C (L4).
+        * Conversely, if L1-L4 hold: L2 and the union axiom L4 give
+          A near B iff A near {b} for some b in B, and with L1 the same
+          holds in the first argument, so A near B iff {a} near {b} for
+          some a in A, b in B.  The table is the extension of P; L3 makes P
+          reflexive and L1 makes it symmetric.
+
+        The checkers use P to decide passing verdicts on at most n^2 point
+        pairs.  Costs O(n^2 + m) for m = 2^n subsets, once per relation.
+        """
+        n = self.space.size
+        points = tuple(
+            sum(1 << j for j in range(n) if (self.rows[1 << i] >> (1 << j)) & 1)
+            for i in range(n)
+        )
+        for i in range(n):
+            if not (points[i] >> i) & 1:
+                return None
+            if any(not (points[j] >> i) & 1 for j in bits(points[i])):
+                return None
+        rebuilt = relation_from_point_pairs(self.space, points, self.provenance)
+        return points if rebuilt.rows == self.rows else None
+
 
 def relation_from_point_pairs(
     space: FiniteSpace, point_rows: Sequence[int], provenance: str
@@ -80,13 +119,8 @@ def relation_from_point_pairs(
     constructor whose nearness means "a witnessing pair of elements exists"
     (discrete, metric, descriptive) reduces to this.
     """
-    n = space.size
     m = space.n_subsets
-    # reach[A] = union of point_rows[a] for a in A
-    reach = [0] * m
-    for mask in range(1, m):
-        low = mask & -mask
-        reach[mask] = reach[mask ^ low] | point_rows[low.bit_length() - 1]
+    reach = union_table(point_rows)
     # sub_bitset[c] = bitset (over subset indices) of all submasks of carrier mask c
     sub_bitset = [0] * m
     sub_bitset[0] = 1
@@ -183,10 +217,7 @@ def subspace_proximity(rel: ProximityRelation, v: int) -> ProximityRelation:
     sub = FiniteSpace(tuple(rel.space.labels[i] for i in members))
     m = sub.n_subsets
     # expand a mask over the subspace into a mask over the parent carrier
-    expand = [0] * m
-    for mask in range(1, m):
-        low = mask & -mask
-        expand[mask] = expand[mask ^ low] | (1 << members[low.bit_length() - 1])
+    expand = union_table([1 << i for i in members])
     rows = []
     for a in range(m):
         row = 0
@@ -220,10 +251,7 @@ def quotient_proximity(
     labels = tuple("|".join(rel.space.label_set(block)) for block in blocks)
     quot = FiniteSpace(labels)
     m = quot.n_subsets
-    pre = [0] * m
-    for mask in range(1, m):
-        low = mask & -mask
-        pre[mask] = pre[mask ^ low] | blocks[low.bit_length() - 1]
+    pre = union_table(blocks)
     rows = []
     for a in range(m):
         row = 0

@@ -8,7 +8,7 @@ is part of the on-disk format: bit ``i`` always refers to ``labels[i]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_CARRIER = 12
 
@@ -76,6 +76,16 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def union_table(images: Sequence[int]) -> list[int]:
+    """``table[mask]`` = union of ``images[i]`` over the members i of mask,
+    for every mask over ``len(images)`` elements."""
+    table = [0] * (1 << len(images))
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] | images[low.bit_length() - 1]
+    return table
 
 
 def singleton(i: int) -> int:

@@ -139,6 +139,29 @@ def test_fuzz_verb_scope_override():
     assert len(full.payload["counterexamples"]) == 3
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-order", "0"), ("--max-order", "-1"), ("--classes", ""), ("--classes", "cech,")],
+)
+def test_fuzz_rejects_empty_scope_flags(flag, value, capsys):
+    code = main(["fuzz", "--theorem", "every-cech-is-lodato", flag, value])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "proxikit",
+            "check-axioms", str(FIXTURES / "two_points.json"), "--rel", "d",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0
+    assert result.stdout == (FIXTURES / "golden" / "check_axioms_two_points.txt").read_text()
+
+
 def test_pcont_verb_iso_flag():
     ws = parse_workspace((FIXTURES / "z2_first_iso.json").read_text())
     result = run_command("pcont", ws, {"rel": "d", "rel2": "c", "map": "id", "iso": True})

@@ -1,9 +1,11 @@
 """Differential tests certifying the optimized scan paths against naive
 re-implementations: the vectorized rectangle-multiplication check, the
 inversion check, proximal-continuity witnesses, and the existential
-extension of point relations to subsets.
+extension of point relations to subsets.  The point-graph verdicts on Cech
+tables are certified against the table scans they stand in for.
 """
 import random
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,8 +13,16 @@ from proxikit import (
     ProximityRelation,
     SpaceMap,
     all_groups_up_to,
+    check_cech,
+    check_efremovic,
+    check_kuratowski,
+    check_lodato,
     check_pcont,
+    check_translations,
+    closure_table,
+    cyclic_group,
     default_space,
+    make_discrete_proximity,
     relation_from_point_pairs,
 )
 from proxikit.groups import _mu1_check, _mu2_check, subset_inverse, subset_product
@@ -130,3 +140,113 @@ def test_point_relation_extension_is_existential(seed):
                 (point_rows[i] >> j) & 1 for i in bits(a) for j in bits(b)
             )
             assert rel.near(a, b) == expected
+
+
+# --- point-graph verdicts against the table scans ---------------------------
+
+AXIOM_CHECKERS = (check_cech, check_lodato, check_efremovic, check_kuratowski)
+
+
+def scan_only(rel):
+    """A copy of the table whose point graph reads None, so every checker
+    takes its table scan."""
+    copy = ProximityRelation(rel.space, rel.rows, rel.provenance)
+    copy.__dict__["point_graph"] = None
+    return copy
+
+
+def report_key(report):
+    """Verdicts, witnesses and EF examples, insertion order included."""
+    examples = report.ef_examples
+    return (
+        list(report.verdicts.items()),
+        list(report.witnesses.items()),
+        None if examples is None else list(examples.items()),
+    )
+
+
+def assert_paths_agree(g, rel):
+    scan = scan_only(rel)
+    for check in AXIOM_CHECKERS:
+        assert report_key(check(rel)) == report_key(check(scan)), check.__name__
+    assert closure_table(rel) == closure_table(scan)
+    assert _mu1_check(g, rel) == _mu1_check(g, scan)
+    assert _mu2_check(g, rel, g.order) == _mu2_check(g, scan, g.order)
+    assert check_translations(g, rel) == check_translations(g, scan)
+
+
+def point_graph_relation(space, edges):
+    """Existential extension of the reflexive symmetric graph with the given
+    point pairs."""
+    rows = [1 << i for i in range(space.size)]
+    for i, j in edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return relation_from_point_pairs(space, rows, "explicit")
+
+
+def test_point_graph_verdicts_match_scans_on_every_graph_up_to_order_four():
+    count = 0
+    for _, g in all_groups_up_to(4):
+        pairs = list(combinations(range(g.order), 2))
+        for assignment in range(1 << len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if (assignment >> k) & 1]
+            rel = point_graph_relation(g.space, edges)
+            assert rel.point_graph is not None
+            assert_paths_agree(g, rel)
+            count += 1
+    assert count == 139
+
+
+def test_point_graph_verdicts_match_scans_on_seeded_z5_graphs():
+    rng = random.Random(5)
+    g = cyclic_group(5)
+    pairs = list(combinations(range(5), 2))
+    for _ in range(64):
+        rel = point_graph_relation(g.space, [p for p in pairs if rng.random() < 0.4])
+        assert_paths_agree(g, rel)
+
+
+@given(st.integers(min_value=0))
+@settings(max_examples=150, deadline=None)
+def test_point_graph_is_none_exactly_off_cech_and_reports_unchanged(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    space = default_space(n)
+    if rng.random() < 0.5:
+        rel = random_relation(space, rng, symmetric=rng.random() < 0.5)
+    else:
+        pairs = list(combinations(range(n), 2))
+        rows = list(point_graph_relation(space, [p for p in pairs if rng.random() < 0.5]).rows)
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.randrange(space.n_subsets), rng.randrange(space.n_subsets)
+            rows[a] ^= 1 << b
+            if rng.random() < 0.5 and a != b:
+                rows[b] ^= 1 << a
+        rel = ProximityRelation(space, tuple(rows))
+    scan = scan_only(rel)
+    assert (rel.point_graph is None) == (not check_cech(scan).ok)
+    for check in AXIOM_CHECKERS:
+        assert report_key(check(rel)) == report_key(check(scan)), check.__name__
+    assert closure_table(rel) == closure_table(scan)
+    if rng.random() < 0.5:
+        other = point_graph_relation(space, [(0, n - 1)])
+    else:
+        other = random_relation(space, rng)
+    f = SpaceMap(space, space, tuple(rng.randrange(n) for _ in range(n)))
+    assert check_pcont(f, rel, other) == check_pcont(f, scan, scan_only(other))
+    assert check_pcont(f, other, rel) == check_pcont(f, scan_only(other), scan)
+
+
+def test_flipped_symmetric_entry_pair_is_rejected_by_point_graph():
+    space = default_space(4)
+    rel = make_discrete_proximity(space)
+    rows = list(rel.rows)
+    a, b = 0b0011, 0b1100  # disjoint, two members each: no singleton row changes
+    rows[a] ^= 1 << b
+    rows[b] ^= 1 << a
+    flipped = ProximityRelation(space, tuple(rows))
+    assert rel.point_graph == (1, 2, 4, 8)
+    assert flipped.point_graph is None
+    report = check_cech(flipped)
+    assert report.failed() == ("L4",)

@@ -18,7 +18,7 @@ from proxikit import (
     replay_counterexample,
     witness_violates,
 )
-from proxikit.enumeration import THEOREMS, relation_from_payload, relation_payload
+from proxikit.enumeration import FuzzScope, THEOREMS, relation_from_payload, relation_payload
 
 
 # --- generators -----------------------------------------------------------------
@@ -206,6 +206,20 @@ def test_census_determinism():
 def test_unknown_theorem_rejected_with_known_list():
     with pytest.raises(ValueError, match="known ids"):
         fuzz_theorem("untrue-claim")
+
+
+@pytest.mark.parametrize(
+    "max_order, classes, field",
+    [
+        (0, ("cech",), "max_order"),
+        (-1, ("cech",), "max_order"),
+        (3, (), "relation_classes"),
+        (3, ("",), "relation_classes"),
+    ],
+)
+def test_fuzz_scope_rejects_empty_sweeps(max_order, classes, field):
+    with pytest.raises(ValueError, match=field):
+        FuzzScope(max_order, classes)
 
 
 def test_pseudo_theorem_counterexamples_found_and_replayed():
