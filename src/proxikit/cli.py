@@ -30,6 +30,7 @@ from .enumeration import (
     THEOREMS,
     enumerate_relations,
     fuzz_theorem,
+    lookup_theorem,
     mine_separating_examples,
 )
 from .groups import (
@@ -616,6 +617,7 @@ def _cmd_fuzz(ws, flags):
     if theorem is None:
         known = ", ".join(sorted(THEOREMS))
         raise WorkspaceError("flags", f"fuzz needs --theorem ID; known ids: {known}")
+    entry = lookup_theorem(theorem)
     max_order, classes = flags.get("max_order"), flags.get("classes")
     if max_order is not None and max_order < 1:
         raise WorkspaceError("flags", f"--max-order must be at least 1, got {max_order}")
@@ -625,10 +627,9 @@ def _cmd_fuzz(ws, flags):
         )
     scope = None
     if max_order is not None or classes is not None:
-        default_scope = THEOREMS[theorem][0] if theorem in THEOREMS else FuzzScope(3, ("cech",))
         scope = FuzzScope(
-            default_scope.max_order if max_order is None else max_order,
-            default_scope.relation_classes if classes is None else tuple(classes.split(",")),
+            entry.scope.max_order if max_order is None else max_order,
+            entry.scope.relation_classes if classes is None else tuple(classes.split(",")),
         )
     outcome = fuzz_theorem(theorem, scope)
     ok = not outcome.counterexamples

@@ -24,11 +24,13 @@ from typing import Callable, Iterator, Sequence
 
 from .axioms import check_efremovic, check_lodato
 from .groups import (
+    GROUP_SCAN_CAP,
     FiniteGroup,
     all_groups_up_to,
     all_subgroups,
     check_proximal_group,
     check_translations,
+    hom_criterion_check,
     homomorphism_violation,
     normal_subgroups,
     product_proximal_group,
@@ -42,7 +44,6 @@ from .harnesses import (
     second_iso_harness,
     third_iso_harness,
 )
-from .groups import hom_criterion_check
 from .maps import SpaceMap, check_pcont
 from .relations import (
     ProximityRelation,
@@ -423,45 +424,81 @@ class FuzzOutcome:
     elapsed: float
 
 
-def _relations_for(space: FiniteSpace, classes: Sequence[str]) -> Iterator[tuple[str, str, ProximityRelation]]:
-    """(source name, axiom class for verification, relation) triples."""
+def _relations_for(space: FiniteSpace, classes: Sequence[str]) -> Iterator[tuple[str, ProximityRelation]]:
+    """(source name, relation) pairs; :func:`_axiom_class` maps each source
+    name to the axiom class its structures are verified against."""
     for cls in classes:
         if cls == "discrete":
-            yield "discrete", "efremovic", make_discrete_proximity(space)
+            yield "discrete", make_discrete_proximity(space)
         elif cls == "coarse":
-            yield "coarse", "efremovic", make_coarse_proximity(space)
+            yield "coarse", make_coarse_proximity(space)
         elif cls in RELATION_CLASSES:
             for idx, rel in enumerate(enumerate_relations(space.size, cls)):
-                relabeled = ProximityRelation(space, rel.rows, "explicit")
-                yield f"{cls}[{idx}]", cls, relabeled
+                yield f"{cls}[{idx}]", ProximityRelation(space, rel.rows, "explicit")
         else:
             raise ValueError(f"unknown relation class {cls!r}")
 
 
-def _group_payload(name: str, g: FiniteGroup) -> dict:
-    return {
-        "name": name,
-        "labels": list(g.space.labels),
-        "cayley": [list(row) for row in g.cayley],
-    }
+def _axiom_class(source: str) -> str:
+    """efremovic for the discrete and coarse constructors, ``cls`` for the
+    enumerated source ``cls[i]``."""
+    if source in ("discrete", "coarse"):
+        return "efremovic"
+    cls = source.partition("[")[0]
+    if cls not in RELATION_CLASSES:
+        raise ValueError(f"unknown relation class {source!r}")
+    return cls
 
 
-def _group_from_payload(payload: dict) -> FiniteGroup:
-    return FiniteGroup.from_table(
-        FiniteSpace(tuple(payload["labels"])),
-        payload["cayley"],
-    )
+def _scan_cap(*groups: FiniteGroup) -> int:
+    """Scan cap that admits the carriers of every group of an instance."""
+    return max(GROUP_SCAN_CAP, *(g.order for g in groups))
 
 
-def _verified_structures(scope: FuzzScope) -> Iterator[tuple[str, FiniteGroup, str, str, ProximityRelation]]:
-    """Catalog structures in scope that pass the proximal-group check."""
-    for gname, g in all_groups_up_to(scope.max_order):
-        for rname, axiom_class, rel in _relations_for(g.space, scope.relation_classes):
-            report = check_proximal_group(
-                g, rel, axiom_class=axiom_class, max_size=max(6, g.order)
-            )
-            if report.ok:
-                yield gname, g, rname, axiom_class, rel
+_GROUP_KEYS = ("group", "group2")
+_RELATION_KEYS = ("relation", "relation2")
+
+
+def instance_payload(instance: dict) -> dict:
+    """JSON-able payload of a live fuzz instance.
+
+    ``group``/``group2`` hold (catalog name, group) pairs,
+    ``relation``/``relation2`` relations and ``map_images`` a map from the
+    first group to the second; every other field is plain JSON, copied as is.
+    """
+    payload = {}
+    for key, value in instance.items():
+        if key in _GROUP_KEYS:
+            name, g = value
+            payload[key] = {
+                "name": name,
+                "labels": list(g.space.labels),
+                "cayley": [list(row) for row in g.cayley],
+            }
+        elif key in _RELATION_KEYS:
+            payload[key] = relation_payload(value)
+        elif key == "map_images":
+            payload[key] = list(value.images)
+        else:
+            payload[key] = value
+    return payload
+
+
+def instance_from_payload(payload: dict) -> dict:
+    """The live fuzz instance of a payload; inverse of :func:`instance_payload`."""
+    instance = {}
+    for key, value in payload.items():
+        if key in _GROUP_KEYS:
+            space = FiniteSpace(tuple(value["labels"]))
+            instance[key] = (value["name"], FiniteGroup.from_table(space, value["cayley"]))
+        elif key in _RELATION_KEYS:
+            instance[key] = relation_from_payload(value)
+        elif key != "map_images":
+            instance[key] = value
+    if "map_images" in payload:
+        domain, codomain = instance["group"][1].space, instance["group2"][1].space
+        instance["map_images"] = SpaceMap(domain, codomain, tuple(payload["map_images"]), "hom")
+    return instance
 
 
 def _all_homomorphisms(g1: FiniteGroup, g2: FiniteGroup) -> Iterator[SpaceMap]:
@@ -482,122 +519,59 @@ def _all_homomorphisms(g1: FiniteGroup, g2: FiniteGroup) -> Iterator[SpaceMap]:
     yield from extend(0)
 
 
-def _run_translations(scope: FuzzScope) -> tuple[int, list[dict]]:
-    instances = 0
-    bad = []
-    for gname, g, rname, _, rel in _verified_structures(scope):
-        instances += 1
-        if not check_translations(g, rel, max_size=max(6, g.order)).ok:
-            bad.append(
-                {"group": _group_payload(gname, g), "relation": relation_payload(rel), "relation_class": rname}
-            )
-    return instances, bad
+# -- instance generators: scope -> live instances, in sweep order -----------
 
 
-def _run_subgroups(scope: FuzzScope) -> tuple[int, list[dict]]:
-    instances = 0
-    bad = []
-    for gname, g, rname, axiom_class, rel in _verified_structures(scope):
-        for h in all_subgroups(g):
-            instances += 1
-            report = subgroup_proximal_group(
-                g, rel, h, axiom_class=axiom_class, max_size=max(6, g.order)
-            )
-            if not report.ok:
-                bad.append(
-                    {
-                        "group": _group_payload(gname, g),
-                        "relation": relation_payload(rel),
-                        "relation_class": rname,
-                        "subgroup_mask": h,
-                    }
-                )
-    return instances, bad
+def _structures(scope: FuzzScope, **fields) -> Iterator[dict]:
+    """Every catalog group in scope with every relation source on it."""
+    for gname, g in all_groups_up_to(scope.max_order):
+        for rname, rel in _relations_for(g.space, scope.relation_classes):
+            yield {"group": (gname, g), "relation": rel, "relation_class": rname, **fields}
 
 
-def _run_products(scope: FuzzScope) -> tuple[int, list[dict]]:
-    instances = 0
-    bad = []
+def _verified_structures(scope: FuzzScope) -> Iterator[dict]:
+    """The structures in scope that pass the proximal-group check."""
+    for s in _structures(scope):
+        g = s["group"][1]
+        report = check_proximal_group(
+            g, s["relation"], axiom_class=_axiom_class(s["relation_class"]), max_size=_scan_cap(g)
+        )
+        if report.ok:
+            yield s
+
+
+def _second(s: dict) -> dict:
+    """A structure's fields renamed for the second structure of a pair."""
+    return {key + "2": value for key, value in s.items()}
+
+
+def _subgroup_instances(scope: FuzzScope) -> Iterator[dict]:
+    for s in _verified_structures(scope):
+        for h in all_subgroups(s["group"][1]):
+            yield {**s, "subgroup_mask": h}
+
+
+def _product_instances(scope: FuzzScope) -> Iterator[dict]:
     structures = list(_verified_structures(scope))
-    for gname1, g1, rname1, cls1, rel1 in structures:
-        for gname2, g2, rname2, cls2, rel2 in structures:
-            if g1.order * g2.order > scope.max_order:
-                continue
-            if cls1 != cls2:
-                continue
-            instances += 1
-            report = product_proximal_group(
-                g1, rel1, g2, rel2, axiom_class=cls1, max_size=max(6, g1.order, g2.order)
-            )
-            if not report.ok:
-                bad.append(
-                    {
-                        "group": _group_payload(gname1, g1),
-                        "relation": relation_payload(rel1),
-                        "group2": _group_payload(gname2, g2),
-                        "relation2": relation_payload(rel2),
-                    }
-                )
-    return instances, bad
+    for s1 in structures:
+        for s2 in structures:
+            if (
+                s1["group"][1].order * s2["group"][1].order <= scope.max_order
+                and _axiom_class(s1["relation_class"]) == _axiom_class(s2["relation_class"])
+            ):
+                yield {**s1, **_second(s2)}
 
 
-def _normal_chain_instances(scope: FuzzScope) -> Iterator[tuple[str, FiniteGroup, str, ProximityRelation, int, int]]:
-    for gname, g in all_groups_up_to(scope.max_order):
-        normals = normal_subgroups(g)
-        for rname, _, rel in _relations_for(g.space, scope.relation_classes):
-            for n_mask in normals:
-                for k_mask in normals:
-                    if n_mask & ~k_mask:
-                        continue
-                    yield gname, g, rname, rel, n_mask, k_mask
+def _homomorphism_instances(scope: FuzzScope) -> Iterator[dict]:
+    structures = list(_verified_structures(scope))
+    for s1 in structures:
+        for s2 in structures:
+            for eta in _all_homomorphisms(s1["group"][1], s2["group"][1]):
+                yield {**s1, **_second(s2), "map_images": eta}
 
 
-def _run_third_iso(scope: FuzzScope) -> tuple[int, list[dict]]:
-    instances = 0
-    bad = []
-    for gname, g, rname, rel, n_mask, k_mask in _normal_chain_instances(scope):
-        instances += 1
-        report = third_iso_harness(g, rel, n_mask, k_mask, max_size=max(6, g.order))
-        if not report.ok:
-            bad.append(
-                {
-                    "group": _group_payload(gname, g),
-                    "relation": relation_payload(rel),
-                    "relation_class": rname,
-                    "normal_mask": n_mask,
-                    "containing_mask": k_mask,
-                }
-            )
-    return instances, bad
-
-
-def _run_second_iso(scope: FuzzScope) -> tuple[int, list[dict]]:
-    instances = 0
-    bad = []
-    for gname, g in all_groups_up_to(scope.max_order):
-        subgroups = all_subgroups(g)
-        normals = normal_subgroups(g)
-        for rname, _, rel in _relations_for(g.space, scope.relation_classes):
-            for h in subgroups:
-                for n_mask in normals:
-                    instances += 1
-                    report = second_iso_harness(g, rel, h, n_mask, max_size=max(6, g.order))
-                    if not report.ok:
-                        bad.append(
-                            {
-                                "group": _group_payload(gname, g),
-                                "relation": relation_payload(rel),
-                                "relation_class": rname,
-                                "subgroup_mask": h,
-                                "normal_mask": n_mask,
-                            }
-                        )
-    return instances, bad
-
-
-def _run_first_iso(scope: FuzzScope) -> tuple[int, list[dict]]:
-    instances = 0
-    bad = []
+def _first_iso_instances(scope: FuzzScope) -> Iterator[dict]:
+    """Surjective homomorphisms that are pcont between two relation sources."""
     groups = all_groups_up_to(scope.max_order)
     for gname1, g1 in groups:
         for gname2, g2 in groups:
@@ -610,211 +584,200 @@ def _run_first_iso(scope: FuzzScope) -> tuple[int, list[dict]]:
             ]
             if not homs:
                 continue
-            for rname1, _, rel1 in _relations_for(g1.space, scope.relation_classes):
-                for rname2, _, rel2 in _relations_for(g2.space, scope.relation_classes):
+            for _, rel1 in _relations_for(g1.space, scope.relation_classes):
+                for _, rel2 in _relations_for(g2.space, scope.relation_classes):
                     for eta in homs:
-                        if not check_pcont(eta, rel1, rel2, max_size=max(6, g1.order)).ok:
-                            continue
-                        instances += 1
-                        report = first_iso_harness(
-                            eta, g1, rel1, g2, rel2, max_size=max(6, g1.order)
-                        )
-                        if not report.ok:
-                            bad.append(
-                                {
-                                    "group": _group_payload(gname1, g1),
-                                    "relation": relation_payload(rel1),
-                                    "group2": _group_payload(gname2, g2),
-                                    "relation2": relation_payload(rel2),
-                                    "map_images": list(eta.images),
-                                }
-                            )
-    return instances, bad
+                        if check_pcont(eta, rel1, rel2, max_size=_scan_cap(g1, g2)).ok:
+                            yield {
+                                "group": (gname1, g1),
+                                "relation": rel1,
+                                "group2": (gname2, g2),
+                                "relation2": rel2,
+                                "map_images": eta,
+                            }
 
 
-def _run_hom_criterion(scope: FuzzScope) -> tuple[int, list[dict]]:
-    instances = 0
-    bad = []
-    structures = list(_verified_structures(scope))
-    for gname1, g1, rname1, cls1, rel1 in structures:
-        for gname2, g2, rname2, cls2, rel2 in structures:
-            for eta in _all_homomorphisms(g1, g2):
-                instances += 1
-                report = hom_criterion_check(
-                    eta, g1, rel1, g2, rel2, axiom_class=cls2, max_size=max(6, g1.order, g2.order)
-                )
-                if not report.implication_ok:
-                    bad.append(
-                        {
-                            "group": _group_payload(gname1, g1),
-                            "relation": relation_payload(rel1),
-                            "group2": _group_payload(gname2, g2),
-                            "relation2": relation_payload(rel2),
-                            "map_images": list(eta.images),
-                        }
-                    )
-    return instances, bad
+def _second_iso_instances(scope: FuzzScope) -> Iterator[dict]:
+    for s in _structures(scope):
+        g = s["group"][1]
+        normals = normal_subgroups(g)
+        for h in all_subgroups(g):
+            for n_mask in normals:
+                yield {**s, "subgroup_mask": h, "normal_mask": n_mask}
 
 
-def _run_inversion_lemma(scope: FuzzScope) -> tuple[int, list[dict]]:
-    instances = 0
-    bad = []
-    for gname, g in all_groups_up_to(scope.max_order):
-        for rname, _, rel in _relations_for(g.space, scope.relation_classes):
-            instances += 1
-            report = inversion_continuity_harness(g, rel, max_size=max(6, g.order))
-            if not report.implication_ok:
-                bad.append(
-                    {
-                        "group": _group_payload(gname, g),
-                        "relation": relation_payload(rel),
-                        "relation_class": rname,
-                    }
-                )
-    return instances, bad
+def _normal_chain_instances(scope: FuzzScope) -> Iterator[dict]:
+    for s in _structures(scope):
+        normals = normal_subgroups(s["group"][1])
+        for n_mask in normals:
+            for k_mask in normals:
+                if not n_mask & ~k_mask:
+                    yield {**s, "normal_mask": n_mask, "containing_mask": k_mask}
 
 
-def _run_multiplication(mode: str) -> Callable[[FuzzScope], tuple[int, list[dict]]]:
-    def run(scope: FuzzScope) -> tuple[int, list[dict]]:
-        instances = 0
-        bad = []
-        for gname, g in all_groups_up_to(scope.max_order):
-            for rname, _, rel in _relations_for(g.space, scope.relation_classes):
-                instances += 1
-                report = multiplication_continuity_harness(
-                    g, rel, mode, max_size=max(6, g.order)
-                )
-                if not report.implication_ok:
-                    bad.append(
-                        {
-                            "group": _group_payload(gname, g),
-                            "relation": relation_payload(rel),
-                            "relation_class": rname,
-                            "mode": mode,
-                        }
-                    )
-        return instances, bad
-
-    return run
-
-
-def _run_t1_agreement(scope: FuzzScope) -> tuple[int, list[dict]]:
-    instances = 0
-    bad = []
-    for gname, g, rname, cls, rel in _verified_structures(scope):
-        instances += 1
-        report = hausdorff_check(g, rel, axiom_class=cls, max_size=max(6, g.order))
-        if not report.readings_agree:
-            bad.append(
-                {
-                    "group": _group_payload(gname, g),
-                    "relation": relation_payload(rel),
-                    "relation_class": rname,
-                }
-            )
-    return instances, bad
-
-
-def _run_cech_is_lodato(scope: FuzzScope) -> tuple[int, list[dict]]:
-    instances = 0
-    bad = []
+def _carrier_relations(scope: FuzzScope) -> Iterator[dict]:
+    """The relation sources on the default carriers of sizes 1..max_order."""
     for n in range(1, scope.max_order + 1):
-        for rel in enumerate_relations(n, "cech"):
-            instances += 1
-            if not check_lodato(rel).ok:
-                bad.append({"relation": relation_payload(rel)})
-    return instances, bad
+        for _, rel in _relations_for(default_space(n), scope.relation_classes):
+            yield {"relation": rel}
 
 
-THEOREMS: dict[str, tuple[FuzzScope, Callable[[FuzzScope], tuple[int, list[dict]]]]] = {
-    "translations-are-proximal-isomorphisms": (
-        FuzzScope(4, ("cech",)),
-        _run_translations,
+# -- verdicts: live instance -> the statement holds -------------------------
+# They name the checkers at call time, so a checker patched on this module is
+# the one that runs.
+
+
+def _translations_hold(i: dict) -> bool:
+    g = i["group"][1]
+    return check_translations(g, i["relation"], max_size=_scan_cap(g)).ok
+
+
+def _subgroup_holds(i: dict) -> bool:
+    g = i["group"][1]
+    return subgroup_proximal_group(
+        g, i["relation"], i["subgroup_mask"],
+        axiom_class=_axiom_class(i["relation_class"]), max_size=_scan_cap(g),
+    ).ok
+
+
+def _product_holds(i: dict) -> bool:
+    g1, g2 = i["group"][1], i["group2"][1]
+    return product_proximal_group(
+        g1, i["relation"], g2, i["relation2"],
+        axiom_class=_axiom_class(i["relation_class"]), max_size=_scan_cap(g1, g2),
+    ).ok
+
+
+def _first_iso_holds(i: dict) -> bool:
+    g1, g2 = i["group"][1], i["group2"][1]
+    return first_iso_harness(
+        i["map_images"], g1, i["relation"], g2, i["relation2"], max_size=_scan_cap(g1, g2)
+    ).ok
+
+
+def _second_iso_holds(i: dict) -> bool:
+    g = i["group"][1]
+    return second_iso_harness(
+        g, i["relation"], i["subgroup_mask"], i["normal_mask"], max_size=_scan_cap(g)
+    ).ok
+
+
+def _third_iso_holds(i: dict) -> bool:
+    g = i["group"][1]
+    return third_iso_harness(
+        g, i["relation"], i["normal_mask"], i["containing_mask"], max_size=_scan_cap(g)
+    ).ok
+
+
+def _hom_criterion_holds(i: dict) -> bool:
+    g1, g2 = i["group"][1], i["group2"][1]
+    return hom_criterion_check(
+        i["map_images"], g1, i["relation"], g2, i["relation2"],
+        axiom_class=_axiom_class(i["relation_class2"]), max_size=_scan_cap(g1, g2),
+    ).implication_ok
+
+
+def _inversion_holds(i: dict) -> bool:
+    g = i["group"][1]
+    return inversion_continuity_harness(g, i["relation"], max_size=_scan_cap(g)).implication_ok
+
+
+def _multiplication_holds(i: dict) -> bool:
+    g = i["group"][1]
+    return multiplication_continuity_harness(
+        g, i["relation"], i["mode"], max_size=_scan_cap(g)
+    ).implication_ok
+
+
+def _t1_readings_agree(i: dict) -> bool:
+    g = i["group"][1]
+    return hausdorff_check(
+        g, i["relation"], axiom_class=_axiom_class(i["relation_class"]), max_size=_scan_cap(g)
+    ).readings_agree
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """A fuzzable statement: its default scope, the live instances a scope
+    covers (fields as in :func:`instance_payload`) and whether the statement
+    holds on one instance.  Sweep and replay both decide with ``holds``."""
+
+    scope: FuzzScope
+    instances: Callable[[FuzzScope], Iterator[dict]]
+    holds: Callable[[dict], bool]
+
+
+THEOREMS: dict[str, Theorem] = {
+    "translations-are-proximal-isomorphisms": Theorem(
+        FuzzScope(4, ("cech",)), _verified_structures, _translations_hold
     ),
-    "subgroups-inherit-proximal-group": (FuzzScope(4, ("cech",)), _run_subgroups),
-    "products-inherit-proximal-group": (
-        FuzzScope(4, ("discrete", "coarse")),
-        _run_products,
+    "subgroups-inherit-proximal-group": Theorem(
+        FuzzScope(4, ("cech",)), _subgroup_instances, _subgroup_holds
     ),
-    "first-isomorphism-theorem": (
-        FuzzScope(3, ("discrete", "coarse")),
-        _run_first_iso,
+    "products-inherit-proximal-group": Theorem(
+        FuzzScope(4, ("discrete", "coarse")), _product_instances, _product_holds
     ),
-    "second-isomorphism-theorem": (
-        FuzzScope(8, ("discrete", "coarse")),
-        _run_second_iso,
+    "first-isomorphism-theorem": Theorem(
+        FuzzScope(3, ("discrete", "coarse")), _first_iso_instances, _first_iso_holds
     ),
-    "third-isomorphism-theorem": (
-        FuzzScope(8, ("discrete", "coarse")),
-        _run_third_iso,
+    "second-isomorphism-theorem": Theorem(
+        FuzzScope(8, ("discrete", "coarse")), _second_iso_instances, _second_iso_holds
     ),
-    "hom-criterion-implies-pcont": (
-        FuzzScope(4, ("discrete", "coarse")),
-        _run_hom_criterion,
+    "third-isomorphism-theorem": Theorem(
+        FuzzScope(8, ("discrete", "coarse")), _normal_chain_instances, _third_iso_holds
     ),
-    "multiplication-continuity-gives-inversion": (
+    "hom-criterion-implies-pcont": Theorem(
+        FuzzScope(4, ("discrete", "coarse")), _homomorphism_instances, _hom_criterion_holds
+    ),
+    "multiplication-continuity-gives-inversion": Theorem(
+        FuzzScope(3, ("cech",)), _structures, _inversion_holds
+    ),
+    "translations-and-transitivity-give-proximal-group": Theorem(
         FuzzScope(3, ("cech",)),
-        _run_inversion_lemma,
+        lambda scope: _structures(scope, mode="ef-transitivity"),
+        _multiplication_holds,
     ),
-    "translations-and-transitivity-give-proximal-group": (
+    "translations-and-pointwise-lodato-give-proximal-group": Theorem(
         FuzzScope(3, ("cech",)),
-        _run_multiplication("ef-transitivity"),
+        lambda scope: _structures(scope, mode="lodato-pointwise"),
+        _multiplication_holds,
     ),
-    "translations-and-pointwise-lodato-give-proximal-group": (
-        FuzzScope(3, ("cech",)),
-        _run_multiplication("lodato-pointwise"),
+    "t1-equals-identity-closure": Theorem(
+        FuzzScope(4, ("cech",)), _verified_structures, _t1_readings_agree
     ),
-    "t1-equals-identity-closure": (FuzzScope(4, ("cech",)), _run_t1_agreement),
-    "every-cech-is-lodato": (FuzzScope(3, ("cech",)), _run_cech_is_lodato),
+    "every-cech-is-lodato": Theorem(
+        FuzzScope(3, ("cech",)), _carrier_relations, lambda i: check_lodato(i["relation"]).ok
+    ),
 }
 
 
+def lookup_theorem(theorem: str) -> Theorem:
+    """The registry entry of a theorem id; ValueError lists the known ids."""
+    if theorem not in THEOREMS:
+        known = ", ".join(sorted(THEOREMS))
+        raise ValueError(f"unknown theorem id {theorem!r}; known ids: {known}")
+    return THEOREMS[theorem]
+
+
 def fuzz_theorem(theorem: str, scope: FuzzScope | None = None) -> FuzzOutcome:
-    """Sweep every instance in scope through the named harness.
+    """Sweep every instance in scope through the theorem's verdict.
 
     Expected-true statements should come back with zero counterexamples;
     statements shipped as failure demonstrations return the full serialized
     counterexample instances.
     """
-    if theorem not in THEOREMS:
-        known = ", ".join(sorted(THEOREMS))
-        raise ValueError(f"unknown theorem id {theorem!r}; known ids: {known}")
-    default_scope, runner = THEOREMS[theorem]
-    scope = scope or default_scope
+    entry = lookup_theorem(theorem)
     start = time.monotonic()
-    instances, bad = runner(scope)
-    elapsed = time.monotonic() - start
-    return FuzzOutcome(theorem, instances, tuple(bad), elapsed)
+    instances = 0
+    bad = []
+    for instance in entry.instances(scope or entry.scope):
+        instances += 1
+        if not entry.holds(instance):
+            bad.append(instance_payload(instance))
+    return FuzzOutcome(theorem, instances, tuple(bad), time.monotonic() - start)
 
 
 def replay_counterexample(theorem: str, instance: dict) -> bool:
-    """Re-run a serialized counterexample; True iff the failure reproduces."""
-    if theorem == "every-cech-is-lodato":
-        rel = relation_from_payload(instance["relation"])
-        return not check_lodato(rel).ok
-    if theorem == "first-isomorphism-theorem":
-        g1 = _group_from_payload(instance["group"])
-        g2 = _group_from_payload(instance["group2"])
-        rel1 = relation_from_payload(instance["relation"])
-        rel2 = relation_from_payload(instance["relation2"])
-        eta = SpaceMap(g1.space, g2.space, tuple(instance["map_images"]), "replay")
-        report = first_iso_harness(eta, g1, rel1, g2, rel2, max_size=max(6, g1.order))
-        return not report.ok
-    if theorem == "translations-are-proximal-isomorphisms":
-        g = _group_from_payload(instance["group"])
-        rel = relation_from_payload(instance["relation"])
-        return not check_translations(g, rel, max_size=max(6, g.order)).ok
-    if theorem == "subgroups-inherit-proximal-group":
-        g = _group_from_payload(instance["group"])
-        rel = relation_from_payload(instance["relation"])
-        return not subgroup_proximal_group(
-            g, rel, instance["subgroup_mask"], max_size=max(6, g.order)
-        ).ok
-    if theorem == "third-isomorphism-theorem":
-        g = _group_from_payload(instance["group"])
-        rel = relation_from_payload(instance["relation"])
-        return not third_iso_harness(
-            g, rel, instance["normal_mask"], instance["containing_mask"],
-            max_size=max(6, g.order),
-        ).ok
-    raise ValueError(f"no replay recipe for theorem id {theorem!r}")
+    """Re-run a serialized counterexample through the verdict its sweep used;
+    True iff the failure reproduces."""
+    return not lookup_theorem(theorem).holds(instance_from_payload(instance))

@@ -23,7 +23,7 @@ from .relations import (
     quotient_proximity,
     subspace_proximity,
 )
-from .spaces import FiniteSpace, bits, default_space, product_space
+from .spaces import FiniteSpace, bits, default_space, product_space, union_table
 
 GROUP_SCAN_CAP = 6
 
@@ -217,13 +217,7 @@ def subset_inverse(g: FiniteGroup, a: int) -> int:
 def subset_product_table(g: FiniteGroup) -> list[list[int]]:
     """subset_product for every pair of masks, built by dynamic programming."""
     m = g.space.n_subsets
-    row_products = [[0] * m for _ in range(g.order)]
-    for i in range(g.order):
-        row = row_products[i]
-        cay = g.cayley[i]
-        for mask in range(1, m):
-            low = mask & -mask
-            row[mask] = row[mask ^ low] | (1 << cay[low.bit_length() - 1])
+    row_products = [union_table([1 << c for c in row]) for row in g.cayley]
     table = [[0] * m for _ in range(m)]
     for a in range(1, m):
         low = a & -a

@@ -149,6 +149,18 @@ def test_fuzz_rejects_empty_scope_flags(flag, value, capsys):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--theorem", "every-cech-is-lodato", "--classes", "foo"], "'foo'"),
+        (["--theorem", "untrue-claim"], "known ids"),
+    ],
+)
+def test_fuzz_rejects_unknown_ids(flags, message, capsys):
+    assert main(["fuzz", *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_python_dash_m_runs_the_cli():
     result = subprocess.run(
         [

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import islice
 
 import pytest
 
@@ -18,7 +19,15 @@ from proxikit import (
     replay_counterexample,
     witness_violates,
 )
-from proxikit.enumeration import FuzzScope, THEOREMS, relation_from_payload, relation_payload
+from proxikit import enumeration
+from proxikit.enumeration import (
+    THEOREMS,
+    FuzzScope,
+    instance_from_payload,
+    instance_payload,
+    relation_from_payload,
+    relation_payload,
+)
 
 
 # --- generators -----------------------------------------------------------------
@@ -206,6 +215,8 @@ def test_census_determinism():
 def test_unknown_theorem_rejected_with_known_list():
     with pytest.raises(ValueError, match="known ids"):
         fuzz_theorem("untrue-claim")
+    with pytest.raises(ValueError, match="known ids"):
+        replay_counterexample("untrue-claim", {})
 
 
 @pytest.mark.parametrize(
@@ -262,10 +273,47 @@ def test_relation_payload_roundtrip():
 
 
 def test_all_registered_theorems_have_default_scopes():
-    for theorem, (scope, runner) in THEOREMS.items():
-        assert scope.max_order >= 1
-        assert scope.relation_classes
-        assert callable(runner)
+    for theorem, entry in THEOREMS.items():
+        assert entry.scope.max_order >= 1
+        assert entry.scope.relation_classes
+        assert callable(entry.instances)
+        assert callable(entry.holds)
+
+
+@pytest.mark.parametrize("theorem", list(THEOREMS))
+def test_every_instance_replays_through_the_sweep_verdict(theorem):
+    entry = THEOREMS[theorem]
+    for instance in islice(entry.instances(entry.scope), 60):
+        payload = json.loads(json.dumps(instance_payload(instance)))
+        assert instance_payload(instance_from_payload(payload)) == payload
+        assert replay_counterexample(theorem, payload) is (not entry.holds(instance))
+
+
+@pytest.mark.parametrize(
+    "source, axiom_class",
+    [
+        ("discrete", "efremovic"),
+        ("coarse", "efremovic"),
+        ("cech", "cech"),
+        ("lodato", "lodato"),
+        ("efremovic", "efremovic"),
+    ],
+)
+def test_replay_verifies_against_the_sweeps_axiom_class(source, axiom_class, monkeypatch):
+    seen = []
+    check = enumeration.subgroup_proximal_group
+
+    def spy(*args, axiom_class, **kwargs):
+        seen.append(axiom_class)
+        return check(*args, axiom_class=axiom_class, **kwargs)
+
+    monkeypatch.setattr(enumeration, "subgroup_proximal_group", spy)
+    entry = THEOREMS["subgroups-inherit-proximal-group"]
+    instance = next(entry.instances(FuzzScope(2, (source,))))
+    assert not replay_counterexample(
+        "subgroups-inherit-proximal-group", instance_payload(instance)
+    )
+    assert seen == [axiom_class]
 
 
 def test_fuzz_outcomes_deterministic():
