@@ -24,7 +24,7 @@ Full scans over triples cost 8^n, so checks are capped at carriers of size
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .relations import ProximityRelation
 from .spaces import FiniteSpace, bits, union_table
@@ -148,15 +148,29 @@ def _equivalence(rel: ProximityRelation) -> tuple[int, ...] | None:
 
 
 def _singleton_row_meet(rel: ProximityRelation) -> list[int]:
-    """For each subset B, the set of C near every singleton of B (as a bitset)."""
-    m = rel.space.n_subsets
-    all_subsets = (1 << m) - 1
-    meet = [0] * m
-    meet[0] = all_subsets
-    for mask in range(1, m):
-        low = mask & -mask
-        meet[mask] = meet[mask ^ low] & rel.rows[low]
-    return meet
+    """For each subset B, the set of C near every singleton of B (as a bitset):
+    by De Morgan, the complement of the union of the far rows of B's
+    singletons."""
+    everything = (1 << rel.space.n_subsets) - 1
+    far = union_table([everything ^ rel.rows[1 << i] for i in range(rel.space.size)])
+    return [everything ^ row for row in far]
+
+
+def first_chain_violation(
+    rows: Sequence[int], through: Sequence[int]
+) -> tuple[int, int, int] | None:
+    """The first (a, b, c) with a near b and c in ``through[b]`` but a far c.
+
+    ``rows`` and ``through`` are bitset tables over the same masks.  The scan
+    takes a ascending, then b ascending over row a, then the smallest c, so
+    the triple is the lexicographically smallest violation.
+    """
+    for a, row in enumerate(rows):
+        for b in bits(row):
+            bad = through[b] & ~row
+            if bad:
+                return a, b, (bad & -bad).bit_length() - 1
+    return None
 
 
 def check_lodato(rel: ProximityRelation, *, max_size: int = DEFAULT_SCAN_CAP) -> AxiomReport:
@@ -173,21 +187,10 @@ def check_lodato(rel: ProximityRelation, *, max_size: int = DEFAULT_SCAN_CAP) ->
     if _equivalence(rel) is not None:
         verdicts["L5"] = True
         return AxiomReport(verdicts, witnesses)
-    m = rel.space.n_subsets
-    rows = rel.rows
-    meet = _singleton_row_meet(rel)
-    verdicts["L5"] = True
-    for a in range(m):
-        row = rows[a]
-        for b in bits(row):
-            bad = meet[b] & ~row
-            if bad:
-                c = (bad & -bad).bit_length() - 1
-                verdicts["L5"] = False
-                witnesses["L5"] = (a, b, c)
-                break
-        if not verdicts["L5"]:
-            break
+    witness = first_chain_violation(rel.rows, _singleton_row_meet(rel))
+    verdicts["L5"] = witness is None
+    if witness is not None:
+        witnesses["L5"] = witness
     return AxiomReport(verdicts, witnesses)
 
 

@@ -12,14 +12,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from .axioms import (
-    AxiomReport,
-    check_cech,
-    check_efremovic,
-    check_kuratowski,
-    check_lodato,
-    induced_topology,
-)
+from .axioms import AxiomReport, check_kuratowski, induced_topology
 from .descriptive import (
     check_descriptive_ef,
     check_descriptive_lodato,
@@ -34,6 +27,7 @@ from .enumeration import (
     mine_separating_examples,
 )
 from .groups import (
+    AXIOM_CHECKS,
     check_proximal_group,
     check_proximal_homomorphism,
     check_translations,
@@ -73,12 +67,7 @@ VERBS = (
 
 DOCUMENT_FREE_VERBS = ("enumerate", "fuzz", "census")
 
-AXIOM_CHECKERS = {
-    "cech": check_cech,
-    "lodato": check_lodato,
-    "efremovic": check_efremovic,
-    "kuratowski": check_kuratowski,
-}
+AXIOM_CHECKERS = {**AXIOM_CHECKS, "kuratowski": check_kuratowski}
 
 
 @dataclass(frozen=True)
@@ -687,7 +676,10 @@ def run_command(verb: str, ws: WorkspaceDocument | None, flags: Mapping[str, Any
     """Run one verb against a parsed workspace; reports are deterministic."""
     if verb not in HANDLERS:
         raise WorkspaceError("verb", f"unknown verb {verb!r}; known: {', '.join(VERBS)}")
-    return HANDLERS[verb](ws, dict(flags or {}))
+    flags = dict(flags or {})
+    if flags.get("max_n") is not None and flags["max_n"] < 1:
+        raise WorkspaceError("flags", f"--max-n must be at least 1, got {flags['max_n']}")
+    return HANDLERS[verb](ws, flags)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -701,9 +693,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb)
         if needs_doc:
             p.add_argument("document", help="workspace JSON file, or - for stdin")
+            p.add_argument("--max-n", type=int, default=None, dest="max_n",
+                           help="raise the exhaustive-scan size cap")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-n", type=int, default=None, dest="max_n",
-                       help="raise the exhaustive-scan size cap")
         return p
 
     p = add("check-axioms")

@@ -12,9 +12,8 @@ from typing import Sequence
 from .axioms import (
     DEFAULT_SCAN_CAP,
     AxiomReport,
-    _check_l1_l4,
-    _singleton_row_meet,
     check_efremovic,
+    check_lodato,
     require_scan_size,
 )
 from .maps import SpaceMap, check_pcont
@@ -86,75 +85,39 @@ def descriptive_intersection(probes: ProbeTable, a: int, b: int) -> int:
     return out
 
 
+def _descriptive_keys(report: AxiomReport) -> AxiomReport:
+    """The report with every axiom key prefixed by "D" (L1 -> DL1, EF -> DEF)."""
+    return AxiomReport(
+        {"D" + k: v for k, v in report.verdicts.items()},
+        {"D" + k: w for k, w in report.witnesses.items()},
+        report.ef_examples,
+    )
+
+
 def check_descriptive_lodato(
     probes: ProbeTable, *, max_size: int = DEFAULT_SCAN_CAP
 ) -> AxiomReport:
-    """DL1-DL5 on the induced relation; DL3 runs on the descriptive intersection."""
+    """DL1-DL5: the Lodato axioms L1-L5 on the induced relation, renamed.
+
+    DL3 asks that A and B be near whenever their descriptive intersection
+    is nonempty.  That intersection is nonempty exactly when some a in A
+    and b in B share a description, which is exactly when the induced
+    relation puts A near B, so DL3 holds by construction.  L3 holds too:
+    if A and B share a point x, x shares its own description, so A near B.
+    Both always pass, and the renamed L3 verdict is the DL3 verdict.  The
+    other DL axioms are L1, L2, L4 and L5 of that relation verbatim.
+    """
     require_scan_size(probes.space, max_size, "DL1-DL5")
-    rel = descriptive_proximity(probes)
-    m = rel.space.n_subsets
-    rows = rel.rows
-    base, base_witness = _check_l1_l4(rel)
-    verdicts: dict[str, bool] = {}
-    witnesses: dict[str, tuple[int, ...]] = {}
-
-    verdicts["DL1"] = base["L1"]
-    if "L1" in base_witness:
-        witnesses["DL1"] = base_witness["L1"]
-
-    verdicts["DL2"] = True
-    for b in range(m):
-        if rel.near(b, 0):
-            verdicts["DL2"] = False
-            witnesses["DL2"] = (b, 0)
-            break
-        if rel.near(0, b):
-            verdicts["DL2"] = False
-            witnesses["DL2"] = (0, b)
-            break
-
-    verdicts["DL3"] = True
-    for a in range(m):
-        for b in range(m):
-            if descriptive_intersection(probes, a, b) and not rel.near(a, b):
-                verdicts["DL3"] = False
-                witnesses["DL3"] = (a, b)
-                break
-        if not verdicts["DL3"]:
-            break
-
-    verdicts["DL4"] = base["L4"]
-    if "L4" in base_witness:
-        witnesses["DL4"] = base_witness["L4"]
-
-    meet = _singleton_row_meet(rel)
-    verdicts["DL5"] = True
-    for a in range(m):
-        row = rows[a]
-        for b in bits(row):
-            bad = meet[b] & ~row
-            if bad:
-                c = (bad & -bad).bit_length() - 1
-                verdicts["DL5"] = False
-                witnesses["DL5"] = (a, b, c)
-                break
-        if not verdicts["DL5"]:
-            break
-
-    return AxiomReport(verdicts, witnesses)
+    return _descriptive_keys(check_lodato(descriptive_proximity(probes), max_size=max_size))
 
 
 def check_descriptive_ef(
     probes: ProbeTable, *, max_size: int = DEFAULT_SCAN_CAP
 ) -> AxiomReport:
-    """DL1-DL4 plus DEF on the induced relation."""
+    """DL1-DL4 plus DEF: the checks of :func:`check_efremovic` on the induced
+    relation, renamed as in :func:`check_descriptive_lodato`."""
     require_scan_size(probes.space, max_size, "DL1-DL4+DEF")
-    rel = descriptive_proximity(probes)
-    ef = check_efremovic(rel, max_size=max_size)
-    rename = {"L1": "DL1", "L2": "DL2", "L3": "DL3", "L4": "DL4", "EF": "DEF"}
-    verdicts = {rename[k]: v for k, v in ef.verdicts.items()}
-    witnesses = {rename[k]: w for k, w in ef.witnesses.items()}
-    return AxiomReport(verdicts, witnesses, ef.ef_examples)
+    return _descriptive_keys(check_efremovic(descriptive_proximity(probes), max_size=max_size))
 
 
 def check_dpcont(

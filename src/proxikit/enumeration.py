@@ -24,6 +24,7 @@ from typing import Callable, Iterator, Sequence
 
 from .axioms import check_efremovic, check_lodato
 from .groups import (
+    AXIOM_CHECKS,
     GROUP_SCAN_CAP,
     FiniteGroup,
     all_groups_up_to,
@@ -216,15 +217,10 @@ def witness_violates(rel: ProximityRelation, axiom: str, witness: tuple[int, ...
 
 
 def _class_check(axiom_class: str) -> Callable[[ProximityRelation], bool]:
-    if axiom_class == "cech":
-        from .axioms import check_cech
-
-        return lambda rel: check_cech(rel).ok
-    if axiom_class == "lodato":
-        return lambda rel: check_lodato(rel).ok
-    if axiom_class == "efremovic":
-        return lambda rel: check_efremovic(rel).ok
-    raise ValueError(f"relation class must be one of {RELATION_CLASSES}, got {axiom_class!r}")
+    check = AXIOM_CHECKS.get(axiom_class)
+    if check is None:
+        raise ValueError(f"relation class must be one of {RELATION_CLASSES}, got {axiom_class!r}")
+    return lambda rel: check(rel).ok
 
 
 def enumerate_relations(n: int, axiom_class: str = "cech") -> Iterator[ProximityRelation]:

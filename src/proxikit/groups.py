@@ -15,6 +15,7 @@ from .axioms import (
     check_cech,
     check_efremovic,
     check_lodato,
+    first_chain_violation,
     require_scan_size,
 )
 from .maps import SpaceMap, check_pcont, check_proximal_isomorphism
@@ -408,9 +409,9 @@ def check_proximal_group(
             f"proximal-group scan on a {g.order}-element group exceeds the cap"
             f" {max_size}; pass max_size={g.order} to run it anyway"
         )
-    axioms = AXIOM_CHECKS[axiom_class](rel, max_size=max(max_size, g.order))
+    axioms = AXIOM_CHECKS[axiom_class](rel, max_size=max_size)
     mu1 = _mu1_check(g, rel)
-    mu2 = _mu2_check(g, rel, max(max_size, g.order))
+    mu2 = _mu2_check(g, rel, max_size)
     return ProximalGroupReport(axioms, mu1, mu2)
 
 
@@ -456,15 +457,9 @@ def check_transitivity_property(
 ) -> AxiomReport:
     """Near is transitive: A near B and B near C force A near C."""
     require_scan_size(rel.space, max_size, "transitivity")
-    rows = rel.rows
-    m = rel.space.n_subsets
-    for a in range(m):
-        row_a = rows[a]
-        for b in bits(row_a):
-            bad = rows[b] & ~row_a
-            if bad:
-                c = (bad & -bad).bit_length() - 1
-                return AxiomReport({"transitivity": False}, {"transitivity": (a, b, c)})
+    witness = first_chain_violation(rel.rows, rel.rows)
+    if witness is not None:
+        return AxiomReport({"transitivity": False}, {"transitivity": witness})
     return AxiomReport({"transitivity": True})
 
 
@@ -561,13 +556,24 @@ def hom_criterion_check(
         if rel1.near(b, e1) and not rel2.near(eta.image_mask(b), e2):
             hypothesis = Check(False, (b, e1))
             break
-    pcont = check_pcont(eta, rel1, rel2, max_size=max(max_size, g1.order))
+    pcont = check_pcont(eta, rel1, rel2, max_size=max_size)
     conclusion = Check(pcont.verdicts["pcont"], pcont.witnesses.get("pcont"))
     return HomCriterionReport(hypothesis, conclusion)
 
 
 # ---------------------------------------------------------------------------
 # derived structures
+
+
+def subgroup_group(g: FiniteGroup, h: int) -> FiniteGroup:
+    """A subgroup H as a group on its own carrier: the members of H in
+    carrier order, keeping their labels."""
+    members = list(bits(h))
+    index = {m: k for k, m in enumerate(members)}
+    cayley = [[index[g.cayley[i][j]] for j in members] for i in members]
+    return FiniteGroup.from_table(
+        FiniteSpace(tuple(g.space.labels[i] for i in members)), cayley
+    )
 
 
 def subgroup_proximal_group(
@@ -582,14 +588,9 @@ def subgroup_proximal_group(
     reason = subgroup_violation(g, h)
     if reason is not None:
         raise ValueError(reason)
-    members = list(bits(h))
-    sub_space = FiniteSpace(tuple(g.space.labels[i] for i in members))
-    index = {m: k for k, m in enumerate(members)}
-    cayley = [[index[g.cayley[i][j]] for j in members] for i in members]
-    sub_group = FiniteGroup.from_table(sub_space, cayley)
-    sub_rel = subspace_proximity(rel, h)
     return check_proximal_group(
-        sub_group, sub_rel, axiom_class=axiom_class, max_size=max_size
+        subgroup_group(g, h), subspace_proximity(rel, h),
+        axiom_class=axiom_class, max_size=max_size,
     )
 
 
@@ -680,8 +681,8 @@ def product_proximal_group(
         if not mu2.ok:
             break
 
-    axioms1 = AXIOM_CHECKS[axiom_class](rel1, max_size=max(max_size, g1.order))
-    axioms2 = AXIOM_CHECKS[axiom_class](rel2, max_size=max(max_size, g2.order))
+    axioms1 = AXIOM_CHECKS[axiom_class](rel1, max_size=max_size)
+    axioms2 = AXIOM_CHECKS[axiom_class](rel2, max_size=max_size)
     merged = AxiomReport(
         {k: axioms1.verdicts[k] and axioms2.verdicts[k] for k in axioms1.verdicts}
     )

@@ -27,6 +27,7 @@ from .groups import (
     invertible_subsets,
     normality_violation,
     quotient_proximal_group,
+    subgroup_group,
     subgroup_violation,
     subset_product,
     _mu1_check,
@@ -34,7 +35,7 @@ from .groups import (
 )
 from .maps import SpaceMap, check_pcont, check_proximal_isomorphism
 from .relations import ProximityRelation, subspace_proximity
-from .spaces import FiniteSpace, bits
+from .spaces import bits
 
 
 @dataclass(frozen=True)
@@ -214,15 +215,7 @@ def second_iso_harness(
     hn = subset_product(g, h, n)
     # subgroup structures on HN and H with their subspace proximities
     def substructure(mask: int) -> tuple[FiniteGroup, ProximityRelation, list[int]]:
-        members = list(bits(mask))
-        space = FiniteSpace(tuple(g.space.labels[i] for i in members))
-        index = {m: k for k, m in enumerate(members)}
-        cayley = [[index[g.cayley[i][j]] for j in members] for i in members]
-        return (
-            FiniteGroup.from_table(space, cayley),
-            subspace_proximity(rel, mask),
-            members,
-        )
+        return subgroup_group(g, mask), subspace_proximity(rel, mask), list(bits(mask))
 
     hn_group, hn_rel, hn_members = substructure(hn)
     h_group, h_rel, h_members = substructure(h)

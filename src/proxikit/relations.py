@@ -15,6 +15,7 @@ from typing import Iterator, Sequence
 from .spaces import (
     FiniteSpace,
     bits,
+    meeting_table,
     product_space,
     rectangle_mask,
     split_rectangle,
@@ -119,19 +120,9 @@ def relation_from_point_pairs(
     constructor whose nearness means "a witnessing pair of elements exists"
     (discrete, metric, descriptive) reduces to this.
     """
-    m = space.n_subsets
-    reach = union_table(point_rows)
-    # sub_bitset[c] = bitset (over subset indices) of all submasks of carrier mask c
-    sub_bitset = [0] * m
-    sub_bitset[0] = 1
-    for mask in range(1, m):
-        low = mask & -mask
-        prev = sub_bitset[mask ^ low]
-        sub_bitset[mask] = prev | (prev << low)
-    all_subsets = (1 << m) - 1
-    full = space.full_mask
-    # A near B iff B meets reach[A], i.e. B is not a subset of the complement.
-    rows = tuple(all_subsets ^ sub_bitset[full ^ reach[a]] for a in range(m))
+    # A near B iff B meets reach[A]: row A is row reach[A] of the discrete relation.
+    meeting = meeting_table(space.size)
+    rows = tuple(meeting[c] for c in union_table(point_rows))
     return ProximityRelation(space, rows, provenance)
 
 
@@ -215,18 +206,25 @@ def subspace_proximity(rel: ProximityRelation, v: int) -> ProximityRelation:
         raise ValueError("subspace carrier must be nonempty")
     members = list(bits(v))
     sub = FiniteSpace(tuple(rel.space.labels[i] for i in members))
-    m = sub.n_subsets
-    # expand a mask over the subspace into a mask over the parent carrier
-    expand = union_table([1 << i for i in members])
+    return _pullback(rel, sub, [1 << i for i in members], "subspace")
+
+
+def _pullback(
+    rel: ProximityRelation, space: FiniteSpace, images: Sequence[int], provenance: str
+) -> ProximityRelation:
+    """Relation on ``space`` whose element i stands for the parent mask
+    ``images[i]``: subsets are near iff the unions of their images are."""
+    pre = union_table(images)
+    m = space.n_subsets
     rows = []
     for a in range(m):
         row = 0
-        parent_row = rel.rows[expand[a]]
+        parent_row = rel.rows[pre[a]]
         for b in range(m):
-            if (parent_row >> expand[b]) & 1:
+            if (parent_row >> pre[b]) & 1:
                 row |= 1 << b
         rows.append(row)
-    return ProximityRelation(sub, tuple(rows), "subspace")
+    return ProximityRelation(space, tuple(rows), provenance)
 
 
 def validate_partition(space: FiniteSpace, blocks: Sequence[int]) -> None:
@@ -249,18 +247,7 @@ def quotient_proximity(
     """Relation on the blocks: block sets are near iff their preimages are."""
     validate_partition(rel.space, blocks)
     labels = tuple("|".join(rel.space.label_set(block)) for block in blocks)
-    quot = FiniteSpace(labels)
-    m = quot.n_subsets
-    pre = union_table(blocks)
-    rows = []
-    for a in range(m):
-        row = 0
-        parent_row = rel.rows[pre[a]]
-        for b in range(m):
-            if (parent_row >> pre[b]) & 1:
-                row |= 1 << b
-        rows.append(row)
-    return ProximityRelation(quot, tuple(rows), "quotient")
+    return _pullback(rel, FiniteSpace(labels), blocks, "quotient")
 
 
 @dataclass(frozen=True)

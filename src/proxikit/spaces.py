@@ -8,6 +8,7 @@ is part of the on-disk format: bit ``i`` always refers to ``labels[i]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 MAX_CARRIER = 12
@@ -86,6 +87,17 @@ def union_table(images: Sequence[int]) -> list[int]:
         low = mask & -mask
         table[mask] = table[mask ^ low] | images[low.bit_length() - 1]
     return table
+
+
+@lru_cache(maxsize=None)
+def meeting_table(n: int) -> tuple[int, ...]:
+    """``table[c]`` = bitset over the 2^n masks of those that meet mask c.
+
+    Row ``c`` of the discrete relation on n elements; built once per size.
+    """
+    m = 1 << n
+    containing = [sum(1 << b for b in range(m) if (b >> j) & 1) for j in range(n)]
+    return tuple(union_table(containing))
 
 
 def singleton(i: int) -> int:

@@ -7,6 +7,7 @@ from proxikit import (
     check_efremovic,
     check_kuratowski,
     check_lodato,
+    check_transitivity_property,
     closure,
     closure_table,
     default_space,
@@ -203,7 +204,10 @@ def test_checkers_agree_with_naive_oracle(seed):
     assert ef.verdicts["EF"] == naive_oracle(rel, "EF")
     for axiom in ("K1", "K2", "K3", "K4"):
         assert kur.verdicts[axiom] == naive_oracle(rel, axiom)
-    for axiom, witness in {**lodato.witnesses, **ef.witnesses, **kur.witnesses}.items():
+    trans = check_transitivity_property(rel)
+    assert trans.verdicts["transitivity"] == naive_oracle(rel, "transitivity")
+    witnesses = {**lodato.witnesses, **ef.witnesses, **kur.witnesses, **trans.witnesses}
+    for axiom, witness in witnesses.items():
         assert witness_violates(rel, axiom, witness)
 
 
@@ -231,6 +235,12 @@ def _first_violation_in_scan_order(rel, axiom):
                         rel.near(1 << x, c) for x in range(rel.space.size) if (b >> x) & 1
                     ) and not rel.near(a, c):
                         return (a, b, c)
+    if axiom == "transitivity":
+        for a in range(m):
+            for b in range(m):
+                for c in range(m):
+                    if rel.near(a, b) and rel.near(b, c) and not rel.near(a, c):
+                        return (a, b, c)
     return None
 
 
@@ -246,3 +256,8 @@ def test_witnesses_are_lexicographically_minimal(seed):
     for axiom in ("L1", "L4", "L5"):
         if not report.verdicts[axiom]:
             assert report.witnesses[axiom] == _first_violation_in_scan_order(rel, axiom)
+    trans = check_transitivity_property(rel)
+    if not trans.ok:
+        assert trans.witnesses["transitivity"] == _first_violation_in_scan_order(
+            rel, "transitivity"
+        )

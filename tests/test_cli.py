@@ -161,6 +161,30 @@ def test_fuzz_rejects_unknown_ids(flags, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_n_below_one_is_rejected(value, capsys):
+    probes = str(FIXTURES / "sample_probes.json")
+    assert main(["descriptive-check", probes, "--probes", "q", "--max-n", value]) == 2
+    assert f"--max-n must be at least 1, got {value}" in capsys.readouterr().err
+    assert main(["quotient", str(FIXTURES / "z4_quotient.json"), "--max-n", value]) == 2
+    assert "--max-n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--n", "2"],
+        ["fuzz", "--theorem", "every-cech-is-lodato"],
+        ["census", "--n", "2"],
+    ],
+)
+def test_document_free_verbs_take_no_max_n(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-n", "99"])
+    assert exc.value.code == 2
+    assert "--max-n" in capsys.readouterr().err
+
+
 def test_python_dash_m_runs_the_cli():
     result = subprocess.run(
         [

@@ -9,6 +9,7 @@ from proxikit import (
     check_descriptive_ef,
     check_descriptive_lodato,
     check_dpcont,
+    check_efremovic,
     check_lodato,
     check_pcont,
     concat_paths,
@@ -125,12 +126,29 @@ def test_constant_probe_def_vacuous():
     assert report.verdicts["DEF"]
 
 
+DESCRIPTIVE_KEYS = {"L1": "DL1", "L2": "DL2", "L3": "DL3", "L4": "DL4", "L5": "DL5", "EF": "DEF"}
+
+
+def _renamed(report):
+    return (
+        {DESCRIPTIVE_KEYS[k]: v for k, v in report.verdicts.items()},
+        {DESCRIPTIVE_KEYS[k]: w for k, w in report.witnesses.items()},
+        report.ef_examples,
+    )
+
+
 def test_random_probes_pass_dl_and_def():
     rng = random.Random(20240817)
     for _ in range(150):
         probes = random_probes(rng)
-        assert check_descriptive_lodato(probes).ok
-        assert check_descriptive_ef(probes).ok
+        rel = descriptive_proximity(probes)
+        dl = check_descriptive_lodato(probes)
+        de = check_descriptive_ef(probes)
+        assert dl.ok and de.ok
+        # the descriptive checks are the Lodato/EF checks on the induced relation
+        assert (dict(dl.verdicts), dict(dl.witnesses), dl.ef_examples) == _renamed(check_lodato(rel))
+        assert (dict(de.verdicts), dict(de.witnesses), de.ef_examples) == _renamed(check_efremovic(rel))
+        assert list(de.ef_examples.items()) == list(check_efremovic(rel).ef_examples.items())
 
 
 # --- dpcont -------------------------------------------------------------------

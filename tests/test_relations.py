@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,9 +15,11 @@ from proxikit import (
     product_proximity,
     quotient_proximity,
     relation_from_near_pairs,
+    relation_from_point_pairs,
     subspace_proximity,
 )
 from proxikit.groups import coset_partition, cyclic_group
+from proxikit.spaces import bits
 
 
 def test_discrete_shared_element_near():
@@ -268,3 +272,61 @@ def test_quotient_projection_is_pcont_on_union_axiom_relations():
                 rel.space, quot.space, tuple(block_of[i] for i in range(3)), "pi"
             )
             assert check_pcont(projection, rel, quot).ok
+
+
+# --- the shared core against its definitions ------------------------------------
+
+
+def test_point_pair_extension_matches_definition_on_every_graph():
+    # every undirected graph on n <= 4 points, loops included
+    for n in range(1, 5):
+        space = default_space(n)
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        for assignment in range(1 << len(pairs)):
+            points = [0] * n
+            for k, (i, j) in enumerate(pairs):
+                if (assignment >> k) & 1:
+                    points[i] |= 1 << j
+                    points[j] |= 1 << i
+            rel = relation_from_point_pairs(space, points, "explicit")
+            for a in space.subsets():
+                reach = 0
+                for i in bits(a):
+                    reach |= points[i]
+                # A near B iff some a in A and b in B are point-related
+                assert rel.rows[a] == sum(1 << b for b in space.subsets() if b & reach)
+
+
+def _random_partition(rng, n):
+    labels = [rng.randrange(n) for _ in range(n)]
+    blocks = []
+    for label in labels:
+        block = sum(1 << i for i in range(n) if labels[i] == label)
+        if block not in blocks:
+            blocks.append(block)
+    return blocks
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_pullbacks_match_definition_on_non_cech_tables(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    space = default_space(n)
+    m = space.n_subsets
+    rel = ProximityRelation(space, tuple(rng.getrandbits(m) for _ in range(m)))
+    assert rel.point_graph is None
+    members = list(bits(rng.randrange(1, m)))
+    blocks = _random_partition(rng, n)
+    for pulled, images in (
+        (subspace_proximity(rel, sum(1 << i for i in members)), [1 << i for i in members]),
+        (quotient_proximity(rel, blocks), blocks),
+    ):
+        def pre(a):
+            out = 0
+            for i in bits(a):
+                out |= images[i]
+            return out
+
+        for a in pulled.space.subsets():
+            for b in pulled.space.subsets():
+                assert pulled.near(a, b) == rel.near(pre(a), pre(b))
