@@ -689,10 +689,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(verb, needs_doc=True):
+    def add(verb, needs_doc=True, capped=True):
+        # only verbs with a size-capped scan take --max-n
         p = sub.add_parser(verb)
         if needs_doc:
             p.add_argument("document", help="workspace JSON file, or - for stdin")
+        if needs_doc and capped:
             p.add_argument("--max-n", type=int, default=None, dest="max_n",
                            help="raise the exhaustive-scan size cap")
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -739,7 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iso", action="store_true")
     p.add_argument("--criterion", action="store_true")
 
-    p = add("quotient")
+    p = add("quotient", capped=False)
     p.add_argument("--rel", default=None)
     p.add_argument("--normal", type=int, default=None)
 

@@ -432,10 +432,10 @@ def check_translations(
     entries = []
     for x in range(g.order):
         left = check_proximal_isomorphism(
-            translation_map(g, x, "left"), rel, rel, max_size=max(max_size, g.order)
+            translation_map(g, x, "left"), rel, rel, max_size=max_size
         )
         right = check_proximal_isomorphism(
-            translation_map(g, x, "right"), rel, rel, max_size=max(max_size, g.order)
+            translation_map(g, x, "right"), rel, rel, max_size=max_size
         )
         entries.append((x, left, right))
     return TranslationReport(tuple(entries))
@@ -503,13 +503,12 @@ def check_proximal_homomorphism(
     verdicts["group_homomorphism"] = hom_witness is None
     if hom_witness is not None:
         witnesses["group_homomorphism"] = (1 << hom_witness[0], 1 << hom_witness[1])
-    scan = max(max_size, g1.order, g2.order)
     if isomorphism:
-        iso = check_proximal_isomorphism(eta, rel1, rel2, max_size=scan)
+        iso = check_proximal_isomorphism(eta, rel1, rel2, max_size=max_size)
         verdicts.update(iso.verdicts)
         witnesses.update(iso.witnesses)
     else:
-        pcont = check_pcont(eta, rel1, rel2, max_size=scan)
+        pcont = check_pcont(eta, rel1, rel2, max_size=max_size)
         verdicts["pcont"] = pcont.verdicts["pcont"]
         if "pcont" in pcont.witnesses:
             witnesses["pcont"] = pcont.witnesses["pcont"]

@@ -166,8 +166,8 @@ def test_max_n_below_one_is_rejected(value, capsys):
     probes = str(FIXTURES / "sample_probes.json")
     assert main(["descriptive-check", probes, "--probes", "q", "--max-n", value]) == 2
     assert f"--max-n must be at least 1, got {value}" in capsys.readouterr().err
-    assert main(["quotient", str(FIXTURES / "z4_quotient.json"), "--max-n", value]) == 2
-    assert "--max-n" in capsys.readouterr().err
+    assert main(["group-check", str(FIXTURES / "z3_group.json"), "--max-n", value]) == 2
+    assert f"--max-n must be at least 1, got {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -181,6 +181,14 @@ def test_max_n_below_one_is_rejected(value, capsys):
 def test_document_free_verbs_take_no_max_n(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--max-n", "99"])
+    assert exc.value.code == 2
+    assert "--max-n" in capsys.readouterr().err
+
+
+def test_quotient_takes_no_max_n(capsys):
+    # quotient and subspace relations are built without a size-capped scan
+    with pytest.raises(SystemExit) as exc:
+        main(["quotient", str(FIXTURES / "z4_quotient.json"), "--max-n", "99"])
     assert exc.value.code == 2
     assert "--max-n" in capsys.readouterr().err
 

@@ -181,6 +181,23 @@ def test_z4_all_translations_pass():
     assert check_translations(Z4, D4).ok
 
 
+def test_translation_and_homomorphism_scans_obey_max_size():
+    z3 = cyclic_group(3)
+    d = make_discrete_proximity(z3.space)
+    ident = identity_map(z3.space)
+    with pytest.raises(ValueError, match="exceeds the cap 1"):
+        check_proximal_group(z3, d, max_size=1)
+    with pytest.raises(ValueError, match="exceeds the cap 1"):
+        check_translations(z3, d, max_size=1)
+    for isomorphism in (False, True):
+        with pytest.raises(ValueError, match="exceeds the cap 1"):
+            check_proximal_homomorphism(
+                ident, z3, d, z3, d, isomorphism=isomorphism, max_size=1
+            )
+    assert check_translations(z3, d, max_size=3).ok
+    assert check_proximal_homomorphism(ident, z3, d, z3, d, max_size=3).ok
+
+
 # --- transitivity -----------------------------------------------------------
 
 

@@ -330,3 +330,90 @@ def test_pullbacks_match_definition_on_non_cech_tables(seed):
         for a in pulled.space.subsets():
             for b in pulled.space.subsets():
                 assert pulled.near(a, b) == rel.near(pre(a), pre(b))
+
+
+def _partitions(n):
+    """Every set partition of range(n), as lists of block masks."""
+    def grow(i, blocks):
+        if i == n:
+            yield list(blocks)
+            return
+        for k in range(len(blocks)):
+            blocks[k] |= 1 << i
+            yield from grow(i + 1, blocks)
+            blocks[k] ^= 1 << i
+        blocks.append(1 << i)
+        yield from grow(i + 1, blocks)
+        blocks.pop()
+
+    yield from grow(0, [])
+
+
+def _reflexive_symmetric_graph(n, edges):
+    points = [1 << i for i in range(n)]
+    for i, j in edges:
+        points[i] |= 1 << j
+        points[j] |= 1 << i
+    return points
+
+
+def _assert_pullbacks_match_definition(rel):
+    n = rel.space.size
+    cases = [
+        ("subspace", subspace_proximity(rel, v), [1 << i for i in bits(v)])
+        for v in range(1, 1 << n)
+    ]
+    cases += [
+        ("quotient", quotient_proximity(rel, blocks), blocks)
+        for blocks in _partitions(n)
+    ]
+    for provenance, pulled, images in cases:
+        pre = [0] * pulled.space.n_subsets
+        for a in range(1, len(pre)):
+            pre[a] = pre[a & (a - 1)] | images[(a & -a).bit_length() - 1]
+        for a in pulled.space.subsets():
+            assert pulled.rows[a] == sum(
+                1 << b for b in pulled.space.subsets() if rel.near(pre[a], pre[b])
+            )
+        assert pulled.provenance == provenance
+        fresh = ProximityRelation(pulled.space, pulled.rows, provenance)
+        assert pulled.point_graph == fresh.point_graph is not None
+
+
+def test_cech_pullbacks_match_definition_on_every_graph_up_to_four_points():
+    # every reflexive symmetric point graph, every subspace, every partition
+    for n in range(1, 5):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for assignment in range(1 << len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if (assignment >> k) & 1]
+            points = _reflexive_symmetric_graph(n, edges)
+            _assert_pullbacks_match_definition(
+                relation_from_point_pairs(default_space(n), points, "explicit")
+            )
+
+
+@pytest.mark.parametrize("n, seed", [(5, 0), (5, 1), (5, 2), (6, 0), (6, 1)])
+def test_cech_pullbacks_match_definition_on_seeded_graphs(n, seed):
+    rng = random.Random(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [p for p in pairs if rng.random() < 0.3]
+    points = _reflexive_symmetric_graph(n, edges)
+    rel = relation_from_point_pairs(default_space(n), points, "explicit")
+    # the same table, without a recorded point graph, goes through the same path
+    for parent in (rel, ProximityRelation(rel.space, rel.rows)):
+        _assert_pullbacks_match_definition(parent)
+
+
+def test_recorded_point_graph_matches_a_fresh_table_on_every_directed_graph():
+    # only reflexive symmetric point rows may be recorded as the point graph
+    for n in range(1, 4):
+        space = default_space(n)
+        for assignment in range(1 << (n * n)):
+            points = [(assignment >> (i * n)) & space.full_mask for i in range(n)]
+            related = {(i, j) for i in range(n) for j in bits(points[i])}
+            cech = all((i, i) in related for i in range(n)) and all(
+                (j, i) in related for i, j in related
+            )
+            rel = relation_from_point_pairs(space, points, "explicit")
+            fresh = ProximityRelation(space, rel.rows)
+            assert rel.point_graph == fresh.point_graph == (tuple(points) if cech else None)
