@@ -15,19 +15,26 @@ The axiom vocabulary:
 
 On a Cech table (one whose ``point_graph`` is not None) each checker first
 decides a passing verdict on the point relation P, at most n^2 point pairs;
-each reduction is proved in the checker's docstring.  The table scan runs
-only when that verdict is not "pass", so every witness comes from the scan.
+each reduction is proved in the checker's docstring.  The table is read
+only when that verdict is not "pass", so every witness comes from it.
 
-Full scans over triples cost 8^n, so checks are capped at carriers of size
-``DEFAULT_SCAN_CAP`` unless the caller raises ``max_size`` explicitly.
+On m = 2^n subsets no read is cubic: each works on whole rows as bitsets.
+L1 and EF read the transposed table (:func:`~proxikit.spaces.transpose`),
+L2 and L3 one mask per row, L4 one row-shape test per row and then a
+single row (:func:`_union_row`), L5 one mask per near pair.
+So L1-L4 cost O(m n) big-int operations plus one O(m^2) row scan, and
+EF, L5 and K3 at most O(m^2).  The caps still bound those 4^n pair reads,
+the 4^n-entry ``ef_examples`` of a passing EF check, and the 4^n-bit table
+itself: checks run on carriers of size ``DEFAULT_SCAN_CAP`` unless the
+caller raises ``max_size`` explicitly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .relations import ProximityRelation
-from .spaces import FiniteSpace, bits, union_table
+from .spaces import FiniteSpace, bits, meeting_table, transpose, union_table
 
 DEFAULT_SCAN_CAP = 5
 
@@ -63,69 +70,76 @@ def require_scan_size(space: FiniteSpace, max_size: int, what: str) -> None:
         )
 
 
+def _first_set_bit(masks: Iterable[int]) -> tuple[int, int] | None:
+    """(a, b) for the first nonzero ``masks[a]`` and its lowest set bit b."""
+    for a, mask in enumerate(masks):
+        if mask:
+            return a, (mask & -mask).bit_length() - 1
+    return None
+
+
+def _union_row(row: int, meeting: Sequence[int], n: int) -> bool:
+    """Whether a row R passes L4 for every (b, c): exactly when R is the full
+    row or R = ``meeting[S]``, for S the points x with {x} in R.
+
+    * If the empty set is in R, the pair (empty, c) asks R[c] = R[c] or 1,
+      so every c is in R: R is full.
+    * Otherwise R[B | {x}] = R[B] or R[{x}] for every B and x, and induction
+      on |B| from R[empty] = 0 gives R[B] = 1 exactly when B meets S.
+    * Both forms pass: the full row trivially, ``meeting[S]`` because B | C
+      meets S exactly when B or C does.
+    """
+    points = sum(1 << x for x in range(n) if (row >> (1 << x)) & 1)
+    return row == (1 << len(meeting)) - 1 or row == meeting[points]
+
+
+def _first_union_violation(
+    rows: Sequence[int], meeting: Sequence[int], n: int
+) -> tuple[int, int, int] | None:
+    """The first (a, b, c) with (a near b | c) != (a near b or a near c).
+
+    L4 constrains each row on its own, so the first row that fails
+    :func:`_union_row`, found in O(n) per row, holds the lexicographically
+    first witness, and only that row is scanned for (b, c), b outermost:
+    O(m n + m^2) for m = 2^n subsets.
+    """
+    for a, row in enumerate(rows):
+        if _union_row(row, meeting, n):
+            continue
+        for b in range(len(rows)):
+            rb = (row >> b) & 1
+            for c in range(len(rows)):
+                if ((row >> (b | c)) & 1) != (rb | (row >> c) & 1):
+                    return a, b, c
+    return None
+
+
 def _check_l1_l4(rel: ProximityRelation) -> tuple[dict, dict]:
-    """L1-L4 verdicts and witnesses.
+    """L1-L4 verdicts and witnesses, each the first violation in scan order.
 
     They all pass exactly when ``rel.point_graph`` is not None (proof in
-    :attr:`~proxikit.relations.ProximityRelation.point_graph`); only other
-    tables are scanned.
+    :attr:`~proxikit.relations.ProximityRelation.point_graph`).  Any other
+    table is read row by row, each axiom with a bitset per row:
+
+    * L1: the b with a near b but b far a are ``rows[a] & ~cols[a]``, for
+      ``cols`` the transposed table.
+    * L2: a nonempty ``rows[0]`` gives (0, its lowest bit); otherwise the
+      first row holding the empty set gives (a, 0).
+    * L3: the b meeting a but far from it are ``meeting[a] & ~rows[a]``.
+    * L4: see :func:`_first_union_violation`.
     """
     if rel.point_graph is not None:
         return dict.fromkeys(("L1", "L2", "L3", "L4"), True), {}
-    m = rel.space.n_subsets
     rows = rel.rows
-    verdicts: dict[str, bool] = {}
-    witnesses: dict[str, tuple[int, ...]] = {}
-
-    # L1: symmetry
-    verdicts["L1"] = True
-    for a in range(m):
-        for b in bits(rows[a]):
-            if not (rows[b] >> a) & 1:
-                verdicts["L1"] = False
-                witnesses["L1"] = (a, b)
-                break
-        if not verdicts["L1"]:
-            break
-
-    # L2: near subsets are nonempty
-    verdicts["L2"] = True
-    for a in range(m):
-        for b in bits(rows[a]):
-            if a == 0 or b == 0:
-                verdicts["L2"] = False
-                witnesses["L2"] = (a, b)
-                break
-        if not verdicts["L2"]:
-            break
-
-    # L3: intersecting subsets are near
-    verdicts["L3"] = True
-    for a in range(m):
-        for b in range(m):
-            if a & b and not (rows[a] >> b) & 1:
-                verdicts["L3"] = False
-                witnesses["L3"] = (a, b)
-                break
-        if not verdicts["L3"]:
-            break
-
-    # L4: near a union iff near a part (both directions)
-    verdicts["L4"] = True
-    for a in range(m):
-        row = rows[a]
-        for b in range(m):
-            rb = (row >> b) & 1
-            for c in range(m):
-                if ((row >> (b | c)) & 1) != (rb | (row >> c) & 1):
-                    verdicts["L4"] = False
-                    witnesses["L4"] = (a, b, c)
-                    break
-            if not verdicts["L4"]:
-                break
-        if not verdicts["L4"]:
-            break
-
+    meeting = meeting_table(rel.space.size)
+    found = {
+        "L1": _first_set_bit(row & ~col for row, col in zip(rows, transpose(rows))),
+        "L2": _first_set_bit([rows[0], *(row & 1 for row in rows[1:])]),
+        "L3": _first_set_bit(meet & ~row for meet, row in zip(meeting, rows)),
+        "L4": _first_union_violation(rows, meeting, rel.space.size),
+    }
+    verdicts = {axiom: witness is None for axiom, witness in found.items()}
+    witnesses = {axiom: w for axiom, w in found.items() if w is not None}
     return verdicts, witnesses
 
 
@@ -200,12 +214,20 @@ def check_efremovic(
     """L1-L4 plus EF: each far pair admits a separating subset K.
 
     When EF passes, the smallest K found for each far pair is recorded in
-    ``ef_examples``.
+    ``ef_examples``; when it fails, the witness is the first far pair, a
+    outermost, that no K separates.
 
-    On a Cech table with point relation P, write R(B) for the union of P
-    over B.  A far K exactly when K misses R(A), and (carrier - K) far B
-    exactly when K contains R(B) (P is symmetric), so the separating K of a
-    far pair are the masks from R(B) up to carrier - R(A).
+    On any table, K separates the far pair (A, B) when A far K and
+    (carrier - K) far B.  With ``cols[B]`` the set of K whose complement is
+    far B, read off the transposed table, the separating K are
+    ``~rows[A] & cols[B]``: the smallest is its lowest bit, and there is
+    none when it is 0.  That is one big-int operation per far pair.
+
+    On a Cech table with point relation P the verdict comes from P.  Write
+    R(B) for the union of P over B.  A far K exactly when K misses R(A), and
+    (carrier - K) far B exactly when K contains R(B) (P is symmetric), so
+    the separating K of a far pair are the masks from R(B) up to
+    carrier - R(A).
     EF holds exactly when P is transitive.  If it is, R(A) and R(B) are
     unions of disjoint classes and meet only if A near B, so every far
     pair is separated, and the numerically smallest separating mask is
@@ -215,37 +237,30 @@ def check_efremovic(
     """
     require_scan_size(rel.space, max_size, "L1-L4+EF")
     verdicts, witnesses = _check_l1_l4(rel)
-    m = rel.space.n_subsets
     rows = rel.rows
+    everything = (1 << len(rows)) - 1
     points = _equivalence(rel)
     if points is not None:
         reach = union_table(points)
-        everything = (1 << m) - 1
         verdicts["EF"] = True
         return AxiomReport(
             verdicts,
             witnesses,
-            {(a, b): reach[b] for a in range(m) for b in bits(everything ^ rows[a])},
+            {(a, b): reach[b] for a, row in enumerate(rows) for b in bits(everything ^ row)},
         )
-    full = rel.space.full_mask
-    verdicts["EF"] = True
+    # row full ^ k of the table is row k of rows[::-1]
+    cols = [everything ^ col for col in transpose(rows[::-1])]
     examples: dict[tuple[int, int], int] = {}
-    for a in range(m):
-        row = rows[a]
-        for b in range(m):
-            if (row >> b) & 1:
-                continue
-            for k in range(m):
-                if not (row >> k) & 1 and not (rows[full ^ k] >> b) & 1:
-                    examples[(a, b)] = k
-                    break
-            else:
+    for a, row in enumerate(rows):
+        for b in bits(everything ^ row):
+            separating = cols[b] & ~row
+            if not separating:
                 verdicts["EF"] = False
                 witnesses["EF"] = (a, b)
-                break
-        if not verdicts["EF"]:
-            break
-    return AxiomReport(verdicts, witnesses, examples if verdicts["EF"] else None)
+                return AxiomReport(verdicts, witnesses)
+            examples[(a, b)] = (separating & -separating).bit_length() - 1
+    verdicts["EF"] = True
+    return AxiomReport(verdicts, witnesses, examples)
 
 
 def closure(rel: ProximityRelation, b: int) -> int:

@@ -68,8 +68,8 @@ def inversion_continuity_harness(
     only for singletons in any group; the family is reported so the scope of
     the hypothesis stays visible.
     """
+    mu2 = _mu2_check(g, rel, max_size)
     mu1 = _mu1_check(g, rel)
-    mu2 = _mu2_check(g, rel, max(max_size, g.order))
     return ImplicationReport({"mu1_pcont": mu1}, mu2, invertible_subsets(g))
 
 
@@ -100,22 +100,21 @@ def multiplication_continuity_harness(
     """
     if mode not in MULTIPLICATION_MODES:
         raise ValueError(f"mode must be one of {MULTIPLICATION_MODES}, got {mode!r}")
-    scan = max(max_size, g.order)
-    translations = check_translations(g, rel, max_size=scan)
+    translations = check_translations(g, rel, max_size=max_size)
     hypotheses: dict[str, Check] = {"translations_pcont": Check(translations.ok)}
     if mode == "ef-transitivity":
-        trans = check_transitivity_property(rel, max_size=scan)
+        trans = check_transitivity_property(rel, max_size=max_size)
         hypotheses["transitivity"] = Check(
             trans.verdicts["transitivity"], trans.witnesses.get("transitivity")
         )
     else:
-        lodato = check_lodato(rel, max_size=scan)
+        lodato = check_lodato(rel, max_size=max_size)
         hypotheses["lodato"] = Check(
             lodato.ok, next(iter(lodato.witnesses.values()), None)
         )
         hypotheses["pointwise_nearness"] = _pointwise_nearness(rel)
     mu1 = _mu1_check(g, rel)
-    mu2 = _mu2_check(g, rel, scan)
+    mu2 = _mu2_check(g, rel, max_size)
     conclusion = Check(mu1.ok and mu2.ok, mu1.witness or mu2.witness)
     return ImplicationReport(hypotheses, conclusion, invertible_subsets(g))
 
@@ -158,11 +157,10 @@ def first_iso_harness(
     reported verdict.  The harness is built to exhibit failures of the
     induced map, not to assert success.
     """
-    scan = max(max_size, g1.order, g2.order)
     hom_witness = homomorphism_violation(eta, g1, g2)
     if hom_witness is not None:
         raise ValueError(f"map is not a group homomorphism at {hom_witness}")
-    if not check_pcont(eta, rel1, rel2, max_size=scan).ok:
+    if not check_pcont(eta, rel1, rel2, max_size=max_size).ok:
         raise ValueError("map is not proximally continuous")
     surjective = set(eta.images) == set(range(g2.order))
     if not surjective:
@@ -186,7 +184,7 @@ def first_iso_harness(
     group_iso = (
         homomorphism_violation(induced, quot, g2) is None and induced.is_bijective()
     )
-    proximal = check_proximal_isomorphism(induced, quot_rel, rel2, max_size=scan)
+    proximal = check_proximal_isomorphism(induced, quot_rel, rel2, max_size=max_size)
     return IsoTheoremReport(True, group_iso, proximal)
 
 
@@ -210,7 +208,6 @@ def second_iso_harness(
     reason = normality_violation(g, n)
     if reason is not None:
         raise ValueError(f"N: {reason}")
-    scan = max(max_size, g.order)
 
     hn = subset_product(g, h, n)
     # subgroup structures on HN and H with their subspace proximities
@@ -247,7 +244,7 @@ def second_iso_harness(
         homomorphism_violation(canonical, right_group, left_group) is None
         and canonical.is_bijective()
     )
-    proximal = check_proximal_isomorphism(canonical, right_rel, left_rel, max_size=scan)
+    proximal = check_proximal_isomorphism(canonical, right_rel, left_rel, max_size=max_size)
     return IsoTheoremReport(True, group_iso, proximal)
 
 
@@ -268,7 +265,6 @@ def third_iso_harness(
         raise ValueError(f"K: {reason}")
     if n & ~k:
         raise ValueError("N must be contained in K")
-    scan = max(max_size, g.order)
 
     quot_n, rel_n = quotient_proximal_group(g, rel, n)
     n_blocks = coset_partition(g, n)
@@ -297,7 +293,7 @@ def third_iso_harness(
         homomorphism_violation(canonical, left_group, right_group) is None
         and canonical.is_bijective()
     )
-    proximal = check_proximal_isomorphism(canonical, left_rel, right_rel, max_size=scan)
+    proximal = check_proximal_isomorphism(canonical, left_rel, right_rel, max_size=max_size)
     return IsoTheoremReport(True, group_iso, proximal)
 
 
@@ -393,9 +389,8 @@ def projection_hom_demo(
         tuple(i // g2.order for i in range(product_group.order)),
         "projection",
     )
-    scan = max(max_size, product_group.order)
     hom = check_proximal_homomorphism(
-        projection, product_group, rel_product, g1, rel1, max_size=scan
+        projection, product_group, rel_product, g1, rel1, max_size=max_size
     )
     iso = check_proximal_homomorphism(
         projection,
@@ -404,6 +399,6 @@ def projection_hom_demo(
         g1,
         rel1,
         isomorphism=True,
-        max_size=scan,
+        max_size=max_size,
     )
     return ProjectionDemoReport(hom, iso)

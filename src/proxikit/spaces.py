@@ -100,6 +100,44 @@ def meeting_table(n: int) -> tuple[int, ...]:
     return tuple(union_table(containing))
 
 
+@lru_cache(maxsize=None)
+def _swap_steps(m: int) -> tuple[tuple[int, int], ...]:
+    """(delta, mask) per block size s = m/2, m/4, ..., 1 for :func:`transpose`.
+
+    The mask selects the bits (r, c), at position r*m + c, with bit s clear
+    in r and set in c; each is swapped with (r + s, c - s), delta = s*(m - 1)
+    positions higher.
+    """
+    steps = []
+    s = m >> 1
+    while s:
+        column = sum(1 << c for c in range(m) if c & s)
+        mask = sum(column << (r * m) for r in range(m) if not r & s)
+        steps.append((s * (m - 1), mask))
+        s >>= 1
+    return tuple(steps)
+
+
+def transpose(rows: Sequence[int]) -> list[int]:
+    """``out[c]`` = bitset of the r with bit c set in ``rows[r]``.
+
+    ``rows`` is a square bitset table whose length m is a power of two.  The
+    table is packed into one m*m-bit int and transposed in log2(m) rounds of
+    delta swaps, each exchanging the off-diagonal blocks of every aligned
+    2s x 2s block (Hacker's Delight, section 7-3): O(m^2 log m) bit work in
+    a handful of big-int operations, against m^2 single-bit tests.
+    """
+    m = len(rows)
+    packed = 0
+    for row in reversed(rows):
+        packed = (packed << m) | row
+    for delta, mask in _swap_steps(m):
+        t = ((packed >> delta) ^ packed) & mask
+        packed ^= t ^ (t << delta)
+    everything = (1 << m) - 1
+    return [(packed >> (r * m)) & everything for r in range(m)]
+
+
 def singleton(i: int) -> int:
     return 1 << i
 

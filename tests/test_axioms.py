@@ -18,8 +18,11 @@ from proxikit import (
     make_metric_proximity,
     mine_separating_examples,
     naive_oracle,
+    relation_from_point_pairs,
     witness_violates,
 )
+from proxikit.axioms import _union_row
+from proxikit.spaces import meeting_table
 
 S3 = default_space(3)
 DISCRETE3 = make_discrete_proximity(S3)
@@ -211,37 +214,164 @@ def test_checkers_agree_with_naive_oracle(seed):
         assert witness_violates(rel, axiom, witness)
 
 
-def _first_violation_in_scan_order(rel, axiom):
-    """Independent recomputation of the lexicographically smallest witness."""
+def _smallest_separator(rel, a, b):
+    """The smallest K with A far K and (carrier - K) far B, or None."""
+    full = rel.space.full_mask
+    rows = rel.rows
+    for k in range(rel.space.n_subsets):
+        if not (rows[a] >> k) & 1 and not (rows[full ^ k] >> b) & 1:
+            return k
+    return None
+
+
+def _ef_oracle(rel):
+    """(first far pair with no separating K, or None; each far pair's smallest
+    separating K, or None when some far pair has none)."""
     m = rel.space.n_subsets
+    examples = {}
+    for a in range(m):
+        for b in range(m):
+            if not (rel.rows[a] >> b) & 1:
+                k = _smallest_separator(rel, a, b)
+                if k is None:
+                    return (a, b), None
+                examples[(a, b)] = k
+    return None, examples
+
+
+def _first_violation_in_scan_order(rel, axiom):
+    """Independent recomputation of the lexicographically smallest witness:
+    the quantifiers in scan order, one table entry at a time."""
+    m = rel.space.n_subsets
+    rows = rel.rows
+
+    def near(a, b):
+        return (rows[a] >> b) & 1
+
     if axiom == "L1":
         for a in range(m):
             for b in range(m):
-                if rel.near(a, b) and not rel.near(b, a):
+                if near(a, b) and not near(b, a):
+                    return (a, b)
+    if axiom == "L2":
+        for a in range(m):
+            for b in range(m):
+                if near(a, b) and (a == 0 or b == 0):
+                    return (a, b)
+    if axiom == "L3":
+        for a in range(m):
+            for b in range(m):
+                if a & b and not near(a, b):
                     return (a, b)
     if axiom == "L4":
         for a in range(m):
             for b in range(m):
                 for c in range(m):
-                    if rel.near(a, b | c) != (rel.near(a, b) or rel.near(a, c)):
+                    if near(a, b | c) != (near(a, b) or near(a, c)):
                         return (a, b, c)
     if axiom == "L5":
         for a in range(m):
             for b in range(m):
-                if not rel.near(a, b):
+                if not near(a, b):
                     continue
                 for c in range(m):
                     if all(
-                        rel.near(1 << x, c) for x in range(rel.space.size) if (b >> x) & 1
-                    ) and not rel.near(a, c):
+                        near(1 << x, c) for x in range(rel.space.size) if (b >> x) & 1
+                    ) and not near(a, c):
                         return (a, b, c)
+    if axiom == "EF":
+        return _ef_oracle(rel)[0]
     if axiom == "transitivity":
         for a in range(m):
             for b in range(m):
                 for c in range(m):
-                    if rel.near(a, b) and rel.near(b, c) and not rel.near(a, c):
+                    if near(a, b) and near(b, c) and not near(a, c):
                         return (a, b, c)
     return None
+
+
+def _assert_matches_oracle(rel):
+    """check_efremovic agrees with the scan-order oracle on every L1-L4 and EF
+    verdict and witness, and on ``ef_examples`` (check_cech shares its L1-L4
+    kernel); returns its report."""
+    ef = check_efremovic(rel)
+    for axiom in ("L1", "L2", "L3", "L4"):
+        expected = _first_violation_in_scan_order(rel, axiom)
+        assert ef.verdicts[axiom] == (expected is None), (rel.rows, axiom)
+        assert ef.witnesses.get(axiom) == expected, (rel.rows, axiom)
+    expected, examples = _ef_oracle(rel)
+    assert ef.verdicts["EF"] == (expected is None), rel.rows
+    assert ef.witnesses.get("EF") == expected, rel.rows
+    assert ef.ef_examples == examples, rel.rows
+    if examples is not None:
+        assert list(ef.ef_examples) == list(examples)  # same pair order
+    return ef
+
+
+def test_every_table_on_two_points_matches_the_oracle():
+    # all 2^16 tables on two points and all 2^4 on one: both the point-graph
+    # path (Cech tables) and the row kernel
+    for n in (1, 2):
+        space = default_space(n)
+        m = space.n_subsets
+        for code in range(1 << (m * m)):
+            rows = tuple((code >> (a * m)) & ((1 << m) - 1) for a in range(m))
+            _assert_matches_oracle(ProximityRelation(space, rows))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_union_row_shape_is_exactly_l4(n):
+    # every possible row over 2^n masks: the O(n) shape test of the L4 kernel
+    # agrees with the union axiom over all (b, c)
+    m = 1 << n
+    meeting = meeting_table(n)
+    for row in range(1 << m):
+        passes = all(
+            (row >> (b | c)) & 1 == ((row >> b) | (row >> c)) & 1
+            for b in range(m)
+            for c in range(m)
+        )
+        assert _union_row(row, meeting, n) == passes, row
+
+
+def _deep_failure_tables(n, seed):
+    """Cech tables with one symmetric entry pair flipped or one row replaced,
+    in the upper half of the table, so the first broken row lies deep in it
+    (a random table fails L4 at row 0)."""
+    import random
+
+    rng = random.Random(f"deep/{n}/{seed}")
+    space = default_space(n)
+    m = space.n_subsets
+    points = [1 << i for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.4:
+                points[i] |= 1 << j
+                points[j] |= 1 << i
+    base = list(relation_from_point_pairs(space, points, "explicit").rows)
+    flipped = list(base)
+    a, b = rng.sample(range(m // 2, m), 2)
+    flipped[a] ^= 1 << b
+    flipped[b] ^= 1 << a
+    replaced = list(base)
+    replaced[rng.randrange(m // 2, m)] = rng.getrandbits(m)
+    return [ProximityRelation(space, tuple(rows)) for rows in (flipped, replaced)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_deep_failures_match_the_oracle(n):
+    deep_rows = []
+    for seed in range(12 if n < 5 else 4):
+        for rel in _deep_failure_tables(n, seed):
+            report = _assert_matches_oracle(rel)
+            assert not report.ok
+            for axiom, witness in report.witnesses.items():
+                assert witness_violates(rel, axiom, witness)
+            if "L4" in report.witnesses:
+                deep_rows.append(report.witnesses["L4"][0])
+    # the first row broken for L4 lies in the second half of the table
+    assert deep_rows and min(deep_rows) >= 1 << (n - 1)
 
 
 @given(st.integers(min_value=0))
@@ -253,7 +383,7 @@ def test_witnesses_are_lexicographically_minimal(seed):
     n = rng.randint(1, 3)
     rel = random_relation(n, rng)
     report = check_lodato(rel)
-    for axiom in ("L1", "L4", "L5"):
+    for axiom in ("L1", "L2", "L3", "L4", "L5"):
         if not report.verdicts[axiom]:
             assert report.witnesses[axiom] == _first_violation_in_scan_order(rel, axiom)
     trans = check_transitivity_property(rel)

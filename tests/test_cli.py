@@ -193,6 +193,22 @@ def test_quotient_takes_no_max_n(capsys):
     assert "--max-n" in capsys.readouterr().err
 
 
+def test_iso_theorems_on_a_group_above_max_n_names_the_cap(tmp_path, capsys):
+    n = 7
+    document = {
+        "space": {"labels": list("abcdefg")},
+        "relations": {"d": {"encoding": "discrete"}},
+        "group": {"cayley": [[(i + j) % n for j in range(n)] for i in range(n)], "identity": 0},
+        "maps": {"id": {"images": list(range(n))}},
+    }
+    path = tmp_path / "z7.json"
+    path.write_text(json.dumps(document))
+    argv = ["iso-theorems", str(path), "--which", "first", "--rel", "d", "--map", "id"]
+    assert main([*argv, "--max-n", "6"]) == 2
+    assert "exceeds the cap 6" in capsys.readouterr().err
+    assert main([*argv, "--max-n", "7"]) == 0
+
+
 def test_python_dash_m_runs_the_cli():
     result = subprocess.run(
         [

@@ -178,7 +178,7 @@ def test_third_iso_z8_chain():
     d = make_discrete_proximity(z8.space)
     n = (1 << 0) | (1 << 4)
     k = (1 << 0) | (1 << 2) | (1 << 4) | (1 << 6)
-    assert third_iso_harness(z8, d, n, k).ok
+    assert third_iso_harness(z8, d, n, k, max_size=8).ok
 
 
 def test_third_iso_requires_containment():
@@ -270,6 +270,35 @@ def test_descriptive_subgroup_composition():
     rel = descriptive_proximity(probes)
     h = (1 << 0) | (1 << 2) | (1 << 4)
     assert subgroup_proximal_group(z6, rel, h).ok
+
+
+# --- caps ---------------------------------------------------------------------------
+
+
+def test_harness_scans_obey_max_size():
+    z3 = cyclic_group(3)
+    z1 = cyclic_group(1)
+    d = make_discrete_proximity(z3.space)
+    ident = identity_map(z3.space)
+    runs = [
+        lambda: inversion_continuity_harness(z3, d, max_size=1),
+        lambda: first_iso_harness(ident, z3, d, z3, d, max_size=1),
+        lambda: second_iso_harness(z3, d, 0b111, 0b001, max_size=1),
+        lambda: third_iso_harness(z3, d, 0b001, 0b001, max_size=1),
+        lambda: projection_hom_demo(
+            z3, probe_table(z3.space, [[0], [1], [2]]), z1, probe_table(z1.space, [[0]]),
+            max_size=1,
+        ),
+    ]
+    runs += [
+        lambda mode=mode: multiplication_continuity_harness(z3, d, mode, max_size=1)
+        for mode in ("ef-transitivity", "lodato-pointwise")
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="exceeds the cap 1"):
+            run()
+    assert inversion_continuity_harness(z3, d, max_size=3).implication_ok
+    assert third_iso_harness(z3, d, 0b001, 0b001, max_size=3).ok
 
 
 # --- projection demo ----------------------------------------------------------------
