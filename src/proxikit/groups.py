@@ -6,6 +6,7 @@ nearness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from .relations import (
     quotient_proximity,
     subspace_proximity,
 )
-from .spaces import FiniteSpace, bits, default_space, product_space, union_table
+from .spaces import FiniteSpace, bits, default_space, memo, product_space, union_table
 
 GROUP_SCAN_CAP = 6
 
@@ -37,12 +38,23 @@ AXIOM_CHECKS = {
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Group on a finite carrier; all group laws are verified at construction."""
+    """Group on a finite carrier; all group laws are verified at construction.
+
+    The subgroup and quotient groups built from a group, and its subgroup
+    and normality verdicts, are computed once per mask and kept in
+    ``_derived``, outside the dataclass fields (so ``==`` and ``hash``
+    ignore them); see :func:`spaces.memo`.
+    """
 
     space: FiniteSpace
     cayley: tuple[tuple[int, ...], ...]
     identity: int
     inverse: tuple[int, ...]
+
+    @cached_property
+    def _derived(self) -> dict:
+        """Structures and verdicts derived from this group, by key."""
+        return {}
 
     @property
     def order(self) -> int:
@@ -232,19 +244,23 @@ def subset_product_table(g: FiniteGroup) -> list[list[int]]:
 
 def subgroup_violation(g: FiniteGroup, h: int) -> str | None:
     """None when H is a subgroup, else which closure fails."""
-    g.space.check_mask(h)
-    if h == 0:
-        return "subgroup must be nonempty"
-    for i in bits(h):
-        if not (h >> g.inverse[i]) & 1:
-            return f"not closed under inverse at element {g.space.labels[i]}"
-        for j in bits(h):
-            if not (h >> g.cayley[i][j]) & 1:
-                return (
-                    "not closed under product at elements"
-                    f" {g.space.labels[i]}, {g.space.labels[j]}"
-                )
-    return None
+
+    def build() -> str | None:
+        g.space.check_mask(h)
+        if h == 0:
+            return "subgroup must be nonempty"
+        for i in bits(h):
+            if not (h >> g.inverse[i]) & 1:
+                return f"not closed under inverse at element {g.space.labels[i]}"
+            for j in bits(h):
+                if not (h >> g.cayley[i][j]) & 1:
+                    return (
+                        "not closed under product at elements"
+                        f" {g.space.labels[i]}, {g.space.labels[j]}"
+                    )
+        return None
+
+    return memo(g, ("subgroup_violation", h), build)
 
 
 def all_subgroups(g: FiniteGroup) -> tuple[int, ...]:
@@ -255,16 +271,20 @@ def all_subgroups(g: FiniteGroup) -> tuple[int, ...]:
 
 def normality_violation(g: FiniteGroup, h: int) -> str | None:
     """None when H is normal, else the conjugating element label."""
-    reason = subgroup_violation(g, h)
-    if reason is not None:
-        return reason
-    for x in range(g.order):
-        conj = 0
-        for i in bits(h):
-            conj |= 1 << g.cayley[g.cayley[x][i]][g.inverse[x]]
-        if conj != h:
-            return f"not normal: conjugation by {g.space.labels[x]} moves the subgroup"
-    return None
+
+    def build() -> str | None:
+        reason = subgroup_violation(g, h)
+        if reason is not None:
+            return reason
+        for x in range(g.order):
+            conj = 0
+            for i in bits(h):
+                conj |= 1 << g.cayley[g.cayley[x][i]][g.inverse[x]]
+            if conj != h:
+                return f"not normal: conjugation by {g.space.labels[x]} moves the subgroup"
+        return None
+
+    return memo(g, ("normality_violation", h), build)
 
 
 def normal_subgroups(g: FiniteGroup) -> tuple[int, ...]:
@@ -566,13 +586,17 @@ def hom_criterion_check(
 
 def subgroup_group(g: FiniteGroup, h: int) -> FiniteGroup:
     """A subgroup H as a group on its own carrier: the members of H in
-    carrier order, keeping their labels."""
-    members = list(bits(h))
-    index = {m: k for k, m in enumerate(members)}
-    cayley = [[index[g.cayley[i][j]] for j in members] for i in members]
-    return FiniteGroup.from_table(
-        FiniteSpace(tuple(g.space.labels[i] for i in members)), cayley
-    )
+    carrier order, keeping their labels.  Built once per (group, mask)."""
+
+    def build() -> FiniteGroup:
+        members = list(bits(h))
+        index = {m: k for k, m in enumerate(members)}
+        cayley = [[index[g.cayley[i][j]] for j in members] for i in members]
+        return FiniteGroup.from_table(
+            FiniteSpace(tuple(g.space.labels[i] for i in members)), cayley
+        )
+
+    return memo(g, ("subgroup", h), build)
 
 
 def subgroup_proximal_group(
@@ -594,22 +618,27 @@ def subgroup_proximal_group(
 
 
 def quotient_group(g: FiniteGroup, n_mask: int) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """Coset group for a normal subgroup, plus the coset partition used."""
-    reason = normality_violation(g, n_mask)
-    if reason is not None:
-        raise ValueError(reason)
-    blocks = coset_partition(g, n_mask)
-    rep = [min(bits(block)) for block in blocks]
-    block_of = {}
-    for k, block in enumerate(blocks):
-        for i in bits(block):
-            block_of[i] = k
-    labels = tuple("|".join(g.space.label_set(block)) for block in blocks)
-    cayley = [
-        [block_of[g.cayley[rep[i]][rep[j]]] for j in range(len(blocks))]
-        for i in range(len(blocks))
-    ]
-    return FiniteGroup.from_table(FiniteSpace(labels), cayley), blocks
+    """Coset group for a normal subgroup, plus the coset partition used.
+    Built once per (group, mask)."""
+
+    def build() -> tuple[FiniteGroup, tuple[int, ...]]:
+        reason = normality_violation(g, n_mask)
+        if reason is not None:
+            raise ValueError(reason)
+        blocks = coset_partition(g, n_mask)
+        rep = [min(bits(block)) for block in blocks]
+        block_of = {}
+        for k, block in enumerate(blocks):
+            for i in bits(block):
+                block_of[i] = k
+        labels = tuple("|".join(g.space.label_set(block)) for block in blocks)
+        cayley = [
+            [block_of[g.cayley[rep[i]][rep[j]]] for j in range(len(blocks))]
+            for i in range(len(blocks))
+        ]
+        return FiniteGroup.from_table(FiniteSpace(labels), cayley), blocks
+
+    return memo(g, ("quotient", n_mask), build)
 
 
 def quotient_proximal_group(

@@ -21,11 +21,11 @@ from .groups import (
     check_proximal_homomorphism,
     check_transitivity_property,
     check_translations,
-    coset_partition,
     direct_product_group,
     homomorphism_violation,
     invertible_subsets,
     normality_violation,
+    quotient_group,
     quotient_proximal_group,
     subgroup_group,
     subgroup_violation,
@@ -174,7 +174,7 @@ def first_iso_harness(
             kernel |= 1 << i
     quot, quot_rel = quotient_proximal_group(g1, rel1, kernel)
     # induced map: coset block -> image of any representative
-    blocks = coset_partition(g1, kernel)
+    blocks = quotient_group(g1, kernel)[1]
     induced = SpaceMap(
         quot.space,
         g2.space,
@@ -228,12 +228,13 @@ def second_iso_harness(
     right_group, right_rel = quotient_proximal_group(h_group, h_rel, hint_in_h)
 
     # canonical map: coset x(H cap N) in H -> coset xN in HN
-    left_blocks = coset_partition(hn_group, n_in_hn)
-    right_blocks = coset_partition(h_group, hint_in_h)
+    left_blocks = quotient_group(hn_group, n_in_hn)[1]
+    right_blocks = quotient_group(h_group, hint_in_h)[1]
+    hn_index = {m: k for k, m in enumerate(hn_members)}
     images = []
     for rblock in right_blocks:
         rep_h = h_members[min(bits(rblock))]
-        rep_hn = hn_members.index(rep_h)
+        rep_hn = hn_index[rep_h]
         target = next(
             k for k, lblock in enumerate(left_blocks)
             if (lblock >> rep_hn) & 1
@@ -267,7 +268,7 @@ def third_iso_harness(
         raise ValueError("N must be contained in K")
 
     quot_n, rel_n = quotient_proximal_group(g, rel, n)
-    n_blocks = coset_partition(g, n)
+    n_blocks = quotient_group(g, n)[1]
     # K/N: the blocks contained in K form a normal subgroup of G/N
     k_over_n = 0
     for idx, block in enumerate(n_blocks):
@@ -280,8 +281,8 @@ def third_iso_harness(
     right_group, right_rel = quotient_proximal_group(g, rel, k)
 
     # match (G/N)/(K/N) blocks with G/K blocks by their underlying elements
-    outer_blocks = coset_partition(quot_n, k_over_n)
-    k_blocks = coset_partition(g, k)
+    outer_blocks = quotient_group(quot_n, k_over_n)[1]
+    k_blocks = quotient_group(g, k)[1]
     images = []
     for outer in outer_blocks:
         underlying = 0

@@ -16,6 +16,7 @@ from .spaces import (
     FiniteSpace,
     bits,
     meeting_table,
+    memo,
     product_space,
     rectangle_mask,
     split_rectangle,
@@ -36,7 +37,14 @@ PROVENANCES = (
 
 @dataclass(frozen=True)
 class ProximityRelation:
-    """Near/far table over all ordered pairs of subsets of the carrier."""
+    """Near/far table over all ordered pairs of subsets of the carrier.
+
+    Two things are computed once per relation and kept on it, outside the
+    dataclass fields (so ``==`` and ``hash`` ignore them): ``point_graph``,
+    and the subspace and quotient relations built from it, which
+    :func:`subspace_proximity` and :func:`quotient_proximity` store in
+    ``_derived`` keyed by carrier mask or block tuple.
+    """
 
     space: FiniteSpace
     rows: tuple[int, ...]
@@ -71,6 +79,11 @@ class ProximityRelation:
     def same_table(self, other: "ProximityRelation") -> bool:
         """Entry-for-entry table equality (labels ignored, sizes must match)."""
         return self.space.size == other.space.size and self.rows == other.rows
+
+    @cached_property
+    def _derived(self) -> dict:
+        """Relations built from this one, by key; see :func:`spaces.memo`."""
+        return {}
 
     @cached_property
     def point_graph(self) -> tuple[int, ...] | None:
@@ -213,13 +226,20 @@ def relation_from_near_pairs(
 
 
 def subspace_proximity(rel: ProximityRelation, v: int) -> ProximityRelation:
-    """Restriction of the relation to the subsets of a nonempty carrier subset."""
-    rel.space.check_mask(v)
-    if v == 0:
-        raise ValueError("subspace carrier must be nonempty")
-    members = list(bits(v))
-    sub = FiniteSpace(tuple(rel.space.labels[i] for i in members))
-    return _pullback(rel, sub, [1 << i for i in members], "subspace")
+    """Restriction of the relation to the subsets of a nonempty carrier subset.
+
+    Built once per (relation, mask) and then returned from ``rel``'s memo.
+    """
+
+    def build() -> ProximityRelation:
+        rel.space.check_mask(v)
+        if v == 0:
+            raise ValueError("subspace carrier must be nonempty")
+        members = list(bits(v))
+        sub = FiniteSpace(tuple(rel.space.labels[i] for i in members))
+        return _pullback(rel, sub, [1 << i for i in members], "subspace")
+
+    return memo(rel, ("subspace", v), build)
 
 
 def _pullback(
@@ -279,10 +299,19 @@ def validate_partition(space: FiniteSpace, blocks: Sequence[int]) -> None:
 def quotient_proximity(
     rel: ProximityRelation, blocks: Sequence[int]
 ) -> ProximityRelation:
-    """Relation on the blocks: block sets are near iff their preimages are."""
-    validate_partition(rel.space, blocks)
-    labels = tuple("|".join(rel.space.label_set(block)) for block in blocks)
-    return _pullback(rel, FiniteSpace(labels), blocks, "quotient")
+    """Relation on the blocks: block sets are near iff their preimages are.
+
+    Built once per (relation, block tuple) and then returned from ``rel``'s
+    memo.
+    """
+    blocks = tuple(blocks)
+
+    def build() -> ProximityRelation:
+        validate_partition(rel.space, blocks)
+        labels = tuple("|".join(rel.space.label_set(block)) for block in blocks)
+        return _pullback(rel, FiniteSpace(labels), blocks, "quotient")
+
+    return memo(rel, ("quotient", blocks), build)
 
 
 @dataclass(frozen=True)

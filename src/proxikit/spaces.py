@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 MAX_CARRIER = 12
+
+T = TypeVar("T")
 
 _LETTERS = "abcdefghijkl"
 
@@ -136,6 +138,20 @@ def transpose(rows: Sequence[int]) -> list[int]:
         packed ^= t ^ (t << delta)
     everything = (1 << m) - 1
     return [(packed >> (r * m)) & everything for r in range(m)]
+
+
+def memo(obj, key: Hashable, build: Callable[[], T]) -> T:
+    """``build()``, stored under ``key`` in the ``_derived`` dict of the
+    immutable object ``obj`` that the result is derived from.
+
+    The first call for a key runs ``build`` with every validation in it; a
+    build that raises stores nothing.  Later calls return the stored object
+    itself.  The dict lives and dies with ``obj``.
+    """
+    derived = obj._derived
+    if key not in derived:
+        derived[key] = build()
+    return derived[key]
 
 
 def singleton(i: int) -> int:

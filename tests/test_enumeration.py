@@ -254,10 +254,37 @@ def test_expected_true_theorems_hold_at_default_scope():
         "t1-equals-identity-closure",
         "hom-criterion-implies-pcont",
         "second-isomorphism-theorem",
+        "third-isomorphism-theorem",
+        "products-inherit-proximal-group",
     ):
         outcome = fuzz_theorem(theorem)
         assert outcome.instances > 0
         assert not outcome.counterexamples, theorem
+
+
+# (instances, counterexamples) of every theorem at its default scope
+DEFAULT_SCOPE_COUNTS = {
+    "translations-are-proximal-isomorphisms": (13, 0),
+    "subgroups-inherit-proximal-group": (43, 0),
+    "products-inherit-proximal-group": (40, 0),
+    "first-isomorphism-theorem": (21, 3),
+    "second-isomorphism-theorem": (1034, 0),
+    "third-isomorphism-theorem": (368, 0),
+    "hom-criterion-implies-pcont": (240, 0),
+    "multiplication-continuity-gives-inversion": (11, 0),
+    "translations-and-transitivity-give-proximal-group": (11, 0),
+    "translations-and-pointwise-lodato-give-proximal-group": (11, 0),
+    "t1-equals-identity-closure": (13, 0),
+    "every-cech-is-lodato": (11, 3),
+}
+
+
+def test_default_scope_sweep_counts():
+    counts = {}
+    for theorem in THEOREMS:
+        outcome = fuzz_theorem(theorem)
+        counts[theorem] = (outcome.instances, len(outcome.counterexamples))
+    assert counts == DEFAULT_SCOPE_COUNTS
 
 
 def test_first_iso_fuzz_finds_the_failure():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from proxikit import (
@@ -27,7 +30,14 @@ from proxikit import (
     subset_inverse,
     subset_product,
 )
-from proxikit.groups import FiniteGroup, coset_partition, subgroup_violation
+from proxikit.groups import (
+    FiniteGroup,
+    coset_partition,
+    normality_violation,
+    quotient_group,
+    subgroup_group,
+    subgroup_violation,
+)
 
 Z4 = cyclic_group(4)
 D4 = make_discrete_proximity(Z4.space)
@@ -407,3 +417,75 @@ def test_direct_product_group_structure():
 def test_every_small_group_with_discrete_is_proximal_group():
     for _, g in all_groups_up_to(6):
         assert check_proximal_group(g, make_discrete_proximity(g.space)).ok, g
+
+
+# --- memo of derived structures ------------------------------------------------
+
+
+def _fresh(g: FiniteGroup) -> FiniteGroup:
+    """An equal group whose memo is empty."""
+    return FiniteGroup(g.space, g.cayley, g.identity, g.inverse)
+
+
+def _group_fields(g: FiniteGroup) -> tuple:
+    return g.cayley, g.space.labels, g.identity, g.inverse
+
+
+def test_memoized_derived_groups_equal_a_fresh_build():
+    for name, g in all_groups_up_to(8):
+        subgroups, normals = all_subgroups(g), normal_subgroups(g)
+        # fill the memo with every key first, so a key that loses the mask
+        # hands back some other mask's result below
+        built = {h: subgroup_group(g, h) for h in subgroups}
+        quotients = {n: quotient_group(g, n) for n in normals}
+        for h in g.space.subsets():
+            for verdict in (subgroup_violation, normality_violation):
+                assert verdict(g, h) == verdict(_fresh(g), h), (name, h)
+        for h, sub in built.items():
+            assert subgroup_group(g, h) is sub
+            assert _group_fields(sub) == _group_fields(subgroup_group(_fresh(g), h)), (name, h)
+        for n, (quot, blocks) in quotients.items():
+            again = quotient_group(g, n)
+            assert again[0] is quot and again[1] is blocks
+            fresh_quot, fresh_blocks = quotient_group(_fresh(g), n)
+            assert _group_fields(quot) == _group_fields(fresh_quot), (name, n)
+            assert blocks == fresh_blocks == coset_partition(g, n)
+        # the memo is not a field: equality and hashing ignore it
+        assert g == _fresh(g) and hash(g) == hash(_fresh(g))
+
+
+def test_rejected_masks_raise_on_every_call_and_leave_no_memo_entry():
+    g = dihedral_group(3)
+    reflection = next(
+        h for h in all_subgroups(g)
+        if bin(h).count("1") == 2 and h not in normal_subgroups(g)
+    )
+    out_of_range = g.space.n_subsets
+    before = dict(g._derived)
+    for build, mask in (
+        (subgroup_violation, out_of_range),
+        (normality_violation, out_of_range),
+        (quotient_group, out_of_range),
+        (subgroup_group, 0b000011),  # not closed under the product
+    ):
+        messages = []
+        for _ in range(2):
+            with pytest.raises((ValueError, KeyError)) as err:
+                build(g, mask)
+            messages.append((err.type, str(err.value)))
+        assert messages[0] == messages[1], build.__name__
+        assert g._derived == before, build.__name__
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not normal: conjugation by"):
+            quotient_group(g, reflection)
+    assert ("quotient", reflection) not in g._derived
+
+
+def test_memo_dies_with_its_group():
+    g = cyclic_group(4)
+    sub = subgroup_group(g, 0b0101)
+    quot, _ = quotient_group(g, 0b0101)
+    refs = [weakref.ref(x) for x in (g, sub, quot)]
+    del g, sub, quot
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]

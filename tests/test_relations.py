@@ -1,10 +1,14 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from proxikit import (
     ProximityRelation,
+    all_groups_up_to,
+    all_subgroups,
     check_cech,
     check_efremovic,
     default_space,
@@ -12,6 +16,7 @@ from proxikit import (
     make_coarse_proximity,
     make_discrete_proximity,
     make_metric_proximity,
+    normal_subgroups,
     product_proximity,
     quotient_proximity,
     relation_from_near_pairs,
@@ -417,3 +422,71 @@ def test_recorded_point_graph_matches_a_fresh_table_on_every_directed_graph():
             rel = relation_from_point_pairs(space, points, "explicit")
             fresh = ProximityRelation(space, rel.rows)
             assert rel.point_graph == fresh.point_graph == (tuple(points) if cech else None)
+
+
+# --- memo of pulled-back relations -----------------------------------------
+
+
+def _fresh(rel: ProximityRelation) -> ProximityRelation:
+    """An equal relation whose memo is empty and whose point graph is unread."""
+    return ProximityRelation(rel.space, rel.rows, rel.provenance)
+
+
+def _relation_fields(rel: ProximityRelation) -> tuple:
+    return rel.space.labels, rel.rows, rel.provenance, rel.point_graph
+
+
+def test_memoized_pullbacks_equal_a_fresh_build():
+    for name, g in all_groups_up_to(8):
+        rng = random.Random(g.order)
+        m = g.space.n_subsets
+        # the empty set near itself breaks L2, so the table is never Cech
+        rows = (1, *(rng.getrandbits(m) for _ in range(m - 1)))
+        seeded = ProximityRelation(g.space, rows)
+        assert seeded.point_graph is None
+        masks = all_subgroups(g)
+        partitions = [coset_partition(g, n) for n in normal_subgroups(g)]
+        for rel in (make_discrete_proximity(g.space), make_coarse_proximity(g.space), seeded):
+            # fill the memo with every key first, so a key that loses the
+            # mask or the blocks hands back some other result below
+            subspaces = {v: subspace_proximity(rel, v) for v in masks}
+            quotients = {blocks: quotient_proximity(rel, list(blocks)) for blocks in partitions}
+            for v, sub in subspaces.items():
+                assert subspace_proximity(rel, v) is sub
+                fresh = subspace_proximity(_fresh(rel), v)
+                assert _relation_fields(sub) == _relation_fields(fresh), (name, v)
+            for blocks, quot in quotients.items():
+                assert quotient_proximity(rel, blocks) is quot
+                fresh = quotient_proximity(_fresh(rel), blocks)
+                assert _relation_fields(quot) == _relation_fields(fresh), (name, blocks)
+            # the memo is not a field: equality and hashing ignore it
+            assert rel == _fresh(rel) and hash(rel) == hash(_fresh(rel))
+
+
+def test_rejected_pullbacks_raise_on_every_call_and_leave_no_memo_entry():
+    rel = make_discrete_proximity(default_space(3))
+    subspace_proximity(rel, 0b011)
+    quotient_proximity(rel, [0b011, 0b100])
+    before = dict(rel._derived)
+    for build, arg, message in (
+        (subspace_proximity, 0b1000, "mask 8 out of range"),
+        (subspace_proximity, 0, "subspace carrier must be nonempty"),
+        (quotient_proximity, [0b011, 0, 0b100], "partition block 1 is empty"),
+        (quotient_proximity, [0b011, 0b110], "partition block 1 overlaps"),
+        (quotient_proximity, [0b011], "does not cover the carrier; missing {c}"),
+        (quotient_proximity, [0b011, 0b1100], "mask 12 out of range"),
+    ):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                build(rel, arg)
+        assert rel._derived == before, message
+
+
+def test_memo_dies_with_its_relation():
+    rel = make_discrete_proximity(default_space(4))
+    sub = subspace_proximity(rel, 0b0101)
+    quot = quotient_proximity(rel, [0b0011, 0b1100])
+    refs = [weakref.ref(x) for x in (rel, sub, quot)]
+    del rel, sub, quot
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
