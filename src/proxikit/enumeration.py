@@ -6,13 +6,14 @@ reading on explicit element sets, with no pruning and no code shared with
 the optimized checkers; it certifies both the checkers and every witness
 they emit.
 
-Enumeration exploits a structural fact of finite carriers: symmetry plus the
-union axiom (an iff) force every L1-L4 relation to be determined by a
-reflexive symmetric relation on points, near meaning "some member pair is
-point-related".  The generator therefore branches on the n*(n-1)/2 point
-pairs and extends.  Two independent cross-check paths are kept: branching
-over free subset pairs with forced entries (tiny carriers) and raw brute
-force over all tables (n <= 2).
+Enumeration generates each class from its structure, with no checker call.
+Symmetry plus the union axiom (an iff) force every L1-L4 relation to be
+determined by a reflexive symmetric relation on points, near meaning "some
+member pair is point-related", and every such graph extends to a Cech
+relation; the Lodato and Efremovic relations are those whose point relation
+is transitive, that is the set partitions.  Two independent cross-check
+paths are kept: branching over free subset pairs with forced entries (tiny
+carriers) and raw brute force over all tables (n <= 2).
 """
 from __future__ import annotations
 
@@ -20,11 +21,11 @@ import json
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .axioms import check_efremovic, check_lodato
 from .groups import (
-    AXIOM_CHECKS,
     GROUP_SCAN_CAP,
     FiniteGroup,
     all_groups_up_to,
@@ -55,9 +56,9 @@ from .relations import (
 from .spaces import FiniteSpace, default_space
 
 ENUMERATION_CAP = 4
+PARTITION_CAP = 8
 BRANCHING_CAP = 3
 BRUTE_FORCE_CAP = 2
-CENSUS_CAP = 3
 
 RELATION_CLASSES = ("cech", "lodato", "efremovic")
 
@@ -216,37 +217,67 @@ def witness_violates(rel: ProximityRelation, axiom: str, witness: tuple[int, ...
 # generators
 
 
-def _class_check(axiom_class: str) -> Callable[[ProximityRelation], bool]:
-    check = AXIOM_CHECKS.get(axiom_class)
-    if check is None:
-        raise ValueError(f"relation class must be one of {RELATION_CLASSES}, got {axiom_class!r}")
-    return lambda rel: check(rel).ok
+def _bell_number(n: int) -> int:
+    """Number of set partitions of n elements: B(k+1) = sum_j C(k, j) B(j)."""
+    bell = [1]
+    for k in range(n):
+        bell.append(sum(comb(k, j) * b for j, b in enumerate(bell)))
+    return bell[n]
+
+
+def _partition_codes(n: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """Pair code of every set partition of range(n), ascending: bit k is set
+    when the k-th pair of ``pairs`` shares a block.  A partition is its
+    restricted growth string: the block of element i, at most one above
+    the largest block before it."""
+    strings: list[tuple[int, ...]] = [()]
+    for _ in range(n):
+        strings = [s + (b,) for s in strings for b in range(max(s, default=-1) + 2)]
+    return sorted(
+        sum(1 << k for k, (i, j) in enumerate(pairs) if s[i] == s[j]) for s in strings
+    )
 
 
 def enumerate_relations(n: int, axiom_class: str = "cech") -> Iterator[ProximityRelation]:
     """Every relation of the class on n elements, exactly once, in a fixed order.
 
-    Candidates are the 2^(n*(n-1)/2) reflexive symmetric point relations,
-    extended to subsets existentially; the class checker filters them.
+    Each relation is the existential extension of a reflexive symmetric point
+    relation, listed by ascending pair code (bit k for the k-th pair i < j).
+    ``cech`` yields all 2^(n*(n-1)/2) of them: each extends to a Cech table
+    (see ``ProximityRelation.point_graph``).  ``lodato`` and ``efremovic``
+    yield the transitive ones, the Bell(n) set partitions: on a Cech table
+    L5 and EF each hold exactly when the point relation is transitive (see
+    :func:`check_lodato` and :func:`check_efremovic`).  Both orders are the
+    order in which filtering every graph by the class checker finds them.
     """
-    check = _class_check(axiom_class)
-    if n > ENUMERATION_CAP:
-        raise ValueError(
-            f"enumeration capped at n <= {ENUMERATION_CAP}: a carrier of size {n}"
-            f" means {2 ** (n * (n - 1) // 2)} candidate point relations, each with a"
-            f" {(1 << n) * (1 << n)}-entry table and an 8^{n} axiom scan"
-        )
-    space = default_space(n)
+    if axiom_class not in RELATION_CLASSES:
+        raise ValueError(f"relation class must be one of {RELATION_CLASSES}, got {axiom_class!r}")
+    table = f"{(1 << n) * (1 << n)}-entry table"
     pairs = list(combinations(range(n), 2))
-    for assignment in range(1 << len(pairs)):
+    if axiom_class == "cech":
+        if n > ENUMERATION_CAP:
+            raise ValueError(
+                f"enumeration of cech relations capped at n <= {ENUMERATION_CAP}: a carrier"
+                f" of size {n} means {2 ** len(pairs)} candidate point relations, each"
+                f" with a {table}"
+            )
+        codes: Sequence[int] = range(1 << len(pairs))
+    else:
+        if n > PARTITION_CAP:
+            raise ValueError(
+                f"enumeration of {axiom_class} relations capped at n <= {PARTITION_CAP}:"
+                f" a carrier of size {n} has Bell({n}) = {_bell_number(n)} set partitions,"
+                f" each with a {table}"
+            )
+        codes = _partition_codes(n, pairs)
+    space = default_space(n)
+    for code in codes:
         rows = [1 << i for i in range(n)]
-        for bit_index, (i, j) in enumerate(pairs):
-            if (assignment >> bit_index) & 1:
+        for k, (i, j) in enumerate(pairs):
+            if (code >> k) & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-        rel = relation_from_point_pairs(space, rows, "explicit")
-        if check(rel):
-            yield rel
+        yield relation_from_point_pairs(space, rows, "explicit")
 
 
 def branching_cech_relations(n: int) -> Iterator[ProximityRelation]:
@@ -357,9 +388,8 @@ class RelationCensus:
 
 
 def mine_separating_examples(n: int) -> RelationCensus:
-    """Census of the axiom classes with minimal separating exemplars."""
-    if n > CENSUS_CAP:
-        raise ValueError(f"census capped at n <= {CENSUS_CAP}")
+    """Census of the axiom classes with minimal separating exemplars, over
+    the Cech relations (so the enumeration cap bounds it)."""
     counts = {"cech": 0, "lodato": 0, "efremovic": 0, "lodato_and_ef": 0}
     best_not_lodato: tuple[tuple[int, tuple[int, ...]], ProximityRelation] | None = None
     best_not_ef: tuple[tuple[int, tuple[int, ...]], ProximityRelation] | None = None

@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from .axioms import (
     AxiomReport,
     check_cech,
@@ -338,15 +336,6 @@ class ProximalGroupReport:
         return self.is_proximity.ok and self.mu1_pcont.ok and self.mu2_pcont.ok
 
 
-def _near_matrix(rel: ProximityRelation) -> np.ndarray:
-    m = rel.space.n_subsets
-    out = np.zeros((m, m), dtype=bool)
-    for a, row in enumerate(rel.rows):
-        for b in bits(row):
-            out[a, b] = True
-    return out
-
-
 def _point_mu1(g: FiniteGroup, points: tuple[int, ...]) -> bool:
     """b1 P c1 and b2 P c2 imply b1*b2 P c1*c2, for all elements."""
     cay = g.cayley
@@ -360,35 +349,94 @@ def _point_mu1(g: FiniteGroup, points: tuple[int, ...]) -> bool:
     )
 
 
+def _reach_mu1_witness(
+    g: FiniteGroup, points: tuple[int, ...]
+) -> tuple[int, int, int, int] | None:
+    """Smallest mu1 witness on the Cech table of the point relation P.
+
+    With R[B] the reach of B (the points P-related to a member of B), B is
+    near C iff C meets R[B].  A tuple (B1, B2, C1, C2) violates mu1 iff C1
+    meets R[B1], C2 meets R[B2] and C1*C2 misses R[B1*B2]; it then holds
+    points x of C1 in R[B1] and y of C2 in R[B2] with x*y outside
+    R[B1*B2], and (B1, B2, {x}, {y}) violates too.  So the first pair
+    (B1, B2) with a violation is the first with R[B1]*R[B2] not inside
+    R[B1*B2], every violating C1 contains such an x, hence is at least
+    {x} for the smallest x, and given that x the same holds for C2 and
+    the smallest y: the smallest witness is (B1, B2, {x}, {y}).
+    """
+    cay = g.cayley
+    reach = union_table(points)
+    prod = subset_product_table(g)
+    for b1, r1 in enumerate(reach):
+        reach_products, products = prod[r1], prod[b1]
+        for b2, r2 in enumerate(reach):
+            target = reach[products[b2]]
+            if reach_products[r2] & ~target:
+                x = next(x for x in bits(r1) if prod[1 << x][r2] & ~target)
+                y = next(y for y in bits(r2) if not (target >> cay[x][y]) & 1)
+                return (b1, b2, 1 << x, 1 << y)
+    return None
+
+
+def _table_mu1_witness(
+    g: FiniteGroup, rows: tuple[int, ...]
+) -> tuple[int, int, int, int] | None:
+    """Smallest mu1 witness on any table, scanning b1, b2, c1, c2 in order.
+
+    For each near row r2 the images {c1*c2 : c2 in r2}, one bitset over
+    the masks per c1, are built once; a pair (B1, B2) then costs one AND
+    per c1 near B1 against the far row of B1*B2, and only a hit is
+    expanded into its c2.
+    """
+    prod = subset_product_table(g)
+    full = (1 << len(rows)) - 1
+    images: dict[int, list[int]] = {}
+    for b1, r1 in enumerate(rows):
+        near1 = list(bits(r1))
+        if not near1:
+            continue
+        products = prod[b1]
+        for b2, r2 in enumerate(rows):
+            if not r2:
+                continue
+            img = images.get(r2)
+            if img is None:
+                near2 = list(bits(r2))
+                img = images[r2] = [
+                    sum(1 << p for p in {row[c2] for c2 in near2}) for row in prod
+                ]
+            far = full & ~rows[products[b2]]
+            for c1 in near1:
+                if img[c1] & far:
+                    row = prod[c1]
+                    c2 = next(c2 for c2 in bits(r2) if (far >> row[c2]) & 1)
+                    return (b1, b2, c1, c2)
+    return None
+
+
 def _mu1_check(g: FiniteGroup, rel: ProximityRelation) -> Check:
     """Rectangle continuity of subset multiplication.
 
     Quantifies over all factor 4-tuples (B1, B2, C1, C2): nearness of the
     rectangles B1 x B2 and C1 x C2 must force subset products near.  The
-    scan is vectorized per B1 slice to keep memory at m^3 booleans.
+    witness is the smallest violating tuple, B1 outermost.
 
     On a Cech table with point relation P it passes exactly when b1 P c1
     and b2 P c2 imply b1*b2 P c1*c2.  The rectangles are near iff
     B1 near C1 and B2 near C2, that is iff some b1 P c1 and b2 P c2 with
     b1, b2, c1, c2 in B1, B2, C1, C2; then b1*b2 P c1*c2 lies in
     B1*B2 x C1*C2 and the products are near.  Singletons give the converse.
-    The scan runs only when this point condition fails, or on other tables.
+    When this point condition fails, the witness is read from the reaches
+    of P (:func:`_reach_mu1_witness`); other tables take the table scan.
     """
     points = rel.point_graph
-    if points is not None and _point_mu1(g, points):
+    if points is None:
+        witness = _table_mu1_witness(g, rel.rows)
+    elif _point_mu1(g, points):
         return Check(True)
-    near = _near_matrix(rel)
-    prod = np.array(subset_product_table(g), dtype=np.int64)
-    m = near.shape[0]
-    for b1 in range(m):
-        # axes of the slice: (b2, c1, c2)
-        hyp = near[b1][None, :, None] & near[:, None, :]
-        concl = near[prod[b1][:, None, None], prod[None, :, :]]
-        viol = hyp & ~concl
-        if viol.any():
-            b2, c1, c2 = np.unravel_index(int(np.argmax(viol)), viol.shape)
-            return Check(False, (b1, int(b2), int(c1), int(c2)))
-    return Check(True)
+    else:
+        witness = _reach_mu1_witness(g, points)
+    return Check(witness is None, witness)
 
 
 def inversion_map(g: FiniteGroup) -> SpaceMap:
@@ -589,6 +637,9 @@ def subgroup_group(g: FiniteGroup, h: int) -> FiniteGroup:
     carrier order, keeping their labels.  Built once per (group, mask)."""
 
     def build() -> FiniteGroup:
+        reason = subgroup_violation(g, h)
+        if reason is not None:
+            raise ValueError(reason)
         members = list(bits(h))
         index = {m: k for k, m in enumerate(members)}
         cayley = [[index[g.cayley[i][j]] for j in members] for i in members]
@@ -608,9 +659,6 @@ def subgroup_proximal_group(
     max_size: int = GROUP_SCAN_CAP,
 ) -> ProximalGroupReport:
     """Run the proximal-group check on a subgroup with the subspace relation."""
-    reason = subgroup_violation(g, h)
-    if reason is not None:
-        raise ValueError(reason)
     return check_proximal_group(
         subgroup_group(g, h), subspace_proximity(rel, h),
         axiom_class=axiom_class, max_size=max_size,

@@ -161,6 +161,36 @@ def test_fuzz_rejects_unknown_ids(flags, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_census_at_n4_counts_and_at_n5_names_the_enumeration_cap(capsys):
+    assert main(["census", "--n", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["cech 64", "efremovic 15", "lodato 15", "lodato_and_ef 15"]
+    assert main(["census", "--n", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "capped at n <= 4" in err and "1024 candidate point relations" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enumerate", "--n", "5"], "1024 candidate point relations"),
+        (["enumerate", "--n", "9", "--class", "lodato"], "Bell(9) = 21147 set partitions"),
+        (["enumerate", "--n", "9", "--class", "efremovic"], "Bell(9) = 21147 set partitions"),
+    ],
+)
+def test_enumeration_caps_name_the_class_that_would_run(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "axiom scan" not in err
+
+
+def test_fuzz_over_partition_classes_runs_above_the_cech_cap(capsys):
+    argv = ["fuzz", "--theorem", "every-cech-is-lodato", "--classes", "lodato", "--max-order", "5"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == ["instances 75", "counterexamples 0"]
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_max_n_below_one_is_rejected(value, capsys):
     probes = str(FIXTURES / "sample_probes.json")

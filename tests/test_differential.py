@@ -1,8 +1,9 @@
 """Differential tests certifying the optimized scan paths against naive
-re-implementations: the vectorized rectangle-multiplication check, the
+re-implementations: the bitset rectangle-multiplication check, the
 inversion check, proximal-continuity witnesses, and the existential
-extension of point relations to subsets.  The point-graph verdicts on Cech
-tables are certified against the table scans they stand in for.
+extension of point relations to subsets.  The point-graph verdicts and the
+mu1 witnesses read from point reaches on Cech tables are certified against
+the table scans they stand in for.
 """
 import random
 from itertools import combinations
@@ -30,7 +31,7 @@ from proxikit.spaces import bits
 
 
 def naive_mu1(g, rel):
-    """Quadruple loop over factor masks, no tables, no vectorization."""
+    """Quadruple loop over factor masks, no tables, no bitset rows."""
     m = rel.space.n_subsets
     for b1 in range(m):
         for b2 in range(m):
@@ -205,6 +206,25 @@ def test_point_graph_verdicts_match_scans_on_seeded_z5_graphs():
     for _ in range(64):
         rel = point_graph_relation(g.space, [p for p in pairs if rng.random() < 0.4])
         assert_paths_agree(g, rel)
+
+
+def test_reach_mu1_witness_matches_the_table_scan_on_orders_six_to_eight():
+    rng = random.Random(68)
+    failing = 0
+    for _, g in all_groups_up_to(8):
+        if g.order < 6:
+            continue
+        pairs = list(combinations(range(g.order), 2))
+        for _ in range(4):
+            rel = point_graph_relation(g.space, [p for p in pairs if rng.random() < 0.4])
+            check = _mu1_check(g, rel)
+            assert check == _mu1_check(g, scan_only(rel))
+            if not check.ok:
+                failing += 1
+                b1, b2, c1, c2 = check.witness
+                assert rel.near(b1, c1) and rel.near(b2, c2)
+                assert rel.far(subset_product(g, b1, b2), subset_product(g, c1, c2))
+    assert failing > 0
 
 
 @given(st.integers(min_value=0))

@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
@@ -16,6 +16,7 @@ from proxikit import (
     fuzz_theorem,
     mine_separating_examples,
     naive_oracle,
+    relation_from_point_pairs,
     replay_counterexample,
     witness_violates,
 )
@@ -64,6 +65,51 @@ def test_no_duplicates_and_deterministic_order():
     runs = [tuple(r.rows for r in enumerate_relations(3, "cech")) for _ in range(2)]
     assert runs[0] == runs[1]
     assert len(set(runs[0])) == len(runs[0])
+
+
+CLASS_CHECKS = {"cech": check_cech, "lodato": check_lodato, "efremovic": check_efremovic}
+
+
+def every_graph_passing(n, check):
+    """Oracle: every reflexive symmetric point relation in pair-code order,
+    extended to subsets and kept when the class checker passes it."""
+    space = default_space(n)
+    pairs = list(combinations(range(n), 2))
+    for code in range(1 << len(pairs)):
+        rows = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(pairs):
+            if (code >> k) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        rel = relation_from_point_pairs(space, rows, "explicit")
+        if check(rel).ok:
+            yield rel
+
+
+@pytest.mark.parametrize(
+    "axiom_class, n",
+    [("cech", n) for n in range(1, 5)]
+    + [(cls, n) for cls in ("lodato", "efremovic") for n in range(1, 6)],
+)
+def test_generated_classes_match_the_filtered_graphs(axiom_class, n):
+    expected = [
+        (r.rows, r.point_graph, r.provenance)
+        for r in every_graph_passing(n, CLASS_CHECKS[axiom_class])
+    ]
+    generated = [(r.rows, r.point_graph, r.provenance) for r in enumerate_relations(n, axiom_class)]
+    assert generated == expected
+
+
+def test_partition_classes_have_bell_many_transitive_members():
+    bell = [1, 2, 5, 15, 52, 203, 877, 4140]
+    for n in range(1, 9):
+        rels = list(enumerate_relations(n, "lodato"))
+        assert len(rels) == bell[n - 1]
+        for rel in rels:
+            points = rel.point_graph
+            assert all(points[j] == points[i] for i in range(n) for j in range(n) if (points[i] >> j) & 1)
+        if n <= 6:
+            assert [r.rows for r in enumerate_relations(n, "efremovic")] == [r.rows for r in rels]
 
 
 def test_enumeration_cap_states_bound():

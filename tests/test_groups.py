@@ -1,7 +1,12 @@
 import gc
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
+
+import proxikit
 
 from proxikit import (
     ProximityRelation,
@@ -462,15 +467,16 @@ def test_rejected_masks_raise_on_every_call_and_leave_no_memo_entry():
     )
     out_of_range = g.space.n_subsets
     before = dict(g._derived)
-    for build, mask in (
-        (subgroup_violation, out_of_range),
-        (normality_violation, out_of_range),
-        (quotient_group, out_of_range),
-        (subgroup_group, 0b000011),  # not closed under the product
+    for build, mask, message in (
+        (subgroup_violation, out_of_range, "out of range"),
+        (normality_violation, out_of_range, "out of range"),
+        (quotient_group, out_of_range, "out of range"),
+        (subgroup_group, out_of_range, "out of range"),
+        (subgroup_group, 0b000011, "not closed under inverse"),
     ):
         messages = []
         for _ in range(2):
-            with pytest.raises((ValueError, KeyError)) as err:
+            with pytest.raises(ValueError, match=message) as err:
                 build(g, mask)
             messages.append((err.type, str(err.value)))
         assert messages[0] == messages[1], build.__name__
@@ -489,3 +495,10 @@ def test_memo_dies_with_its_group():
     del g, sub, quot
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
+
+
+def test_importing_proxikit_loads_no_numpy():
+    src = str(Path(proxikit.__file__).resolve().parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); import proxikit; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
