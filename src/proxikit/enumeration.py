@@ -33,7 +33,6 @@ from .groups import (
     check_proximal_group,
     check_translations,
     hom_criterion_check,
-    homomorphism_violation,
     normal_subgroups,
     product_proximal_group,
     subgroup_proximal_group,
@@ -460,7 +459,9 @@ def _relations_for(space: FiniteSpace, classes: Sequence[str]) -> Iterator[tuple
             yield "coarse", make_coarse_proximity(space)
         elif cls in RELATION_CLASSES:
             for idx, rel in enumerate(enumerate_relations(space.size, cls)):
-                yield f"{cls}[{idx}]", ProximityRelation(space, rel.rows, "explicit")
+                if rel.space != space:
+                    rel = relation_from_point_pairs(space, rel.point_graph, "explicit")
+                yield f"{cls}[{idx}]", rel
         else:
             raise ValueError(f"unknown relation class {cls!r}")
 
@@ -528,19 +529,30 @@ def instance_from_payload(payload: dict) -> dict:
 
 
 def _all_homomorphisms(g1: FiniteGroup, g2: FiniteGroup) -> Iterator[SpaceMap]:
-    """Every group homomorphism g1 -> g2 by exhaustive image search."""
+    """Every group homomorphism g1 -> g2, by ascending image tuple.
+
+    Images are chosen in element order, each trying the codomain in order;
+    a product i*j = k is checked as soon as i, j and k all have images, and
+    a broken one prunes every extension.  A complete assignment has passed
+    every product, so it is a homomorphism.
+    """
     n1, n2 = g1.order, g2.order
+    # products whose last element, in choice order, is t
+    closing: list[list[tuple[int, int, int]]] = [[] for _ in range(n1)]
+    for i, row in enumerate(g1.cayley):
+        for j, k in enumerate(row):
+            closing[max(i, j, k)].append((i, j, k))
+    cay = g2.cayley
     images = [0] * n1
-    # backtracking over images in element order
-    def extend(i: int) -> Iterator[SpaceMap]:
-        if i == n1:
-            f = SpaceMap(g1.space, g2.space, tuple(images), "hom")
-            if homomorphism_violation(f, g1, g2) is None:
-                yield f
+
+    def extend(t: int) -> Iterator[SpaceMap]:
+        if t == n1:
+            yield SpaceMap(g1.space, g2.space, tuple(images), "hom")
             return
         for v in range(n2):
-            images[i] = v
-            yield from extend(i + 1)
+            images[t] = v
+            if all(cay[images[i]][images[j]] == images[k] for i, j, k in closing[t]):
+                yield from extend(t + 1)
 
     yield from extend(0)
 
@@ -590,9 +602,13 @@ def _product_instances(scope: FuzzScope) -> Iterator[dict]:
 
 def _homomorphism_instances(scope: FuzzScope) -> Iterator[dict]:
     structures = list(_verified_structures(scope))
+    homs: dict[tuple[str, str], list[SpaceMap]] = {}
     for s1 in structures:
         for s2 in structures:
-            for eta in _all_homomorphisms(s1["group"][1], s2["group"][1]):
+            (name1, g1), (name2, g2) = s1["group"], s2["group"]
+            if (name1, name2) not in homs:
+                homs[name1, name2] = list(_all_homomorphisms(g1, g2))
+            for eta in homs[name1, name2]:
                 yield {**s1, **_second(s2), "map_images": eta}
 
 

@@ -262,9 +262,10 @@ def subgroup_violation(g: FiniteGroup, h: int) -> str | None:
 
 
 def all_subgroups(g: FiniteGroup) -> tuple[int, ...]:
-    return tuple(
+    """Subgroup masks, ascending; scanned once per group."""
+    return memo(g, "all_subgroups", lambda: tuple(
         h for h in range(1, g.space.n_subsets) if subgroup_violation(g, h) is None
-    )
+    ))
 
 
 def normality_violation(g: FiniteGroup, h: int) -> str | None:
@@ -286,9 +287,10 @@ def normality_violation(g: FiniteGroup, h: int) -> str | None:
 
 
 def normal_subgroups(g: FiniteGroup) -> tuple[int, ...]:
-    return tuple(
-        h for h in range(1, g.space.n_subsets) if normality_violation(g, h) is None
-    )
+    """Normal subgroup masks, ascending; filtered once per group."""
+    return memo(g, "normal_subgroups", lambda: tuple(
+        h for h in all_subgroups(g) if normality_violation(g, h) is None
+    ))
 
 
 def coset_partition(g: FiniteGroup, n_mask: int) -> tuple[int, ...]:
@@ -336,17 +338,14 @@ class ProximalGroupReport:
         return self.is_proximity.ok and self.mu1_pcont.ok and self.mu2_pcont.ok
 
 
-def _point_mu1(g: FiniteGroup, points: tuple[int, ...]) -> bool:
-    """b1 P c1 and b2 P c2 imply b1*b2 P c1*c2, for all elements."""
-    cay = g.cayley
-    n = g.order
+def _coset_mu1(g: FiniteGroup, points: tuple[int, ...]) -> bool:
+    """P[e] is a normal subgroup N and P[a] = aN for every a."""
+    n_mask = points[g.identity]
+    members = list(bits(n_mask))
     return all(
-        (points[cay[b1][b2]] >> cay[c1][c2]) & 1
-        for b1 in range(n)
-        for c1 in bits(points[b1])
-        for b2 in range(n)
-        for c2 in bits(points[b2])
-    )
+        points[a] == sum(1 << row[i] for i in members)
+        for a, row in enumerate(g.cayley)
+    ) and normality_violation(g, n_mask) is None
 
 
 def _reach_mu1_witness(
@@ -426,13 +425,29 @@ def _mu1_check(g: FiniteGroup, rel: ProximityRelation) -> Check:
     B1 near C1 and B2 near C2, that is iff some b1 P c1 and b2 P c2 with
     b1, b2, c1, c2 in B1, B2, C1, C2; then b1*b2 P c1*c2 lies in
     B1*B2 x C1*C2 and the products are near.  Singletons give the converse.
-    When this point condition fails, the witness is read from the reaches
-    of P (:func:`_reach_mu1_witness`); other tables take the table scan.
+
+    That point condition holds exactly when N = P[e] is a normal subgroup
+    and P[a] = aN for every a, which :func:`_coset_mu1` tests in
+    O(n*|N|) plus one memoized normality test.
+
+    * If the point condition holds: b2 = c2 = g gives right invariance,
+      b P c implies bg P cg, and b1 = c1 = g left invariance.  P is
+      reflexive, so e is in N, and x, y in N give xy P ee, so N is closed
+      under products, hence a subgroup of the finite group.  x P e gives
+      gx P g and then gxg^-1 P e, so N is normal.  Finally a P b iff
+      e P a^-1 b (left invariance both ways) iff a^-1 b is in N (symmetry),
+      that is P[a] = aN.
+    * Conversely, let N be normal with P[a] = aN.  Then b1 P c1 and
+      b2 P c2 mean c1 = b1 n1 and c2 = b2 n2 with n1, n2 in N, and
+      c1 c2 = b1 b2 (b2^-1 n1 b2) n2 lies in b1 b2 N, so b1 b2 P c1 c2.
+
+    When the condition fails, the witness is read from the reaches of P
+    (:func:`_reach_mu1_witness`); other tables take the table scan.
     """
     points = rel.point_graph
     if points is None:
         witness = _table_mu1_witness(g, rel.rows)
-    elif _point_mu1(g, points):
+    elif _coset_mu1(g, points):
         return Check(True)
     else:
         witness = _reach_mu1_witness(g, points)

@@ -3,7 +3,8 @@ re-implementations: the bitset rectangle-multiplication check, the
 inversion check, proximal-continuity witnesses, and the existential
 extension of point relations to subsets.  The point-graph verdicts and the
 mu1 witnesses read from point reaches on Cech tables are certified against
-the table scans they stand in for.
+the table scans they stand in for, and the normal-coset mu1 kernel against
+the point quadruple scan it replaced.
 """
 import random
 from itertools import combinations
@@ -19,14 +20,22 @@ from proxikit import (
     check_kuratowski,
     check_lodato,
     check_pcont,
+    check_proximal_group,
     check_translations,
     closure_table,
     cyclic_group,
     default_space,
     make_discrete_proximity,
+    normal_subgroups,
     relation_from_point_pairs,
 )
-from proxikit.groups import _mu1_check, _mu2_check, subset_inverse, subset_product
+from proxikit.groups import (
+    _coset_mu1,
+    _mu1_check,
+    _mu2_check,
+    subset_inverse,
+    subset_product,
+)
 from proxikit.spaces import bits
 
 
@@ -270,3 +279,88 @@ def test_flipped_symmetric_entry_pair_is_rejected_by_point_graph():
     assert flipped.point_graph is None
     report = check_cech(flipped)
     assert report.failed() == ("L4",)
+
+
+# --- the normal-coset mu1 kernel against the point quadruple scan ------------
+
+
+def naive_point_mu1(g, points):
+    """b1 P c1 and b2 P c2 imply b1*b2 P c1*c2, for all elements."""
+    cay = g.cayley
+    n = g.order
+    return all(
+        (points[cay[b1][b2]] >> cay[c1][c2]) & 1
+        for b1 in range(n)
+        for c1 in bits(points[b1])
+        for b2 in range(n)
+        for c2 in bits(points[b2])
+    )
+
+
+def assert_mu1_kernel_agrees(g, rel):
+    expected = naive_point_mu1(g, rel.point_graph)
+    assert _coset_mu1(g, rel.point_graph) == expected
+    assert _mu1_check(g, rel).ok == expected
+    return expected
+
+
+def coset_relation(g, n_mask):
+    """a near b iff b lies in the coset aN."""
+    rows = [subset_product(g, 1 << a, n_mask) for a in range(g.order)]
+    return relation_from_point_pairs(g.space, rows, "explicit")
+
+
+def test_coset_mu1_matches_the_point_scan_on_every_graph_up_to_order_four():
+    count = passing = 0
+    for _, g in all_groups_up_to(4):
+        pairs = list(combinations(range(g.order), 2))
+        for assignment in range(1 << len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if (assignment >> k) & 1]
+            passing += assert_mu1_kernel_agrees(g, point_graph_relation(g.space, edges))
+            count += 1
+    assert count == 139
+    # one coset relation per normal subgroup: 1 + 2 + 2 + 3 + 5
+    assert passing == 13
+
+
+def test_coset_mu1_matches_the_point_scan_on_seeded_graphs_at_orders_five_to_eight():
+    rng = random.Random(58)
+    for _, g in all_groups_up_to(8):
+        if g.order < 5:
+            continue
+        pairs = list(combinations(range(g.order), 2))
+        for density in (0.1, 0.3, 0.6):
+            for _ in range(6):
+                rel = point_graph_relation(g.space, [p for p in pairs if rng.random() < density])
+                assert_mu1_kernel_agrees(g, rel)
+        # near misses: a coset relation with one edge added or removed
+        for n_mask in normal_subgroups(g):
+            points = coset_relation(g, n_mask).point_graph
+            edges = {(i, j) for i, j in pairs if (points[i] >> j) & 1}
+            flip = rng.choice(pairs)
+            assert not assert_mu1_kernel_agrees(g, point_graph_relation(g.space, edges ^ {flip}))
+
+
+def test_coset_mu1_matches_the_point_scan_on_every_cayley_graph_up_to_order_eight():
+    # P[a] = aS for an inverse-closed S holding e: every left coset check
+    # passes, so the verdict rests on S being a normal subgroup
+    for name, g in all_groups_up_to(8):
+        normals = normal_subgroups(g)
+        passing = []
+        for s_mask in range(g.space.n_subsets):
+            if not (s_mask >> g.identity) & 1 or subset_inverse(g, s_mask) != s_mask:
+                continue
+            points = tuple(subset_product(g, 1 << a, s_mask) for a in range(g.order))
+            verdict = _coset_mu1(g, points)
+            assert verdict == naive_point_mu1(g, points), (name, s_mask)
+            if verdict:
+                passing.append(s_mask)
+        assert tuple(passing) == normals, name
+
+
+def test_every_normal_coset_relation_is_a_proximal_group_up_to_order_eight():
+    for name, g in all_groups_up_to(8):
+        for n_mask in normal_subgroups(g):
+            rel = coset_relation(g, n_mask)
+            assert _coset_mu1(g, rel.point_graph), (name, n_mask)
+            assert check_proximal_group(g, rel, max_size=g.order).ok, (name, n_mask)

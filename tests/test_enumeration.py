@@ -1,11 +1,14 @@
 import json
 import random
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import pytest
 
 from proxikit import (
+    FiniteSpace,
     ProximityRelation,
+    SpaceMap,
+    all_groups_up_to,
     branching_cech_relations,
     brute_force_tables,
     check_cech,
@@ -21,6 +24,7 @@ from proxikit import (
     witness_violates,
 )
 from proxikit import enumeration
+from proxikit.groups import homomorphism_violation
 from proxikit.enumeration import (
     THEOREMS,
     FuzzScope,
@@ -110,6 +114,21 @@ def test_partition_classes_have_bell_many_transitive_members():
             assert all(points[j] == points[i] for i in range(n) for j in range(n) if (points[i] >> j) & 1)
         if n <= 6:
             assert [r.rows for r in enumerate_relations(n, "efremovic")] == [r.rows for r in rels]
+
+
+@pytest.mark.parametrize(
+    "space", [default_space(4), FiniteSpace(("w", "x", "y", "z"))], ids=["default", "relabelled"]
+)
+def test_sweep_relations_carry_their_point_graph(space):
+    relations = [rel for _, rel in enumeration._relations_for(space, ("cech",))]
+    expected = list(enumerate_relations(4, "cech"))
+    assert len(relations) == len(expected) == 64
+    for rel, reference in zip(relations, expected):
+        assert rel.space == space and rel.provenance == "explicit"
+        assert rel.rows == reference.rows
+        # recorded when the relation was built, not recomputed from the table
+        assert "point_graph" in vars(rel)
+        assert rel.point_graph == ProximityRelation(space, rel.rows).point_graph
 
 
 def test_enumeration_cap_states_bound():
@@ -331,6 +350,25 @@ def test_default_scope_sweep_counts():
         outcome = fuzz_theorem(theorem)
         counts[theorem] = (outcome.instances, len(outcome.counterexamples))
     assert counts == DEFAULT_SCOPE_COUNTS
+
+
+def test_homomorphism_search_matches_filtering_every_map():
+    groups = [g for _, g in all_groups_up_to(4)]
+    for g1 in groups:
+        for g2 in groups:
+            brute = [
+                images
+                for images in product(range(g2.order), repeat=g1.order)
+                if homomorphism_violation(SpaceMap(g1.space, g2.space, images), g1, g2) is None
+            ]
+            found = [f.images for f in enumeration._all_homomorphisms(g1, g2)]
+            assert found == brute
+            assert (g2.identity,) * g1.order in brute
+
+
+def test_hom_criterion_sweeps_order_six():
+    outcome = fuzz_theorem("hom-criterion-implies-pcont", FuzzScope(6, ("discrete", "coarse")))
+    assert (outcome.instances, len(outcome.counterexamples)) == (636, 0)
 
 
 def test_first_iso_fuzz_finds_the_failure():

@@ -459,6 +459,18 @@ def test_memoized_derived_groups_equal_a_fresh_build():
         assert g == _fresh(g) and hash(g) == hash(_fresh(g))
 
 
+def test_subgroup_lists_equal_the_mask_filter_and_are_kept():
+    for name, g in all_groups_up_to(8):
+        masks = range(1, g.space.n_subsets)
+        subgroups = all_subgroups(g)
+        assert subgroups == tuple(h for h in masks if subgroup_violation(g, h) is None), name
+        normals = normal_subgroups(g)
+        assert normals == tuple(h for h in masks if normality_violation(g, h) is None), name
+        assert all_subgroups(g) is subgroups and normal_subgroups(g) is normals
+        fresh = _fresh(g)
+        assert (normal_subgroups(fresh), all_subgroups(fresh)) == (normals, subgroups)
+
+
 def test_rejected_masks_raise_on_every_call_and_leave_no_memo_entry():
     g = dihedral_group(3)
     reflection = next(
