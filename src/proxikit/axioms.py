@@ -62,11 +62,12 @@ class AxiomReport:
         return tuple(k for k, v in self.verdicts.items() if not v)
 
 
-def require_scan_size(space: FiniteSpace, max_size: int, what: str) -> None:
-    if space.size > max_size:
+def require_scan_size(size: int, max_size: int, what: str) -> None:
+    """Refuse a scan over a carrier of ``size`` elements above ``max_size``."""
+    if size > max_size:
         raise ValueError(
-            f"exhaustive {what} scan on a {space.size}-element carrier exceeds the"
-            f" cap {max_size}; pass max_size={space.size} to run it anyway"
+            f"exhaustive {what} scan on a {size}-element carrier exceeds the"
+            f" cap {max_size}; pass max_size={size} to run it anyway"
         )
 
 
@@ -145,7 +146,7 @@ def _check_l1_l4(rel: ProximityRelation) -> tuple[dict, dict]:
 
 def check_cech(rel: ProximityRelation, *, max_size: int = DEFAULT_SCAN_CAP) -> AxiomReport:
     """L1-L4 over all pairs/triples of subsets."""
-    require_scan_size(rel.space, max_size, "L1-L4")
+    require_scan_size(rel.space.size, max_size, "L1-L4")
     verdicts, witnesses = _check_l1_l4(rel)
     return AxiomReport(verdicts, witnesses)
 
@@ -196,7 +197,7 @@ def check_lodato(rel: ProximityRelation, *, max_size: int = DEFAULT_SCAN_CAP) ->
     a P c and A near C.  If x P y and y P z, then L5 with A = {x},
     B = {y}, C = {z} gives {x} near {z}, that is x P z.
     """
-    require_scan_size(rel.space, max_size, "L1-L5")
+    require_scan_size(rel.space.size, max_size, "L1-L5")
     verdicts, witnesses = _check_l1_l4(rel)
     if _equivalence(rel) is not None:
         verdicts["L5"] = True
@@ -235,7 +236,7 @@ def check_efremovic(
     from {z}: K containing y is near {x}, and K missing y leaves y, which
     is near {z}, in the complement.
     """
-    require_scan_size(rel.space, max_size, "L1-L4+EF")
+    require_scan_size(rel.space.size, max_size, "L1-L4+EF")
     verdicts, witnesses = _check_l1_l4(rel)
     rows = rel.rows
     everything = (1 << len(rows)) - 1
@@ -296,7 +297,7 @@ def check_kuratowski(
     union of classes and closed; if x P y and y P z but not x P z, then y
     is in cl({z}) and x in cl(cl({z})) but not in cl({z}).
     """
-    require_scan_size(rel.space, max_size, "Kuratowski")
+    require_scan_size(rel.space.size, max_size, "Kuratowski")
     if _equivalence(rel) is not None:
         return AxiomReport(dict.fromkeys(("K1", "K2", "K3", "K4"), True))
     cl = closure_table(rel)
@@ -356,7 +357,7 @@ def induced_topology(
     rel: ProximityRelation, *, max_size: int = DEFAULT_SCAN_CAP
 ) -> TopologySnapshot:
     """Fixed points of the closure operator, with their complements as opens."""
-    require_scan_size(rel.space, max_size, "induced-topology")
+    require_scan_size(rel.space.size, max_size, "induced-topology")
     cl = closure_table(rel)
     full = rel.space.full_mask
     closed = tuple(b for b in range(rel.space.n_subsets) if cl[b] == b)

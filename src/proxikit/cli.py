@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from .axioms import AxiomReport, check_kuratowski, induced_topology
+from .axioms import DEFAULT_SCAN_CAP, AxiomReport, check_kuratowski, induced_topology
 from .descriptive import (
     check_descriptive_ef,
     check_descriptive_lodato,
@@ -28,6 +28,7 @@ from .enumeration import (
 )
 from .groups import (
     AXIOM_CHECKS,
+    GROUP_SCAN_CAP,
     check_proximal_group,
     check_proximal_homomorphism,
     check_translations,
@@ -42,7 +43,7 @@ from .harnesses import (
     second_iso_harness,
     third_iso_harness,
 )
-from .maps import check_pcont, check_proximal_isomorphism, identity_map
+from .maps import PCONT_SCAN_CAP, check_pcont, check_proximal_isomorphism, identity_map
 from .relations import ProximityRelation, quotient_proximity
 from .spaces import FiniteSpace
 from .workspace import WorkspaceDocument, WorkspaceError, parse_workspace
@@ -213,7 +214,7 @@ def _cmd_check_axioms(ws, flags):
     if klass not in AXIOM_CHECKERS:
         raise WorkspaceError("flags", f"--class must be one of {sorted(AXIOM_CHECKERS)}")
     checker = AXIOM_CHECKERS[klass]
-    report = checker(rel, max_size=_scan_size(5, flags))
+    report = checker(rel, max_size=_scan_size(DEFAULT_SCAN_CAP, flags))
     lines, verdicts, witnesses = _report_lines(report, rel.space)
     payload = {
         "verb": "check-axioms",
@@ -230,8 +231,8 @@ def _cmd_check_axioms(ws, flags):
 def _cmd_topology(ws, flags):
     ws = _require(ws)
     name, rel = _pick_relation(ws, flags)
-    snapshot = induced_topology(rel, max_size=_scan_size(5, flags))
-    kreport = check_kuratowski(rel, max_size=_scan_size(5, flags))
+    snapshot = induced_topology(rel, max_size=_scan_size(DEFAULT_SCAN_CAP, flags))
+    kreport = check_kuratowski(rel, max_size=_scan_size(DEFAULT_SCAN_CAP, flags))
     space = rel.space
     lines = [
         "closed sets: " + " ".join(space.format_mask(c) for c in snapshot.closed_sets),
@@ -263,7 +264,7 @@ def _cmd_pcont(ws, flags):
     name1, rel1 = _pick_relation(ws, flags, "rel")
     name2, rel2 = _pick_relation(ws, flags, "rel2", default=name1)
     map_name, f = _pick_map(ws, flags)
-    scan = _scan_size(8, flags)
+    scan = _scan_size(PCONT_SCAN_CAP, flags)
     if flags.get("iso"):
         report = check_proximal_isomorphism(f, rel1, rel2, max_size=scan)
         spaces = {"bijective": rel1.space, "pcont": rel1.space, "inverse_pcont": rel2.space}
@@ -290,7 +291,7 @@ def _cmd_group_check(ws, flags):
     name, rel = _pick_relation(ws, flags)
     klass = flags.get("axiom_class") or "efremovic"
     report = check_proximal_group(
-        group, rel, axiom_class=klass, max_size=_scan_size(6, flags)
+        group, rel, axiom_class=klass, max_size=_scan_size(GROUP_SCAN_CAP, flags)
     )
     return _proximal_group_result(
         "group-check", {"relation": name, "class": klass}, report, rel.space
@@ -301,7 +302,7 @@ def _cmd_translations(ws, flags):
     ws = _require(ws)
     group = _need_group(ws)
     name, rel = _pick_relation(ws, flags)
-    report = check_translations(group, rel, max_size=_scan_size(6, flags))
+    report = check_translations(group, rel, max_size=_scan_size(GROUP_SCAN_CAP, flags))
     lines = []
     entries = {}
     for x, left, right in report.entries:
@@ -335,7 +336,7 @@ def _cmd_subgroup(ws, flags):
     h = _need_mask(flags, "subset", ws.space)
     klass = flags.get("axiom_class") or "efremovic"
     report = subgroup_proximal_group(
-        group, rel, h, axiom_class=klass, max_size=_scan_size(6, flags)
+        group, rel, h, axiom_class=klass, max_size=_scan_size(GROUP_SCAN_CAP, flags)
     )
     sub_space = FiniteSpace(tuple(ws.space.label_set(h)))
     return _proximal_group_result(
@@ -354,9 +355,9 @@ def _cmd_product(ws, flags):
     klass = flags.get("axiom_class") or "efremovic"
     report = product_proximal_group(
         group, rel1, group, rel2, axiom_class=klass,
-        max_size=_scan_size(6, flags),
+        max_size=_scan_size(GROUP_SCAN_CAP, flags),
     )
-    # witnesses are factor-mask tuples; render over the factor carrier
+    # a product of verified factors passes, so the report holds no witness
     return _proximal_group_result(
         "product", {"relation": name1, "relation2": name2}, report, rel1.space
     )
@@ -368,7 +369,7 @@ def _cmd_hom_check(ws, flags):
     name1, rel1 = _pick_relation(ws, flags, "rel")
     name2, rel2 = _pick_relation(ws, flags, "rel2", default=name1)
     map_name, eta = _pick_map(ws, flags)
-    scan = _scan_size(6, flags)
+    scan = _scan_size(GROUP_SCAN_CAP, flags)
     report = check_proximal_homomorphism(
         eta, group, rel1, group, rel2,
         isomorphism=bool(flags.get("iso")), max_size=scan,
@@ -452,7 +453,7 @@ def _cmd_iso_theorems(ws, flags):
     group = _need_group(ws)
     which = flags.get("which") or "first"
     name1, rel1 = _pick_relation(ws, flags, "rel")
-    scan = _scan_size(6, flags)
+    scan = _scan_size(GROUP_SCAN_CAP, flags)
     if which == "first":
         name2, rel2 = _pick_relation(ws, flags, "rel2", default=name1)
         map_name, eta = _pick_map(ws, flags)
@@ -499,7 +500,7 @@ def _cmd_iso_theorems(ws, flags):
 def _cmd_descriptive_check(ws, flags):
     ws = _require(ws)
     name, probes = _pick_probes(ws, flags)
-    scan = _scan_size(5, flags)
+    scan = _scan_size(DEFAULT_SCAN_CAP, flags)
     lodato = check_descriptive_lodato(probes, max_size=scan)
     ef = check_descriptive_ef(probes, max_size=scan)
     lines, verdicts, witnesses = _report_lines(lodato, probes.space)
@@ -518,7 +519,7 @@ def _cmd_descriptive_check(ws, flags):
     if flags.get("group"):
         group = _need_group(ws)
         report = check_descriptive_proximal_group(
-            group, probes, max_size=_scan_size(6, flags)
+            group, probes, max_size=_scan_size(GROUP_SCAN_CAP, flags)
         )
         payload["mu1"] = report.mu1_pcont.ok
         payload["mu2"] = report.mu2_pcont.ok
@@ -558,7 +559,7 @@ def _cmd_mapping_space(ws, flags):
     maps1 = pick_set("set1")
     maps2 = pick_set("set2")
     verdict = mapping_space_relation(
-        maps1, maps2, probes1, probes2, max_size=_scan_size(5, flags)
+        maps1, maps2, probes1, probes2, max_size=_scan_size(DEFAULT_SCAN_CAP, flags)
     )
     payload = {
         "verb": "mapping-space",

@@ -107,7 +107,7 @@ def check_descriptive_lodato(
     Both always pass, and the renamed L3 verdict is the DL3 verdict.  The
     other DL axioms are L1, L2, L4 and L5 of that relation verbatim.
     """
-    require_scan_size(probes.space, max_size, "DL1-DL5")
+    require_scan_size(probes.space.size, max_size, "DL1-DL5")
     return _descriptive_keys(check_lodato(descriptive_proximity(probes), max_size=max_size))
 
 
@@ -116,7 +116,7 @@ def check_descriptive_ef(
 ) -> AxiomReport:
     """DL1-DL4 plus DEF: the checks of :func:`check_efremovic` on the induced
     relation, renamed as in :func:`check_descriptive_lodato`."""
-    require_scan_size(probes.space, max_size, "DL1-DL4+DEF")
+    require_scan_size(probes.space.size, max_size, "DL1-DL4+DEF")
     return _descriptive_keys(check_efremovic(descriptive_proximity(probes), max_size=max_size))
 
 

@@ -1,10 +1,14 @@
 """Exhaustive relation generators, an independent naive oracle, census
 mining, and the theorem fuzzer.
 
-The naive oracle re-implements every axiom directly from its quantifier
-reading on explicit element sets, with no pruning and no code shared with
-the optimized checkers; it certifies both the checkers and every witness
-they emit.
+The naive oracle is one table of violation predicates, quantified over
+explicit element sets: ``VIOLATIONS`` maps each axiom id to its arity and
+to whether a tuple of that many sets violates the axiom, read straight from
+its quantifier.  :func:`naive_oracle` passes an axiom when no tuple
+violates it and :func:`witness_violates` tests one tuple.  There is no
+pruning beyond short-circuiting and no code shared with the optimized
+checkers; the oracle certifies both the checkers and every witness they
+emit.
 
 Enumeration generates each class from its structure, with no checker call.
 Symmetry plus the union axiom (an iff) force every L1-L4 relation to be
@@ -20,7 +24,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterator, Sequence
 
@@ -61,93 +66,80 @@ BRUTE_FORCE_CAP = 2
 
 RELATION_CLASSES = ("cech", "lodato", "efremovic")
 
-ORACLE_AXIOMS = ("L1", "L2", "L3", "L4", "L5", "EF", "K1", "K2", "K3", "K4", "transitivity")
-
 
 # ---------------------------------------------------------------------------
 # naive oracle
 
 
-def _as_sets(n: int) -> list[frozenset[int]]:
-    return [frozenset(i for i in range(n) if (mask >> i) & 1) for mask in range(1 << n)]
+@cache
+def _subsets_and_masks(n: int) -> tuple[list[frozenset[int]], dict[frozenset[int], int]]:
+    """Every subset of range(n) as an element set, indexed by its mask, and
+    the mask of each set."""
+    subsets = [frozenset(i for i in range(n) if (mask >> i) & 1) for mask in range(1 << n)]
+    return subsets, {s: mask for mask, s in enumerate(subsets)}
 
 
-def _mask_of(s: frozenset[int]) -> int:
-    out = 0
-    for i in s:
-        out |= 1 << i
-    return out
+class _ExplicitSets:
+    """Every subset of a relation's carrier as an explicit element set, with
+    nearness and closure read on those sets."""
+
+    def __init__(self, rel: ProximityRelation) -> None:
+        self.points = range(rel.space.size)
+        self.subsets, self._mask = _subsets_and_masks(rel.space.size)
+        self.carrier = self.subsets[-1]
+        self._rel = rel
+
+    def near(self, s: frozenset[int], t: frozenset[int]) -> bool:
+        return self._rel.near(self._mask[s], self._mask[t])
+
+    def cl(self, b: frozenset[int]) -> frozenset[int]:
+        return frozenset(y for y in self.points if self.near(frozenset([y]), b))
+
+
+# Each axiom id maps to its arity and to whether a tuple of that many sets
+# violates it, straight from the axiom's quantifier.  K1 has no free set;
+# its witness is the 1-tuple (empty set,), which the predicate ignores.
+VIOLATIONS: dict[str, tuple[int, Callable[..., bool]]] = {
+    "L1": (2, lambda x, s, t: x.near(s, t) and not x.near(t, s)),
+    "L2": (2, lambda x, s, t: x.near(s, t) and (not s or not t)),
+    "L3": (2, lambda x, s, t: bool(s & t) and not x.near(s, t)),
+    "L4": (3, lambda x, s, t, u: x.near(s, t | u) != (x.near(s, t) or x.near(s, u))),
+    "L5": (
+        3,
+        lambda x, s, t, u: x.near(s, t)
+        and all(x.near(frozenset([p]), u) for p in t)
+        and not x.near(s, u),
+    ),
+    "EF": (
+        2,
+        lambda x, s, t: not x.near(s, t)
+        and not any(not x.near(s, k) and not x.near(x.carrier - k, t) for k in x.subsets),
+    ),
+    "transitivity": (
+        3, lambda x, s, t, u: x.near(s, t) and x.near(t, u) and not x.near(s, u)
+    ),
+    "K1": (1, lambda x, _b: x.cl(frozenset()) != frozenset()),
+    "K2": (1, lambda x, b: not b <= x.cl(b)),
+    "K3": (2, lambda x, s, t: x.cl(s | t) != x.cl(s) | x.cl(t)),
+    "K4": (1, lambda x, b: x.cl(x.cl(b)) != x.cl(b)),
+}
+
+
+def _violation(axiom: str) -> tuple[int, Callable[..., bool]]:
+    if axiom not in VIOLATIONS:
+        raise ValueError(f"unknown axiom id {axiom!r}")
+    return VIOLATIONS[axiom]
 
 
 def naive_oracle(rel: ProximityRelation, axiom: str) -> bool:
-    """Ground-truth verdict for one axiom, straight from its quantifier.
+    """Ground-truth verdict for one axiom: no tuple of its arity violates it.
 
     Works on explicit element sets with no shortcuts; used only to certify
     the optimized checkers and their witnesses.
     """
-    n = rel.space.size
-    subsets = _as_sets(n)
-    carrier = subsets[-1]
-
-    def near(s: frozenset, t: frozenset) -> bool:
-        return rel.near(_mask_of(s), _mask_of(t))
-
-    def cl(b: frozenset) -> frozenset:
-        return frozenset(y for y in range(n) if near(frozenset([y]), b))
-
-    if axiom == "L1":
-        return all(near(t, s) for s in subsets for t in subsets if near(s, t))
-    if axiom == "L2":
-        return all(
-            s and t for s in subsets for t in subsets if near(s, t)
-        )
-    if axiom == "L3":
-        return all(
-            near(s, t) for s in subsets for t in subsets if s & t
-        )
-    if axiom == "L4":
-        return all(
-            near(s, t | u) == (near(s, t) or near(s, u))
-            for s in subsets
-            for t in subsets
-            for u in subsets
-        )
-    if axiom == "L5":
-        for s in subsets:
-            for t in subsets:
-                if not near(s, t):
-                    continue
-                for u in subsets:
-                    if all(near(frozenset([x]), u) for x in t) and not near(s, u):
-                        return False
-        return True
-    if axiom == "EF":
-        for s in subsets:
-            for t in subsets:
-                if near(s, t):
-                    continue
-                if not any(
-                    not near(s, k) and not near(carrier - k, t) for k in subsets
-                ):
-                    return False
-        return True
-    if axiom == "transitivity":
-        return all(
-            near(s, u)
-            for s in subsets
-            for t in subsets
-            for u in subsets
-            if near(s, t) and near(t, u)
-        )
-    if axiom == "K1":
-        return cl(frozenset()) == frozenset()
-    if axiom == "K2":
-        return all(b <= cl(b) for b in subsets)
-    if axiom == "K3":
-        return all(cl(s | t) == cl(s) | cl(t) for s in subsets for t in subsets)
-    if axiom == "K4":
-        return all(cl(cl(b)) == cl(b) for b in subsets)
-    raise ValueError(f"unknown axiom id {axiom!r}")
+    arity, violates = _violation(axiom)
+    x = _ExplicitSets(rel)
+    return not any(violates(x, *sets) for sets in product(x.subsets, repeat=arity))
 
 
 def witness_violates(rel: ProximityRelation, axiom: str, witness: tuple[int, ...]) -> bool:
@@ -157,59 +149,14 @@ def witness_violates(rel: ProximityRelation, axiom: str, witness: tuple[int, ...
     their relation-level readings (DL3 excepted: it needs the probe table and
     is validated where the probes are available).
     """
-    n = rel.space.size
-    subsets = _as_sets(n)
-    carrier = subsets[-1]
-    sets = tuple(subsets[w] for w in witness)
-
-    def near(s: frozenset, t: frozenset) -> bool:
-        return rel.near(_mask_of(s), _mask_of(t))
-
-    def cl(b: frozenset) -> frozenset:
-        return frozenset(y for y in range(n) if near(frozenset([y]), b))
-
     axiom = {"DL1": "L1", "DL2": "L2", "DL4": "L4", "DL5": "L5", "DEF": "EF"}.get(
         axiom, axiom
     )
-    if axiom == "L1":
-        s, t = sets
-        return near(s, t) and not near(t, s)
-    if axiom == "L2":
-        s, t = sets
-        return near(s, t) and (not s or not t)
-    if axiom == "L3":
-        s, t = sets
-        return bool(s & t) and not near(s, t)
-    if axiom == "L4":
-        s, t, u = sets
-        return near(s, t | u) != (near(s, t) or near(s, u))
-    if axiom == "L5":
-        s, t, u = sets
-        return (
-            near(s, t)
-            and all(near(frozenset([x]), u) for x in t)
-            and not near(s, u)
-        )
-    if axiom == "EF":
-        s, t = sets
-        return not near(s, t) and not any(
-            not near(s, k) and not near(carrier - k, t) for k in subsets
-        )
-    if axiom == "transitivity":
-        s, t, u = sets
-        return near(s, t) and near(t, u) and not near(s, u)
-    if axiom == "K1":
-        return cl(frozenset()) != frozenset()
-    if axiom == "K2":
-        (b,) = sets
-        return not b <= cl(b)
-    if axiom == "K3":
-        s, t = sets
-        return cl(s | t) != cl(s) | cl(t)
-    if axiom == "K4":
-        (b,) = sets
-        return cl(cl(b)) != cl(b)
-    raise ValueError(f"unknown axiom id {axiom!r}")
+    arity, violates = _violation(axiom)
+    if len(witness) != arity:
+        raise ValueError(f"a {axiom} witness has {arity} masks, got {witness!r}")
+    x = _ExplicitSets(rel)
+    return violates(x, *(x.subsets[w] for w in witness))
 
 
 # ---------------------------------------------------------------------------

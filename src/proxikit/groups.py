@@ -487,11 +487,7 @@ def check_proximal_group(
     """
     if g.space != rel.space:
         raise ValueError("group and relation carriers do not match")
-    if g.order > max_size:
-        raise ValueError(
-            f"proximal-group scan on a {g.order}-element group exceeds the cap"
-            f" {max_size}; pass max_size={g.order} to run it anyway"
-        )
+    require_scan_size(g.order, max_size, "proximal-group")
     axioms = AXIOM_CHECKS[axiom_class](rel, max_size=max_size)
     mu1 = _mu1_check(g, rel)
     mu2 = _mu2_check(g, rel, max_size)
@@ -539,7 +535,7 @@ def check_transitivity_property(
     rel: ProximityRelation, *, max_size: int = GROUP_SCAN_CAP
 ) -> AxiomReport:
     """Near is transitive: A near B and B near C force A near C."""
-    require_scan_size(rel.space, max_size, "transitivity")
+    require_scan_size(rel.space.size, max_size, "transitivity")
     witness = first_chain_violation(rel.rows, rel.rows)
     if witness is not None:
         return AxiomReport({"transitivity": False}, {"transitivity": witness})
@@ -725,56 +721,26 @@ def product_proximal_group(
 ) -> ProximalGroupReport:
     """Direct product with the rectangle product proximity.
 
-    Both factors must already verify as proximal groups.  The mu1/mu2 scans
-    quantify over rectangles of rectangles: product-carrier subsets enter
-    only as factor-mask pairs, matching the rectangle-only product relation.
-    Witnesses are factor-mask tuples (A1, B1, A2, B2, ...).
+    Both factors must already verify as proximal groups, and then the
+    product is one: the report has every axiom of the class and mu1 and
+    mu2 passing.  Product-carrier subsets enter only as rectangles, and two
+    rectangles are near exactly when both factor pairs are near.
+
+    * Each class verdict is the conjunction of the factors' verdicts, and
+      both factors pass.
+    * mu1: a rectangle-of-rectangle violation needs all four factor pairs
+      near, so it splits by which coordinate breaks into a far product pair
+      in one factor with near pairs in both: a mu1 violation of that factor.
+    * mu2: near rectangles A1 x A2 and C1 x C2 have A1 near C1 and A2 near
+      C2, so by mu2 in each factor their inverses A1^-1 x A2^-1 and
+      C1^-1 x C2^-1 are near.
     """
     for name, (g, rel) in (("first", (g1, rel1)), ("second", (g2, rel2))):
         report = check_proximal_group(g, rel, axiom_class=axiom_class, max_size=max_size)
         if not report.ok:
             raise ValueError(f"{name} factor is not a verified proximal group")
-    if g1.order * g2.order > max(max_size, GROUP_SCAN_CAP):
-        raise ValueError(
-            f"product order {g1.order * g2.order} exceeds the scan cap"
-        )
-
-    near_pairs1 = list(rel1.near_pairs())
-    near_pairs2 = list(rel2.near_pairs())
-
-    # A violation of rectangle-of-rectangle continuity needs all four factor
-    # pairs near, so it splits by which coordinate breaks: a far product pair
-    # in one factor plus any near pair at all in the other.
-    mu1 = Check(True)
-    if near_pairs2:
-        bad = _mu1_check(g1, rel1)
-        if not bad.ok:
-            a1, a2, a3, a4 = bad.witness
-            b1, b3 = near_pairs2[0]
-            mu1 = Check(False, (a1, b1, a2, b1, a3, b3, a4, b3))
-    if mu1.ok and near_pairs1:
-        bad = _mu1_check(g2, rel2)
-        if not bad.ok:
-            b1, b2, b3, b4 = bad.witness
-            a1, a3 = near_pairs1[0]
-            mu1 = Check(False, (a1, b1, a1, b2, a3, b3, a3, b4))
-
-    # mu2 on rectangle pairs: near rectangles must have near inverses.
-    inv1 = [subset_inverse(g1, a) for a in range(rel1.space.n_subsets)]
-    inv2 = [subset_inverse(g2, a) for a in range(rel2.space.n_subsets)]
-    mu2 = Check(True)
-    for a1, c1 in near_pairs1:
-        inv_near1 = rel1.near(inv1[a1], inv1[c1])
-        for a2, c2 in near_pairs2:
-            if not (inv_near1 and rel2.near(inv2[a2], inv2[c2])):
-                mu2 = Check(False, (a1, a2, c1, c2))
-                break
-        if not mu2.ok:
-            break
-
-    axioms1 = AXIOM_CHECKS[axiom_class](rel1, max_size=max_size)
-    axioms2 = AXIOM_CHECKS[axiom_class](rel2, max_size=max_size)
-    merged = AxiomReport(
-        {k: axioms1.verdicts[k] and axioms2.verdicts[k] for k in axioms1.verdicts}
+    require_scan_size(
+        g1.order * g2.order, max(max_size, GROUP_SCAN_CAP), "proximal-group product"
     )
-    return ProximalGroupReport(merged, mu1, mu2)
+    verdicts = dict.fromkeys(report.is_proximity.verdicts, True)
+    return ProximalGroupReport(AxiomReport(verdicts), Check(True), Check(True))

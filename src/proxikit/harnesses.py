@@ -142,6 +142,21 @@ class IsoTheoremReport:
         return self.surjective and self.group_isomorphism and self.proximal.ok
 
 
+def _iso_report(
+    source: tuple[FiniteGroup, ProximityRelation],
+    target: tuple[FiniteGroup, ProximityRelation],
+    images: list[int],
+    max_size: int,
+) -> IsoTheoremReport:
+    """Report on the theorem's canonical map between its two sides, given by
+    images: a bijective group homomorphism, and a proximal isomorphism."""
+    (g1, rel1), (g2, rel2) = source, target
+    f = SpaceMap(g1.space, g2.space, tuple(images), "canonical")
+    group_iso = homomorphism_violation(f, g1, g2) is None and f.is_bijective()
+    proximal = check_proximal_isomorphism(f, rel1, rel2, max_size=max_size)
+    return IsoTheoremReport(True, group_iso, proximal)
+
+
 def first_iso_harness(
     eta: SpaceMap,
     g1: FiniteGroup,
@@ -175,17 +190,8 @@ def first_iso_harness(
     quot, quot_rel = quotient_proximal_group(g1, rel1, kernel)
     # induced map: coset block -> image of any representative
     blocks = quotient_group(g1, kernel)[1]
-    induced = SpaceMap(
-        quot.space,
-        g2.space,
-        tuple(eta.images[min(bits(block))] for block in blocks),
-        "induced",
-    )
-    group_iso = (
-        homomorphism_violation(induced, quot, g2) is None and induced.is_bijective()
-    )
-    proximal = check_proximal_isomorphism(induced, quot_rel, rel2, max_size=max_size)
-    return IsoTheoremReport(True, group_iso, proximal)
+    images = [eta.images[min(bits(block))] for block in blocks]
+    return _iso_report((quot, quot_rel), (g2, rel2), images, max_size)
 
 
 def second_iso_harness(
@@ -240,13 +246,7 @@ def second_iso_harness(
             if (lblock >> rep_hn) & 1
         )
         images.append(target)
-    canonical = SpaceMap(right_group.space, left_group.space, tuple(images), "canonical")
-    group_iso = (
-        homomorphism_violation(canonical, right_group, left_group) is None
-        and canonical.is_bijective()
-    )
-    proximal = check_proximal_isomorphism(canonical, right_rel, left_rel, max_size=max_size)
-    return IsoTheoremReport(True, group_iso, proximal)
+    return _iso_report((right_group, right_rel), (left_group, left_rel), images, max_size)
 
 
 def third_iso_harness(
@@ -289,13 +289,7 @@ def third_iso_harness(
         for idx in bits(outer):
             underlying |= n_blocks[idx]
         images.append(k_blocks.index(underlying))
-    canonical = SpaceMap(left_group.space, right_group.space, tuple(images), "canonical")
-    group_iso = (
-        homomorphism_violation(canonical, left_group, right_group) is None
-        and canonical.is_bijective()
-    )
-    proximal = check_proximal_isomorphism(canonical, left_rel, right_rel, max_size=max_size)
-    return IsoTheoremReport(True, group_iso, proximal)
+    return _iso_report((left_group, left_rel), (right_group, right_rel), images, max_size)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import AxiomReport
+from .axioms import AxiomReport, require_scan_size
 from .relations import ProximityRelation
 from .spaces import FiniteSpace, bits, union_table
 
@@ -93,11 +93,7 @@ def check_pcont(
     """
     if f.domain != rel1.space or f.codomain != rel2.space:
         raise ValueError("map endpoints do not match the relation carriers")
-    if f.domain.size > max_size:
-        raise ValueError(
-            f"pcont scan on a {f.domain.size}-element carrier exceeds the cap"
-            f" {max_size}; pass max_size={f.domain.size} to run it anyway"
-        )
+    require_scan_size(f.domain.size, max_size, "pcont")
     p1, p2 = rel1.point_graph, rel2.point_graph
     if p1 is not None and p2 is not None and all(
         (p2[f.images[i]] >> f.images[j]) & 1

@@ -13,7 +13,9 @@ from proxikit import (
     brute_force_tables,
     check_cech,
     check_efremovic,
+    check_kuratowski,
     check_lodato,
+    check_transitivity_property,
     default_space,
     enumerate_relations,
     fuzz_theorem,
@@ -27,6 +29,7 @@ from proxikit import enumeration
 from proxikit.groups import homomorphism_violation
 from proxikit.enumeration import (
     THEOREMS,
+    VIOLATIONS,
     FuzzScope,
     instance_from_payload,
     instance_payload,
@@ -165,6 +168,48 @@ def test_oracle_rejects_unknown_axiom():
     rel = next(iter(enumerate_relations(1, "cech")))
     with pytest.raises(ValueError, match="unknown axiom"):
         naive_oracle(rel, "L9")
+
+
+def test_oracle_rejects_descriptive_axiom_ids():
+    # descriptive ids are aliased for witnesses only; DL3 has no alias at all
+    rel = next(iter(enumerate_relations(1, "cech")))
+    for axiom in ("DL1", "DL2", "DL3", "DL4", "DL5", "DEF"):
+        with pytest.raises(ValueError, match="unknown axiom"):
+            naive_oracle(rel, axiom)
+    with pytest.raises(ValueError, match="unknown axiom"):
+        witness_violates(rel, "DL3", (1, 1))
+
+
+def test_witness_violates_rejects_a_witness_of_the_wrong_length():
+    rel = next(iter(enumerate_relations(2, "cech")))
+    aliases = {"DL1": "L1", "DL2": "L2", "DL4": "L4", "DL5": "L5", "DEF": "EF"}
+    for axiom in (*VIOLATIONS, *aliases):
+        arity = VIOLATIONS[aliases.get(axiom, axiom)][0]
+        assert arity in (1, 2, 3)
+        for length in (arity - 1, arity + 1):
+            with pytest.raises(ValueError, match=f"has {arity} masks"):
+                witness_violates(rel, axiom, (1,) * length)
+        witness_violates(rel, axiom, (1,) * arity)
+
+
+def test_violation_table_has_exactly_the_checker_verdict_keys():
+    # every verdict key the relation checkers emit, passing or failing,
+    # is an axiom the oracle can certify, and the table has no other key
+    rng = random.Random(7)
+    space = default_space(2)
+    relations = [*enumerate_relations(2, "cech")] + [
+        ProximityRelation(space, tuple(rng.getrandbits(4) for _ in range(4))) for _ in range(20)
+    ]
+    keys = set()
+    for rel in relations:
+        for report in (
+            check_lodato(rel),
+            check_efremovic(rel),
+            check_kuratowski(rel),
+            check_transitivity_property(rel),
+        ):
+            keys |= set(report.verdicts)
+    assert keys == set(VIOLATIONS)
 
 
 def test_oracle_agreement_on_random_tables():

@@ -29,6 +29,7 @@ from proxikit import (
     make_discrete_proximity,
     normal_subgroups,
     product_proximal_group,
+    product_proximity,
     quaternion_group,
     quotient_proximal_group,
     subgroup_proximal_group,
@@ -42,6 +43,7 @@ from proxikit.groups import (
     quotient_group,
     subgroup_group,
     subgroup_violation,
+    subset_product_table,
 )
 
 Z4 = cyclic_group(4)
@@ -306,6 +308,47 @@ def test_product_rejects_unverified():
     bad = ProximityRelation(z2.space, tuple(rows))
     with pytest.raises(ValueError, match="not a verified proximal group"):
         product_proximal_group(z2, bad, z2, make_discrete_proximity(z2.space))
+
+
+def test_product_over_the_cap_names_max_size():
+    z3 = cyclic_group(3)
+    d = make_discrete_proximity(z3.space)
+    with pytest.raises(ValueError, match="exceeds the cap 6; pass max_size=9"):
+        product_proximal_group(z3, d, z3, d)
+    assert product_proximal_group(z3, d, z3, d, max_size=9).ok
+
+
+def test_products_of_verified_factors_pass_on_the_product_group():
+    # the proof in product_proximal_group's docstring, read on the product
+    # group itself: near rectangle pairs multiply to near rectangles (mu1)
+    # and invert to near rectangles (mu2)
+    structures = [
+        (g, rel)
+        for _, g in all_groups_up_to(3)
+        for rel in enumerate_relations(g.order, "cech")
+        if g.order > 1 and check_proximal_group(g, rel, axiom_class="cech").ok
+    ]
+    pairs = 0
+    for g1, rel1 in structures:
+        for g2, rel2 in structures:
+            if g1.order * g2.order > 6:
+                continue
+            g, prod = direct_product_group(g1, g2), product_proximity(rel1, rel2)
+            rects = {
+                prod.rectangle(a1, a2)
+                for a1 in range(g1.space.n_subsets)
+                for a2 in range(g2.space.n_subsets)
+            }
+            near = {(b, c) for b in rects for c in rects if prod.near(b, c)}
+            products = subset_product_table(g)
+            for b1, c1 in near:
+                assert (subset_inverse(g, b1), subset_inverse(g, c1)) in near
+                for b2, c2 in near:
+                    assert (products[b1][b2], products[c1][c2]) in near
+            report = product_proximal_group(g1, rel1, g2, rel2, axiom_class="cech")
+            assert report.ok and set(report.is_proximity.verdicts) == {"L1", "L2", "L3", "L4"}
+            pairs += 1
+    assert pairs == 12
 
 
 # --- homomorphisms --------------------------------------------------------

@@ -22,6 +22,7 @@ from proxikit import (
     third_iso_harness,
 )
 from proxikit.groups import all_subgroups, normal_subgroups
+from proxikit.harnesses import _iso_report
 
 
 # --- inversion-from-multiplication --------------------------------------------
@@ -186,6 +187,17 @@ def test_third_iso_requires_containment():
     d = make_discrete_proximity(z8.space)
     with pytest.raises(ValueError, match="contained"):
         third_iso_harness(z8, d, (1 << 0) | (1 << 2) | (1 << 4) | (1 << 6), (1 << 0) | (1 << 4))
+
+
+def test_iso_harness_tail_needs_a_bijective_homomorphism():
+    # the shared tail of the three harnesses: a homomorphism that is not
+    # bijective is no group isomorphism, whatever the proximal verdicts
+    z2 = cyclic_group(2)
+    c = make_coarse_proximity(z2.space)
+    report = _iso_report((z2, c), (z2, c), [0, 0], 6)
+    assert not report.group_isomorphism and not report.ok
+    assert report.proximal.verdicts["bijective"] is False
+    assert _iso_report((z2, c), (z2, c), [0, 1], 6).ok
 
 
 # --- hausdorff -------------------------------------------------------------------
