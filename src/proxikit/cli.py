@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Collection, Mapping, Sequence
 
 from .axioms import DEFAULT_SCAN_CAP, AxiomReport, check_kuratowski, induced_topology
 from .descriptive import (
@@ -19,6 +19,7 @@ from .descriptive import (
     mapping_space_relation,
 )
 from .enumeration import (
+    RELATION_CLASSES,
     FuzzScope,
     THEOREMS,
     enumerate_relations,
@@ -47,26 +48,6 @@ from .maps import PCONT_SCAN_CAP, check_pcont, check_proximal_isomorphism, ident
 from .relations import ProximityRelation, quotient_proximity
 from .spaces import FiniteSpace
 from .workspace import WorkspaceDocument, WorkspaceError, parse_workspace
-
-VERBS = (
-    "check-axioms",
-    "topology",
-    "pcont",
-    "group-check",
-    "translations",
-    "subgroup",
-    "product",
-    "hom-check",
-    "quotient",
-    "iso-theorems",
-    "descriptive-check",
-    "mapping-space",
-    "enumerate",
-    "fuzz",
-    "census",
-)
-
-DOCUMENT_FREE_VERBS = ("enumerate", "fuzz", "census")
 
 AXIOM_CHECKERS = {**AXIOM_CHECKS, "kuratowski": check_kuratowski}
 
@@ -117,10 +98,31 @@ def _report_lines(
     return lines, verdicts, witnesses
 
 
-def _require(ws: WorkspaceDocument | None) -> WorkspaceDocument:
-    if ws is None:
-        raise WorkspaceError("document", "this verb needs a workspace document")
-    return ws
+def _continuity(report) -> AxiomReport:
+    """The mu1/mu2 verdicts of a proximal-group report, as one report."""
+    checks = {"mu1": report.mu1_pcont, "mu2": report.mu2_pcont}
+    return AxiomReport(
+        {tag: check.ok for tag, check in checks.items()},
+        {tag: check.witness for tag, check in checks.items() if not check.ok},
+    )
+
+
+def _map_spaces(rel1: ProximityRelation, rel2: ProximityRelation) -> dict:
+    """Witness carrier of each verdict of a map report: the codomain's for
+    inverse_pcont, the domain's for the rest."""
+    return {
+        "group_homomorphism": rel1.space,
+        "pcont": rel1.space,
+        "bijective": rel1.space,
+        "inverse_pcont": rel2.space,
+    }
+
+
+def _result(payload: dict, lines: list[str], witnesses: dict, ok: bool) -> CommandResult:
+    """A verdict's result: witnesses attached when there are any, exit 0 or 1."""
+    if witnesses:
+        payload["witnesses"] = witnesses
+    return CommandResult(payload, "\n".join(lines), 0 if ok else 1)
 
 
 def _pick_relation(
@@ -188,19 +190,14 @@ def _need_mask(flags: Mapping[str, Any], key: str, space: FiniteSpace) -> int:
 
 def _proximal_group_result(verb: str, extra: dict, report, space: FiniteSpace) -> CommandResult:
     lines, verdicts, witnesses = _report_lines(report.is_proximity, space)
-    lines = [f"axioms {line}" for line in lines]
-    payload: dict = {"verb": verb, **extra, "axioms": verdicts, "ok": report.ok}
-    wits = {f"axioms.{k}": v for k, v in witnesses.items()}
-    for tag, check in (("mu1", report.mu1_pcont), ("mu2", report.mu2_pcont)):
-        payload[tag] = check.ok
-        if check.ok:
-            lines.append(f"{tag} PASS")
-        else:
-            wits[tag] = _witness_payload(space, check.witness)
-            lines.append(f"{tag} FAIL {_witness_text(space, check.witness)}")
-    if wits:
-        payload["witnesses"] = wits
-    return CommandResult(payload, "\n".join(lines), 0 if report.ok else 1)
+    mu_lines, mu, mu_witnesses = _report_lines(_continuity(report), space)
+    payload = {"verb": verb, **extra, "axioms": verdicts, "ok": report.ok, **mu}
+    return _result(
+        payload,
+        [f"axioms {line}" for line in lines] + mu_lines,
+        {**{f"axioms.{k}": v for k, v in witnesses.items()}, **mu_witnesses},
+        report.ok,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +205,9 @@ def _proximal_group_result(verb: str, extra: dict, report, space: FiniteSpace) -
 
 
 def _cmd_check_axioms(ws, flags):
-    ws = _require(ws)
     name, rel = _pick_relation(ws, flags)
-    klass = flags.get("axiom_class") or "lodato"
-    if klass not in AXIOM_CHECKERS:
-        raise WorkspaceError("flags", f"--class must be one of {sorted(AXIOM_CHECKERS)}")
-    checker = AXIOM_CHECKERS[klass]
-    report = checker(rel, max_size=_scan_size(DEFAULT_SCAN_CAP, flags))
+    klass = flags["axiom_class"]
+    report = AXIOM_CHECKERS[klass](rel, max_size=_scan_size(DEFAULT_SCAN_CAP, flags))
     lines, verdicts, witnesses = _report_lines(report, rel.space)
     payload = {
         "verb": "check-axioms",
@@ -223,13 +216,10 @@ def _cmd_check_axioms(ws, flags):
         "verdicts": verdicts,
         "ok": report.ok,
     }
-    if witnesses:
-        payload["witnesses"] = witnesses
-    return CommandResult(payload, "\n".join(lines), 0 if report.ok else 1)
+    return _result(payload, lines, witnesses, report.ok)
 
 
 def _cmd_topology(ws, flags):
-    ws = _require(ws)
     name, rel = _pick_relation(ws, flags)
     snapshot = induced_topology(rel, max_size=_scan_size(DEFAULT_SCAN_CAP, flags))
     kreport = check_kuratowski(rel, max_size=_scan_size(DEFAULT_SCAN_CAP, flags))
@@ -249,29 +239,23 @@ def _cmd_topology(ws, flags):
         "is_topology": snapshot.is_topology,
         "ok": snapshot.kuratowski_ok,
     }
-    if not snapshot.kuratowski_ok:
-        witnesses = {
-            k: _witness_payload(space, w) for k, w in kreport.witnesses.items()
-        }
-        payload["witnesses"] = witnesses
-        for k, w in kreport.witnesses.items():
-            lines.append(f"{k} FAIL {_witness_text(space, w)}")
-    return CommandResult(payload, "\n".join(lines), 0 if snapshot.kuratowski_ok else 1)
+    witnesses = {}
+    for k, w in kreport.witnesses.items():
+        witnesses[k] = _witness_payload(space, w)
+        lines.append(f"{k} FAIL {_witness_text(space, w)}")
+    return _result(payload, lines, witnesses, snapshot.kuratowski_ok)
 
 
 def _cmd_pcont(ws, flags):
-    ws = _require(ws)
     name1, rel1 = _pick_relation(ws, flags, "rel")
     name2, rel2 = _pick_relation(ws, flags, "rel2", default=name1)
     map_name, f = _pick_map(ws, flags)
     scan = _scan_size(PCONT_SCAN_CAP, flags)
     if flags.get("iso"):
         report = check_proximal_isomorphism(f, rel1, rel2, max_size=scan)
-        spaces = {"bijective": rel1.space, "pcont": rel1.space, "inverse_pcont": rel2.space}
     else:
         report = check_pcont(f, rel1, rel2, max_size=scan)
-        spaces = {"pcont": rel1.space}
-    lines, verdicts, witnesses = _report_lines(report, spaces)
+    lines, verdicts, witnesses = _report_lines(report, _map_spaces(rel1, rel2))
     payload = {
         "verb": "pcont",
         "map": map_name,
@@ -280,16 +264,13 @@ def _cmd_pcont(ws, flags):
         "verdicts": verdicts,
         "ok": report.ok,
     }
-    if witnesses:
-        payload["witnesses"] = witnesses
-    return CommandResult(payload, "\n".join(lines), 0 if report.ok else 1)
+    return _result(payload, lines, witnesses, report.ok)
 
 
 def _cmd_group_check(ws, flags):
-    ws = _require(ws)
     group = _need_group(ws)
     name, rel = _pick_relation(ws, flags)
-    klass = flags.get("axiom_class") or "efremovic"
+    klass = flags["axiom_class"]
     report = check_proximal_group(
         group, rel, axiom_class=klass, max_size=_scan_size(GROUP_SCAN_CAP, flags)
     )
@@ -299,12 +280,12 @@ def _cmd_group_check(ws, flags):
 
 
 def _cmd_translations(ws, flags):
-    ws = _require(ws)
     group = _need_group(ws)
     name, rel = _pick_relation(ws, flags)
     report = check_translations(group, rel, max_size=_scan_size(GROUP_SCAN_CAP, flags))
     lines = []
     entries = {}
+    witnesses = {}
     for x, left, right in report.entries:
         label = group.space.labels[x]
         entries[label] = {"left": left.ok, "right": right.ok}
@@ -312,31 +293,25 @@ def _cmd_translations(ws, flags):
             f"translation {label}: left {'PASS' if left.ok else 'FAIL'},"
             f" right {'PASS' if right.ok else 'FAIL'}"
         )
+        for side, rep in (("left", left), ("right", right)):
+            for k, w in rep.witnesses.items():
+                witnesses[f"{label}.{side}.{k}"] = _witness_payload(rel.space, w)
     payload = {
         "verb": "translations",
         "relation": name,
         "entries": entries,
         "ok": report.ok,
     }
-    if not report.ok:
-        witnesses = {}
-        for x, left, right in report.entries:
-            label = group.space.labels[x]
-            for side, rep in (("left", left), ("right", right)):
-                for k, w in rep.witnesses.items():
-                    witnesses[f"{label}.{side}.{k}"] = _witness_payload(rel.space, w)
-        payload["witnesses"] = witnesses
-    return CommandResult(payload, "\n".join(lines), 0 if report.ok else 1)
+    return _result(payload, lines, witnesses, report.ok)
 
 
 def _cmd_subgroup(ws, flags):
-    ws = _require(ws)
     group = _need_group(ws)
     name, rel = _pick_relation(ws, flags)
     h = _need_mask(flags, "subset", ws.space)
-    klass = flags.get("axiom_class") or "efremovic"
     report = subgroup_proximal_group(
-        group, rel, h, axiom_class=klass, max_size=_scan_size(GROUP_SCAN_CAP, flags)
+        group, rel, h, axiom_class=flags["axiom_class"],
+        max_size=_scan_size(GROUP_SCAN_CAP, flags),
     )
     sub_space = FiniteSpace(tuple(ws.space.label_set(h)))
     return _proximal_group_result(
@@ -348,13 +323,11 @@ def _cmd_subgroup(ws, flags):
 
 
 def _cmd_product(ws, flags):
-    ws = _require(ws)
     group = _need_group(ws)
     name1, rel1 = _pick_relation(ws, flags, "rel")
     name2, rel2 = _pick_relation(ws, flags, "rel2", default=name1)
-    klass = flags.get("axiom_class") or "efremovic"
     report = product_proximal_group(
-        group, rel1, group, rel2, axiom_class=klass,
+        group, rel1, group, rel2, axiom_class=flags["axiom_class"],
         max_size=_scan_size(GROUP_SCAN_CAP, flags),
     )
     # a product of verified factors passes, so the report holds no witness
@@ -364,7 +337,6 @@ def _cmd_product(ws, flags):
 
 
 def _cmd_hom_check(ws, flags):
-    ws = _require(ws)
     group = _need_group(ws)
     name1, rel1 = _pick_relation(ws, flags, "rel")
     name2, rel2 = _pick_relation(ws, flags, "rel2", default=name1)
@@ -374,13 +346,7 @@ def _cmd_hom_check(ws, flags):
         eta, group, rel1, group, rel2,
         isomorphism=bool(flags.get("iso")), max_size=scan,
     )
-    spaces = {
-        "group_homomorphism": rel1.space,
-        "pcont": rel1.space,
-        "bijective": rel1.space,
-        "inverse_pcont": rel2.space,
-    }
-    lines, verdicts, witnesses = _report_lines(report, spaces)
+    lines, verdicts, witnesses = _report_lines(report, _map_spaces(rel1, rel2))
     payload = {
         "verb": "hom-check",
         "map": map_name,
@@ -389,7 +355,7 @@ def _cmd_hom_check(ws, flags):
         "verdicts": verdicts,
         "ok": report.ok,
     }
-    exit_code = 0 if report.ok else 1
+    ok = report.ok
     if flags.get("criterion"):
         crit = hom_criterion_check(eta, group, rel1, group, rel2, max_size=scan)
         payload["criterion"] = {
@@ -401,55 +367,36 @@ def _cmd_hom_check(ws, flags):
         lines.append(f"criterion conclusion {'PASS' if crit.conclusion.ok else 'FAIL'}")
         lines.append(f"criterion implication {'PASS' if crit.implication_ok else 'FAIL'}")
         if not crit.implication_ok:
-            exit_code = 1
+            ok = False
             if crit.conclusion.witness:
                 witnesses["criterion"] = _witness_payload(rel1.space, crit.conclusion.witness)
-    if witnesses:
-        payload["witnesses"] = witnesses
-    return CommandResult(payload, "\n".join(lines), exit_code)
+    return _result(payload, lines, witnesses, ok)
 
 
 def _cmd_quotient(ws, flags):
-    ws = _require(ws)
     name, rel = _pick_relation(ws, flags)
+    payload: dict = {"verb": "quotient", "relation": name}
+    cayley = []
     if flags.get("normal") is not None:
         group = _need_group(ws)
         n_mask = _need_mask(flags, "normal", ws.space)
         quot_group, quot_rel = quotient_proximal_group(group, rel, n_mask)
-        payload = {
-            "verb": "quotient",
-            "relation": name,
-            "normal_mask": n_mask,
-            "carrier": list(quot_rel.space.labels),
-            "cayley": [list(row) for row in quot_group.cayley],
-            "rows": list(quot_rel.rows),
-            "ok": True,
-        }
-        lines = [
-            "carrier: " + " ".join(quot_rel.space.labels),
-            "cayley: " + " ".join(",".join(str(v) for v in row) for row in quot_group.cayley),
-            "rows: " + " ".join(str(r) for r in quot_rel.rows),
-        ]
-        return CommandResult(payload, "\n".join(lines), 0)
-    if ws.partition is None:
+        payload.update(normal_mask=n_mask, cayley=[list(row) for row in quot_group.cayley])
+        cayley = ["cayley: " + " ".join(",".join(map(str, row)) for row in quot_group.cayley)]
+    elif ws.partition is None:
         raise WorkspaceError("partition", "quotient needs a partition section or --normal MASK")
-    quot_rel = quotient_proximity(rel, ws.partition)
-    payload = {
-        "verb": "quotient",
-        "relation": name,
-        "carrier": list(quot_rel.space.labels),
-        "rows": list(quot_rel.rows),
-        "ok": True,
-    }
+    else:
+        quot_rel = quotient_proximity(rel, ws.partition)
+    payload.update(carrier=list(quot_rel.space.labels), rows=list(quot_rel.rows), ok=True)
     lines = [
         "carrier: " + " ".join(quot_rel.space.labels),
+        *cayley,
         "rows: " + " ".join(str(r) for r in quot_rel.rows),
     ]
-    return CommandResult(payload, "\n".join(lines), 0)
+    return _result(payload, lines, {}, True)
 
 
 def _cmd_iso_theorems(ws, flags):
-    ws = _require(ws)
     group = _need_group(ws)
     which = flags.get("which") or "first"
     name1, rel1 = _pick_relation(ws, flags, "rel")
@@ -459,7 +406,7 @@ def _cmd_iso_theorems(ws, flags):
         map_name, eta = _pick_map(ws, flags)
         report = first_iso_harness(eta, group, rel1, group, rel2, max_size=scan)
         extra = {"relation": name1, "relation2": name2, "map": map_name}
-        proximal_space = {"bijective": rel2.space, "pcont": rel2.space, "inverse_pcont": rel2.space}
+        proximal_space = rel2.space
     elif which == "second":
         h = _need_mask(flags, "subset", ws.space)
         n = _need_mask(flags, "normal", ws.space)
@@ -492,22 +439,20 @@ def _cmd_iso_theorems(ws, flags):
         "proximal": verdicts,
         "ok": report.ok,
     }
-    if witnesses:
-        payload["witnesses"] = witnesses
-    return CommandResult(payload, "\n".join(lines), 0 if report.ok else 1)
+    return _result(payload, lines, witnesses, report.ok)
 
 
 def _cmd_descriptive_check(ws, flags):
-    ws = _require(ws)
     name, probes = _pick_probes(ws, flags)
     scan = _scan_size(DEFAULT_SCAN_CAP, flags)
     lodato = check_descriptive_lodato(probes, max_size=scan)
     ef = check_descriptive_ef(probes, max_size=scan)
-    lines, verdicts, witnesses = _report_lines(lodato, probes.space)
-    ef_lines, ef_verdicts, ef_witnesses = _report_lines(ef, probes.space)
-    lines.append(ef_lines[-1])  # DEF line; DL1-DL4 already reported
-    verdicts["DEF"] = ef_verdicts["DEF"]
-    witnesses.update({k: v for k, v in ef_witnesses.items() if k == "DEF"})
+    # DL1-DL4 from the Lodato report, then DEF from the EF one
+    axioms = AxiomReport(
+        {**lodato.verdicts, "DEF": ef.verdicts["DEF"]},
+        {**lodato.witnesses, **{k: w for k, w in ef.witnesses.items() if k == "DEF"}},
+    )
+    lines, verdicts, witnesses = _report_lines(axioms, probes.space)
     ok = lodato.ok and ef.ok
     payload = {
         "verb": "descriptive-check",
@@ -515,31 +460,20 @@ def _cmd_descriptive_check(ws, flags):
         "verdicts": verdicts,
         "ok": ok,
     }
-    exit_code = 0 if ok else 1
     if flags.get("group"):
         group = _need_group(ws)
         report = check_descriptive_proximal_group(
             group, probes, max_size=_scan_size(GROUP_SCAN_CAP, flags)
         )
-        payload["mu1"] = report.mu1_pcont.ok
-        payload["mu2"] = report.mu2_pcont.ok
-        payload["group_ok"] = report.ok
-        for tag, check in (("mu1", report.mu1_pcont), ("mu2", report.mu2_pcont)):
-            if check.ok:
-                lines.append(f"{tag} PASS")
-            else:
-                witnesses[tag] = _witness_payload(probes.space, check.witness)
-                lines.append(f"{tag} FAIL {_witness_text(probes.space, check.witness)}")
-        if not report.ok:
-            exit_code = 1
-        payload["ok"] = ok and report.ok
-    if witnesses:
-        payload["witnesses"] = witnesses
-    return CommandResult(payload, "\n".join(lines), exit_code)
+        mu_lines, mu, mu_witnesses = _report_lines(_continuity(report), probes.space)
+        lines += mu_lines
+        witnesses.update(mu_witnesses)
+        ok = ok and report.ok
+        payload.update(mu, group_ok=report.ok, ok=ok)
+    return _result(payload, lines, witnesses, ok)
 
 
 def _cmd_mapping_space(ws, flags):
-    ws = _require(ws)
     name1, probes1 = _pick_probes(ws, flags, "probes")
     name2, probes2 = (
         _pick_probes(ws, flags, "probes2") if flags.get("probes2") else (name1, probes1)
@@ -569,25 +503,18 @@ def _cmd_mapping_space(ws, flags):
         "ok": verdict.near,
     }
     if verdict.near:
-        return CommandResult(payload, "near PASS", 0)
+        return _result(payload, ["near PASS"], {}, True)
     a, b, f_name, g_name = verdict.witness
-    payload["witnesses"] = {
-        "mapping_space": {
-            **_witness_payload(ws.space, (a, b)),
-            "maps": [f_name, g_name],
-        }
-    }
-    text = (
-        f"near FAIL {_witness_text(ws.space, (a, b))} maps=({f_name}, {g_name})"
-    )
-    return CommandResult(payload, text, 1)
+    witness = {**_witness_payload(ws.space, (a, b)), "maps": [f_name, g_name]}
+    line = f"near FAIL {_witness_text(ws.space, (a, b))} maps=({f_name}, {g_name})"
+    return _result(payload, [line], {"mapping_space": witness}, False)
 
 
 def _cmd_enumerate(ws, flags):
     n = flags.get("n")
     if n is None:
         raise WorkspaceError("flags", "enumerate needs --n SIZE")
-    klass = flags.get("axiom_class") or "cech"
+    klass = flags["axiom_class"]
     rels = list(enumerate_relations(n, klass))
     payload = {
         "verb": "enumerate",
@@ -599,7 +526,7 @@ def _cmd_enumerate(ws, flags):
     }
     lines = [f"count {len(rels)}"]
     lines += ["rows: " + " ".join(str(v) for v in r.rows) for r in rels]
-    return CommandResult(payload, "\n".join(lines), 0)
+    return _result(payload, lines, {}, True)
 
 
 def _cmd_fuzz(ws, flags):
@@ -615,12 +542,10 @@ def _cmd_fuzz(ws, flags):
         raise WorkspaceError(
             "flags", f"--classes needs comma-separated relation sources, got {classes!r}"
         )
-    scope = None
-    if max_order is not None or classes is not None:
-        scope = FuzzScope(
-            entry.scope.max_order if max_order is None else max_order,
-            entry.scope.relation_classes if classes is None else tuple(classes.split(",")),
-        )
+    scope = FuzzScope(
+        entry.scope.max_order if max_order is None else max_order,
+        entry.scope.relation_classes if classes is None else tuple(classes.split(",")),
+    )
     outcome = fuzz_theorem(theorem, scope)
     ok = not outcome.counterexamples
     payload = {
@@ -633,7 +558,7 @@ def _cmd_fuzz(ws, flags):
     lines = [f"instances {outcome.instances}", f"counterexamples {len(outcome.counterexamples)}"]
     for c in outcome.counterexamples:
         lines.append(json.dumps(c, sort_keys=True))
-    return CommandResult(payload, "\n".join(lines), 0 if ok else 1)
+    return _result(payload, lines, {}, ok)
 
 
 def _cmd_census(ws, flags):
@@ -643,44 +568,107 @@ def _cmd_census(ws, flags):
     census = mine_separating_examples(n)
     payload = {"verb": "census", **census.to_payload(), "ok": True}
     lines = [f"{k} {v}" for k, v in sorted(census.counts.items())]
-    for tag, rel in (
-        ("cech_not_lodato", census.cech_not_lodato),
-        ("cech_not_ef", census.cech_not_ef),
-    ):
+    for tag in ("cech_not_lodato", "cech_not_ef"):
+        rel = getattr(census, tag)
         if rel is None:
             lines.append(f"{tag}: none")
         else:
             lines.append(f"{tag}: rows " + " ".join(str(v) for v in rel.rows))
-    return CommandResult(payload, "\n".join(lines), 0)
+    return _result(payload, lines, {}, True)
 
 
-HANDLERS = {
-    "check-axioms": _cmd_check_axioms,
-    "topology": _cmd_topology,
-    "pcont": _cmd_pcont,
-    "group-check": _cmd_group_check,
-    "translations": _cmd_translations,
-    "subgroup": _cmd_subgroup,
-    "product": _cmd_product,
-    "hom-check": _cmd_hom_check,
-    "quotient": _cmd_quotient,
-    "iso-theorems": _cmd_iso_theorems,
-    "descriptive-check": _cmd_descriptive_check,
-    "mapping-space": _cmd_mapping_space,
-    "enumerate": _cmd_enumerate,
-    "fuzz": _cmd_fuzz,
-    "census": _cmd_census,
+# Flag specs by name; a verb lists the ones it takes, in --help order.
+FLAGS: dict[str, dict] = {
+    "--rel": {},
+    "--rel2": {},
+    "--map": {},
+    "--iso": {"action": "store_true"},
+    "--criterion": {"action": "store_true"},
+    "--subset": {"type": int},
+    "--normal": {"type": int},
+    "--normal2": {"type": int},
+    "--which": {"choices": ("first", "second", "third"), "default": "first"},
+    "--probes": {},
+    "--probes2": {},
+    "--set1": {},
+    "--set2": {},
+    "--group": {"action": "store_true"},
+    "--n": {"type": int},
+    "--theorem": {},
+    "--max-order": {"type": int},
+    "--classes": {},
+}
+
+
+@dataclass(frozen=True)
+class Verb:
+    """A verb: its handler, its :data:`FLAGS` in --help order (``required``
+    ones too), whether it reads a document and takes --max-n, and the
+    --class choices, added last, with their default."""
+
+    handler: Callable[[WorkspaceDocument | None, dict], CommandResult]
+    flags: tuple[str, ...] = ()
+    required: tuple[str, ...] = ()
+    document: bool = True
+    max_n: bool = True
+    classes: Collection[str] = ()
+    default_class: str | None = None
+
+
+# The single list of verbs, in the order --help and the unknown-verb error show.
+VERBS: dict[str, Verb] = {
+    "check-axioms": Verb(
+        _cmd_check_axioms, ("--rel",), classes=AXIOM_CHECKERS, default_class="lodato"
+    ),
+    "topology": Verb(_cmd_topology, ("--rel",)),
+    "pcont": Verb(_cmd_pcont, ("--rel", "--rel2", "--map", "--iso")),
+    "group-check": Verb(
+        _cmd_group_check, ("--rel",), classes=AXIOM_CHECKS, default_class="efremovic"
+    ),
+    "translations": Verb(_cmd_translations, ("--rel",)),
+    "subgroup": Verb(
+        _cmd_subgroup, ("--rel", "--subset"), required=("--subset",),
+        classes=AXIOM_CHECKS, default_class="efremovic",
+    ),
+    "product": Verb(
+        _cmd_product, ("--rel", "--rel2"), classes=AXIOM_CHECKS, default_class="efremovic"
+    ),
+    "hom-check": Verb(_cmd_hom_check, ("--rel", "--rel2", "--map", "--iso", "--criterion")),
+    # quotient and subspace relations are built without a size-capped scan
+    "quotient": Verb(_cmd_quotient, ("--rel", "--normal"), max_n=False),
+    "iso-theorems": Verb(
+        _cmd_iso_theorems,
+        ("--which", "--rel", "--rel2", "--map", "--subset", "--normal", "--normal2"),
+    ),
+    "descriptive-check": Verb(_cmd_descriptive_check, ("--probes", "--group")),
+    "mapping-space": Verb(_cmd_mapping_space, ("--probes", "--probes2", "--set1", "--set2")),
+    "enumerate": Verb(
+        _cmd_enumerate, ("--n",), required=("--n",), document=False, max_n=False,
+        classes=RELATION_CLASSES, default_class="cech",
+    ),
+    "fuzz": Verb(
+        _cmd_fuzz, ("--theorem", "--max-order", "--classes"), required=("--theorem",),
+        document=False, max_n=False,
+    ),
+    "census": Verb(_cmd_census, ("--n",), required=("--n",), document=False, max_n=False),
 }
 
 
 def run_command(verb: str, ws: WorkspaceDocument | None, flags: Mapping[str, Any] | None = None) -> CommandResult:
     """Run one verb against a parsed workspace; reports are deterministic."""
-    if verb not in HANDLERS:
+    if verb not in VERBS:
         raise WorkspaceError("verb", f"unknown verb {verb!r}; known: {', '.join(VERBS)}")
+    spec = VERBS[verb]
     flags = dict(flags or {})
     if flags.get("max_n") is not None and flags["max_n"] < 1:
         raise WorkspaceError("flags", f"--max-n must be at least 1, got {flags['max_n']}")
-    return HANDLERS[verb](ws, flags)
+    if spec.document and ws is None:
+        raise WorkspaceError("document", "this verb needs a workspace document")
+    if spec.classes:
+        flags["axiom_class"] = flags.get("axiom_class") or spec.default_class
+        if flags["axiom_class"] not in spec.classes:
+            raise WorkspaceError("flags", f"--class must be one of {sorted(spec.classes)}")
+    return spec.handler(ws, flags)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -689,101 +677,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite proximity-space and proximal-group verification toolkit.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(verb, needs_doc=True, capped=True):
-        # only verbs with a size-capped scan take --max-n
+    for verb, spec in VERBS.items():
         p = sub.add_parser(verb)
-        if needs_doc:
+        if spec.document:
             p.add_argument("document", help="workspace JSON file, or - for stdin")
-        if needs_doc and capped:
+        if spec.max_n:
             p.add_argument("--max-n", type=int, default=None, dest="max_n",
                            help="raise the exhaustive-scan size cap")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        return p
-
-    p = add("check-axioms")
-    p.add_argument("--rel", default=None)
-    p.add_argument("--class", dest="axiom_class",
-                   choices=("cech", "lodato", "efremovic", "kuratowski"), default="lodato")
-
-    p = add("topology")
-    p.add_argument("--rel", default=None)
-
-    p = add("pcont")
-    p.add_argument("--rel", default=None)
-    p.add_argument("--rel2", default=None)
-    p.add_argument("--map", default=None)
-    p.add_argument("--iso", action="store_true")
-
-    p = add("group-check")
-    p.add_argument("--rel", default=None)
-    p.add_argument("--class", dest="axiom_class",
-                   choices=("cech", "lodato", "efremovic"), default="efremovic")
-
-    p = add("translations")
-    p.add_argument("--rel", default=None)
-
-    p = add("subgroup")
-    p.add_argument("--rel", default=None)
-    p.add_argument("--subset", type=int, required=True)
-    p.add_argument("--class", dest="axiom_class",
-                   choices=("cech", "lodato", "efremovic"), default="efremovic")
-
-    p = add("product")
-    p.add_argument("--rel", default=None)
-    p.add_argument("--rel2", default=None)
-    p.add_argument("--class", dest="axiom_class",
-                   choices=("cech", "lodato", "efremovic"), default="efremovic")
-
-    p = add("hom-check")
-    p.add_argument("--rel", default=None)
-    p.add_argument("--rel2", default=None)
-    p.add_argument("--map", default=None)
-    p.add_argument("--iso", action="store_true")
-    p.add_argument("--criterion", action="store_true")
-
-    p = add("quotient", capped=False)
-    p.add_argument("--rel", default=None)
-    p.add_argument("--normal", type=int, default=None)
-
-    p = add("iso-theorems")
-    p.add_argument("--which", choices=("first", "second", "third"), default="first")
-    p.add_argument("--rel", default=None)
-    p.add_argument("--rel2", default=None)
-    p.add_argument("--map", default=None)
-    p.add_argument("--subset", type=int, default=None)
-    p.add_argument("--normal", type=int, default=None)
-    p.add_argument("--normal2", type=int, default=None)
-
-    p = add("descriptive-check")
-    p.add_argument("--probes", default=None)
-    p.add_argument("--group", action="store_true")
-
-    p = add("mapping-space")
-    p.add_argument("--probes", default=None)
-    p.add_argument("--probes2", default=None)
-    p.add_argument("--set1", default=None)
-    p.add_argument("--set2", default=None)
-
-    p = add("enumerate", needs_doc=False)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--class", dest="axiom_class",
-                   choices=("cech", "lodato", "efremovic"), default="cech")
-
-    p = add("fuzz", needs_doc=False)
-    p.add_argument("--theorem", required=True)
-    p.add_argument("--max-order", type=int, default=None, dest="max_order")
-    p.add_argument("--classes", default=None)
-
-    p = add("census", needs_doc=False)
-    p.add_argument("--n", type=int, required=True)
-
+        for flag in spec.flags:
+            p.add_argument(flag, required=flag in spec.required, **FLAGS[flag])
+        if spec.classes:
+            p.add_argument("--class", dest="axiom_class",
+                           choices=spec.classes, default=spec.default_class)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     flags = {
         k: v
         for k, v in vars(args).items()
@@ -791,7 +702,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     ws = None
     try:
-        if args.verb not in DOCUMENT_FREE_VERBS:
+        if VERBS[args.verb].document:
             if args.document == "-":
                 text = sys.stdin.read()
             else:

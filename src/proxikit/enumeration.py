@@ -31,7 +31,6 @@ from typing import Callable, Iterator, Sequence
 
 from .axioms import check_efremovic, check_lodato
 from .groups import (
-    GROUP_SCAN_CAP,
     FiniteGroup,
     all_groups_up_to,
     all_subgroups,
@@ -57,7 +56,7 @@ from .relations import (
     make_discrete_proximity,
     relation_from_point_pairs,
 )
-from .spaces import FiniteSpace, default_space
+from .spaces import MAX_CARRIER, FiniteSpace, default_space
 
 ENUMERATION_CAP = 4
 PARTITION_CAP = 8
@@ -97,8 +96,8 @@ class _ExplicitSets:
 
 
 # Each axiom id maps to its arity and to whether a tuple of that many sets
-# violates it, straight from the axiom's quantifier.  K1 has no free set;
-# its witness is the 1-tuple (empty set,), which the predicate ignores.
+# violates it, straight from the axiom's quantifier.  K1 speaks of the
+# empty set alone, so only the 1-tuple (empty set,) can witness it.
 VIOLATIONS: dict[str, tuple[int, Callable[..., bool]]] = {
     "L1": (2, lambda x, s, t: x.near(s, t) and not x.near(t, s)),
     "L2": (2, lambda x, s, t: x.near(s, t) and (not s or not t)),
@@ -118,7 +117,7 @@ VIOLATIONS: dict[str, tuple[int, Callable[..., bool]]] = {
     "transitivity": (
         3, lambda x, s, t, u: x.near(s, t) and x.near(t, u) and not x.near(s, u)
     ),
-    "K1": (1, lambda x, _b: x.cl(frozenset()) != frozenset()),
+    "K1": (1, lambda x, b: not b and bool(x.cl(b))),
     "K2": (1, lambda x, b: not b <= x.cl(b)),
     "K3": (2, lambda x, s, t: x.cl(s | t) != x.cl(s) | x.cl(t)),
     "K4": (1, lambda x, b: x.cl(x.cl(b)) != x.cl(b)),
@@ -424,11 +423,6 @@ def _axiom_class(source: str) -> str:
     return cls
 
 
-def _scan_cap(*groups: FiniteGroup) -> int:
-    """Scan cap that admits the carriers of every group of an instance."""
-    return max(GROUP_SCAN_CAP, *(g.order for g in groups))
-
-
 _GROUP_KEYS = ("group", "group2")
 _RELATION_KEYS = ("relation", "relation2")
 
@@ -519,7 +513,8 @@ def _verified_structures(scope: FuzzScope) -> Iterator[dict]:
     for s in _structures(scope):
         g = s["group"][1]
         report = check_proximal_group(
-            g, s["relation"], axiom_class=_axiom_class(s["relation_class"]), max_size=_scan_cap(g)
+            g, s["relation"], axiom_class=_axiom_class(s["relation_class"]),
+            max_size=MAX_CARRIER,
         )
         if report.ok:
             yield s
@@ -576,7 +571,7 @@ def _first_iso_instances(scope: FuzzScope) -> Iterator[dict]:
             for _, rel1 in _relations_for(g1.space, scope.relation_classes):
                 for _, rel2 in _relations_for(g2.space, scope.relation_classes):
                     for eta in homs:
-                        if check_pcont(eta, rel1, rel2, max_size=_scan_cap(g1, g2)).ok:
+                        if check_pcont(eta, rel1, rel2, max_size=MAX_CARRIER).ok:
                             yield {
                                 "group": (gname1, g1),
                                 "relation": rel1,
@@ -613,19 +608,20 @@ def _carrier_relations(scope: FuzzScope) -> Iterator[dict]:
 
 # -- verdicts: live instance -> the statement holds -------------------------
 # They name the checkers at call time, so a checker patched on this module is
-# the one that runs.
+# the one that runs.  A sweep's cost is bounded by its scope, so every
+# verdict scans up to MAX_CARRIER rather than stopping at a scan cap.
 
 
 def _translations_hold(i: dict) -> bool:
     g = i["group"][1]
-    return check_translations(g, i["relation"], max_size=_scan_cap(g)).ok
+    return check_translations(g, i["relation"], max_size=MAX_CARRIER).ok
 
 
 def _subgroup_holds(i: dict) -> bool:
     g = i["group"][1]
     return subgroup_proximal_group(
         g, i["relation"], i["subgroup_mask"],
-        axiom_class=_axiom_class(i["relation_class"]), max_size=_scan_cap(g),
+        axiom_class=_axiom_class(i["relation_class"]), max_size=MAX_CARRIER,
     ).ok
 
 
@@ -633,28 +629,28 @@ def _product_holds(i: dict) -> bool:
     g1, g2 = i["group"][1], i["group2"][1]
     return product_proximal_group(
         g1, i["relation"], g2, i["relation2"],
-        axiom_class=_axiom_class(i["relation_class"]), max_size=_scan_cap(g1, g2),
+        axiom_class=_axiom_class(i["relation_class"]), max_size=MAX_CARRIER,
     ).ok
 
 
 def _first_iso_holds(i: dict) -> bool:
     g1, g2 = i["group"][1], i["group2"][1]
     return first_iso_harness(
-        i["map_images"], g1, i["relation"], g2, i["relation2"], max_size=_scan_cap(g1, g2)
+        i["map_images"], g1, i["relation"], g2, i["relation2"], max_size=MAX_CARRIER
     ).ok
 
 
 def _second_iso_holds(i: dict) -> bool:
     g = i["group"][1]
     return second_iso_harness(
-        g, i["relation"], i["subgroup_mask"], i["normal_mask"], max_size=_scan_cap(g)
+        g, i["relation"], i["subgroup_mask"], i["normal_mask"], max_size=MAX_CARRIER
     ).ok
 
 
 def _third_iso_holds(i: dict) -> bool:
     g = i["group"][1]
     return third_iso_harness(
-        g, i["relation"], i["normal_mask"], i["containing_mask"], max_size=_scan_cap(g)
+        g, i["relation"], i["normal_mask"], i["containing_mask"], max_size=MAX_CARRIER
     ).ok
 
 
@@ -662,26 +658,26 @@ def _hom_criterion_holds(i: dict) -> bool:
     g1, g2 = i["group"][1], i["group2"][1]
     return hom_criterion_check(
         i["map_images"], g1, i["relation"], g2, i["relation2"],
-        axiom_class=_axiom_class(i["relation_class2"]), max_size=_scan_cap(g1, g2),
+        axiom_class=_axiom_class(i["relation_class2"]), max_size=MAX_CARRIER,
     ).implication_ok
 
 
 def _inversion_holds(i: dict) -> bool:
     g = i["group"][1]
-    return inversion_continuity_harness(g, i["relation"], max_size=_scan_cap(g)).implication_ok
+    return inversion_continuity_harness(g, i["relation"], max_size=MAX_CARRIER).implication_ok
 
 
 def _multiplication_holds(i: dict) -> bool:
     g = i["group"][1]
     return multiplication_continuity_harness(
-        g, i["relation"], i["mode"], max_size=_scan_cap(g)
+        g, i["relation"], i["mode"], max_size=MAX_CARRIER
     ).implication_ok
 
 
 def _t1_readings_agree(i: dict) -> bool:
     g = i["group"][1]
     return hausdorff_check(
-        g, i["relation"], axiom_class=_axiom_class(i["relation_class"]), max_size=_scan_cap(g)
+        g, i["relation"], axiom_class=_axiom_class(i["relation_class"]), max_size=MAX_CARRIER
     ).readings_agree
 
 
@@ -735,7 +731,9 @@ THEOREMS: dict[str, Theorem] = {
         FuzzScope(4, ("cech",)), _verified_structures, _t1_readings_agree
     ),
     "every-cech-is-lodato": Theorem(
-        FuzzScope(3, ("cech",)), _carrier_relations, lambda i: check_lodato(i["relation"]).ok
+        FuzzScope(3, ("cech",)),
+        _carrier_relations,
+        lambda i: check_lodato(i["relation"], max_size=MAX_CARRIER).ok,
     ),
 }
 

@@ -485,6 +485,9 @@ def check_proximal_group(
     Runs the requested axiom class on the relation, rectangle continuity of
     subset multiplication, and continuity of subset inversion.
     """
+    if axiom_class not in AXIOM_CHECKS:
+        known = ", ".join(AXIOM_CHECKS)
+        raise ValueError(f"unknown axiom class {axiom_class!r}; known classes: {known}")
     if g.space != rel.space:
         raise ValueError("group and relation carriers do not match")
     require_scan_size(g.order, max_size, "proximal-group")

@@ -28,9 +28,6 @@ class SpaceMap:
             if not 0 <= img < self.codomain.size:
                 raise ValueError(f"image of element {i} out of range: {img}")
 
-    def apply(self, i: int) -> int:
-        return self.images[i]
-
     def image_mask(self, mask: int) -> int:
         out = 0
         for i in bits(mask):

@@ -173,10 +173,6 @@ def product_space(s1: FiniteSpace, s2: FiniteSpace) -> FiniteSpace:
     return FiniteSpace(labels)
 
 
-def pair_index(s1: FiniteSpace, s2: FiniteSpace, i: int, j: int) -> int:
-    return i * s2.size + j
-
-
 def rectangle_mask(s1: FiniteSpace, s2: FiniteSpace, mask1: int, mask2: int) -> int:
     """Product-carrier mask of the rectangle mask1 x mask2."""
     out = 0

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from proxikit import parse_workspace, run_command
-from proxikit.cli import main
+from proxikit.cli import VERBS, main
 from proxikit.workspace import WorkspaceError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -315,3 +316,54 @@ def test_product_relation_rejected_by_table_verbs():
     ws = parse_workspace(text)
     with pytest.raises(WorkspaceError, match="product relation"):
         run_command("check-axioms", ws, {"rel": "pr"})
+
+
+@pytest.mark.parametrize("verb", ["group-check", "subgroup", "product"])
+def test_unknown_class_is_a_flags_error(verb):
+    ws = parse_workspace((FIXTURES / "z2_first_iso.json").read_text())
+    message = r"--class must be one of \['cech', 'efremovic', 'lodato'\]"
+    with pytest.raises(WorkspaceError, match=message):
+        run_command(verb, ws, {"rel": "d", "subset": 1, "axiom_class": "foo"})
+
+
+def test_readme_lists_the_verb_table_in_order():
+    readme = (FIXTURES.parent / "README.md").read_text()
+    listed = readme.split("\nVerbs: ", 1)[1].split(".\n", 1)[0]
+    assert re.findall(r"`([a-z-]+)`", listed) == list(VERBS)
+
+
+@pytest.mark.parametrize("verb", list(VERBS))
+def test_every_verb_has_help(verb, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: proxikit {verb} ")
+
+
+@pytest.mark.parametrize("verb", [v for v, spec in VERBS.items() if spec.document])
+def test_document_verbs_need_a_document(verb):
+    with pytest.raises(WorkspaceError, match="needs a workspace document"):
+        run_command(verb, None, {})
+
+
+def test_quotient_by_a_normal_subgroup_reports_its_cayley_table():
+    ws = parse_workspace((FIXTURES / "z4_quotient.json").read_text())
+    result = run_command("quotient", ws, {"rel": "d", "normal": 0b0101})
+    assert result.text.splitlines() == ["carrier: a|c b|d", "cayley: 0,1 1,0", "rows: 0 10 12 14"]
+    assert result.payload["cayley"] == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["subgroup", str(FIXTURES / "z3_group.json")], "--subset"),
+        (["enumerate"], "--n"),
+        (["census"], "--n"),
+        (["fuzz"], "--theorem"),
+    ],
+)
+def test_the_parser_requires_the_required_flags(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"the following arguments are required: {flag}" in capsys.readouterr().err

@@ -192,6 +192,17 @@ def test_witness_violates_rejects_a_witness_of_the_wrong_length():
         witness_violates(rel, axiom, (1,) * arity)
 
 
+def test_k1_is_witnessed_by_the_empty_set_alone():
+    # {a} near the empty set, so cl(empty) = {a}: K1 fails, and only the
+    # empty set (mask 0) witnesses it
+    rel = ProximityRelation(default_space(2), (0b0010, 0b0011, 0b0100, 0b1000))
+    assert not naive_oracle(rel, "K1")
+    assert check_kuratowski(rel).witnesses["K1"] == (0,)
+    assert witness_violates(rel, "K1", (0,))
+    for mask in (1, 2, 3):
+        assert not witness_violates(rel, "K1", (mask,))
+
+
 def test_violation_table_has_exactly_the_checker_verdict_keys():
     # every verdict key the relation checkers emit, passing or failing,
     # is an axiom the oracle can certify, and the table has no other key
@@ -395,6 +406,21 @@ def test_default_scope_sweep_counts():
         outcome = fuzz_theorem(theorem)
         counts[theorem] = (outcome.instances, len(outcome.counterexamples))
     assert counts == DEFAULT_SCOPE_COUNTS
+
+
+@pytest.mark.parametrize(
+    "theorem, scope, instances",
+    [
+        # product order above GROUP_SCAN_CAP, factor orders below it
+        ("products-inherit-proximal-group", FuzzScope(8, ("discrete", "coarse")), 136),
+        # carriers above DEFAULT_SCAN_CAP: Bell(1) + ... + Bell(6) partitions
+        ("every-cech-is-lodato", FuzzScope(6, ("lodato",)), 278),
+        ("every-cech-is-lodato", FuzzScope(8, ("discrete", "coarse")), 16),
+    ],
+)
+def test_sweeps_are_bounded_by_their_scope_not_the_scan_caps(theorem, scope, instances):
+    outcome = fuzz_theorem(theorem, scope)
+    assert (outcome.instances, len(outcome.counterexamples)) == (instances, 0)
 
 
 def test_homomorphism_search_matches_filtering_every_map():

@@ -183,6 +183,22 @@ def test_carrier_mismatch_rejected():
         check_proximal_group(Z4, make_discrete_proximity(default_space(3)))
 
 
+def test_unknown_axiom_class_is_a_value_error_naming_the_classes():
+    z2 = cyclic_group(2)
+    d = make_discrete_proximity(z2.space)
+    calls = [
+        lambda: check_proximal_group(Z4, D4, axiom_class="foo"),
+        lambda: subgroup_proximal_group(Z4, D4, 0b0101, axiom_class="foo"),
+        lambda: product_proximal_group(z2, d, z2, d, axiom_class="foo"),
+        lambda: hom_criterion_check(identity_map(Z4.space), Z4, D4, Z4, D4, axiom_class="foo"),
+        lambda: proxikit.hausdorff_check(Z4, D4, axiom_class="foo"),
+    ]
+    message = "unknown axiom class 'foo'; known classes: cech, lodato, efremovic"
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 # --- translations ---------------------------------------------------------
 
 
