@@ -17,7 +17,9 @@ member pair is point-related", and every such graph extends to a Cech
 relation; the Lodato and Efremovic relations are those whose point relation
 is transitive, that is the set partitions.  Two independent cross-check
 paths are kept: branching over free subset pairs with forced entries (tiny
-carriers) and raw brute force over all tables (n <= 2).
+carriers) and raw brute force over all tables (n <= 2).  The sweeps over
+proximal groups take, from each class, one relation per normal subgroup of
+the group (:func:`_coset_relations`) in place of filtering the class.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from .groups import (
     all_subgroups,
     check_proximal_group,
     check_translations,
+    coset_partition,
     hom_criterion_check,
     normal_subgroups,
     product_proximal_group,
@@ -56,7 +59,7 @@ from .relations import (
     make_discrete_proximity,
     relation_from_point_pairs,
 )
-from .spaces import MAX_CARRIER, FiniteSpace, default_space
+from .spaces import MAX_CARRIER, FiniteSpace, bits, default_space
 
 ENUMERATION_CAP = 4
 PARTITION_CAP = 8
@@ -183,6 +186,27 @@ def _partition_codes(n: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
     )
 
 
+def _table(n: int) -> str:
+    return f"{(1 << n) * (1 << n)}-entry table"
+
+
+def _require_partition_cap(n: int, axiom_class: str) -> None:
+    if n > PARTITION_CAP:
+        raise ValueError(
+            f"enumeration of {axiom_class} relations capped at n <= {PARTITION_CAP}:"
+            f" a carrier of size {n} has Bell({n}) = {_bell_number(n)} set partitions,"
+            f" each with a {_table(n)}"
+        )
+
+
+@cache
+def _partition_ranks(n: int) -> dict[int, int]:
+    """Index of each set partition of range(n) in the ``lodato`` and
+    ``efremovic`` streams of :func:`enumerate_relations`, by pair code."""
+    codes = _partition_codes(n, list(combinations(range(n), 2)))
+    return {code: i for i, code in enumerate(codes)}
+
+
 def enumerate_relations(n: int, axiom_class: str = "cech") -> Iterator[ProximityRelation]:
     """Every relation of the class on n elements, exactly once, in a fixed order.
 
@@ -197,23 +221,17 @@ def enumerate_relations(n: int, axiom_class: str = "cech") -> Iterator[Proximity
     """
     if axiom_class not in RELATION_CLASSES:
         raise ValueError(f"relation class must be one of {RELATION_CLASSES}, got {axiom_class!r}")
-    table = f"{(1 << n) * (1 << n)}-entry table"
     pairs = list(combinations(range(n), 2))
     if axiom_class == "cech":
         if n > ENUMERATION_CAP:
             raise ValueError(
                 f"enumeration of cech relations capped at n <= {ENUMERATION_CAP}: a carrier"
                 f" of size {n} means {2 ** len(pairs)} candidate point relations, each"
-                f" with a {table}"
+                f" with a {_table(n)}"
             )
         codes: Sequence[int] = range(1 << len(pairs))
     else:
-        if n > PARTITION_CAP:
-            raise ValueError(
-                f"enumeration of {axiom_class} relations capped at n <= {PARTITION_CAP}:"
-                f" a carrier of size {n} has Bell({n}) = {_bell_number(n)} set partitions,"
-                f" each with a {table}"
-            )
+        _require_partition_cap(n, axiom_class)
         codes = _partition_codes(n, pairs)
     space = default_space(n)
     for code in codes:
@@ -508,8 +526,9 @@ def _structures(scope: FuzzScope, **fields) -> Iterator[dict]:
             yield {"group": (gname, g), "relation": rel, "relation_class": rname, **fields}
 
 
-def _verified_structures(scope: FuzzScope) -> Iterator[dict]:
-    """The structures in scope that pass the proximal-group check."""
+def _filtered_structures(scope: FuzzScope) -> Iterator[dict]:
+    """The structures in scope that pass the proximal-group check, found by
+    checking every one: the reference for :func:`_verified_structures`."""
     for s in _structures(scope):
         g = s["group"][1]
         report = check_proximal_group(
@@ -518,6 +537,70 @@ def _verified_structures(scope: FuzzScope) -> Iterator[dict]:
         )
         if report.ok:
             yield s
+
+
+def _coset_relations(g: FiniteGroup, axiom_class: str) -> list[tuple[str, ProximityRelation]]:
+    """The relations of the ``axiom_class`` stream on g that make g a
+    proximal group, named and ordered as in that stream: one per normal
+    subgroup N, the existential extension of its coset partition.
+
+    * Each relation of the stream is the Cech extension of its point
+      relation P (:func:`enumerate_relations`), and by
+      :func:`groups._mu1_check` mu1 holds on it exactly when P relates a to
+      the members of aN for a normal subgroup N.
+    * Such a P is an equivalence, so its extension is Lodato and Efremovic
+      as well as Cech and lies in every stream.
+    * mu2 holds on it: a P b means b is in aN, so b^-1 is in
+      (aN)^-1 = N a^-1 = a^-1 N, that is a^-1 P b^-1; and A is near B
+      exactly when some a in A and b in B have a P b, so A^-1 is then near
+      B^-1.
+    * Distinct normal subgroups have distinct coset partitions.
+
+    So these are exactly the relations the filter keeps, with no checker
+    call.  The filter keeps them in stream order, which is ascending pair
+    code: the index of ``cech[i]`` is its code, that of ``lodato[i]`` and
+    ``efremovic[i]`` the rank of its code among the set partitions.  The
+    ``cech`` enumeration cap does not apply; the partition classes keep
+    ``PARTITION_CAP`` for that rank.
+    """
+    n = g.order
+    if axiom_class != "cech":
+        _require_partition_cap(n, axiom_class)
+    pairs = list(combinations(range(n), 2))
+    coded = []
+    for n_mask in normal_subgroups(g):
+        points = [0] * n
+        for block in coset_partition(g, n_mask):
+            for i in bits(block):
+                points[i] = block
+        code = sum(1 << k for k, (i, j) in enumerate(pairs) if (points[i] >> j) & 1)
+        coded.append((code, relation_from_point_pairs(g.space, points, "explicit")))
+    coded.sort(key=lambda c: c[0])
+    ranks = None if axiom_class == "cech" else _partition_ranks(n)
+    return [
+        (f"{axiom_class}[{code if ranks is None else ranks[code]}]", rel) for code, rel in coded
+    ]
+
+
+def _verified_relations(g: FiniteGroup, classes: Sequence[str]) -> Iterator[tuple[str, ProximityRelation]]:
+    """(source name, relation) pairs of :func:`_relations_for` on g's
+    carrier that pass the proximal-group check, with no checker call: the
+    enumerated classes through :func:`_coset_relations`, and ``discrete``
+    and ``coarse`` as constructed, being the coset relations of {e} and of
+    g."""
+    for cls in classes:
+        if cls in RELATION_CLASSES:
+            yield from _coset_relations(g, cls)
+        else:
+            yield from _relations_for(g.space, (cls,))
+
+
+def _verified_structures(scope: FuzzScope) -> Iterator[dict]:
+    """The structures in scope that pass the proximal-group check, in the
+    order of :func:`_filtered_structures`."""
+    for gname, g in all_groups_up_to(scope.max_order):
+        for rname, rel in _verified_relations(g, scope.relation_classes):
+            yield {"group": (gname, g), "relation": rel, "relation_class": rname}
 
 
 def _second(s: dict) -> dict:
@@ -555,8 +638,12 @@ def _homomorphism_instances(scope: FuzzScope) -> Iterator[dict]:
 
 
 def _first_iso_instances(scope: FuzzScope) -> Iterator[dict]:
-    """Surjective homomorphisms that are pcont between two relation sources."""
+    """Surjective homomorphisms that are pcont between two verified structures."""
     groups = all_groups_up_to(scope.max_order)
+    relations = {
+        gname: [rel for _, rel in _verified_relations(g, scope.relation_classes)]
+        for gname, g in groups
+    }
     for gname1, g1 in groups:
         for gname2, g2 in groups:
             if g1.order < g2.order:
@@ -568,8 +655,8 @@ def _first_iso_instances(scope: FuzzScope) -> Iterator[dict]:
             ]
             if not homs:
                 continue
-            for _, rel1 in _relations_for(g1.space, scope.relation_classes):
-                for _, rel2 in _relations_for(g2.space, scope.relation_classes):
+            for rel1 in relations[gname1]:
+                for rel2 in relations[gname2]:
                     for eta in homs:
                         if check_pcont(eta, rel1, rel2, max_size=MAX_CARRIER).ok:
                             yield {
@@ -582,7 +669,7 @@ def _first_iso_instances(scope: FuzzScope) -> Iterator[dict]:
 
 
 def _second_iso_instances(scope: FuzzScope) -> Iterator[dict]:
-    for s in _structures(scope):
+    for s in _verified_structures(scope):
         g = s["group"][1]
         normals = normal_subgroups(g)
         for h in all_subgroups(g):
@@ -591,7 +678,7 @@ def _second_iso_instances(scope: FuzzScope) -> Iterator[dict]:
 
 
 def _normal_chain_instances(scope: FuzzScope) -> Iterator[dict]:
-    for s in _structures(scope):
+    for s in _verified_structures(scope):
         normals = normal_subgroups(s["group"][1])
         for n_mask in normals:
             for k_mask in normals:

@@ -36,7 +36,9 @@ AXIOM_CHECKS = {
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Group on a finite carrier; all group laws are verified at construction.
+    """Group on a finite carrier.  :meth:`from_table` verifies every group
+    law; :func:`subgroup_group` and :func:`quotient_group`, whose tables are
+    groups by construction, call the constructor directly.
 
     The subgroup and quotient groups built from a group, and its subgroup
     and normality verdicts, are computed once per mask and kept in
@@ -622,13 +624,19 @@ def hom_criterion_check(
     """Test: if B near {e1} forces eta(B) near {e2}, then eta is pcont.
 
     Requires eta to be a group homomorphism between verified proximal groups.
+    Each structure is verified once per (group, axiom class) and the verdict
+    kept on its relation (see :func:`spaces.memo`); the scan cap is checked
+    on every call.
     """
     hom_witness = homomorphism_violation(eta, g1, g2)
     if hom_witness is not None:
         raise ValueError(f"map is not a group homomorphism at {hom_witness}")
     for name, (g, rel) in (("domain", (g1, rel1)), ("codomain", (g2, rel2))):
-        report = check_proximal_group(g, rel, axiom_class=axiom_class, max_size=max_size)
-        if not report.ok:
+        ok = memo(rel, ("proximal_group", g, axiom_class), lambda: check_proximal_group(
+            g, rel, axiom_class=axiom_class, max_size=max_size
+        ).ok)
+        require_scan_size(g.order, max_size, "proximal-group")
+        if not ok:
             raise ValueError(f"{name} structure is not a verified proximal group")
     e1 = 1 << g1.identity
     e2 = 1 << g2.identity
@@ -648,7 +656,15 @@ def hom_criterion_check(
 
 def subgroup_group(g: FiniteGroup, h: int) -> FiniteGroup:
     """A subgroup H as a group on its own carrier: the members of H in
-    carrier order, keeping their labels.  Built once per (group, mask)."""
+    carrier order, keeping their labels.  Built once per (group, mask).
+
+    H is closed under products and inverses, so the restricted table is a
+    group by construction and the group laws are not checked again: each
+    product of members is a member, associativity is inherited, e lies in
+    H (as x x^-1 for any x in H) and is its identity, and the inverse of a
+    member is the member g's table gives.  The result equals what
+    ``FiniteGroup.from_table`` builds from that table.
+    """
 
     def build() -> FiniteGroup:
         reason = subgroup_violation(g, h)
@@ -656,9 +672,11 @@ def subgroup_group(g: FiniteGroup, h: int) -> FiniteGroup:
             raise ValueError(reason)
         members = list(bits(h))
         index = {m: k for k, m in enumerate(members)}
-        cayley = [[index[g.cayley[i][j]] for j in members] for i in members]
-        return FiniteGroup.from_table(
-            FiniteSpace(tuple(g.space.labels[i] for i in members)), cayley
+        return FiniteGroup(
+            FiniteSpace(tuple(g.space.labels[i] for i in members)),
+            tuple(tuple(index[g.cayley[i][j]] for j in members) for i in members),
+            index[g.identity],
+            tuple(index[g.inverse[i]] for i in members),
         )
 
     return memo(g, ("subgroup", h), build)
@@ -681,7 +699,14 @@ def subgroup_proximal_group(
 
 def quotient_group(g: FiniteGroup, n_mask: int) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Coset group for a normal subgroup, plus the coset partition used.
-    Built once per (group, mask)."""
+    Built once per (group, mask).
+
+    N is normal, so (aN)(bN) = abN and the product of two cosets does not
+    depend on the representatives read: the table is the coset group G/N,
+    a group by construction, and the group laws are not checked again.  Its
+    identity is the coset of e, and the inverse of aN is a^-1 N.  The
+    result equals what ``FiniteGroup.from_table`` builds from that table.
+    """
 
     def build() -> tuple[FiniteGroup, tuple[int, ...]]:
         reason = normality_violation(g, n_mask)
@@ -694,11 +719,9 @@ def quotient_group(g: FiniteGroup, n_mask: int) -> tuple[FiniteGroup, tuple[int,
             for i in bits(block):
                 block_of[i] = k
         labels = tuple("|".join(g.space.label_set(block)) for block in blocks)
-        cayley = [
-            [block_of[g.cayley[rep[i]][rep[j]]] for j in range(len(blocks))]
-            for i in range(len(blocks))
-        ]
-        return FiniteGroup.from_table(FiniteSpace(labels), cayley), blocks
+        cayley = tuple(tuple(block_of[g.cayley[a][b]] for b in rep) for a in rep)
+        inverse = tuple(block_of[g.inverse[a]] for a in rep)
+        return FiniteGroup(FiniteSpace(labels), cayley, block_of[g.identity], inverse), blocks
 
     return memo(g, ("quotient", n_mask), build)
 

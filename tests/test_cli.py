@@ -192,6 +192,21 @@ def test_fuzz_over_partition_classes_runs_above_the_cech_cap(capsys):
     assert capsys.readouterr().out.splitlines() == ["instances 75", "counterexamples 0"]
 
 
+@pytest.mark.parametrize("source", ["cech", "lodato"])
+def test_fuzz_over_verified_structures_runs_to_the_catalog_order(source, capsys):
+    argv = ["fuzz", "--theorem", "translations-are-proximal-isomorphisms", "--classes", source,
+            "--max-order", "8"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == ["instances 64", "counterexamples 0"]
+
+
+def test_fuzz_over_every_cech_relation_keeps_the_enumeration_cap(capsys):
+    argv = ["fuzz", "--theorem", "multiplication-continuity-gives-inversion", "--classes", "cech",
+            "--max-order", "5"]
+    assert main(argv) == 2
+    assert "capped at n <= 4" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_max_n_below_one_is_rejected(value, capsys):
     probes = str(FIXTURES / "sample_probes.json")

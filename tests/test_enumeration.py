@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import combinations, islice, product
@@ -25,7 +26,7 @@ from proxikit import (
     replay_counterexample,
     witness_violates,
 )
-from proxikit import enumeration
+from proxikit import enumeration, groups
 from proxikit.groups import homomorphism_violation
 from proxikit.enumeration import (
     THEOREMS,
@@ -406,6 +407,101 @@ def test_default_scope_sweep_counts():
         outcome = fuzz_theorem(theorem)
         counts[theorem] = (outcome.instances, len(outcome.counterexamples))
     assert counts == DEFAULT_SCOPE_COUNTS
+
+
+# sha256 of every default-scope sweep's counterexample list as sort_keys JSON
+NO_COUNTEREXAMPLES = hashlib.sha256(b"[]").hexdigest()
+DEFAULT_SCOPE_DIGESTS = {
+    "translations-are-proximal-isomorphisms": NO_COUNTEREXAMPLES,
+    "subgroups-inherit-proximal-group": NO_COUNTEREXAMPLES,
+    "products-inherit-proximal-group": NO_COUNTEREXAMPLES,
+    "first-isomorphism-theorem": "cd61970010826bd84c349d674fe4cdd80695308bd2ab9b8dfa1ee548c0c3e960",
+    "second-isomorphism-theorem": NO_COUNTEREXAMPLES,
+    "third-isomorphism-theorem": NO_COUNTEREXAMPLES,
+    "hom-criterion-implies-pcont": NO_COUNTEREXAMPLES,
+    "multiplication-continuity-gives-inversion": NO_COUNTEREXAMPLES,
+    "translations-and-transitivity-give-proximal-group": NO_COUNTEREXAMPLES,
+    "translations-and-pointwise-lodato-give-proximal-group": NO_COUNTEREXAMPLES,
+    "t1-equals-identity-closure": NO_COUNTEREXAMPLES,
+    "every-cech-is-lodato": "689ad630511ddad67247c3d1224cd8a49b9c112c08137042bd67390736bdb39e",
+}
+
+
+def test_default_scope_counterexample_bytes():
+    digests = {}
+    for theorem in THEOREMS:
+        text = json.dumps(fuzz_theorem(theorem).counterexamples, sort_keys=True)
+        digests[theorem] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == DEFAULT_SCOPE_DIGESTS
+
+
+def _structure_fields(s):
+    rel = s["relation"]
+    return s["group"][0], s["relation_class"], rel.space.labels, rel.rows, rel.provenance
+
+
+@pytest.mark.parametrize(
+    "scope",
+    [
+        FuzzScope(4, ("cech",)),
+        FuzzScope(6, ("lodato", "efremovic")),
+        FuzzScope(8, ("discrete", "coarse")),
+    ],
+)
+def test_verified_structures_are_the_filtered_structures(scope):
+    verified = [_structure_fields(s) for s in enumeration._verified_structures(scope)]
+    filtered = [_structure_fields(s) for s in enumeration._filtered_structures(scope)]
+    assert verified == filtered
+
+
+def test_verified_cech_structures_pass_the_enumeration_cap():
+    # one coset relation per normal subgroup of each catalog group of order <= 8
+    outcome = fuzz_theorem("translations-are-proximal-isomorphisms", FuzzScope(8, ("cech",)))
+    assert (outcome.instances, len(outcome.counterexamples)) == (64, 0)
+
+
+# (instances, counterexamples) of the isomorphism sweeps over verified Cech structures
+CECH_ORDER_4_ISO_COUNTS = {
+    "first-isomorphism-theorem": (132, 59),
+    "second-isomorphism-theorem": (169, 6),
+    "third-isomorphism-theorem": (91, 0),
+}
+
+
+@pytest.mark.parametrize("theorem", list(CECH_ORDER_4_ISO_COUNTS))
+def test_isomorphism_sweeps_draw_only_verified_structures(theorem):
+    outcome = fuzz_theorem(theorem, FuzzScope(4, ("cech",)))
+    assert (outcome.instances, len(outcome.counterexamples)) == CECH_ORDER_4_ISO_COUNTS[theorem]
+    for instance in outcome.counterexamples:
+        assert replay_counterexample(theorem, instance)
+        live = instance_from_payload(instance)
+        for group_key, relation_key in (("group", "relation"), ("group2", "relation2")):
+            if group_key in live:
+                assert groups.check_proximal_group(
+                    live[group_key][1], live[relation_key], axiom_class="cech"
+                ).ok
+    if theorem == "second-isomorphism-theorem":
+        sources = {(i["group"]["name"], i["relation_class"]) for i in outcome.counterexamples}
+        assert sources == {("V4", "cech[12]"), ("V4", "cech[18]"), ("V4", "cech[33]")}
+
+
+def test_second_isomorphism_sweep_over_partitions_is_finite():
+    outcome = fuzz_theorem("second-isomorphism-theorem", FuzzScope(8, ("lodato",)))
+    assert (outcome.instances, len(outcome.counterexamples)) == (5551, 650)
+
+
+def test_hom_criterion_sweep_verifies_each_structure_once(monkeypatch):
+    calls = []
+    check = groups.check_proximal_group
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "check_proximal_group", spy)
+    outcome = fuzz_theorem("hom-criterion-implies-pcont")
+    assert (outcome.instances, len(outcome.counterexamples)) == (240, 0)
+    assert len(calls) == 10  # the discrete and coarse relation on 5 groups
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import proxikit
+from proxikit import groups
 
 from proxikit import (
     ProximityRelation,
@@ -32,6 +33,7 @@ from proxikit import (
     product_proximity,
     quaternion_group,
     quotient_proximal_group,
+    relation_from_point_pairs,
     subgroup_proximal_group,
     subset_inverse,
     subset_product,
@@ -415,6 +417,33 @@ def test_hom_criterion_discrete_to_coarse():
     assert report.hypothesis.ok and report.conclusion.ok
 
 
+def test_hom_criterion_verifies_once_and_checks_the_cap_every_call(monkeypatch):
+    calls = []
+    check = groups.check_proximal_group
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "check_proximal_group", spy)
+    z3 = cyclic_group(3)
+    eta = identity_map(z3.space)
+    d3, c3 = make_discrete_proximity(z3.space), make_coarse_proximity(z3.space)
+    for _ in range(3):
+        assert hom_criterion_check(eta, z3, d3, z3, c3).implication_ok
+    assert len(calls) == 2
+    with pytest.raises(ValueError, match="proximal-group scan .* exceeds the cap 2"):
+        hom_criterion_check(eta, z3, d3, z3, c3, max_size=2)
+    hom_criterion_check(eta, z3, d3, z3, c3, axiom_class="lodato")
+    assert len(calls) == 4
+    # a -- b only: not the coset partition of a subgroup of Z3
+    tolerance = relation_from_point_pairs(z3.space, [0b011, 0b011, 0b100], "explicit")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="codomain structure is not a verified"):
+            hom_criterion_check(eta, z3, d3, z3, tolerance)
+    assert len(calls) == 5
+
+
 def test_hom_criterion_requires_homomorphism():
     z3 = cyclic_group(3)
     d3 = make_discrete_proximity(z3.space)
@@ -423,6 +452,25 @@ def test_hom_criterion_requires_homomorphism():
 
 
 # --- quotients ------------------------------------------------------------
+
+
+def reversed_copy(g):
+    """g with element i renamed n - 1 - i, so its identity is not element 0."""
+    n = g.order
+    return FiniteGroup.from_table(
+        g.space, [[n - 1 - g.cayley[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
+    )
+
+
+def test_derived_groups_equal_the_checked_table_build():
+    catalog = [g for _, g in all_groups_up_to(8)]
+    for g in catalog + [reversed_copy(g) for g in catalog]:
+        for h in all_subgroups(g):
+            sub = subgroup_group(g, h)
+            assert sub == FiniteGroup.from_table(sub.space, sub.cayley)
+        for n_mask in normal_subgroups(g):
+            quot, _ = quotient_group(g, n_mask)
+            assert quot == FiniteGroup.from_table(quot.space, quot.cayley)
 
 
 def test_quotient_by_trivial_subgroup_is_isomorphic_copy():
