@@ -23,10 +23,12 @@ L1 and EF read the transposed table (:func:`~proxikit.spaces.transpose`),
 L2 and L3 one mask per row, L4 one row-shape test per row and then a
 single row (:func:`_union_row`), L5 one mask per near pair.
 So L1-L4 cost O(m n) big-int operations plus one O(m^2) row scan, and
-EF, L5 and K3 at most O(m^2).  The caps still bound those 4^n pair reads,
-the 4^n-entry ``ef_examples`` of a passing EF check, and the 4^n-bit table
-itself: checks run on carriers of size ``DEFAULT_SCAN_CAP`` unless the
-caller raises ``max_size`` explicitly.
+EF, L5 and K3 at most O(m^2).  The caps still bound those 4^n pair reads
+and the 4^n-bit table itself: checks run on carriers of size
+``DEFAULT_SCAN_CAP`` unless the caller raises ``max_size`` explicitly.
+
+Reports hold only verdicts and witnesses.  The smallest subset separating
+each far pair is computed on request by :func:`ef_separators`.
 """
 from __future__ import annotations
 
@@ -44,15 +46,20 @@ class AxiomReport:
     """Per-axiom verdicts with minimal counterexample witnesses.
 
     ``witnesses`` holds a mask tuple for every failed axiom and nothing for
-    passed ones.  ``ef_examples`` (present only when an EF-style axiom was
-    checked and passed) maps each far pair to the smallest separating K; it
-    is informational and is not a failure witness.  Treat instances as
-    read-only.
+    passed ones.  Treat instances as read-only.
     """
 
     verdicts: Mapping[str, bool]
     witnesses: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
-    ef_examples: Mapping[tuple[int, int], int] | None = None
+
+    @classmethod
+    def from_witnesses(cls, found: Mapping[str, tuple[int, ...] | None]) -> "AxiomReport":
+        """The report of the first violation found for each axiom, None where
+        the axiom holds."""
+        return cls(
+            {axiom: w is None for axiom, w in found.items()},
+            {axiom: w for axiom, w in found.items() if w is not None},
+        )
 
     @property
     def ok(self) -> bool:
@@ -115,8 +122,8 @@ def _first_union_violation(
     return None
 
 
-def _check_l1_l4(rel: ProximityRelation) -> tuple[dict, dict]:
-    """L1-L4 verdicts and witnesses, each the first violation in scan order.
+def _l1_l4_violations(rel: ProximityRelation) -> dict[str, tuple[int, ...] | None]:
+    """The first violation of each of L1-L4 in scan order, None where it holds.
 
     They all pass exactly when ``rel.point_graph`` is not None (proof in
     :attr:`~proxikit.relations.ProximityRelation.point_graph`).  Any other
@@ -130,25 +137,21 @@ def _check_l1_l4(rel: ProximityRelation) -> tuple[dict, dict]:
     * L4: see :func:`_first_union_violation`.
     """
     if rel.point_graph is not None:
-        return dict.fromkeys(("L1", "L2", "L3", "L4"), True), {}
+        return dict.fromkeys(("L1", "L2", "L3", "L4"))
     rows = rel.rows
     meeting = meeting_table(rel.space.size)
-    found = {
+    return {
         "L1": _first_set_bit(row & ~col for row, col in zip(rows, transpose(rows))),
         "L2": _first_set_bit([rows[0], *(row & 1 for row in rows[1:])]),
         "L3": _first_set_bit(meet & ~row for meet, row in zip(meeting, rows)),
         "L4": _first_union_violation(rows, meeting, rel.space.size),
     }
-    verdicts = {axiom: witness is None for axiom, witness in found.items()}
-    witnesses = {axiom: w for axiom, w in found.items() if w is not None}
-    return verdicts, witnesses
 
 
 def check_cech(rel: ProximityRelation, *, max_size: int = DEFAULT_SCAN_CAP) -> AxiomReport:
     """L1-L4 over all pairs/triples of subsets."""
     require_scan_size(rel.space.size, max_size, "L1-L4")
-    verdicts, witnesses = _check_l1_l4(rel)
-    return AxiomReport(verdicts, witnesses)
+    return AxiomReport.from_witnesses(_l1_l4_violations(rel))
 
 
 def _equivalence(rel: ProximityRelation) -> tuple[int, ...] | None:
@@ -198,15 +201,31 @@ def check_lodato(rel: ProximityRelation, *, max_size: int = DEFAULT_SCAN_CAP) ->
     B = {y}, C = {z} gives {x} near {z}, that is x P z.
     """
     require_scan_size(rel.space.size, max_size, "L1-L5")
-    verdicts, witnesses = _check_l1_l4(rel)
-    if _equivalence(rel) is not None:
-        verdicts["L5"] = True
-        return AxiomReport(verdicts, witnesses)
-    witness = first_chain_violation(rel.rows, _singleton_row_meet(rel))
-    verdicts["L5"] = witness is None
-    if witness is not None:
-        witnesses["L5"] = witness
-    return AxiomReport(verdicts, witnesses)
+    found = _l1_l4_violations(rel)
+    found["L5"] = None
+    if _equivalence(rel) is None:
+        found["L5"] = first_chain_violation(rel.rows, _singleton_row_meet(rel))
+    return AxiomReport.from_witnesses(found)
+
+
+def _separating_cols(rows: Sequence[int]) -> list[int]:
+    """For each mask B, the set of K whose complement is far B (as a bitset),
+    read off the transposed table."""
+    everything = (1 << len(rows)) - 1
+    # row full ^ k of the table is row k of rows[::-1]
+    return [everything ^ col for col in transpose(rows[::-1])]
+
+
+def _first_unseparated(rows: Sequence[int]) -> tuple[int, int] | None:
+    """The first far pair (a, b), a outermost, that no K separates: the first
+    with ``~rows[a] & cols[b]`` empty (see :func:`check_efremovic`)."""
+    everything = (1 << len(rows)) - 1
+    cols = _separating_cols(rows)
+    for a, row in enumerate(rows):
+        for b in bits(everything ^ row):
+            if not cols[b] & ~row:
+                return a, b
+    return None
 
 
 def check_efremovic(
@@ -214,15 +233,15 @@ def check_efremovic(
 ) -> AxiomReport:
     """L1-L4 plus EF: each far pair admits a separating subset K.
 
-    When EF passes, the smallest K found for each far pair is recorded in
-    ``ef_examples``; when it fails, the witness is the first far pair, a
-    outermost, that no K separates.
+    When EF fails, the witness is the first far pair, a outermost, that no
+    K separates.
 
     On any table, K separates the far pair (A, B) when A far K and
     (carrier - K) far B.  With ``cols[B]`` the set of K whose complement is
-    far B, read off the transposed table, the separating K are
-    ``~rows[A] & cols[B]``: the smallest is its lowest bit, and there is
-    none when it is 0.  That is one big-int operation per far pair.
+    far B (:func:`_separating_cols`), the separating K are
+    ``~rows[A] & cols[B]``, and there is none when it is 0.  That is one
+    big-int operation per far pair, and the scan stops at the first far
+    pair with none.
 
     On a Cech table with point relation P the verdict comes from P.  Write
     R(B) for the union of P over B.  A far K exactly when K misses R(A), and
@@ -237,31 +256,34 @@ def check_efremovic(
     is near {z}, in the complement.
     """
     require_scan_size(rel.space.size, max_size, "L1-L4+EF")
-    verdicts, witnesses = _check_l1_l4(rel)
+    found = _l1_l4_violations(rel)
+    found["EF"] = None
+    if _equivalence(rel) is None:
+        found["EF"] = _first_unseparated(rel.rows)
+    return AxiomReport.from_witnesses(found)
+
+
+def ef_separators(rel: ProximityRelation) -> dict[tuple[int, int], int] | None:
+    """The smallest K separating each far pair (A, B), keyed in scan order
+    (A outermost, then B ascending), or None when some far pair has no
+    separating K, that is when EF fails.
+
+    The smallest separating K is the lowest bit of ``~rows[A] & cols[B]``
+    (see :func:`check_efremovic`); on a Cech table with a transitive point
+    relation P it is the union of P over B.  The map has one entry per far
+    pair, up to 4^n of them; the checks decide EF without it.
+    """
     rows = rel.rows
     everything = (1 << len(rows)) - 1
-    points = _equivalence(rel)
-    if points is not None:
-        reach = union_table(points)
-        verdicts["EF"] = True
-        return AxiomReport(
-            verdicts,
-            witnesses,
-            {(a, b): reach[b] for a, row in enumerate(rows) for b in bits(everything ^ row)},
-        )
-    # row full ^ k of the table is row k of rows[::-1]
-    cols = [everything ^ col for col in transpose(rows[::-1])]
-    examples: dict[tuple[int, int], int] = {}
+    cols = _separating_cols(rows)
+    separators: dict[tuple[int, int], int] = {}
     for a, row in enumerate(rows):
         for b in bits(everything ^ row):
             separating = cols[b] & ~row
             if not separating:
-                verdicts["EF"] = False
-                witnesses["EF"] = (a, b)
-                return AxiomReport(verdicts, witnesses)
-            examples[(a, b)] = (separating & -separating).bit_length() - 1
-    verdicts["EF"] = True
-    return AxiomReport(verdicts, witnesses, examples)
+                return None
+            separators[(a, b)] = (separating & -separating).bit_length() - 1
+    return separators
 
 
 def closure(rel: ProximityRelation, b: int) -> int:
@@ -301,39 +323,15 @@ def check_kuratowski(
     if _equivalence(rel) is not None:
         return AxiomReport(dict.fromkeys(("K1", "K2", "K3", "K4"), True))
     cl = closure_table(rel)
-    m = rel.space.n_subsets
-    verdicts: dict[str, bool] = {}
-    witnesses: dict[str, tuple[int, ...]] = {}
-
-    verdicts["K1"] = cl[0] == 0
-    if not verdicts["K1"]:
-        witnesses["K1"] = (0,)
-
-    verdicts["K2"] = True
-    for b in range(m):
-        if b & ~cl[b]:
-            verdicts["K2"] = False
-            witnesses["K2"] = (b,)
-            break
-
-    verdicts["K3"] = True
-    for a in range(m):
-        for b in range(m):
-            if cl[a | b] != cl[a] | cl[b]:
-                verdicts["K3"] = False
-                witnesses["K3"] = (a, b)
-                break
-        if not verdicts["K3"]:
-            break
-
-    verdicts["K4"] = True
-    for b in range(m):
-        if cl[cl[b]] != cl[b]:
-            verdicts["K4"] = False
-            witnesses["K4"] = (b,)
-            break
-
-    return AxiomReport(verdicts, witnesses)
+    subsets = range(rel.space.n_subsets)
+    return AxiomReport.from_witnesses({
+        "K1": (0,) if cl[0] else None,
+        "K2": next(((b,) for b in subsets if b & ~cl[b]), None),
+        "K3": next(
+            ((a, b) for a in subsets for b in subsets if cl[a | b] != cl[a] | cl[b]), None
+        ),
+        "K4": next(((b,) for b in subsets if cl[cl[b]] != cl[b]), None),
+    })
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Collection, Mapping, Sequence
@@ -719,10 +720,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (WorkspaceError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps(result.payload, sort_keys=True, indent=2))
-    else:
-        print(result.text)
+    try:
+        if args.format == "json":
+            print(json.dumps(result.payload, sort_keys=True, indent=2))
+        else:
+            print(result.text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe; point stdout at devnull so the flush at
+        # interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return result.exit_code
 
 

@@ -90,7 +90,6 @@ def _descriptive_keys(report: AxiomReport) -> AxiomReport:
     return AxiomReport(
         {"D" + k: v for k, v in report.verdicts.items()},
         {"D" + k: w for k, w in report.witnesses.items()},
-        report.ef_examples,
     )
 
 

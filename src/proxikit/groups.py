@@ -114,6 +114,10 @@ class FiniteGroup:
         return FiniteGroup(space, table, identity, tuple(inverse))
 
     def with_labels(self, labels: Sequence[str]) -> "FiniteGroup":
+        if len(labels) != self.order:
+            raise ValueError(
+                f"a group of order {self.order} needs {self.order} labels, got {len(labels)}"
+            )
         return FiniteGroup(
             FiniteSpace(tuple(labels)), self.cayley, self.identity, self.inverse
         )
@@ -541,10 +545,7 @@ def check_transitivity_property(
 ) -> AxiomReport:
     """Near is transitive: A near B and B near C force A near C."""
     require_scan_size(rel.space.size, max_size, "transitivity")
-    witness = first_chain_violation(rel.rows, rel.rows)
-    if witness is not None:
-        return AxiomReport({"transitivity": False}, {"transitivity": witness})
-    return AxiomReport({"transitivity": True})
+    return AxiomReport.from_witnesses({"transitivity": first_chain_violation(rel.rows, rel.rows)})
 
 
 # ---------------------------------------------------------------------------
@@ -581,22 +582,16 @@ def check_proximal_homomorphism(
     With ``isomorphism=True`` additionally requires bijectivity and a
     proximally continuous inverse.
     """
-    verdicts: dict[str, bool] = {}
-    witnesses: dict[str, tuple[int, ...]] = {}
-    hom_witness = homomorphism_violation(eta, g1, g2)
-    verdicts["group_homomorphism"] = hom_witness is None
-    if hom_witness is not None:
-        witnesses["group_homomorphism"] = (1 << hom_witness[0], 1 << hom_witness[1])
+    hom = homomorphism_violation(eta, g1, g2)
+    witnesses = {} if hom is None else {"group_homomorphism": (1 << hom[0], 1 << hom[1])}
     if isomorphism:
-        iso = check_proximal_isomorphism(eta, rel1, rel2, max_size=max_size)
-        verdicts.update(iso.verdicts)
-        witnesses.update(iso.witnesses)
+        proximal = check_proximal_isomorphism(eta, rel1, rel2, max_size=max_size)
     else:
-        pcont = check_pcont(eta, rel1, rel2, max_size=max_size)
-        verdicts["pcont"] = pcont.verdicts["pcont"]
-        if "pcont" in pcont.witnesses:
-            witnesses["pcont"] = pcont.witnesses["pcont"]
-    return AxiomReport(verdicts, witnesses)
+        proximal = check_pcont(eta, rel1, rel2, max_size=max_size)
+    return AxiomReport(
+        {"group_homomorphism": hom is None, **proximal.verdicts},
+        {**witnesses, **proximal.witnesses},
+    )
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from .groups import (
     check_translations,
     direct_product_group,
     homomorphism_violation,
-    invertible_subsets,
     normality_violation,
     quotient_group,
     quotient_proximal_group,
@@ -40,11 +39,14 @@ from .spaces import bits
 
 @dataclass(frozen=True)
 class ImplicationReport:
-    """Hypothesis checks by name, one conclusion check, and the implication."""
+    """Hypothesis checks by name, one conclusion check, and the implication.
+
+    The report holds only what decides the verdict; the invertible family
+    of the group is :func:`~proxikit.groups.invertible_subsets`.
+    """
 
     hypotheses: dict[str, Check]
     conclusion: Check
-    invertible_family: tuple[int, ...]
 
     @property
     def hypotheses_ok(self) -> bool:
@@ -65,12 +67,12 @@ def inversion_continuity_harness(
     """Continuous multiplication forces continuous inversion.
 
     The invertibility hypothesis ("B * B^-1 = {e} for the family") holds
-    only for singletons in any group; the family is reported so the scope of
-    the hypothesis stays visible.
+    only for singletons in any group (see
+    :func:`~proxikit.groups.invertible_subsets`).
     """
     mu2 = _mu2_check(g, rel, max_size)
     mu1 = _mu1_check(g, rel)
-    return ImplicationReport({"mu1_pcont": mu1}, mu2, invertible_subsets(g))
+    return ImplicationReport({"mu1_pcont": mu1}, mu2)
 
 
 MULTIPLICATION_MODES = ("ef-transitivity", "lodato-pointwise")
@@ -116,7 +118,7 @@ def multiplication_continuity_harness(
     mu1 = _mu1_check(g, rel)
     mu2 = _mu2_check(g, rel, max_size)
     conclusion = Check(mu1.ok and mu2.ok, mu1.witness or mu2.witness)
-    return ImplicationReport(hypotheses, conclusion, invertible_subsets(g))
+    return ImplicationReport(hypotheses, conclusion)
 
 
 # ---------------------------------------------------------------------------

@@ -131,14 +131,10 @@ def check_proximal_isomorphism(
             seen[img] = i
 
     forward = check_pcont(f, rel1, rel2, max_size=max_size)
-    verdicts["pcont"] = forward.verdicts["pcont"]
-    if "pcont" in forward.witnesses:
-        witnesses["pcont"] = forward.witnesses["pcont"]
-
+    verdicts.update(forward.verdicts)
+    witnesses.update(forward.witnesses)
     if bijective:
-        backward = check_pcont(f.inverse(), rel2, rel1, max_size=max_size)
-        verdicts["inverse_pcont"] = backward.verdicts["pcont"]
-        if "pcont" in backward.witnesses:
-            witnesses["inverse_pcont"] = backward.witnesses["pcont"]
-
+        backward = check_pcont(f.inverse(), rel2, rel1, max_size=max_size, key="inverse_pcont")
+        verdicts.update(backward.verdicts)
+        witnesses.update(backward.witnesses)
     return AxiomReport(verdicts, witnesses)

@@ -11,6 +11,7 @@ from proxikit import (
     closure,
     closure_table,
     default_space,
+    ef_separators,
     enumerate_relations,
     induced_topology,
     make_coarse_proximity,
@@ -22,7 +23,7 @@ from proxikit import (
     witness_violates,
 )
 from proxikit.axioms import _union_row
-from proxikit.spaces import meeting_table
+from proxikit.spaces import bits, meeting_table
 
 S3 = default_space(3)
 DISCRETE3 = make_discrete_proximity(S3)
@@ -79,10 +80,9 @@ def test_mined_cech_not_lodato_fails_l5_only():
 def test_efremovic_discrete_with_validated_examples():
     for n in range(1, 5):
         rel = make_discrete_proximity(default_space(n))
-        report = check_efremovic(rel)
-        assert report.ok
+        assert check_efremovic(rel).ok
         full = rel.space.full_mask
-        for (a, b), k in report.ef_examples.items():
+        for (a, b), k in ef_separators(rel).items():
             assert rel.far(a, b)
             assert rel.far(a, k) and rel.far(full ^ k, b)
 
@@ -292,8 +292,9 @@ def _first_violation_in_scan_order(rel, axiom):
 
 def _assert_matches_oracle(rel):
     """check_efremovic agrees with the scan-order oracle on every L1-L4 and EF
-    verdict and witness, and on ``ef_examples`` (check_cech shares its L1-L4
-    kernel); returns its report."""
+    verdict and witness (check_cech shares its L1-L4 kernel), and
+    ef_separators on each far pair's smallest separator; returns the
+    report."""
     ef = check_efremovic(rel)
     for axiom in ("L1", "L2", "L3", "L4"):
         expected = _first_violation_in_scan_order(rel, axiom)
@@ -302,10 +303,27 @@ def _assert_matches_oracle(rel):
     expected, examples = _ef_oracle(rel)
     assert ef.verdicts["EF"] == (expected is None), rel.rows
     assert ef.witnesses.get("EF") == expected, rel.rows
-    assert ef.ef_examples == examples, rel.rows
+    separators = ef_separators(rel)
+    assert separators == examples, rel.rows
     if examples is not None:
-        assert list(ef.ef_examples) == list(examples)  # same pair order
+        assert list(separators) == list(examples)  # same pair order
     return ef
+
+
+def test_separators_of_an_equivalence_are_the_union_of_p_over_b():
+    # on a Cech table whose point relation P is an equivalence, the smallest K
+    # separating a far pair (A, B) is the union of P over B (check_efremovic)
+    for n in range(1, 6):
+        m = 1 << n
+        for rel in enumerate_relations(n, "lodato"):
+            separators = ef_separators(rel)
+            far = [(a, b) for a in range(m) for b in range(m) if rel.far(a, b)]
+            assert list(separators) == far, rel.rows
+            for (a, b), k in separators.items():
+                union = 0
+                for x in bits(b):
+                    union |= rel.point_graph[x]
+                assert k == union, (rel.rows, a, b)
 
 
 def test_every_table_on_two_points_matches_the_oracle():

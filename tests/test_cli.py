@@ -268,6 +268,25 @@ def test_python_dash_m_runs_the_cli():
     assert result.stdout == (FIXTURES / "golden" / "check_axioms_two_points.txt").read_text()
 
 
+def test_closing_the_pipe_early_ends_without_a_traceback():
+    # the sweep prints about 13 MB, far more than a pipe holds, so the CLI is
+    # still writing when the reader closes its end
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "proxikit",
+            "fuzz", "--theorem", "second-isomorphism-theorem", "--classes", "lodato",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline() == "instances 5551\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert "Traceback" not in err, err
+
+
 def test_pcont_verb_iso_flag():
     ws = parse_workspace((FIXTURES / "z2_first_iso.json").read_text())
     result = run_command("pcont", ws, {"rel": "d", "rel2": "c", "map": "id", "iso": True})

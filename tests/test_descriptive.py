@@ -17,6 +17,7 @@ from proxikit import (
     describe,
     descriptive_intersection,
     descriptive_proximity,
+    ef_separators,
     identity_map,
     make_coarse_proximity,
     make_discrete_proximity,
@@ -133,7 +134,6 @@ def _renamed(report):
     return (
         {DESCRIPTIVE_KEYS[k]: v for k, v in report.verdicts.items()},
         {DESCRIPTIVE_KEYS[k]: w for k, w in report.witnesses.items()},
-        report.ef_examples,
     )
 
 
@@ -146,9 +146,12 @@ def test_random_probes_pass_dl_and_def():
         de = check_descriptive_ef(probes)
         assert dl.ok and de.ok
         # the descriptive checks are the Lodato/EF checks on the induced relation
-        assert (dict(dl.verdicts), dict(dl.witnesses), dl.ef_examples) == _renamed(check_lodato(rel))
-        assert (dict(de.verdicts), dict(de.witnesses), de.ef_examples) == _renamed(check_efremovic(rel))
-        assert list(de.ef_examples.items()) == list(check_efremovic(rel).ef_examples.items())
+        assert (dict(dl.verdicts), dict(dl.witnesses)) == _renamed(check_lodato(rel))
+        assert (dict(de.verdicts), dict(de.witnesses)) == _renamed(check_efremovic(rel))
+        # DEF passes, so every far pair of the induced relation has a separator
+        full = rel.space.full_mask
+        for (a, b), k in ef_separators(rel).items():
+            assert rel.far(a, b) and rel.far(a, k) and rel.far(full ^ k, b)
 
 
 # --- dpcont -------------------------------------------------------------------

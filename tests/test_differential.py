@@ -166,13 +166,8 @@ def scan_only(rel):
 
 
 def report_key(report):
-    """Verdicts, witnesses and EF examples, insertion order included."""
-    examples = report.ef_examples
-    return (
-        list(report.verdicts.items()),
-        list(report.witnesses.items()),
-        None if examples is None else list(examples.items()),
-    )
+    """Verdicts and witnesses, insertion order included."""
+    return list(report.verdicts.items()), list(report.witnesses.items())
 
 
 def assert_paths_agree(g, rel):

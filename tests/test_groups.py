@@ -67,6 +67,17 @@ def test_group_laws_checked():
         FiniteGroup.from_table(s3, [[0, 1, 2], [1, 9, 0], [2, 0, 1]])
 
 
+def test_with_labels_needs_one_label_per_element():
+    z3 = cyclic_group(3)
+    with pytest.raises(ValueError, match="order 3 needs 3 labels, got 1"):
+        z3.with_labels(["a"])
+    with pytest.raises(ValueError, match="order 3 needs 3 labels, got 4"):
+        z3.with_labels(["a", "b", "c", "d"])
+    relabelled = z3.with_labels(["a", "b", "c"])
+    assert relabelled.space.labels == ("a", "b", "c")
+    assert relabelled.cayley == z3.cayley
+
+
 def test_non_associative_latin_square_rejected():
     # order-5 loop with two-sided identity and inverses that fails
     # associativity, so only the associativity check can catch it

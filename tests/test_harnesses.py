@@ -12,6 +12,7 @@ from proxikit import (
     hausdorff_check,
     identity_map,
     inversion_continuity_harness,
+    invertible_subsets,
     make_coarse_proximity,
     make_discrete_proximity,
     multiplication_continuity_harness,
@@ -32,7 +33,7 @@ def test_inversion_harness_z2_coarse():
     z2 = cyclic_group(2)
     report = inversion_continuity_harness(z2, make_coarse_proximity(z2.space))
     assert report.hypotheses_ok and report.conclusion.ok and report.implication_ok
-    assert report.invertible_family == (1, 2)
+    assert invertible_subsets(z2) == (1, 2)
 
 
 def test_inversion_harness_trivial_group_vacuous():
