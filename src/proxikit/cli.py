@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Collection, Mapping, Sequence
 
-from .axioms import DEFAULT_SCAN_CAP, AxiomReport, check_kuratowski, induced_topology
+from .axioms import SCAN_CAP, AxiomReport, check_kuratowski, induced_topology
 from .descriptive import (
     check_descriptive_ef,
     check_descriptive_lodato,
@@ -30,7 +30,6 @@ from .enumeration import (
 )
 from .groups import (
     AXIOM_CHECKS,
-    GROUP_SCAN_CAP,
     check_proximal_group,
     check_proximal_homomorphism,
     check_translations,
@@ -45,7 +44,7 @@ from .harnesses import (
     second_iso_harness,
     third_iso_harness,
 )
-from .maps import PCONT_SCAN_CAP, check_pcont, check_proximal_isomorphism, identity_map
+from .maps import check_pcont, check_proximal_isomorphism, identity_map
 from .relations import ProximityRelation, quotient_proximity
 from .spaces import FiniteSpace
 from .workspace import WorkspaceDocument, WorkspaceError, parse_workspace
@@ -60,10 +59,10 @@ class CommandResult:
     exit_code: int
 
 
-def _scan_size(default: int, flags: Mapping[str, Any]) -> int:
-    """Scan cap for a verb: the documented default unless --max-n raises it."""
+def _scan_size(flags: Mapping[str, Any]) -> int:
+    """Scan cap for a verb: ``SCAN_CAP`` unless --max-n raises it."""
     max_n = flags.get("max_n")
-    return max(default, max_n) if max_n is not None else default
+    return max(SCAN_CAP, max_n) if max_n is not None else SCAN_CAP
 
 
 def _witness_payload(space: FiniteSpace, witness: Sequence[int]) -> dict:
@@ -208,7 +207,7 @@ def _proximal_group_result(verb: str, extra: dict, report, space: FiniteSpace) -
 def _cmd_check_axioms(ws, flags):
     name, rel = _pick_relation(ws, flags)
     klass = flags["axiom_class"]
-    report = AXIOM_CHECKERS[klass](rel, max_size=_scan_size(DEFAULT_SCAN_CAP, flags))
+    report = AXIOM_CHECKERS[klass](rel, max_size=_scan_size(flags))
     lines, verdicts, witnesses = _report_lines(report, rel.space)
     payload = {
         "verb": "check-axioms",
@@ -222,8 +221,8 @@ def _cmd_check_axioms(ws, flags):
 
 def _cmd_topology(ws, flags):
     name, rel = _pick_relation(ws, flags)
-    snapshot = induced_topology(rel, max_size=_scan_size(DEFAULT_SCAN_CAP, flags))
-    kreport = check_kuratowski(rel, max_size=_scan_size(DEFAULT_SCAN_CAP, flags))
+    snapshot = induced_topology(rel, max_size=_scan_size(flags))
+    kreport = check_kuratowski(rel, max_size=_scan_size(flags))
     space = rel.space
     lines = [
         "closed sets: " + " ".join(space.format_mask(c) for c in snapshot.closed_sets),
@@ -251,7 +250,7 @@ def _cmd_pcont(ws, flags):
     name1, rel1 = _pick_relation(ws, flags, "rel")
     name2, rel2 = _pick_relation(ws, flags, "rel2", default=name1)
     map_name, f = _pick_map(ws, flags)
-    scan = _scan_size(PCONT_SCAN_CAP, flags)
+    scan = _scan_size(flags)
     if flags.get("iso"):
         report = check_proximal_isomorphism(f, rel1, rel2, max_size=scan)
     else:
@@ -272,9 +271,7 @@ def _cmd_group_check(ws, flags):
     group = _need_group(ws)
     name, rel = _pick_relation(ws, flags)
     klass = flags["axiom_class"]
-    report = check_proximal_group(
-        group, rel, axiom_class=klass, max_size=_scan_size(GROUP_SCAN_CAP, flags)
-    )
+    report = check_proximal_group(group, rel, axiom_class=klass, max_size=_scan_size(flags))
     return _proximal_group_result(
         "group-check", {"relation": name, "class": klass}, report, rel.space
     )
@@ -283,7 +280,7 @@ def _cmd_group_check(ws, flags):
 def _cmd_translations(ws, flags):
     group = _need_group(ws)
     name, rel = _pick_relation(ws, flags)
-    report = check_translations(group, rel, max_size=_scan_size(GROUP_SCAN_CAP, flags))
+    report = check_translations(group, rel, max_size=_scan_size(flags))
     lines = []
     entries = {}
     witnesses = {}
@@ -312,7 +309,7 @@ def _cmd_subgroup(ws, flags):
     h = _need_mask(flags, "subset", ws.space)
     report = subgroup_proximal_group(
         group, rel, h, axiom_class=flags["axiom_class"],
-        max_size=_scan_size(GROUP_SCAN_CAP, flags),
+        max_size=_scan_size(flags),
     )
     sub_space = FiniteSpace(tuple(ws.space.label_set(h)))
     return _proximal_group_result(
@@ -329,7 +326,7 @@ def _cmd_product(ws, flags):
     name2, rel2 = _pick_relation(ws, flags, "rel2", default=name1)
     report = product_proximal_group(
         group, rel1, group, rel2, axiom_class=flags["axiom_class"],
-        max_size=_scan_size(GROUP_SCAN_CAP, flags),
+        max_size=_scan_size(flags),
     )
     # a product of verified factors passes, so the report holds no witness
     return _proximal_group_result(
@@ -342,7 +339,7 @@ def _cmd_hom_check(ws, flags):
     name1, rel1 = _pick_relation(ws, flags, "rel")
     name2, rel2 = _pick_relation(ws, flags, "rel2", default=name1)
     map_name, eta = _pick_map(ws, flags)
-    scan = _scan_size(GROUP_SCAN_CAP, flags)
+    scan = _scan_size(flags)
     report = check_proximal_homomorphism(
         eta, group, rel1, group, rel2,
         isomorphism=bool(flags.get("iso")), max_size=scan,
@@ -401,7 +398,7 @@ def _cmd_iso_theorems(ws, flags):
     group = _need_group(ws)
     which = flags.get("which") or "first"
     name1, rel1 = _pick_relation(ws, flags, "rel")
-    scan = _scan_size(GROUP_SCAN_CAP, flags)
+    scan = _scan_size(flags)
     if which == "first":
         name2, rel2 = _pick_relation(ws, flags, "rel2", default=name1)
         map_name, eta = _pick_map(ws, flags)
@@ -445,9 +442,8 @@ def _cmd_iso_theorems(ws, flags):
 
 def _cmd_descriptive_check(ws, flags):
     name, probes = _pick_probes(ws, flags)
-    scan = _scan_size(DEFAULT_SCAN_CAP, flags)
-    lodato = check_descriptive_lodato(probes, max_size=scan)
-    ef = check_descriptive_ef(probes, max_size=scan)
+    lodato = check_descriptive_lodato(probes)
+    ef = check_descriptive_ef(probes)
     # DL1-DL4 from the Lodato report, then DEF from the EF one
     axioms = AxiomReport(
         {**lodato.verdicts, "DEF": ef.verdicts["DEF"]},
@@ -463,9 +459,7 @@ def _cmd_descriptive_check(ws, flags):
     }
     if flags.get("group"):
         group = _need_group(ws)
-        report = check_descriptive_proximal_group(
-            group, probes, max_size=_scan_size(GROUP_SCAN_CAP, flags)
-        )
+        report = check_descriptive_proximal_group(group, probes, max_size=_scan_size(flags))
         mu_lines, mu, mu_witnesses = _report_lines(_continuity(report), probes.space)
         lines += mu_lines
         witnesses.update(mu_witnesses)
@@ -493,9 +487,7 @@ def _cmd_mapping_space(ws, flags):
 
     maps1 = pick_set("set1")
     maps2 = pick_set("set2")
-    verdict = mapping_space_relation(
-        maps1, maps2, probes1, probes2, max_size=_scan_size(DEFAULT_SCAN_CAP, flags)
-    )
+    verdict = mapping_space_relation(maps1, maps2, probes1, probes2, max_size=_scan_size(flags))
     payload = {
         "verb": "mapping-space",
         "probes": name1,

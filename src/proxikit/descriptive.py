@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .axioms import (
-    DEFAULT_SCAN_CAP,
+    SCAN_CAP,
     AxiomReport,
     check_efremovic,
     check_lodato,
@@ -93,9 +93,7 @@ def _descriptive_keys(report: AxiomReport) -> AxiomReport:
     )
 
 
-def check_descriptive_lodato(
-    probes: ProbeTable, *, max_size: int = DEFAULT_SCAN_CAP
-) -> AxiomReport:
+def check_descriptive_lodato(probes: ProbeTable) -> AxiomReport:
     """DL1-DL5: the Lodato axioms L1-L5 on the induced relation, renamed.
 
     DL3 asks that A and B be near whenever their descriptive intersection
@@ -105,18 +103,19 @@ def check_descriptive_lodato(
     if A and B share a point x, x shares its own description, so A near B.
     Both always pass, and the renamed L3 verdict is the DL3 verdict.  The
     other DL axioms are L1, L2, L4 and L5 of that relation verbatim.
+
+    "Same description" is an equivalence on points, so the induced table
+    is Cech with a transitive point relation and every verdict is decided
+    on it: no table scan runs, at any carrier size.
     """
-    require_scan_size(probes.space.size, max_size, "DL1-DL5")
-    return _descriptive_keys(check_lodato(descriptive_proximity(probes), max_size=max_size))
+    return _descriptive_keys(check_lodato(descriptive_proximity(probes)))
 
 
-def check_descriptive_ef(
-    probes: ProbeTable, *, max_size: int = DEFAULT_SCAN_CAP
-) -> AxiomReport:
+def check_descriptive_ef(probes: ProbeTable) -> AxiomReport:
     """DL1-DL4 plus DEF: the checks of :func:`check_efremovic` on the induced
-    relation, renamed as in :func:`check_descriptive_lodato`."""
-    require_scan_size(probes.space.size, max_size, "DL1-DL4+DEF")
-    return _descriptive_keys(check_efremovic(descriptive_proximity(probes), max_size=max_size))
+    relation, renamed as in :func:`check_descriptive_lodato`, and likewise
+    decided without a table scan."""
+    return _descriptive_keys(check_efremovic(descriptive_proximity(probes)))
 
 
 def check_dpcont(
@@ -124,7 +123,7 @@ def check_dpcont(
     probes1: ProbeTable,
     probes2: ProbeTable,
     *,
-    max_size: int = DEFAULT_SCAN_CAP,
+    max_size: int = SCAN_CAP,
 ) -> AxiomReport:
     """Descriptive proximal continuity of f between the induced relations."""
     if f.domain != probes1.space or f.codomain != probes2.space:
@@ -152,7 +151,7 @@ def mapping_space_relation(
     probes1: ProbeTable,
     probes2: ProbeTable,
     *,
-    max_size: int = DEFAULT_SCAN_CAP,
+    max_size: int = SCAN_CAP,
 ) -> MappingSpaceVerdict:
     """Near iff every near pair stays near under every pair of maps.
 
@@ -169,6 +168,7 @@ def mapping_space_relation(
                     f"map {_map_identity(which, index, f)} is not descriptively"
                     " proximally continuous"
                 )
+    require_scan_size(probes1.space.size, max_size, "mapping-space pair")
     for a, row in enumerate(rel1.rows):
         for b in bits(row):
             for i, f in enumerate(maps1):

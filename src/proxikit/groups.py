@@ -10,6 +10,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .axioms import (
+    SCAN_CAP,
     AxiomReport,
     check_cech,
     check_efremovic,
@@ -24,8 +25,6 @@ from .relations import (
     subspace_proximity,
 )
 from .spaces import FiniteSpace, bits, default_space, memo, product_space, union_table
-
-GROUP_SCAN_CAP = 6
 
 AXIOM_CHECKS = {
     "cech": check_cech,
@@ -419,7 +418,7 @@ def _table_mu1_witness(
     return None
 
 
-def _mu1_check(g: FiniteGroup, rel: ProximityRelation) -> Check:
+def _mu1_check(g: FiniteGroup, rel: ProximityRelation, max_size: int = SCAN_CAP) -> Check:
     """Rectangle continuity of subset multiplication.
 
     Quantifies over all factor 4-tuples (B1, B2, C1, C2): nearness of the
@@ -448,14 +447,17 @@ def _mu1_check(g: FiniteGroup, rel: ProximityRelation) -> Check:
       c1 c2 = b1 b2 (b2^-1 n1 b2) n2 lies in b1 b2 N, so b1 b2 P c1 c2.
 
     When the condition fails, the witness is read from the reaches of P
-    (:func:`_reach_mu1_witness`); other tables take the table scan.
+    (:func:`_reach_mu1_witness`); other tables take the table scan.  Both
+    witness paths read the 4^n subset product table, so both are capped.
     """
     points = rel.point_graph
     if points is None:
+        require_scan_size(g.order, max_size, "mu1 table")
         witness = _table_mu1_witness(g, rel.rows)
     elif _coset_mu1(g, points):
         return Check(True)
     else:
+        require_scan_size(g.order, max_size, "mu1 reach")
         witness = _reach_mu1_witness(g, points)
     return Check(witness is None, witness)
 
@@ -484,7 +486,7 @@ def check_proximal_group(
     rel: ProximityRelation,
     *,
     axiom_class: str = "efremovic",
-    max_size: int = GROUP_SCAN_CAP,
+    max_size: int = SCAN_CAP,
 ) -> ProximalGroupReport:
     """Verify (G, rel) as a proximal group.
 
@@ -496,9 +498,8 @@ def check_proximal_group(
         raise ValueError(f"unknown axiom class {axiom_class!r}; known classes: {known}")
     if g.space != rel.space:
         raise ValueError("group and relation carriers do not match")
-    require_scan_size(g.order, max_size, "proximal-group")
     axioms = AXIOM_CHECKS[axiom_class](rel, max_size=max_size)
-    mu1 = _mu1_check(g, rel)
+    mu1 = _mu1_check(g, rel, max_size)
     mu2 = _mu2_check(g, rel, max_size)
     return ProximalGroupReport(axioms, mu1, mu2)
 
@@ -515,7 +516,7 @@ class TranslationReport:
 
 
 def check_translations(
-    g: FiniteGroup, rel: ProximityRelation, *, max_size: int = GROUP_SCAN_CAP
+    g: FiniteGroup, rel: ProximityRelation, *, max_size: int = SCAN_CAP
 ) -> TranslationReport:
     entries = []
     for x in range(g.order):
@@ -541,10 +542,10 @@ def invertible_subsets(g: FiniteGroup) -> tuple[int, ...]:
 
 
 def check_transitivity_property(
-    rel: ProximityRelation, *, max_size: int = GROUP_SCAN_CAP
+    rel: ProximityRelation, *, max_size: int = SCAN_CAP
 ) -> AxiomReport:
-    """Near is transitive: A near B and B near C force A near C."""
-    require_scan_size(rel.space.size, max_size, "transitivity")
+    """Near is transitive: A near B and B near C force A near C (one scan)."""
+    require_scan_size(rel.space.size, max_size, "transitivity chain")
     return AxiomReport.from_witnesses({"transitivity": first_chain_violation(rel.rows, rel.rows)})
 
 
@@ -575,7 +576,7 @@ def check_proximal_homomorphism(
     rel2: ProximityRelation,
     *,
     isomorphism: bool = False,
-    max_size: int = GROUP_SCAN_CAP,
+    max_size: int = SCAN_CAP,
 ) -> AxiomReport:
     """Group homomorphism plus proximal continuity.
 
@@ -614,14 +615,14 @@ def hom_criterion_check(
     rel2: ProximityRelation,
     *,
     axiom_class: str = "efremovic",
-    max_size: int = GROUP_SCAN_CAP,
+    max_size: int = SCAN_CAP,
 ) -> HomCriterionReport:
     """Test: if B near {e1} forces eta(B) near {e2}, then eta is pcont.
 
     Requires eta to be a group homomorphism between verified proximal groups.
     Each structure is verified once per (group, axiom class) and the verdict
-    kept on its relation (see :func:`spaces.memo`); the scan cap is checked
-    on every call.
+    kept on its relation (see :func:`spaces.memo`); ``max_size`` caps the
+    scans of the verifications and of the pcont check that run.
     """
     hom_witness = homomorphism_violation(eta, g1, g2)
     if hom_witness is not None:
@@ -630,7 +631,6 @@ def hom_criterion_check(
         ok = memo(rel, ("proximal_group", g, axiom_class), lambda: check_proximal_group(
             g, rel, axiom_class=axiom_class, max_size=max_size
         ).ok)
-        require_scan_size(g.order, max_size, "proximal-group")
         if not ok:
             raise ValueError(f"{name} structure is not a verified proximal group")
     e1 = 1 << g1.identity
@@ -683,7 +683,7 @@ def subgroup_proximal_group(
     h: int,
     *,
     axiom_class: str = "efremovic",
-    max_size: int = GROUP_SCAN_CAP,
+    max_size: int = SCAN_CAP,
 ) -> ProximalGroupReport:
     """Run the proximal-group check on a subgroup with the subspace relation."""
     return check_proximal_group(
@@ -738,7 +738,7 @@ def product_proximal_group(
     rel2: ProximityRelation,
     *,
     axiom_class: str = "efremovic",
-    max_size: int = GROUP_SCAN_CAP,
+    max_size: int = SCAN_CAP,
 ) -> ProximalGroupReport:
     """Direct product with the rectangle product proximity.
 
@@ -760,8 +760,5 @@ def product_proximal_group(
         report = check_proximal_group(g, rel, axiom_class=axiom_class, max_size=max_size)
         if not report.ok:
             raise ValueError(f"{name} factor is not a verified proximal group")
-    require_scan_size(
-        g1.order * g2.order, max(max_size, GROUP_SCAN_CAP), "proximal-group product"
-    )
     verdicts = dict.fromkeys(report.is_proximity.verdicts, True)
     return ProximalGroupReport(AxiomReport(verdicts), Check(True), Check(True))

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import AxiomReport, check_lodato, closure
+from .axioms import SCAN_CAP, AxiomReport, check_lodato, closure, require_scan_size
 from .descriptive import ProbeTable, descriptive_proximity, product_probe_table
 from .groups import (
-    GROUP_SCAN_CAP,
     Check,
     FiniteGroup,
     ProximalGroupReport,
@@ -62,7 +61,7 @@ class ImplicationReport:
 
 
 def inversion_continuity_harness(
-    g: FiniteGroup, rel: ProximityRelation, *, max_size: int = GROUP_SCAN_CAP
+    g: FiniteGroup, rel: ProximityRelation, *, max_size: int = SCAN_CAP
 ) -> ImplicationReport:
     """Continuous multiplication forces continuous inversion.
 
@@ -71,15 +70,16 @@ def inversion_continuity_harness(
     :func:`~proxikit.groups.invertible_subsets`).
     """
     mu2 = _mu2_check(g, rel, max_size)
-    mu1 = _mu1_check(g, rel)
+    mu1 = _mu1_check(g, rel, max_size)
     return ImplicationReport({"mu1_pcont": mu1}, mu2)
 
 
 MULTIPLICATION_MODES = ("ef-transitivity", "lodato-pointwise")
 
 
-def _pointwise_nearness(rel: ProximityRelation) -> Check:
+def _pointwise_nearness(rel: ProximityRelation, max_size: int = SCAN_CAP) -> Check:
     """Near pairs decompose pointwise: B1 near B2 forces {x} near B2 for x in B1."""
+    require_scan_size(rel.space.size, max_size, "pointwise-nearness pair")
     for a, b in rel.near_pairs():
         for x in bits(a):
             if not rel.near(1 << x, b):
@@ -92,7 +92,7 @@ def multiplication_continuity_harness(
     rel: ProximityRelation,
     mode: str = "ef-transitivity",
     *,
-    max_size: int = GROUP_SCAN_CAP,
+    max_size: int = SCAN_CAP,
 ) -> ImplicationReport:
     """Continuous translations plus a chaining condition force a proximal group.
 
@@ -114,8 +114,8 @@ def multiplication_continuity_harness(
         hypotheses["lodato"] = Check(
             lodato.ok, next(iter(lodato.witnesses.values()), None)
         )
-        hypotheses["pointwise_nearness"] = _pointwise_nearness(rel)
-    mu1 = _mu1_check(g, rel)
+        hypotheses["pointwise_nearness"] = _pointwise_nearness(rel, max_size)
+    mu1 = _mu1_check(g, rel, max_size)
     mu2 = _mu2_check(g, rel, max_size)
     conclusion = Check(mu1.ok and mu2.ok, mu1.witness or mu2.witness)
     return ImplicationReport(hypotheses, conclusion)
@@ -166,7 +166,7 @@ def first_iso_harness(
     g2: FiniteGroup,
     rel2: ProximityRelation,
     *,
-    max_size: int = GROUP_SCAN_CAP,
+    max_size: int = SCAN_CAP,
 ) -> IsoTheoremReport:
     """Quotient by the kernel and compare with the image structure.
 
@@ -202,7 +202,7 @@ def second_iso_harness(
     h: int,
     n: int,
     *,
-    max_size: int = GROUP_SCAN_CAP,
+    max_size: int = SCAN_CAP,
 ) -> IsoTheoremReport:
     """Compare HN/N with H/(H intersect N) as proximal groups.
 
@@ -257,7 +257,7 @@ def third_iso_harness(
     n: int,
     k: int,
     *,
-    max_size: int = GROUP_SCAN_CAP,
+    max_size: int = SCAN_CAP,
 ) -> IsoTheoremReport:
     """Compare (G/N)/(K/N) with G/K as proximal groups, for N inside K."""
     reason = normality_violation(g, n)
@@ -323,7 +323,7 @@ def hausdorff_check(
     rel: ProximityRelation,
     *,
     axiom_class: str = "efremovic",
-    max_size: int = GROUP_SCAN_CAP,
+    max_size: int = SCAN_CAP,
 ) -> HausdorffReport:
     """T1 versus closed-identity readings on a verified proximal group."""
     report = check_proximal_group(g, rel, axiom_class=axiom_class, max_size=max_size)
@@ -343,7 +343,7 @@ def hausdorff_check(
 
 
 def check_descriptive_proximal_group(
-    g: FiniteGroup, probes: ProbeTable, *, max_size: int = GROUP_SCAN_CAP
+    g: FiniteGroup, probes: ProbeTable, *, max_size: int = SCAN_CAP
 ) -> ProximalGroupReport:
     """Proximal-group check on the relation induced by the probe table."""
     if g.space != probes.space:
@@ -366,7 +366,7 @@ def projection_hom_demo(
     g2: FiniteGroup,
     probes2: ProbeTable,
     *,
-    max_size: int = GROUP_SCAN_CAP,
+    max_size: int = SCAN_CAP,
 ) -> ProjectionDemoReport:
     """First-coordinate projection from the product descriptive structure.
 

@@ -3,11 +3,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import AxiomReport, require_scan_size
+from .axioms import SCAN_CAP, AxiomReport, require_scan_size
 from .relations import ProximityRelation
 from .spaces import FiniteSpace, bits, union_table
-
-PCONT_SCAN_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ def check_pcont(
     rel1: ProximityRelation,
     rel2: ProximityRelation,
     *,
-    max_size: int = PCONT_SCAN_CAP,
+    max_size: int = SCAN_CAP,
     key: str = "pcont",
 ) -> AxiomReport:
     """Pass iff every near pair maps to a near pair of images.
@@ -90,7 +88,6 @@ def check_pcont(
     """
     if f.domain != rel1.space or f.codomain != rel2.space:
         raise ValueError("map endpoints do not match the relation carriers")
-    require_scan_size(f.domain.size, max_size, "pcont")
     p1, p2 = rel1.point_graph, rel2.point_graph
     if p1 is not None and p2 is not None and all(
         (p2[f.images[i]] >> f.images[j]) & 1
@@ -98,6 +95,7 @@ def check_pcont(
         for j in bits(p1[i])
     ):
         return AxiomReport({key: True})
+    require_scan_size(f.domain.size, max_size, "pcont table")
     img = all_image_masks(f)
     for a, row in enumerate(rel1.rows):
         for b in bits(row):
@@ -106,35 +104,42 @@ def check_pcont(
     return AxiomReport({key: True})
 
 
+def _bijection_violation(f: SpaceMap) -> tuple[int, ...] | None:
+    """None when f is a bijection; else the singletons of the first two
+    elements with one image, or, for an injective f, the singleton of the
+    lowest codomain point that f misses."""
+    seen: dict[int, int] = {}
+    for i, img in enumerate(f.images):
+        if img in seen:
+            return (1 << seen[img], 1 << i)
+        seen[img] = i
+    return next(((1 << y,) for y in range(f.codomain.size) if y not in seen), None)
+
+
 def check_proximal_isomorphism(
     f: SpaceMap,
     rel1: ProximityRelation,
     rel2: ProximityRelation,
     *,
-    max_size: int = PCONT_SCAN_CAP,
+    max_size: int = SCAN_CAP,
 ) -> AxiomReport:
     """Bijective, proximally continuous, with proximally continuous inverse.
 
     A non-bijective map is reported through the ``bijective`` verdict; the
     ``inverse_pcont`` verdict is omitted since no inverse exists to test.
+    Witness carriers: ``bijective`` ``({i}, {j})``, the first two elements
+    with one image, and ``pcont`` on the domain; ``bijective`` ``({y},)``,
+    the lowest point an injective map misses, and ``inverse_pcont`` on the
+    codomain.
     """
-    verdicts: dict[str, bool] = {}
-    witnesses: dict[str, tuple[int, ...]] = {}
     bijective = f.is_bijective()
-    verdicts["bijective"] = bijective
-    if not bijective:
-        seen: dict[int, int] = {}
-        for i, img in enumerate(f.images):
-            if img in seen:
-                witnesses["bijective"] = (1 << seen[img], 1 << i)
-                break
-            seen[img] = i
-
-    forward = check_pcont(f, rel1, rel2, max_size=max_size)
-    verdicts.update(forward.verdicts)
-    witnesses.update(forward.witnesses)
+    reports = [check_pcont(f, rel1, rel2, max_size=max_size)]
     if bijective:
-        backward = check_pcont(f.inverse(), rel2, rel1, max_size=max_size, key="inverse_pcont")
-        verdicts.update(backward.verdicts)
-        witnesses.update(backward.witnesses)
-    return AxiomReport(verdicts, witnesses)
+        reports.append(
+            check_pcont(f.inverse(), rel2, rel1, max_size=max_size, key="inverse_pcont")
+        )
+    found = {"bijective": None if bijective else _bijection_violation(f)}
+    for report in reports:
+        for axiom in report.verdicts:
+            found[axiom] = report.witnesses.get(axiom)
+    return AxiomReport.from_witnesses(found)

@@ -181,11 +181,68 @@ def test_non_kuratowski_snapshot_still_returned():
 # --- caps -------------------------------------------------------------------
 
 
+def empty_near_empty(n):
+    """The discrete table with the empty set near itself: not Cech (L2 and
+    L4 fail), so every checker reads the table."""
+    rows = list(make_discrete_proximity(default_space(n)).rows)
+    rows[0] |= 1
+    return ProximityRelation(default_space(n), tuple(rows))
+
+
 def test_scan_cap_raises_with_override_hint():
-    rel = make_discrete_proximity(default_space(6))
-    with pytest.raises(ValueError, match="max_size=6"):
+    rel = empty_near_empty(8)
+    with pytest.raises(ValueError, match="L1-L4 table scan .* pass max_size=8"):
         check_cech(rel)
-    assert check_cech(rel, max_size=6).ok
+    assert check_cech(rel, max_size=8).failed() == ("L2", "L4")
+
+
+# Cech verdicts are decided on the point relation P: no scan, no cap.
+N12 = default_space(12)
+DISCRETE12 = make_discrete_proximity(N12)
+COARSE12 = make_coarse_proximity(N12)
+# P = the classes {0..5} and {6..11}: an equivalence, so L5, EF and K4 hold
+HALVES12 = relation_from_point_pairs(N12, [0x03F] * 6 + [0xFC0] * 6, "explicit")
+
+
+@pytest.mark.parametrize(
+    "rel", [DISCRETE12, COARSE12, HALVES12], ids=["discrete", "coarse", "halves"]
+)
+@pytest.mark.parametrize("check", [check_cech, check_lodato, check_efremovic, check_kuratowski])
+def test_passing_cech_checks_run_above_the_cap_without_max_size(check, rel):
+    assert check(rel).ok
+
+
+# P relates 6 to 7 and 7 to 8 but not 6 to 8: Cech, not transitive
+PATH9 = relation_from_point_pairs(
+    default_space(9), [1, 2, 4, 8, 16, 32, 0b11000000, 0b111000000, 0b110000000], "explicit"
+)
+
+
+@pytest.mark.parametrize(
+    "check, path",
+    [
+        (check_lodato, "L5 chain"),
+        (check_efremovic, "EF separation"),
+        (check_transitivity_property, "transitivity chain"),
+    ],
+)
+def test_failing_cech_scans_name_their_path_above_the_cap(check, path):
+    with pytest.raises(ValueError, match=f"{path} scan on a 9-element carrier exceeds the cap 7;"
+                       " pass max_size=9 to run it anyway"):
+        check(PATH9)
+
+
+def test_kuratowski_scans_only_off_cech_tables():
+    # K1-K3 hold on every Cech table, so a failing one reads only K4
+    assert check_kuratowski(PATH9).witnesses == {"K4": (1 << 6,)}
+    with pytest.raises(ValueError, match="Kuratowski pair scan .* pass max_size=8"):
+        check_kuratowski(empty_near_empty(8))
+
+
+def test_induced_topology_caps_the_closed_family_check():
+    with pytest.raises(ValueError, match="closed-family pair scan on a 12-element carrier"
+                       " exceeds the cap 7; pass max_size=12"):
+        induced_topology(DISCRETE12)
 
 
 # --- differential against the naive oracle -----------------------------------

@@ -32,3 +32,24 @@ def test_every_traced_layer_resolves_to_a_proxikit_function():
         if not inspect.isfunction(getattr(getattr(proxikit, module, None), name, None))
     ]
     assert missing == []
+
+
+# The checkers perfbench/workloads.py calls with ``max_size=``.
+BENCHMARK_MAX_SIZE_CALLS = (
+    "check_proximal_group",
+    "check_translations",
+    "check_cech",
+    "check_lodato",
+    "check_efremovic",
+    "check_kuratowski",
+    "check_transitivity_property",
+)
+
+
+def test_benchmark_checkers_still_take_max_size():
+    missing = [
+        name
+        for name in BENCHMARK_MAX_SIZE_CALLS
+        if "max_size" not in inspect.signature(getattr(proxikit, name)).parameters
+    ]
+    assert missing == []

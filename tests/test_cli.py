@@ -62,11 +62,16 @@ def test_fuzz_failure_carries_serialized_counterexamples():
 
 
 def test_scan_cap_is_input_error_without_override():
-    ws = parse_workspace((FIXTURES / "sample_probes.json").read_text())
-    with pytest.raises(ValueError, match="max_size=7"):
-        run_command("descriptive-check", ws, {"probes": "q"})
-    ok = run_command("descriptive-check", ws, {"probes": "q", "max_n": 7})
-    assert ok.exit_code == 0
+    # {a} near {a} only: not Cech, so check-axioms reads the table
+    document = {
+        "space": {"labels": list("abcdefgh")},
+        "relations": {"r": {"encoding": "explicit", "near": [[1, 1]]}},
+    }
+    ws = parse_workspace(json.dumps(document))
+    with pytest.raises(ValueError, match="L1-L4 table scan .* pass max_size=8"):
+        run_command("check-axioms", ws, {"rel": "r"})
+    ran = run_command("check-axioms", ws, {"rel": "r", "max_n": 8})
+    assert ran.exit_code == 1
 
 
 def test_unknown_verb_rejected():
@@ -240,19 +245,34 @@ def test_quotient_takes_no_max_n(capsys):
 
 
 def test_iso_theorems_on_a_group_above_max_n_names_the_cap(tmp_path, capsys):
-    n = 7
+    n = 8
     document = {
-        "space": {"labels": list("abcdefg")},
-        "relations": {"d": {"encoding": "discrete"}},
+        "space": {"labels": list("abcdefgh")},
+        "relations": {"d": {"encoding": "discrete"}, "c": {"encoding": "coarse"}},
         "group": {"cayley": [[(i + j) % n for j in range(n)] for i in range(n)], "identity": 0},
         "maps": {"id": {"images": list(range(n))}},
     }
-    path = tmp_path / "z7.json"
+    path = tmp_path / "z8.json"
     path.write_text(json.dumps(document))
-    argv = ["iso-theorems", str(path), "--which", "first", "--rel", "d", "--map", "id"]
-    assert main([*argv, "--max-n", "6"]) == 2
-    assert "exceeds the cap 6" in capsys.readouterr().err
-    assert main([*argv, "--max-n", "7"]) == 0
+    # the inverse of id: coarse -> discrete is not pcont, so its table is read
+    argv = ["iso-theorems", str(path), "--which", "first", "--rel", "d", "--rel2", "c"]
+    assert main([*argv, "--max-n", "7"]) == 2
+    assert "pcont table scan on a 8-element carrier exceeds the cap 7" in capsys.readouterr().err
+    assert main([*argv, "--max-n", "8"]) == 1
+    assert "proximal inverse_pcont FAIL" in capsys.readouterr().out
+
+
+def test_group_check_on_order_twelve_runs_without_max_n(tmp_path, capsys):
+    n = 12
+    document = {
+        "space": {"labels": [f"x{i}" for i in range(n)]},
+        "relations": {"d": {"encoding": "discrete"}},
+        "group": {"cayley": [[(i + j) % n for j in range(n)] for i in range(n)], "identity": 0},
+    }
+    path = tmp_path / "z12.json"
+    path.write_text(json.dumps(document))
+    assert main(["group-check", str(path)]) == 0
+    assert main(["translations", str(path)]) == 0
 
 
 def test_python_dash_m_runs_the_cli():

@@ -223,6 +223,25 @@ def test_mapping_space_rejects_non_dpcont_member():
         mapping_space_relation([bad], [bad], merged, inj)
 
 
+def test_descriptive_checks_run_on_twelve_elements_without_a_cap():
+    # same description is an equivalence, so no table scan ever runs
+    probes = probe_table(default_space(12), [[i % 3, i // 6] for i in range(12)])
+    lodato, ef = check_descriptive_lodato(probes), check_descriptive_ef(probes)
+    assert lodato.ok and ef.ok
+    assert list(lodato.verdicts) == ["DL1", "DL2", "DL3", "DL4", "DL5"]
+    assert list(ef.verdicts) == ["DL1", "DL2", "DL3", "DL4", "DEF"]
+
+
+def test_mapping_space_pair_scan_obeys_max_size():
+    s8 = default_space(8)
+    constant = probe_table(s8, [[0]] * 8)
+    ident = identity_map(s8)
+    with pytest.raises(ValueError, match="mapping-space pair scan on a 8-element carrier"
+                       " exceeds the cap 7; pass max_size=8 to run it anyway"):
+        mapping_space_relation([ident], [ident], constant, constant)
+    assert mapping_space_relation([ident], [ident], constant, constant, max_size=8).near
+
+
 # --- product probes -----------------------------------------------------------
 
 

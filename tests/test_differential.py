@@ -221,8 +221,8 @@ def test_reach_mu1_witness_matches_the_table_scan_on_orders_six_to_eight():
         pairs = list(combinations(range(g.order), 2))
         for _ in range(4):
             rel = point_graph_relation(g.space, [p for p in pairs if rng.random() < 0.4])
-            check = _mu1_check(g, rel)
-            assert check == _mu1_check(g, scan_only(rel))
+            check = _mu1_check(g, rel, g.order)
+            assert check == _mu1_check(g, scan_only(rel), g.order)
             if not check.ok:
                 failing += 1
                 b1, b2, c1, c2 = check.witness
@@ -295,7 +295,7 @@ def naive_point_mu1(g, points):
 def assert_mu1_kernel_agrees(g, rel):
     expected = naive_point_mu1(g, rel.point_graph)
     assert _coset_mu1(g, rel.point_graph) == expected
-    assert _mu1_check(g, rel).ok == expected
+    assert _mu1_check(g, rel, g.order).ok == expected
     return expected
 
 

@@ -507,9 +507,9 @@ def test_hom_criterion_sweep_verifies_each_structure_once(monkeypatch):
 @pytest.mark.parametrize(
     "theorem, scope, instances",
     [
-        # product order above GROUP_SCAN_CAP, factor orders below it
+        # product orders up to 8, above SCAN_CAP
         ("products-inherit-proximal-group", FuzzScope(8, ("discrete", "coarse")), 136),
-        # carriers above DEFAULT_SCAN_CAP: Bell(1) + ... + Bell(6) partitions
+        # carriers up to 6: Bell(1) + ... + Bell(6) partitions
         ("every-cech-is-lodato", FuzzScope(6, ("lodato",)), 278),
         ("every-cech-is-lodato", FuzzScope(8, ("discrete", "coarse")), 16),
     ],

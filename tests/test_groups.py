@@ -230,18 +230,45 @@ def test_z4_all_translations_pass():
 def test_translation_and_homomorphism_scans_obey_max_size():
     z3 = cyclic_group(3)
     d = make_discrete_proximity(z3.space)
+    # a -- b only: Cech, but not a coset relation, and no translation keeps it
+    tolerance = relation_from_point_pairs(z3.space, [0b011, 0b011, 0b100], "explicit")
     ident = identity_map(z3.space)
-    with pytest.raises(ValueError, match="exceeds the cap 1"):
-        check_proximal_group(z3, d, max_size=1)
-    with pytest.raises(ValueError, match="exceeds the cap 1"):
-        check_translations(z3, d, max_size=1)
+    with pytest.raises(ValueError, match="mu1 reach scan .* exceeds the cap 1"):
+        check_proximal_group(z3, tolerance, max_size=1)
+    with pytest.raises(ValueError, match="pcont table scan .* exceeds the cap 1"):
+        check_translations(z3, tolerance, max_size=1)
     for isomorphism in (False, True):
-        with pytest.raises(ValueError, match="exceeds the cap 1"):
+        with pytest.raises(ValueError, match="pcont table scan .* exceeds the cap 1"):
             check_proximal_homomorphism(
-                ident, z3, d, z3, d, isomorphism=isomorphism, max_size=1
+                ident, z3, tolerance, z3, d, isomorphism=isomorphism, max_size=1
             )
-    assert check_translations(z3, d, max_size=3).ok
-    assert check_proximal_homomorphism(ident, z3, d, z3, d, max_size=3).ok
+    assert not check_translations(z3, tolerance, max_size=3).ok
+    assert check_proximal_homomorphism(ident, z3, tolerance, z3, d, max_size=3).failed() == (
+        "pcont",
+    )
+
+
+Z12 = cyclic_group(12)
+# P[a] = a + {0, 4, 8}: the coset relation of the normal subgroup 4Z12
+COSET12 = relation_from_point_pairs(
+    Z12.space, [subset_product(Z12, 1 << a, 0b000100010001) for a in range(12)], "explicit"
+)
+
+
+@pytest.mark.parametrize(
+    "rel",
+    [make_discrete_proximity(Z12.space), make_coarse_proximity(Z12.space), COSET12],
+    ids=["discrete", "coarse", "coset"],
+)
+def test_passing_order_twelve_structures_need_no_max_size(rel):
+    for axiom_class in ("cech", "lodato", "efremovic"):
+        assert check_proximal_group(Z12, rel, axiom_class=axiom_class).ok
+    assert check_translations(Z12, rel).ok
+
+
+def test_products_of_order_twelve_need_no_max_size():
+    z3 = cyclic_group(3)
+    assert product_proximal_group(Z4, D4, z3, make_coarse_proximity(z3.space)).ok
 
 
 # --- transitivity -----------------------------------------------------------
@@ -339,14 +366,6 @@ def test_product_rejects_unverified():
         product_proximal_group(z2, bad, z2, make_discrete_proximity(z2.space))
 
 
-def test_product_over_the_cap_names_max_size():
-    z3 = cyclic_group(3)
-    d = make_discrete_proximity(z3.space)
-    with pytest.raises(ValueError, match="exceeds the cap 6; pass max_size=9"):
-        product_proximal_group(z3, d, z3, d)
-    assert product_proximal_group(z3, d, z3, d, max_size=9).ok
-
-
 def test_products_of_verified_factors_pass_on_the_product_group():
     # the proof in product_proximal_group's docstring, read on the product
     # group itself: near rectangle pairs multiply to near rectangles (mu1)
@@ -428,7 +447,7 @@ def test_hom_criterion_discrete_to_coarse():
     assert report.hypothesis.ok and report.conclusion.ok
 
 
-def test_hom_criterion_verifies_once_and_checks_the_cap_every_call(monkeypatch):
+def test_hom_criterion_verifies_each_structure_once(monkeypatch):
     calls = []
     check = groups.check_proximal_group
 
@@ -443,8 +462,6 @@ def test_hom_criterion_verifies_once_and_checks_the_cap_every_call(monkeypatch):
     for _ in range(3):
         assert hom_criterion_check(eta, z3, d3, z3, c3).implication_ok
     assert len(calls) == 2
-    with pytest.raises(ValueError, match="proximal-group scan .* exceeds the cap 2"):
-        hom_criterion_check(eta, z3, d3, z3, c3, max_size=2)
     hom_criterion_check(eta, z3, d3, z3, c3, axiom_class="lodato")
     assert len(calls) == 4
     # a -- b only: not the coset partition of a subgroup of Z3

@@ -1,6 +1,7 @@
 import pytest
 
 from proxikit import (
+    ProximityRelation,
     SpaceMap,
     all_groups_up_to,
     check_descriptive_proximal_group,
@@ -18,12 +19,13 @@ from proxikit import (
     multiplication_continuity_harness,
     probe_table,
     projection_hom_demo,
+    relation_from_point_pairs,
     second_iso_harness,
     subgroup_proximal_group,
     third_iso_harness,
 )
-from proxikit.groups import all_subgroups, normal_subgroups
-from proxikit.harnesses import _iso_report
+from proxikit.groups import _mu1_check, all_subgroups, normal_subgroups
+from proxikit.harnesses import _iso_report, _pointwise_nearness
 
 
 # --- inversion-from-multiplication --------------------------------------------
@@ -291,27 +293,46 @@ def test_descriptive_subgroup_composition():
 def test_harness_scans_obey_max_size():
     z3 = cyclic_group(3)
     z1 = cyclic_group(1)
-    d = make_discrete_proximity(z3.space)
+    # the empty set near itself: not Cech, so every harness reads the table
+    rows = list(make_discrete_proximity(z3.space).rows)
+    rows[0] |= 1
+    bad = ProximityRelation(z3.space, tuple(rows))
     ident = identity_map(z3.space)
     runs = [
-        lambda: inversion_continuity_harness(z3, d, max_size=1),
-        lambda: first_iso_harness(ident, z3, d, z3, d, max_size=1),
-        lambda: second_iso_harness(z3, d, 0b111, 0b001, max_size=1),
-        lambda: third_iso_harness(z3, d, 0b001, 0b001, max_size=1),
+        lambda: inversion_continuity_harness(z3, bad, max_size=1),
+        lambda: first_iso_harness(ident, z3, bad, z3, bad, max_size=1),
+        lambda: second_iso_harness(z3, bad, 0b111, 0b001, max_size=1),
+        lambda: third_iso_harness(z3, bad, 0b001, 0b001, max_size=1),
+        # a and b share a description: not the cosets of a subgroup
         lambda: projection_hom_demo(
-            z3, probe_table(z3.space, [[0], [1], [2]]), z1, probe_table(z1.space, [[0]]),
+            z3, probe_table(z3.space, [[0], [0], [1]]), z1, probe_table(z1.space, [[0]]),
             max_size=1,
         ),
     ]
     runs += [
-        lambda mode=mode: multiplication_continuity_harness(z3, d, mode, max_size=1)
+        lambda mode=mode: multiplication_continuity_harness(z3, bad, mode, max_size=1)
         for mode in ("ef-transitivity", "lodato-pointwise")
     ]
     for run in runs:
-        with pytest.raises(ValueError, match="exceeds the cap 1"):
+        with pytest.raises(ValueError, match="scan on a [1-9]-element carrier exceeds the cap 1;"
+                           " pass max_size=[1-9] to run it anyway"):
             run()
-    assert inversion_continuity_harness(z3, d, max_size=3).implication_ok
-    assert third_iso_harness(z3, d, 0b001, 0b001, max_size=3).ok
+    assert inversion_continuity_harness(z3, bad, max_size=3).implication_ok
+    assert third_iso_harness(z3, bad, 0b001, 0b001, max_size=3).ok
+
+
+def test_harness_helpers_cap_their_own_scans():
+    z8 = cyclic_group(8)
+    coarse = make_coarse_proximity(z8.space)
+    with pytest.raises(ValueError, match="pointwise-nearness pair scan .* pass max_size=8"):
+        _pointwise_nearness(coarse)
+    assert _pointwise_nearness(coarse, 8).ok
+    # a -- b only: mu1 fails, and its witness is read on the reach path
+    points = [0b11, 0b11] + [1 << i for i in range(2, 8)]
+    tolerance = relation_from_point_pairs(z8.space, points, "explicit")
+    with pytest.raises(ValueError, match="mu1 reach scan .* pass max_size=8"):
+        _mu1_check(z8, tolerance)
+    assert not _mu1_check(z8, tolerance, 8).ok
 
 
 # --- projection demo ----------------------------------------------------------------

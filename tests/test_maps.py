@@ -86,6 +86,17 @@ def test_non_bijective_reported_not_raised():
     assert report.witnesses["bijective"] == (1, 2)
 
 
+def test_injective_map_missing_a_point_names_it_on_the_codomain():
+    s1, s3 = default_space(1), default_space(3)
+    d1, d3 = make_discrete_proximity(s1), make_discrete_proximity(s3)
+    report = check_proximal_isomorphism(SpaceMap(s1, S2, (0,)), d1, D2)
+    assert report.verdicts == {"bijective": False, "pcont": True}
+    assert report.witnesses == {"bijective": (0b10,)}
+    # the lowest missed codomain point, here b of a, b, c
+    report = check_proximal_isomorphism(SpaceMap(S2, s3, (0, 2)), D2, d3)
+    assert report.witnesses == {"bijective": (0b010,)}
+
+
 # --- composition ------------------------------------------------------------
 
 
