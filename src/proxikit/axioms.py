@@ -1,8 +1,8 @@
 """Axiom checkers for proximity relations.
 
-Every checker scans its quantifier exhaustively over the subset table and
-returns an :class:`AxiomReport`.  Failure is a verdict with a witness, never
-an exception.  Witnesses are the lexicographically smallest violating tuple
+Every checker decides its quantifier exhaustively and returns an
+:class:`AxiomReport`.  Failure is a verdict with a witness, never an
+exception.  Witnesses are the lexicographically smallest violating tuple
 of subset masks, scanning the first argument outermost, so reports are
 deterministic and reproducible.
 
@@ -13,20 +13,22 @@ The axiom vocabulary:
 * EF: every far pair is separated by some subset K.
 * K1..K4: the Kuratowski closure axioms for B -> { y : {y} near B }.
 
-On a Cech table (one whose ``point_graph`` is not None) each checker first
-decides a passing verdict on the point relation P, at most n^2 point pairs;
-each reduction is proved in the checker's docstring.  The table is read
-only when that verdict is not "pass", so every witness comes from it.
+A Cech table (one whose ``point_graph`` is not None) is decided on its
+point relation P, at most n^2 point pairs, and its rows are never read:
+L1-L4 and K1-K3 hold, and L5, EF and K4 hold exactly when P is
+transitive.  When P is not, the first point whose neighbourhood P leaves
+(:func:`_first_unclosed`) gives all three witnesses, each made of
+singletons.  Each reduction is proved in the checker's docstring.
 
-On m = 2^n subsets no read is cubic: each works on whole rows as bitsets.
-L1 and EF read the transposed table (:func:`~proxikit.spaces.transpose`),
-L2 and L3 one mask per row, L4 one row-shape test per row and then a
-single row (:func:`_union_row`), L5 one mask per near pair.
-So L1-L4 cost O(m n) big-int operations plus one O(m^2) row scan, and
-EF, L5 and K3 at most O(m^2).  One cap, ``SCAN_CAP``, bounds those 4^n
-reads: :func:`require_scan_size` is called just before each one, so a
-verdict decided on P runs at any size, and a scan above the cap raises
-unless the caller raises ``max_size`` explicitly.
+Any other table is read, and on m = 2^n subsets no read is cubic: each
+works on whole rows as bitsets.  L1 and EF read the transposed table
+(:func:`~proxikit.spaces.transpose`), L2 and L3 one mask per row, L4 one
+row-shape test per row and then a single row (:func:`_union_row`), L5 one
+mask per near pair.  So L1-L4 cost O(m n) big-int operations plus one
+O(m^2) row scan, and EF, L5 and K3 at most O(m^2).  One cap, ``SCAN_CAP``,
+bounds those 4^n reads: :func:`require_scan_size` is called just before
+the first of them, so a Cech table is checked at any size, and a scan
+above the cap raises unless the caller raises ``max_size`` explicitly.
 
 Reports hold only verdicts and witnesses.  The smallest subset separating
 each far pair is computed on request by :func:`ef_separators`.
@@ -156,15 +158,33 @@ def check_cech(rel: ProximityRelation, *, max_size: int = SCAN_CAP) -> AxiomRepo
     return AxiomReport.from_witnesses(_l1_l4_violations(rel, max_size))
 
 
-def _equivalence(rel: ProximityRelation) -> tuple[int, ...] | None:
-    """The point relation P of a Cech table when P is also transitive (so an
-    equivalence relation), else None."""
-    points = rel.point_graph
-    if points is None or any(
-        points[j] & ~points[i] for i in range(len(points)) for j in bits(points[i])
-    ):
-        return None
-    return points
+def _first_unclosed(points: Sequence[int]) -> dict[str, tuple[int, ...] | None]:
+    """The L5, EF and K4 witnesses of the Cech table of the point relation
+    P, all None when P is transitive.
+
+    They are read off the first point i, and the first j in P[i], with
+    P[j] not inside P[i]; no such i exists exactly when P is transitive.
+    Write R(A) for the union of P over A (the closure of A, see
+    :func:`closure_table`).  The first A, in ascending mask order, with
+    R(R(A)) != R(A) is {i}: R(R(A)) is the union of R(P[x]) over x in A,
+    so such an A has a member x with R(P[x]) outside P[x], that is a j in
+    P[x] with P[j] outside P[x]; that x is at least i, so A is at least
+    {i}, and {i} is such an A.  Each checker's docstring proves that its
+    witness comes from that A.
+    """
+    for i, near in enumerate(points):
+        for j in bits(near):
+            chained = points[j] & ~near
+            if chained:
+                escaped = 0
+                for k in bits(near):
+                    escaped |= points[k] & ~near
+                return {
+                    "L5": (1 << i, 1 << j, chained & -chained),
+                    "EF": (1 << i, escaped & -escaped),
+                    "K4": (1 << i,),
+                }
+    return dict.fromkeys(("L5", "EF", "K4"))
 
 
 def _singleton_row_meet(rel: ProximityRelation) -> list[int]:
@@ -201,12 +221,23 @@ def check_lodato(rel: ProximityRelation, *, max_size: int = SCAN_CAP) -> AxiomRe
     in B: some a in A, b in B have a P b, and b P c for some c in C, so
     a P c and A near C.  If x P y and y P z, then L5 with A = {x},
     B = {y}, C = {z} gives {x} near {z}, that is x P z.
+
+    When P is not transitive, the witness is ({i}, {j}, {c}), for (i, j)
+    as in :func:`_first_unclosed` and c the lowest point of P[j] - P[i].
+    A row A with R(R(A)) = R(A) holds no violation: B near A has a point
+    b in R(A), C near {b} a point c in R(b), inside R(R(A)) = R(A), so A
+    near C.  So the first row with one is A = {i}, where R(A) = P[i].
+    There, (B, C) violates exactly when B meets P[i], C meets P[b] for
+    every b in B, and C misses P[i].  A point b of B in P[i] then has P[b]
+    outside P[i], so b is at least j and B at least {j}; ({j}, C) violates
+    exactly when C meets P[j] - P[i], and the smallest such C is {c}.
     """
     found = _l1_l4_violations(rel, max_size)
-    found["L5"] = None
-    if _equivalence(rel) is None:
-        require_scan_size(rel.space.size, max_size, "L5 chain")
+    points = rel.point_graph
+    if points is None:
         found["L5"] = first_chain_violation(rel.rows, _singleton_row_meet(rel))
+    else:
+        found["L5"] = _first_unclosed(points)["L5"]
     return AxiomReport.from_witnesses(found)
 
 
@@ -247,19 +278,28 @@ def check_efremovic(rel: ProximityRelation, *, max_size: int = SCAN_CAP) -> Axio
     R(B) for the union of P over B.  A far K exactly when K misses R(A), and
     (carrier - K) far B exactly when K contains R(B) (P is symmetric), so
     the separating K of a far pair are the masks from R(B) up to
-    carrier - R(A).
-    EF holds exactly when P is transitive.  If it is, R(A) and R(B) are
-    unions of disjoint classes and meet only if A near B, so every far
-    pair is separated, and the numerically smallest separating mask is
-    R(B) itself.  If x P y and y P z but not x P z, no K separates {x}
-    from {z}: K containing y is near {x}, and K missing y leaves y, which
-    is near {z}, in the complement.
+    carrier - R(A), and there is one exactly when R(A) and R(B) are
+    disjoint.  A far pair (A, B) has B outside R(A); if R(R(A)) = R(A)
+    and z lay in both, the b in B with b P z would lie in R(R(A)) = R(A),
+    so the pair is separated.  So EF holds exactly when P is
+    transitive, and then the numerically smallest separating mask is R(B)
+    itself.  If x P y and y P z but not x P z, no K separates {x} from
+    {z}: K containing y is near {x}, and K missing y leaves y, which is
+    near {z}, in the complement.
+
+    When P is not transitive, the witness is ({i}, {y}), for i as in
+    :func:`_first_unclosed` and y the lowest point of R(P[i]) - P[i].  Rows
+    A with R(R(A)) = R(A) hold no unseparated far pair, so the first row
+    with one is A = {i}, where R(A) = P[i].  There a far B is unseparated
+    exactly when R(B) meets P[i], that is when B meets R(P[i]); it misses
+    P[i], so the smallest such B is {y}.
     """
     found = _l1_l4_violations(rel, max_size)
-    found["EF"] = None
-    if _equivalence(rel) is None:
-        require_scan_size(rel.space.size, max_size, "EF separation")
+    points = rel.point_graph
+    if points is None:
         found["EF"] = _first_unseparated(rel.rows)
+    else:
+        found["EF"] = _first_unclosed(points)["EF"]
     return AxiomReport.from_witnesses(found)
 
 
@@ -313,34 +353,37 @@ def check_kuratowski(rel: ProximityRelation, *, max_size: int = SCAN_CAP) -> Axi
 
     On a Cech table with point relation P, cl(B) is the union of P over B
     (see :func:`closure_table`): K1 and K3 hold for any such union, K2 by
-    reflexivity, so only K4 is read off the closure table, O(2^n).  K4
-    holds exactly when P is transitive: then cl(B) is a union of classes
-    and closed; if x P y and y P z but not x P z, then y is in cl({z}) and
-    x in cl(cl({z})) but not in cl({z}).  Any other table is scanned for
-    K1-K3 too, K3 over every pair of masks.
+    reflexivity.  K4 holds exactly when P is transitive: then cl(B) is a
+    union of classes and closed; if x P y and y P z but not x P z, then y
+    is in cl({z}) and x in cl(cl({z})) but not in cl({z}).  Its witness
+    is the first B with cl(cl(B)) != cl(B), which is {i} for i as in
+    :func:`_first_unclosed`.  Any other table is scanned for K1-K4, K3
+    over every pair of masks.
     """
+    points = rel.point_graph
+    if points is not None:
+        return AxiomReport.from_witnesses(
+            {"K1": None, "K2": None, "K3": None, "K4": _first_unclosed(points)["K4"]}
+        )
+    require_scan_size(rel.space.size, max_size, "Kuratowski pair")
     cl = closure_table(rel)
     subsets = range(rel.space.n_subsets)
-    found = dict.fromkeys(("K1", "K2", "K3"))
-    if rel.point_graph is None:
-        require_scan_size(rel.space.size, max_size, "Kuratowski pair")
-        found = {
-            "K1": (0,) if cl[0] else None,
-            "K2": next(((b,) for b in subsets if b & ~cl[b]), None),
-            "K3": next(
-                ((a, b) for a in subsets for b in subsets if cl[a | b] != cl[a] | cl[b]),
-                None,
-            ),
-        }
-    found["K4"] = next(((b,) for b in subsets if cl[cl[b]] != cl[b]), None)
-    return AxiomReport.from_witnesses(found)
+    return AxiomReport.from_witnesses({
+        "K1": (0,) if cl[0] else None,
+        "K2": next(((b,) for b in subsets if b & ~cl[b]), None),
+        "K3": next(
+            ((a, b) for a in subsets for b in subsets if cl[a | b] != cl[a] | cl[b]),
+            None,
+        ),
+        "K4": next(((b,) for b in subsets if cl[cl[b]] != cl[b]), None),
+    })
 
 
 @dataclass(frozen=True)
 class TopologySnapshot:
     """Closed/open families of the closure operator induced by a relation.
 
-    ``kuratowski_ok`` says the closure operator is a genuine Kuratowski
+    ``kuratowski`` is the :func:`check_kuratowski` report of the closure
     operator; ``is_topology`` is the direct family check (empty set and the
     carrier present, closed under pairwise union and intersection).  The
     snapshot is returned even when the families fail to form a topology.
@@ -349,8 +392,13 @@ class TopologySnapshot:
     space: FiniteSpace
     closed_sets: tuple[int, ...]
     open_sets: tuple[int, ...]
-    kuratowski_ok: bool
+    kuratowski: AxiomReport
     is_topology: bool
+
+    @property
+    def kuratowski_ok(self) -> bool:
+        """Whether the closure operator is a genuine Kuratowski operator."""
+        return self.kuratowski.ok
 
 
 def induced_topology(rel: ProximityRelation, *, max_size: int = SCAN_CAP) -> TopologySnapshot:
@@ -367,4 +415,4 @@ def induced_topology(rel: ProximityRelation, *, max_size: int = SCAN_CAP) -> Top
         and all(a | b in closed_set and a & b in closed_set for a in closed for b in closed)
     )
     report = check_kuratowski(rel, max_size=max_size)
-    return TopologySnapshot(rel.space, closed, opens, report.ok, is_topology)
+    return TopologySnapshot(rel.space, closed, opens, report, is_topology)

@@ -222,7 +222,6 @@ def _cmd_check_axioms(ws, flags):
 def _cmd_topology(ws, flags):
     name, rel = _pick_relation(ws, flags)
     snapshot = induced_topology(rel, max_size=_scan_size(flags))
-    kreport = check_kuratowski(rel, max_size=_scan_size(flags))
     space = rel.space
     lines = [
         "closed sets: " + " ".join(space.format_mask(c) for c in snapshot.closed_sets),
@@ -240,7 +239,7 @@ def _cmd_topology(ws, flags):
         "ok": snapshot.kuratowski_ok,
     }
     witnesses = {}
-    for k, w in kreport.witnesses.items():
+    for k, w in snapshot.kuratowski.witnesses.items():
         witnesses[k] = _witness_payload(space, w)
         lines.append(f"{k} FAIL {_witness_text(space, w)}")
     return _result(payload, lines, witnesses, snapshot.kuratowski_ok)
@@ -487,7 +486,7 @@ def _cmd_mapping_space(ws, flags):
 
     maps1 = pick_set("set1")
     maps2 = pick_set("set2")
-    verdict = mapping_space_relation(maps1, maps2, probes1, probes2, max_size=_scan_size(flags))
+    verdict = mapping_space_relation(maps1, maps2, probes1, probes2)
     payload = {
         "verb": "mapping-space",
         "probes": name1,
@@ -634,7 +633,10 @@ VERBS: dict[str, Verb] = {
         ("--which", "--rel", "--rel2", "--map", "--subset", "--normal", "--normal2"),
     ),
     "descriptive-check": Verb(_cmd_descriptive_check, ("--probes", "--group")),
-    "mapping-space": Verb(_cmd_mapping_space, ("--probes", "--probes2", "--set1", "--set2")),
+    # descriptive relations are Cech, so the map-set test runs on points alone
+    "mapping-space": Verb(
+        _cmd_mapping_space, ("--probes", "--probes2", "--set1", "--set2"), max_n=False
+    ),
     "enumerate": Verb(
         _cmd_enumerate, ("--n",), required=("--n",), document=False, max_n=False,
         classes=RELATION_CLASSES, default_class="cech",

@@ -9,13 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .axioms import (
-    SCAN_CAP,
-    AxiomReport,
-    check_efremovic,
-    check_lodato,
-    require_scan_size,
-)
+from .axioms import AxiomReport, check_efremovic, check_lodato
 from .maps import SpaceMap, check_pcont
 from .relations import ProximityRelation, relation_from_point_pairs
 from .spaces import FiniteSpace, bits, product_space
@@ -118,19 +112,13 @@ def check_descriptive_ef(probes: ProbeTable) -> AxiomReport:
     return _descriptive_keys(check_efremovic(descriptive_proximity(probes)))
 
 
-def check_dpcont(
-    f: SpaceMap,
-    probes1: ProbeTable,
-    probes2: ProbeTable,
-    *,
-    max_size: int = SCAN_CAP,
-) -> AxiomReport:
+def check_dpcont(f: SpaceMap, probes1: ProbeTable, probes2: ProbeTable) -> AxiomReport:
     """Descriptive proximal continuity of f between the induced relations."""
     if f.domain != probes1.space or f.codomain != probes2.space:
         raise ValueError("map endpoints do not match the probe-table carriers")
     rel1 = descriptive_proximity(probes1)
     rel2 = descriptive_proximity(probes2)
-    return check_pcont(f, rel1, rel2, max_size=max_size, key="dpcont")
+    return check_pcont(f, rel1, rel2, key="dpcont")
 
 
 @dataclass(frozen=True)
@@ -150,34 +138,41 @@ def mapping_space_relation(
     maps2: Sequence[SpaceMap],
     probes1: ProbeTable,
     probes2: ProbeTable,
-    *,
-    max_size: int = SCAN_CAP,
 ) -> MappingSpaceVerdict:
     """Near iff every near pair stays near under every pair of maps.
 
     Both map sets must consist of descriptively continuous maps from the
     first carrier to the second; a non-continuous member is rejected by name.
+
+    Both relations are Cech, with the "same description" point relations
+    P1 and P2, so the test runs on points: the sets are near exactly when
+    x P1 y implies f(x) P2 g(y) for every f in ``maps1`` and g in
+    ``maps2``, as for :func:`~proxikit.maps.check_pcont`.  When they are
+    far, the witness is ({x}, {y}, f, g) for the first x, y, f, g, in
+    that order, that break it: a violating (A, B, f, g) holds such an x in
+    A and y in B for that f and g, so as for ``check_pcont`` the first
+    violating A is {x}, then B is {y}, and then come the first maps.
     """
     rel1 = descriptive_proximity(probes1)
     rel2 = descriptive_proximity(probes2)
     for which, maps in (("maps1", maps1), ("maps2", maps2)):
         for index, f in enumerate(maps):
-            report = check_dpcont(f, probes1, probes2, max_size=max_size)
-            if not report.ok:
+            if not check_pcont(f, rel1, rel2).ok:
                 raise ValueError(
                     f"map {_map_identity(which, index, f)} is not descriptively"
                     " proximally continuous"
                 )
-    require_scan_size(probes1.space.size, max_size, "mapping-space pair")
-    for a, row in enumerate(rel1.rows):
-        for b in bits(row):
+    p1, p2 = rel1.point_graph, rel2.point_graph
+    for x in range(probes1.space.size):
+        for y in bits(p1[x]):
             for i, f in enumerate(maps1):
-                fa = f.image_mask(a)
+                near = p2[f.images[x]]
                 for j, g in enumerate(maps2):
-                    if not rel2.near(fa, g.image_mask(b)):
+                    if not (near >> g.images[y]) & 1:
                         return MappingSpaceVerdict(
                             False,
-                            (a, b, _map_identity("maps1", i, f), _map_identity("maps2", j, g)),
+                            (1 << x, 1 << y, _map_identity("maps1", i, f),
+                             _map_identity("maps2", j, g)),
                         )
     return MappingSpaceVerdict(True)
 

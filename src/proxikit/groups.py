@@ -353,32 +353,27 @@ def _coset_mu1(g: FiniteGroup, points: tuple[int, ...]) -> bool:
     ) and normality_violation(g, n_mask) is None
 
 
-def _reach_mu1_witness(
+def _point_mu1_witness(
     g: FiniteGroup, points: tuple[int, ...]
 ) -> tuple[int, int, int, int] | None:
     """Smallest mu1 witness on the Cech table of the point relation P.
 
-    With R[B] the reach of B (the points P-related to a member of B), B is
-    near C iff C meets R[B].  A tuple (B1, B2, C1, C2) violates mu1 iff C1
-    meets R[B1], C2 meets R[B2] and C1*C2 misses R[B1*B2]; it then holds
-    points x of C1 in R[B1] and y of C2 in R[B2] with x*y outside
-    R[B1*B2], and (B1, B2, {x}, {y}) violates too.  So the first pair
-    (B1, B2) with a violation is the first with R[B1]*R[B2] not inside
-    R[B1*B2], every violating C1 contains such an x, hence is at least
-    {x} for the smallest x, and given that x the same holds for C2 and
-    the smallest y: the smallest witness is (B1, B2, {x}, {y}).
+    It is ({b1}, {b2}, {x}, {y}) for the first b1, b2, x, y, in that
+    order, with b1 P x and b2 P y but not b1*b2 P x*y.  Any violation
+    (B1, B2, C1, C2) has rectangles near, so some b1 P x and b2 P y with
+    b1, b2, x, y in B1, B2, C1, C2, and products far, so not
+    b1*b2 P x*y.  Then ({b1}, {b2}, {x}, {y}) is a violation with no
+    larger coordinate, so the smallest violation is made of singletons.
     """
     cay = g.cayley
-    reach = union_table(points)
-    prod = subset_product_table(g)
-    for b1, r1 in enumerate(reach):
-        reach_products, products = prod[r1], prod[b1]
-        for b2, r2 in enumerate(reach):
-            target = reach[products[b2]]
-            if reach_products[r2] & ~target:
-                x = next(x for x in bits(r1) if prod[1 << x][r2] & ~target)
-                y = next(y for y in bits(r2) if not (target >> cay[x][y]) & 1)
-                return (b1, b2, 1 << x, 1 << y)
+    for b1 in range(g.order):
+        for b2 in range(g.order):
+            near = points[cay[b1][b2]]
+            for x in bits(points[b1]):
+                row = cay[x]
+                for y in bits(points[b2]):
+                    if not (near >> row[y]) & 1:
+                        return (1 << b1, 1 << b2, 1 << x, 1 << y)
     return None
 
 
@@ -446,9 +441,9 @@ def _mu1_check(g: FiniteGroup, rel: ProximityRelation, max_size: int = SCAN_CAP)
       b2 P c2 mean c1 = b1 n1 and c2 = b2 n2 with n1, n2 in N, and
       c1 c2 = b1 b2 (b2^-1 n1 b2) n2 lies in b1 b2 N, so b1 b2 P c1 c2.
 
-    When the condition fails, the witness is read from the reaches of P
-    (:func:`_reach_mu1_witness`); other tables take the table scan.  Both
-    witness paths read the 4^n subset product table, so both are capped.
+    When the condition fails, the witness is read from P by a point loop
+    (:func:`_point_mu1_witness`).  Only other tables take the table scan,
+    which reads the 4^n subset product table and is capped.
     """
     points = rel.point_graph
     if points is None:
@@ -457,8 +452,7 @@ def _mu1_check(g: FiniteGroup, rel: ProximityRelation, max_size: int = SCAN_CAP)
     elif _coset_mu1(g, points):
         return Check(True)
     else:
-        require_scan_size(g.order, max_size, "mu1 reach")
-        witness = _reach_mu1_witness(g, points)
+        witness = _point_mu1_witness(g, points)
     return Check(witness is None, witness)
 
 

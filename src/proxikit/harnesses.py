@@ -365,8 +365,6 @@ def projection_hom_demo(
     probes1: ProbeTable,
     g2: FiniteGroup,
     probes2: ProbeTable,
-    *,
-    max_size: int = SCAN_CAP,
 ) -> ProjectionDemoReport:
     """First-coordinate projection from the product descriptive structure.
 
@@ -374,7 +372,7 @@ def projection_hom_demo(
     when the second factor is trivial.
     """
     for name, (g, p) in (("first", (g1, probes1)), ("second", (g2, probes2))):
-        if not check_descriptive_proximal_group(g, p, max_size=max_size).ok:
+        if not check_descriptive_proximal_group(g, p).ok:
             raise ValueError(f"{name} factor is not a descriptive proximal group")
     product_group = direct_product_group(g1, g2)
     probes = product_probe_table(probes1, probes2)
@@ -386,16 +384,8 @@ def projection_hom_demo(
         tuple(i // g2.order for i in range(product_group.order)),
         "projection",
     )
-    hom = check_proximal_homomorphism(
-        projection, product_group, rel_product, g1, rel1, max_size=max_size
-    )
+    hom = check_proximal_homomorphism(projection, product_group, rel_product, g1, rel1)
     iso = check_proximal_homomorphism(
-        projection,
-        product_group,
-        rel_product,
-        g1,
-        rel1,
-        isomorphism=True,
-        max_size=max_size,
+        projection, product_group, rel_product, g1, rel1, isomorphism=True
     )
     return ProjectionDemoReport(hom, iso)

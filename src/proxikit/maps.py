@@ -69,6 +69,19 @@ def all_image_masks(f: SpaceMap) -> list[int]:
     return union_table([1 << img for img in f.images])
 
 
+def _table_pcont_witness(
+    f: SpaceMap, rel1: ProximityRelation, rel2: ProximityRelation
+) -> tuple[int, int] | None:
+    """The first near pair (A, B) of ``rel1``, A outermost, whose images are
+    far in ``rel2``, read off the tables."""
+    img = all_image_masks(f)
+    return next(
+        ((a, b) for a, row in enumerate(rel1.rows) for b in bits(row)
+         if not rel2.near(img[a], img[b])),
+        None,
+    )
+
+
 def check_pcont(
     f: SpaceMap,
     rel1: ProximityRelation,
@@ -83,25 +96,31 @@ def check_pcont(
     exactly when f is a homomorphism of the point graphs: i P1 j implies
     f(i) P2 f(j).  A near pair A, B has i P1 j with i in A and j in B, so
     f(i) P2 f(j) with f(i) in f(A) and f(j) in f(B), and the images are
-    near; singletons give the converse.  The table scan runs only when
-    that condition fails, or when either table is not Cech.
+    near; singletons give the converse.
+
+    When it fails, the witness is ({i}, {j}) for the first point pair, i
+    outermost, with i P1 j but not f(i) P2 f(j).  A violating pair (A, B)
+    has such a point pair i in A, j in B: the i P1 j that makes A near B,
+    with f(A) far f(B).  Every such i is at least the first one, so A is
+    at least {i}, and ({i}, {j}) violates.  With A = {i}, a violating B
+    holds such a j for that i, so B is at least {j}.  Only when either
+    table is not Cech is the table read.
     """
     if f.domain != rel1.space or f.codomain != rel2.space:
         raise ValueError("map endpoints do not match the relation carriers")
     p1, p2 = rel1.point_graph, rel2.point_graph
-    if p1 is not None and p2 is not None and all(
-        (p2[f.images[i]] >> f.images[j]) & 1
-        for i in range(f.domain.size)
-        for j in bits(p1[i])
-    ):
+    if p1 is not None and p2 is not None:
+        witness = next(
+            ((1 << i, 1 << j) for i in range(f.domain.size) for j in bits(p1[i])
+             if not (p2[f.images[i]] >> f.images[j]) & 1),
+            None,
+        )
+    else:
+        require_scan_size(f.domain.size, max_size, "pcont table")
+        witness = _table_pcont_witness(f, rel1, rel2)
+    if witness is None:
         return AxiomReport({key: True})
-    require_scan_size(f.domain.size, max_size, "pcont table")
-    img = all_image_masks(f)
-    for a, row in enumerate(rel1.rows):
-        for b in bits(row):
-            if not rel2.near(img[a], img[b]):
-                return AxiomReport({key: False}, {key: (a, b)})
-    return AxiomReport({key: True})
+    return AxiomReport({key: False}, {key: witness})
 
 
 def _bijection_violation(f: SpaceMap) -> tuple[int, ...] | None:

@@ -1,6 +1,11 @@
+import ast
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import proxikit
 from proxikit import (
     ProximityRelation,
     check_cech,
@@ -221,15 +226,37 @@ PATH9 = relation_from_point_pairs(
 @pytest.mark.parametrize(
     "check, path",
     [
-        (check_lodato, "L5 chain"),
-        (check_efremovic, "EF separation"),
+        # off Cech tables the L1-L4 read runs first, ahead of the L5 and EF scans
+        (check_lodato, "L1-L4 table"),
+        (check_efremovic, "L1-L4 table"),
         (check_transitivity_property, "transitivity chain"),
     ],
 )
 def test_failing_cech_scans_name_their_path_above_the_cap(check, path):
     with pytest.raises(ValueError, match=f"{path} scan on a 9-element carrier exceeds the cap 7;"
                        " pass max_size=9 to run it anyway"):
-        check(PATH9)
+        check(empty_near_empty(9))
+
+
+# P relates 9 to 10 and 10 to 11 but not 9 to 11; witnesses as read by the
+# table scans with max_size=12
+PATH12 = relation_from_point_pairs(
+    N12, [1 << i for i in range(9)] + [0b011 << 9, 0b111 << 9, 0b110 << 9], "explicit"
+)
+
+
+@pytest.mark.parametrize(
+    "check, axiom, witness",
+    [
+        (check_lodato, "L5", (1 << 9, 1 << 10, 1 << 11)),
+        (check_efremovic, "EF", (1 << 9, 1 << 11)),
+        (check_kuratowski, "K4", (1 << 9,)),
+    ],
+)
+def test_failing_cech_checks_read_their_witness_from_p_above_the_cap(check, axiom, witness):
+    report = check(PATH12)
+    assert report.failed() == (axiom,)
+    assert report.witnesses == {axiom: witness}
 
 
 def test_kuratowski_scans_only_off_cech_tables():
@@ -243,6 +270,27 @@ def test_induced_topology_caps_the_closed_family_check():
     with pytest.raises(ValueError, match="closed-family pair scan on a 12-element carrier"
                        " exceeds the cap 7; pass max_size=12"):
         induced_topology(DISCRETE12)
+
+
+def scan_cap_labels():
+    """The ``what`` label of every require_scan_size call in the package."""
+    labels = []
+    for path in sorted(Path(proxikit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "require_scan_size":
+                what = node.args[2] if len(node.args) > 2 else next(
+                    k.value for k in node.keywords if k.arg == "what"
+                )
+                labels.append(what.value)
+    return labels
+
+
+def test_readme_lists_every_capped_read():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("The capped reads")[1].split("\n\n")[0]
+    listed = re.findall(r"^\s*- `([^`]+)`", section, re.M)
+    assert sorted(listed) == sorted(set(scan_cap_labels()))
 
 
 # --- differential against the naive oracle -----------------------------------

@@ -244,18 +244,45 @@ def test_quotient_takes_no_max_n(capsys):
     assert "--max-n" in capsys.readouterr().err
 
 
+def test_mapping_space_takes_no_max_n(capsys):
+    # descriptive relations are Cech, so the map-set test reads no table
+    argv = ["mapping-space", str(FIXTURES / "mapping_space.json"), "--set1", "id", "--set2", "id"]
+    assert main(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-n", "99"])
+    assert exc.value.code == 2
+    assert "--max-n" in capsys.readouterr().err
+
+
+def test_topology_checks_kuratowski_once(monkeypatch, capsys):
+    from proxikit import axioms, cli
+
+    calls = []
+    original = axioms.check_kuratowski
+
+    def counted(rel, **kwargs):
+        calls.append(rel)
+        return original(rel, **kwargs)
+
+    monkeypatch.setattr(axioms, "check_kuratowski", counted)
+    monkeypatch.setattr(cli, "check_kuratowski", counted)
+    assert main(["topology", str(FIXTURES / "two_points.json"), "--rel", "d"]) == 0
+    assert len(calls) == 1
+
+
 def test_iso_theorems_on_a_group_above_max_n_names_the_cap(tmp_path, capsys):
     n = 8
     document = {
         "space": {"labels": list("abcdefgh")},
-        "relations": {"d": {"encoding": "discrete"}, "c": {"encoding": "coarse"}},
+        # only {a} near {a}: not Cech, so every pcont check on it reads the table
+        "relations": {"x": {"encoding": "explicit", "near": [[1, 1]]}, "c": {"encoding": "coarse"}},
         "group": {"cayley": [[(i + j) % n for j in range(n)] for i in range(n)], "identity": 0},
         "maps": {"id": {"images": list(range(n))}},
     }
     path = tmp_path / "z8.json"
     path.write_text(json.dumps(document))
-    # the inverse of id: coarse -> discrete is not pcont, so its table is read
-    argv = ["iso-theorems", str(path), "--which", "first", "--rel", "d", "--rel2", "c"]
+    # the inverse of id: coarse -> x is not pcont
+    argv = ["iso-theorems", str(path), "--which", "first", "--rel", "x", "--rel2", "c"]
     assert main([*argv, "--max-n", "7"]) == 2
     assert "pcont table scan on a 8-element carrier exceeds the cap 7" in capsys.readouterr().err
     assert main([*argv, "--max-n", "8"]) == 1

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from proxikit import (
     FiniteSpace,
+    MappingSpaceVerdict,
     SpaceMap,
     check_descriptive_ef,
     check_descriptive_lodato,
@@ -232,14 +233,13 @@ def test_descriptive_checks_run_on_twelve_elements_without_a_cap():
     assert list(ef.verdicts) == ["DL1", "DL2", "DL3", "DL4", "DEF"]
 
 
-def test_mapping_space_pair_scan_obeys_max_size():
-    s8 = default_space(8)
-    constant = probe_table(s8, [[0]] * 8)
-    ident = identity_map(s8)
-    with pytest.raises(ValueError, match="mapping-space pair scan on a 8-element carrier"
-                       " exceeds the cap 7; pass max_size=8 to run it anyway"):
-        mapping_space_relation([ident], [ident], constant, constant)
-    assert mapping_space_relation([ident], [ident], constant, constant, max_size=8).near
+def test_far_mapping_space_on_twelve_elements_needs_no_max_size():
+    s12 = default_space(12)
+    pairs = probe_table(s12, [[i // 2] for i in range(12)])
+    swap = SpaceMap(s12, s12, tuple(range(8)) + (10, 11, 8, 9), "swap45")
+    verdict = mapping_space_relation([identity_map(s12)], [identity_map(s12), swap], pairs, pairs)
+    # the witness the pair scan read with max_size=12
+    assert verdict == MappingSpaceVerdict(False, (1 << 8, 1 << 8, "id", "swap45"))
 
 
 # --- product probes -----------------------------------------------------------

@@ -25,17 +25,30 @@ from proxikit import (
     closure_table,
     cyclic_group,
     default_space,
+    descriptive_proximity,
     make_discrete_proximity,
+    mapping_space_relation,
     normal_subgroups,
+    probe_table,
     relation_from_point_pairs,
+    witness_violates,
+)
+from proxikit.axioms import (
+    _first_unclosed,
+    _first_unseparated,
+    _singleton_row_meet,
+    first_chain_violation,
 )
 from proxikit.groups import (
     _coset_mu1,
     _mu1_check,
     _mu2_check,
+    _point_mu1_witness,
+    _table_mu1_witness,
     subset_inverse,
     subset_product,
 )
+from proxikit.maps import _table_pcont_witness
 from proxikit.spaces import bits
 
 
@@ -359,3 +372,146 @@ def test_every_normal_coset_relation_is_a_proximal_group_up_to_order_eight():
             rel = coset_relation(g, n_mask)
             assert _coset_mu1(g, rel.point_graph), (name, n_mask)
             assert check_proximal_group(g, rel, max_size=g.order).ok, (name, n_mask)
+
+
+# --- failing Cech verdicts: witnesses read from P against the table scans ----
+
+
+def every_point_graph(n):
+    """The Cech table of every reflexive symmetric point relation on n points."""
+    pairs = list(combinations(range(n), 2))
+    for assignment in range(1 << len(pairs)):
+        edges = [p for k, p in enumerate(pairs) if (assignment >> k) & 1]
+        yield point_graph_relation(default_space(n), edges)
+
+
+def seeded_point_graphs(space, count, rng):
+    pairs = list(combinations(range(space.size), 2))
+    for _ in range(count):
+        density = rng.choice((0.1, 0.25, 0.5))
+        yield point_graph_relation(space, [p for p in pairs if rng.random() < density])
+
+
+def assert_unclosed_witnesses_match_the_scans(rel):
+    found = _first_unclosed(rel.point_graph)
+    assert found["L5"] == first_chain_violation(rel.rows, _singleton_row_meet(rel))
+    assert found["EF"] == _first_unseparated(rel.rows)
+    assert found["K4"] == check_kuratowski(scan_only(rel)).witnesses.get("K4")
+    if rel.space.size <= 3:
+        for axiom, witness in found.items():
+            assert witness is None or witness_violates(rel, axiom, witness)
+    return found["L5"] is not None
+
+
+def test_unclosed_witnesses_match_the_scans_on_every_graph_up_to_four_points():
+    failing = [
+        assert_unclosed_witnesses_match_the_scans(rel)
+        for n in range(1, 5)
+        for rel in every_point_graph(n)
+    ]
+    # every graph but the 1 + 2 + 5 + 15 equivalence relations
+    assert (len(failing), sum(failing)) == (75, 52)
+
+
+def test_unclosed_witnesses_match_the_scans_on_seeded_graphs_at_five_and_six_points():
+    rng = random.Random(56)
+    failing = sum(
+        assert_unclosed_witnesses_match_the_scans(rel)
+        for n in (5, 6)
+        for rel in seeded_point_graphs(default_space(n), 150, rng)
+    )
+    assert failing > 100
+
+
+def random_point_map(rng, max_n=4):
+    s1, s2 = default_space(rng.randint(1, max_n)), default_space(rng.randint(1, max_n))
+    rel1, rel2 = (next(seeded_point_graphs(s, 1, rng)) for s in (s1, s2))
+    f = SpaceMap(s1, s2, tuple(rng.randrange(s2.size) for _ in range(s1.size)))
+    return f, rel1, rel2
+
+
+def test_pcont_point_witness_matches_the_table_loop_on_seeded_maps():
+    rng = random.Random(3000)
+    failing = 0
+    for _ in range(2000):
+        f, rel1, rel2 = random_point_map(rng)
+        witness = check_pcont(f, rel1, rel2).witnesses.get("pcont")
+        assert witness == _table_pcont_witness(f, rel1, rel2)
+        if witness is not None:
+            failing += 1
+            a, b = witness
+            assert rel1.near(a, b) and rel2.far(f.image_mask(a), f.image_mask(b))
+    assert failing > 300
+
+
+def assert_point_mu1_witness_matches_the_table_scan(g, rel):
+    witness = _point_mu1_witness(g, rel.point_graph)
+    assert witness == _table_mu1_witness(g, rel.rows)
+    if witness is not None:
+        b1, b2, c1, c2 = witness
+        assert rel.near(b1, c1) and rel.near(b2, c2)
+        assert rel.far(subset_product(g, b1, b2), subset_product(g, c1, c2))
+    return witness is not None
+
+
+def test_point_mu1_witness_matches_the_table_scan_on_every_graph_up_to_order_four():
+    failing = [
+        assert_point_mu1_witness_matches_the_table_scan(g, rel)
+        for _, g in all_groups_up_to(4)
+        for rel in every_point_graph(g.order)
+    ]
+    # every graph but the 13 coset relations
+    assert (len(failing), sum(failing)) == (139, 126)
+
+
+def test_point_mu1_witness_matches_the_table_scan_on_seeded_graphs_at_orders_five_to_eight():
+    rng = random.Random(5678)
+    failing = sum(
+        assert_point_mu1_witness_matches_the_table_scan(g, rel)
+        for _, g in all_groups_up_to(8)
+        if g.order >= 5
+        for rel in seeded_point_graphs(g.space, 4, rng)
+    )
+    assert failing > 30
+
+
+def random_dpcont_map(rng, probes1, probes2):
+    """A map sending each description of probes1 to one description of probes2."""
+    target = {d: rng.choice(probes2.values) for d in probes1.values}
+    images = tuple(
+        rng.choice([y for y, e in enumerate(probes2.values) if e == target[d]])
+        for d in probes1.values
+    )
+    return SpaceMap(probes1.space, probes2.space, images)
+
+
+def naive_mapping_space(maps1, maps2, probes1, probes2):
+    """The first (A, B, i, j), in that order, with A near B but maps1[i](A)
+    far maps2[j](B), over the full tables."""
+    rel1, rel2 = descriptive_proximity(probes1), descriptive_proximity(probes2)
+    for a, b in rel1.near_pairs():
+        for i, f in enumerate(maps1):
+            for j, g in enumerate(maps2):
+                if rel2.far(f.image_mask(a), g.image_mask(b)):
+                    return a, b, f"maps1[{i}]", f"maps2[{j}]"
+    return None
+
+
+def test_mapping_space_point_witness_matches_the_pair_loop_on_seeded_instances():
+    rng = random.Random(400)
+    far = 0
+    for _ in range(400):
+        probes1, probes2 = (
+            probe_table(default_space(n), [[rng.randint(0, 2)] for _ in range(n)])
+            for n in (rng.randint(1, 4), rng.randint(1, 4))
+        )
+        maps1, maps2 = (
+            [random_dpcont_map(rng, probes1, probes2) for _ in range(rng.randint(1, 3))]
+            for _ in range(2)
+        )
+        verdict = mapping_space_relation(maps1, maps2, probes1, probes2)
+        expected = naive_mapping_space(maps1, maps2, probes1, probes2)
+        assert verdict.witness == expected
+        assert verdict.near == (expected is None)
+        far += not verdict.near
+    assert far > 100

@@ -39,6 +39,7 @@ from proxikit import (
     subset_product,
 )
 from proxikit.groups import (
+    Check,
     FiniteGroup,
     coset_partition,
     normality_violation,
@@ -46,7 +47,9 @@ from proxikit.groups import (
     subgroup_group,
     subgroup_violation,
     subset_product_table,
+    translation_map,
 )
+from proxikit.maps import check_pcont
 
 Z4 = cyclic_group(4)
 D4 = make_discrete_proximity(Z4.space)
@@ -230,20 +233,29 @@ def test_z4_all_translations_pass():
 def test_translation_and_homomorphism_scans_obey_max_size():
     z3 = cyclic_group(3)
     d = make_discrete_proximity(z3.space)
-    # a -- b only: Cech, but not a coset relation, and no translation keeps it
-    tolerance = relation_from_point_pairs(z3.space, [0b011, 0b011, 0b100], "explicit")
+    # the empty set near itself: not Cech, so pcont reads the table
+    rows = list(d.rows)
+    rows[0] |= 1
+    bad = ProximityRelation(z3.space, tuple(rows))
     ident = identity_map(z3.space)
-    with pytest.raises(ValueError, match="mu1 reach scan .* exceeds the cap 1"):
-        check_proximal_group(z3, tolerance, max_size=1)
     with pytest.raises(ValueError, match="pcont table scan .* exceeds the cap 1"):
-        check_translations(z3, tolerance, max_size=1)
+        check_translations(z3, bad, max_size=1)
     for isomorphism in (False, True):
         with pytest.raises(ValueError, match="pcont table scan .* exceeds the cap 1"):
             check_proximal_homomorphism(
-                ident, z3, tolerance, z3, d, isomorphism=isomorphism, max_size=1
+                ident, z3, bad, z3, d, isomorphism=isomorphism, max_size=1
             )
-    assert not check_translations(z3, tolerance, max_size=3).ok
-    assert check_proximal_homomorphism(ident, z3, tolerance, z3, d, max_size=3).failed() == (
+    assert check_translations(z3, bad, max_size=3).ok
+    assert check_proximal_homomorphism(ident, z3, bad, z3, d, max_size=3).failed() == (
+        "pcont",
+    )
+    # a -- b only: Cech, but not a coset relation, and no translation keeps
+    # it; every witness is read from P, under any cap
+    tolerance = relation_from_point_pairs(z3.space, [0b011, 0b011, 0b100], "explicit")
+    report = check_proximal_group(z3, tolerance, max_size=1)
+    assert report.mu1_pcont.witness == (1, 1, 2, 2)
+    assert not check_translations(z3, tolerance, max_size=1).ok
+    assert check_proximal_homomorphism(ident, z3, tolerance, z3, d, max_size=1).failed() == (
         "pcont",
     )
 
@@ -269,6 +281,36 @@ def test_passing_order_twelve_structures_need_no_max_size(rel):
 def test_products_of_order_twelve_need_no_max_size():
     z3 = cyclic_group(3)
     assert product_proximal_group(Z4, D4, z3, make_coarse_proximity(z3.space)).ok
+
+
+def point_graph12(*edges):
+    rows = [1 << i for i in range(12)]
+    for i, j in edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return relation_from_point_pairs(Z12.space, rows, "explicit")
+
+
+# Failing Cech structures on Z12, read from P without a cap; the witnesses
+# are those the table scans read with max_size=12.
+EDGE_10_11 = point_graph12((10, 11))
+
+
+def test_failing_order_twelve_translations_need_no_max_size():
+    shift = translation_map(Z12, 1, "left")
+    assert check_pcont(shift, EDGE_10_11, EDGE_10_11).witnesses == {"pcont": (1 << 10, 1 << 11)}
+    report = check_translations(Z12, EDGE_10_11)
+    broken = {"pcont": (1 << 10, 1 << 11), "inverse_pcont": (1 << 10, 1 << 11)}
+    for x, left, right in report.entries:
+        for side in (left, right):
+            assert side.witnesses == ({} if x == Z12.identity else broken)
+
+
+def test_failing_order_twelve_proximal_group_needs_no_max_size():
+    report = check_proximal_group(Z12, point_graph12((0, 1)), axiom_class="lodato")
+    assert report.is_proximity.ok
+    assert report.mu1_pcont == Check(False, (1, 1, 2, 2))
+    assert report.mu2_pcont == Check(False, (1, 2))
 
 
 # --- transitivity -----------------------------------------------------------
