@@ -384,8 +384,9 @@ class TopologySnapshot:
     """Closed/open families of the closure operator induced by a relation.
 
     ``kuratowski`` is the :func:`check_kuratowski` report of the closure
-    operator; ``is_topology`` is the direct family check (empty set and the
-    carrier present, closed under pairwise union and intersection).  The
+    operator; ``is_topology`` says whether the closed family holds the empty
+    set and the carrier and is closed under pairwise union and intersection
+    (always so on a Cech table, see :func:`induced_topology`).  The
     snapshot is returned even when the families fail to form a topology.
     """
 
@@ -402,17 +403,28 @@ class TopologySnapshot:
 
 
 def induced_topology(rel: ProximityRelation, *, max_size: int = SCAN_CAP) -> TopologySnapshot:
-    """Fixed points of the closure operator, with their complements as opens."""
+    """Fixed points of the closure operator, with their complements as opens.
+
+    On a Cech table cl(B) = R(B), the union of P over B (see
+    :func:`closure_table`), and its fixed points always form a topology, so
+    the closed-family pair check is skipped: R(empty) = empty; X <= R(X) by
+    reflexivity, so X is fixed; R(A|B) = R(A)|R(B) = A|B for fixed A and B;
+    and A&B <= R(A&B) <= R(A)&R(B) = A&B, by reflexivity and because R is
+    monotone.  Any other table is checked over every pair of closed sets.
+    """
     cl = closure_table(rel)
     full = rel.space.full_mask
     closed = tuple(b for b in range(rel.space.n_subsets) if cl[b] == b)
     opens = tuple(sorted(full ^ c for c in closed))
-    closed_set = set(closed)
-    require_scan_size(rel.space.size, max_size, "closed-family pair")
-    is_topology = (
-        0 in closed_set
-        and full in closed_set
-        and all(a | b in closed_set and a & b in closed_set for a in closed for b in closed)
-    )
+    if rel.point_graph is not None:
+        is_topology = True
+    else:
+        require_scan_size(rel.space.size, max_size, "closed-family pair")
+        closed_set = set(closed)
+        is_topology = (
+            0 in closed_set
+            and full in closed_set
+            and all(a | b in closed_set and a & b in closed_set for a in closed for b in closed)
+        )
     report = check_kuratowski(rel, max_size=max_size)
     return TopologySnapshot(rel.space, closed, opens, report, is_topology)

@@ -666,13 +666,23 @@ def run_command(verb: str, ws: WorkspaceDocument | None, flags: Mapping[str, Any
     return spec.handler(ws, flags)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, holding every verb's subparser, or only the one named.
+
+    A parser built for one verb prints the same help, errors and exit codes
+    for that verb: its subparser reads the ``Verb`` record alone, and the
+    pinned metavar keeps every verb in the top-level usage line.  The full
+    parser leaves the metavar unset, so its unknown- and missing-verb errors
+    name the argument ``verb``.
+    """
     parser = argparse.ArgumentParser(
         prog="proxikit",
         description="Finite proximity-space and proximal-group verification toolkit.",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, spec in VERBS.items():
+    metavar = None if only is None else "{" + ",".join(VERBS) + "}"
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    verbs = VERBS if only is None else {only: VERBS[only]}
+    for verb, spec in verbs.items():
         p = sub.add_parser(verb)
         if spec.document:
             p.add_argument("document", help="workspace JSON file, or - for stdin")
@@ -688,8 +698,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse a command line with the parser of its verb, or the full parser
+    when it does not start with one."""
+    only = argv[0] if argv and argv[0] in VERBS else None
+    return build_parser(only).parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     flags = {
         k: v
         for k, v in vars(args).items()

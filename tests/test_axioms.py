@@ -267,9 +267,34 @@ def test_kuratowski_scans_only_off_cech_tables():
 
 
 def test_induced_topology_caps_the_closed_family_check():
-    with pytest.raises(ValueError, match="closed-family pair scan on a 12-element carrier"
-                       " exceeds the cap 7; pass max_size=12"):
-        induced_topology(DISCRETE12)
+    # a Cech table skips the check, so the cap is pinned on a non-Cech one
+    with pytest.raises(ValueError, match="closed-family pair scan on a 8-element carrier"
+                       " exceeds the cap 7; pass max_size=8"):
+        induced_topology(empty_near_empty(8))
+
+
+def test_induced_topology_on_a_cech_table_runs_above_the_cap():
+    snap = induced_topology(DISCRETE12)
+    assert len(snap.closed_sets) == len(snap.open_sets) == 1 << 12
+    assert snap.kuratowski_ok and snap.is_topology
+
+
+def closed_family_is_topology(snap):
+    closed = set(snap.closed_sets)
+    full = snap.space.full_mask
+    return (
+        {0, full} <= closed
+        and all(a | b in closed and a & b in closed for a in closed for b in closed)
+    )
+
+
+def test_cech_closed_families_are_topologies():
+    # the proof in induced_topology's docstring, checked on every small Cech table
+    for n in range(1, 5):
+        for rel in enumerate_relations(n, "cech"):
+            assert rel.point_graph is not None
+            snap = induced_topology(rel)
+            assert snap.is_topology and closed_family_is_topology(snap)
 
 
 def scan_cap_labels():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from proxikit import parse_workspace, run_command
-from proxikit.cli import VERBS, main
+from proxikit.cli import VERBS, build_parser, main, parse_args
 from proxikit.workspace import WorkspaceError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -302,6 +303,17 @@ def test_group_check_on_order_twelve_runs_without_max_n(tmp_path, capsys):
     assert main(["translations", str(path)]) == 0
 
 
+def test_topology_on_a_twelve_point_cech_document_runs_without_max_n(tmp_path, capsys):
+    document = {
+        "space": {"labels": [f"x{i}" for i in range(12)]},
+        "relations": {"d": {"encoding": "discrete"}},
+    }
+    path = tmp_path / "twelve.json"
+    path.write_text(json.dumps(document))
+    assert main(["topology", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["kuratowski PASS", "topology PASS"]
+
+
 def test_python_dash_m_runs_the_cli():
     result = subprocess.run(
         [
@@ -448,3 +460,95 @@ def test_the_parser_requires_the_required_flags(argv, flag, capsys):
         main(argv)
     assert exc.value.code == 2
     assert f"the following arguments are required: {flag}" in capsys.readouterr().err
+
+
+# --- one-verb parse ---------------------------------------------------------
+
+DOC = "fixtures/z3_group.json"  # parsed, never read
+CLI_OPTION = {"axiom_class": "--class", "max_n": "--max-n"}
+
+
+def manifest_argv(entry):
+    argv = [entry["verb"]] + (["fixtures/" + entry["document"]] if entry["document"] else [])
+    for key, value in entry["flags"].items():
+        option = CLI_OPTION.get(key, "--" + key.replace("_", "-"))
+        argv += [option] if value is True else [option, str(value)]
+    return argv + ["--format", entry["format"]]
+
+
+VERB_SHAPES = [
+    ["-h"],
+    ["--he"],
+    [],
+    ["--bogus"],
+    [DOC, "--format", "xml"],
+    [DOC, "--format=json"],
+    ["--", DOC],
+    [DOC, "--n=2"],
+    [DOC, "--cla", "cech"],
+    [DOC, "--cla", "foo"],
+    [DOC, "extra"],
+    [DOC, "--max-n", "x"],
+]
+ARGVS = [
+    *([verb, *shape] for verb in VERBS for shape in VERB_SHAPES),
+    *(["--format", "json", verb] for verb in VERBS),
+    [],
+    ["-h"],
+    ["--bogus"],
+    ["nope"],
+    ["nope", DOC],
+    *(manifest_argv(entry) for entry in MANIFEST),
+]
+
+
+def parse_outcome(parse, argv, capsys):
+    try:
+        outcome = list(vars(parse(list(argv))).items())
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
+def test_main_parses_like_the_full_parser(argv, capsys):
+    # the full parser is the reference: same namespace (keys in order), or
+    # the same exit code, stdout and stderr
+    full = parse_outcome(build_parser().parse_args, argv, capsys)
+    assert parse_outcome(parse_args, argv, capsys) == full
+
+
+def test_main_builds_only_the_subparser_of_its_verb(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert main(["census", "--n", "2"]) == 0
+    assert built == ["census"]
+    monkeypatch.setattr(sys, "argv", ["proxikit", "census", "--n", "2"])
+    assert main() == 0
+    assert built == ["census"] * 2
+    built.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert built == list(VERBS)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "error: the following arguments are required: verb\n"),
+        (["nope"], "error: argument verb: invalid choice: 'nope' (choose from 'check-axioms',"),
+    ],
+    ids=["no-verb", "unknown-verb"],
+)
+def test_verb_errors_name_the_verb_argument(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
