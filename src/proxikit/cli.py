@@ -36,6 +36,7 @@ from .groups import (
     hom_criterion_check,
     product_proximal_group,
     quotient_proximal_group,
+    subgroup_group,
     subgroup_proximal_group,
 )
 from .harnesses import (
@@ -85,11 +86,11 @@ def _report_lines(
     verdicts = {}
     witnesses = {}
     for key, ok in report.verdicts.items():
-        space = spaces if isinstance(spaces, FiniteSpace) else spaces[key]
         verdicts[key] = ok
         if ok:
             lines.append(f"{key} PASS")
         elif key in report.witnesses:
+            space = spaces if isinstance(spaces, FiniteSpace) else spaces[key]
             witness = report.witnesses[key]
             witnesses[key] = _witness_payload(space, witness)
             lines.append(f"{key} FAIL {_witness_text(space, witness)}")
@@ -107,14 +108,14 @@ def _continuity(report) -> AxiomReport:
     )
 
 
-def _map_spaces(rel1: ProximityRelation, rel2: ProximityRelation) -> dict:
-    """Witness carrier of each verdict of a map report: the codomain's for
-    inverse_pcont, the domain's for the rest."""
+def _map_spaces(domain: FiniteSpace, codomain: FiniteSpace) -> dict:
+    """Witness carrier of each verdict of a map report: the codomain for
+    inverse_pcont, the domain for the rest."""
     return {
-        "group_homomorphism": rel1.space,
-        "pcont": rel1.space,
-        "bijective": rel1.space,
-        "inverse_pcont": rel2.space,
+        "group_homomorphism": domain,
+        "pcont": domain,
+        "bijective": domain,
+        "inverse_pcont": codomain,
     }
 
 
@@ -254,7 +255,7 @@ def _cmd_pcont(ws, flags):
         report = check_proximal_isomorphism(f, rel1, rel2, max_size=scan)
     else:
         report = check_pcont(f, rel1, rel2, max_size=scan)
-    lines, verdicts, witnesses = _report_lines(report, _map_spaces(rel1, rel2))
+    lines, verdicts, witnesses = _report_lines(report, _map_spaces(rel1.space, rel2.space))
     payload = {
         "verb": "pcont",
         "map": map_name,
@@ -310,7 +311,7 @@ def _cmd_subgroup(ws, flags):
         group, rel, h, axiom_class=flags["axiom_class"],
         max_size=_scan_size(flags),
     )
-    sub_space = FiniteSpace(tuple(ws.space.label_set(h)))
+    sub_space = subgroup_group(group, h).space
     return _proximal_group_result(
         "subgroup",
         {"relation": name, "subgroup_mask": h, "subgroup": list(sub_space.labels)},
@@ -343,7 +344,7 @@ def _cmd_hom_check(ws, flags):
         eta, group, rel1, group, rel2,
         isomorphism=bool(flags.get("iso")), max_size=scan,
     )
-    lines, verdicts, witnesses = _report_lines(report, _map_spaces(rel1, rel2))
+    lines, verdicts, witnesses = _report_lines(report, _map_spaces(rel1.space, rel2.space))
     payload = {
         "verb": "hom-check",
         "map": map_name,
@@ -403,26 +404,26 @@ def _cmd_iso_theorems(ws, flags):
         map_name, eta = _pick_map(ws, flags)
         report = first_iso_harness(eta, group, rel1, group, rel2, max_size=scan)
         extra = {"relation": name1, "relation2": name2, "map": map_name}
-        proximal_space = rel2.space
     elif which == "second":
         h = _need_mask(flags, "subset", ws.space)
         n = _need_mask(flags, "normal", ws.space)
         report = second_iso_harness(group, rel1, h, n, max_size=scan)
         extra = {"relation": name1, "subgroup_mask": h, "normal_mask": n}
-        proximal_space = rel1.space
     elif which == "third":
         n = _need_mask(flags, "normal", ws.space)
         k = _need_mask(flags, "normal2", ws.space)
         report = third_iso_harness(group, rel1, n, k, max_size=scan)
         extra = {"relation": name1, "normal_mask": n, "containing_mask": k}
-        proximal_space = rel1.space
     else:
         raise WorkspaceError("flags", "--which must be first, second, or third")
     lines = [
         f"surjective {'PASS' if report.surjective else 'FAIL'}",
         f"group-isomorphism {'PASS' if report.group_isomorphism else 'FAIL'}",
     ]
-    plines, verdicts, witnesses = _report_lines(report.proximal, proximal_space)
+    f = report.canonical
+    # no canonical map, no proximal witness: the spaces are never read
+    spaces = _map_spaces(f.domain, f.codomain) if f else {}
+    plines, verdicts, witnesses = _report_lines(report.proximal, spaces)
     if report.missing_image is not None:
         witnesses["surjective"] = _witness_payload(ws.space, (report.missing_image,))
         lines[0] += " " + _witness_text(ws.space, (report.missing_image,))

@@ -9,6 +9,7 @@ a verdict means.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .axioms import SCAN_CAP, AxiomReport, check_lodato, closure, require_scan_size
 from .descriptive import ProbeTable, descriptive_proximity, product_probe_table
@@ -32,7 +33,7 @@ from .groups import (
     _mu2_check,
 )
 from .maps import SpaceMap, check_pcont, check_proximal_isomorphism
-from .relations import ProximityRelation, subspace_proximity
+from .relations import ProximityRelation, quotient_proximity, subspace_proximity
 from .spaces import bits
 
 
@@ -130,14 +131,16 @@ class IsoTheoremReport:
     """Outcome of rebuilding one isomorphism theorem on a finite instance.
 
     ``group_isomorphism`` is the purely algebraic verdict for the canonical
-    map; ``proximal`` carries bijective/pcont/inverse_pcont verdicts and
-    witnesses for it as a map of proximity spaces.
+    map ``canonical`` (None for a first theorem with no surjection);
+    ``proximal`` carries its bijective/pcont/inverse_pcont verdicts and
+    witnesses, inverse_pcont ones on its codomain and the rest on its domain.
     """
 
     surjective: bool
     group_isomorphism: bool
     proximal: AxiomReport
     missing_image: int | None = None
+    canonical: SpaceMap | None = None
 
     @property
     def ok(self) -> bool:
@@ -156,7 +159,33 @@ def _iso_report(
     f = SpaceMap(g1.space, g2.space, tuple(images), "canonical")
     group_iso = homomorphism_violation(f, g1, g2) is None and f.is_bijective()
     proximal = check_proximal_isomorphism(f, rel1, rel2, max_size=max_size)
-    return IsoTheoremReport(True, group_iso, proximal)
+    return IsoTheoremReport(True, group_iso, proximal, canonical=f)
+
+
+def _in_g(blocks: Sequence[int], parts: Sequence[int]) -> list[int]:
+    """Each block over an index set as a mask of G: the union (here the sum)
+    of the disjoint masks of G in ``parts`` that its members index."""
+    return [sum(parts[i] for i in bits(block)) for block in blocks]
+
+
+def _containing(blocks: Sequence[int], targets: Sequence[int]) -> list[int]:
+    """The canonical map read off containment in G: each block goes to the
+    target block that holds it, the only one, as the targets are disjoint."""
+    return [j for b in blocks for j, t in enumerate(targets) if b & ~t == 0]
+
+
+def _quotient_inside(
+    g: FiniteGroup, rel: ProximityRelation, s: int, m: int
+) -> tuple[tuple[FiniteGroup, ProximityRelation], list[int]]:
+    """S/M for a subgroup S of G and a subgroup M normal in S: its group and
+    relation (the quotient of the subspace relation on S), and its elements,
+    the cosets xM for x in S, as masks of G.  ``subgroup_group`` keeps the
+    labels of S, so M is found on S's carrier by its labels.
+    """
+    sub = subgroup_group(g, s)
+    quot, blocks = quotient_group(sub, sub.space.mask_of(g.space.label_set(m)))
+    quot_rel = quotient_proximity(subspace_proximity(rel, s), blocks)
+    return (quot, quot_rel), _in_g(blocks, [1 << x for x in bits(s)])
 
 
 def first_iso_harness(
@@ -204,11 +233,13 @@ def second_iso_harness(
     *,
     max_size: int = SCAN_CAP,
 ) -> IsoTheoremReport:
-    """Compare HN/N with H/(H intersect N) as proximal groups.
+    """Compare H/(H intersect N) with HN/N as proximal groups.
 
-    H must be a subgroup and N a normal subgroup.  On finite carriers with
-    the discrete or coarse proximity the canonical map always turns out to
-    be a proximal isomorphism; the harness exists to make that checkable.
+    H must be a subgroup and N a normal subgroup.  Both sides are quotients
+    inside G, and the canonical map sends x(H cap N) to the coset xN that
+    holds it.  On the coset relation of a normal subgroup M the map is a
+    proximal isomorphism exactly when HN cap M lies in (H cap M)N; with the
+    discrete or coarse proximity (M = {e} or G) that always holds.
     """
     reason = subgroup_violation(g, h)
     if reason is not None:
@@ -216,39 +247,11 @@ def second_iso_harness(
     reason = normality_violation(g, n)
     if reason is not None:
         raise ValueError(f"N: {reason}")
-
-    hn = subset_product(g, h, n)
-    # subgroup structures on HN and H with their subspace proximities
-    def substructure(mask: int) -> tuple[FiniteGroup, ProximityRelation, list[int]]:
-        return subgroup_group(g, mask), subspace_proximity(rel, mask), list(bits(mask))
-
-    hn_group, hn_rel, hn_members = substructure(hn)
-    h_group, h_rel, h_members = substructure(h)
-    n_in_hn = 0
-    for k, m in enumerate(hn_members):
-        if (n >> m) & 1:
-            n_in_hn |= 1 << k
-    hint_in_h = 0
-    for k, m in enumerate(h_members):
-        if (h & n) >> m & 1:
-            hint_in_h |= 1 << k
-    left_group, left_rel = quotient_proximal_group(hn_group, hn_rel, n_in_hn)
-    right_group, right_rel = quotient_proximal_group(h_group, h_rel, hint_in_h)
-
-    # canonical map: coset x(H cap N) in H -> coset xN in HN
-    left_blocks = quotient_group(hn_group, n_in_hn)[1]
-    right_blocks = quotient_group(h_group, hint_in_h)[1]
-    hn_index = {m: k for k, m in enumerate(hn_members)}
-    images = []
-    for rblock in right_blocks:
-        rep_h = h_members[min(bits(rblock))]
-        rep_hn = hn_index[rep_h]
-        target = next(
-            k for k, lblock in enumerate(left_blocks)
-            if (lblock >> rep_hn) & 1
-        )
-        images.append(target)
-    return _iso_report((right_group, right_rel), (left_group, left_rel), images, max_size)
+    if g.space != rel.space:
+        raise ValueError("group and relation carriers do not match")
+    left, left_blocks = _quotient_inside(g, rel, h, h & n)
+    right, right_blocks = _quotient_inside(g, rel, subset_product(g, h, n), n)
+    return _iso_report(left, right, _containing(left_blocks, right_blocks), max_size)
 
 
 def third_iso_harness(
@@ -259,7 +262,14 @@ def third_iso_harness(
     *,
     max_size: int = SCAN_CAP,
 ) -> IsoTheoremReport:
-    """Compare (G/N)/(K/N) with G/K as proximal groups, for N inside K."""
+    """Compare (G/N)/(K/N) with G/K as proximal groups, for N inside K.
+
+    K/N, the N-cosets inside K, is the image of K under x -> xN, so a
+    subgroup of G/N, and normal: (xN)(kN)(xN)^-1 = (xkx^-1)N with xkx^-1 in
+    K.  So it is not checked here; ``quotient_group`` checks it anyway.
+    Each element of (G/N)/(K/N) is a union of N-cosets making up one
+    K-coset, which the canonical map sends it to.
+    """
     reason = normality_violation(g, n)
     if reason is not None:
         raise ValueError(f"N: {reason}")
@@ -268,30 +278,17 @@ def third_iso_harness(
         raise ValueError(f"K: {reason}")
     if n & ~k:
         raise ValueError("N must be contained in K")
-
     quot_n, rel_n = quotient_proximal_group(g, rel, n)
     n_blocks = quotient_group(g, n)[1]
-    # K/N: the blocks contained in K form a normal subgroup of G/N
     k_over_n = 0
     for idx, block in enumerate(n_blocks):
         if block & ~k == 0:
             k_over_n |= 1 << idx
-    reason = normality_violation(quot_n, k_over_n)
-    if reason is not None:
-        raise ValueError(f"K/N: {reason}")
-    left_group, left_rel = quotient_proximal_group(quot_n, rel_n, k_over_n)
-    right_group, right_rel = quotient_proximal_group(g, rel, k)
-
-    # match (G/N)/(K/N) blocks with G/K blocks by their underlying elements
-    outer_blocks = quotient_group(quot_n, k_over_n)[1]
-    k_blocks = quotient_group(g, k)[1]
-    images = []
-    for outer in outer_blocks:
-        underlying = 0
-        for idx in bits(outer):
-            underlying |= n_blocks[idx]
-        images.append(k_blocks.index(underlying))
-    return _iso_report((left_group, left_rel), (right_group, right_rel), images, max_size)
+    left = quotient_proximal_group(quot_n, rel_n, k_over_n)
+    right = quotient_proximal_group(g, rel, k)
+    left_blocks = _in_g(quotient_group(quot_n, k_over_n)[1], n_blocks)
+    images = _containing(left_blocks, quotient_group(g, k)[1])
+    return _iso_report(left, right, images, max_size)
 
 
 # ---------------------------------------------------------------------------

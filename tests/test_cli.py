@@ -290,6 +290,29 @@ def test_iso_theorems_on_a_group_above_max_n_names_the_cap(tmp_path, capsys):
     assert "proximal inverse_pcont FAIL" in capsys.readouterr().out
 
 
+def test_iso_theorems_labels_each_witness_on_its_own_carrier(tmp_path, capsys):
+    # V4 with c = ab; the zero-distance classes are the cosets of <c>.  With
+    # H = <a> and N = <b> the canonical map H/(H cap N) -> HN/N is not a
+    # proximal isomorphism, and its inverse_pcont witness lies in HN/N.
+    document = {
+        "space": {"labels": ["e", "a", "b", "c"]},
+        "relations": {"m": {"encoding": "metric", "matrix": [
+            [0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0],
+        ]}},
+        "group": {"cayley": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
+                  "identity": 0},
+    }
+    path = tmp_path / "v4.json"
+    path.write_text(json.dumps(document))
+    argv = ["iso-theorems", str(path), "--which", "second", "--subset", "3", "--normal", "5"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "proximal inverse_pcont FAIL witness sets=({e|b}, {a|c}) masks=(1, 2)" in out
+    assert main([*argv, "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["witnesses"] == {"inverse_pcont": {"masks": [1, 2], "labels": [["e|b"], ["a|c"]]}}
+
+
 def test_group_check_on_order_twelve_runs_without_max_n(tmp_path, capsys):
     n = 12
     document = {

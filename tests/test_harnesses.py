@@ -8,6 +8,7 @@ from proxikit import (
     check_descriptive_proximal_group,
     check_proximal_group,
     cyclic_group,
+    default_space,
     descriptive_proximity,
     enumerate_relations,
     first_iso_harness,
@@ -25,8 +26,10 @@ from proxikit import (
     subgroup_proximal_group,
     third_iso_harness,
 )
-from proxikit.groups import _mu1_check, all_subgroups, normal_subgroups
+from proxikit.enumeration import _all_homomorphisms, _coset_relations
+from proxikit.groups import _mu1_check, all_subgroups, normal_subgroups, subset_product
 from proxikit.harnesses import _iso_report, _pointwise_nearness
+from proxikit.maps import check_pcont
 
 
 # --- inversion-from-multiplication --------------------------------------------
@@ -143,6 +146,7 @@ def test_first_iso_reports_non_surjective():
         eta, z2, make_discrete_proximity(z2.space), z4, make_discrete_proximity(z4.space)
     )
     assert not report.surjective and not report.ok
+    assert report.canonical is None
 
 
 # --- second isomorphism ---------------------------------------------------------
@@ -168,6 +172,27 @@ def test_second_iso_rejects_bad_inputs():
         second_iso_harness(z4, d, 0b0101, 0b0011)
 
 
+def test_second_iso_rejects_a_relation_on_another_carrier():
+    z2 = cyclic_group(2)
+    other = make_discrete_proximity(default_space(3))
+    with pytest.raises(ValueError, match="group and relation carriers do not match"):
+        second_iso_harness(z2, other, 0b11, 0b01)
+
+
+def test_second_iso_report_carries_its_canonical_map():
+    # V4 = {a, b, c, d} with bc = d, on the coset relation of M = {a, d}:
+    # H = {a, b}, N = {a, c}, and HN cap M = M is not inside (H cap M)N = N
+    v4 = dict(all_groups_up_to(4))["V4"]
+    rel = relation_from_point_pairs(v4.space, [0b1001, 0b0110, 0b0110, 0b1001], "explicit")
+    report = second_iso_harness(v4, rel, 0b0011, 0b0101)
+    f = report.canonical
+    assert f.domain.labels == ("a", "b") and f.codomain.labels == ("a|c", "b|d")
+    assert f.images == (0, 1)
+    assert report.group_isomorphism and not report.ok
+    # the inverse_pcont witness is a pair of HN/N, its codomain
+    assert report.proximal.witnesses == {"inverse_pcont": (1, 2)}
+
+
 # --- third isomorphism ----------------------------------------------------------
 
 
@@ -183,7 +208,12 @@ def test_third_iso_z8_chain():
     d = make_discrete_proximity(z8.space)
     n = (1 << 0) | (1 << 4)
     k = (1 << 0) | (1 << 2) | (1 << 4) | (1 << 6)
-    assert third_iso_harness(z8, d, n, k, max_size=8).ok
+    report = third_iso_harness(z8, d, n, k, max_size=8)
+    assert report.ok
+    # (G/N)/(K/N) and G/K both list the K-cosets by smallest member
+    assert report.canonical.domain.labels == ("a|e|c|g", "b|f|d|h")
+    assert report.canonical.codomain.labels == ("a|c|e|g", "b|d|f|h")
+    assert report.canonical.images == (0, 1)
 
 
 def test_third_iso_requires_containment():
@@ -202,6 +232,69 @@ def test_iso_harness_tail_needs_a_bijective_homomorphism():
     assert not report.group_isomorphism and not report.ok
     assert report.proximal.verdicts["bijective"] is False
     assert _iso_report((z2, c), (z2, c), [0, 1], 6).ok
+
+
+# --- exact isomorphism theorems on coset relations ------------------------------
+# Each relation of _coset_relations(g, ...) is the coset relation of a normal
+# subgroup M of g, the points near the identity.
+
+
+def _coset_structures(max_order):
+    for _, g in all_groups_up_to(max_order):
+        for _, rel in _coset_relations(g, "lodato"):
+            yield g, rel, rel.point_graph[g.identity]
+
+
+def test_first_iso_exact_statements_on_coset_relations():
+    # eta is pcont iff eta(M1) <= M2; for a surjective pcont eta, the
+    # induced map is a proximal isomorphism iff eta(M1) = M2
+    groups = all_groups_up_to(6)
+    cosets = {
+        name: [(rel, rel.point_graph[g.identity]) for _, rel in _coset_relations(g, "lodato")]
+        for name, g in groups
+    }
+    cases = surjective = 0
+    for name1, g1 in groups:
+        for name2, g2 in groups:
+            homs = list(_all_homomorphisms(g1, g2))
+            onto = [set(eta.images) == set(range(g2.order)) for eta in homs]
+            for rel1, m1 in cosets[name1]:
+                for rel2, m2 in cosets[name2]:
+                    for eta, is_onto in zip(homs, onto):
+                        cases += 1
+                        image = eta.image_mask(m1)
+                        pcont = check_pcont(eta, rel1, rel2).ok
+                        assert pcont == (image & ~m2 == 0)
+                        if pcont and is_onto:
+                            surjective += 1
+                            iso = first_iso_harness(eta, g1, rel1, g2, rel2).ok
+                            assert iso == (image == m2)
+    assert (cases, surjective) == (1753, 230)
+
+
+def test_second_iso_exact_statement_on_coset_relations():
+    # the canonical map is a proximal isomorphism iff HN cap M <= (H cap M)N
+    cases = failures = 0
+    for g, rel, m in _coset_structures(8):
+        for h in all_subgroups(g):
+            for n in normal_subgroups(g):
+                cases += 1
+                predicted = not subset_product(g, h, n) & m & ~subset_product(g, h & m, n)
+                assert second_iso_harness(g, rel, h, n).ok == predicted
+                failures += not predicted
+    assert (cases, failures) == (5551, 650)
+
+
+def test_third_iso_holds_on_every_coset_relation():
+    cases = 0
+    for g, rel, _ in _coset_structures(8):
+        normals = normal_subgroups(g)
+        for n in normals:
+            for k in normals:
+                if not n & ~k:
+                    cases += 1
+                    assert third_iso_harness(g, rel, n, k).ok
+    assert cases == 1677
 
 
 # --- hausdorff -------------------------------------------------------------------
