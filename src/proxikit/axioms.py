@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .relations import ProximityRelation
-from .spaces import FiniteSpace, bits, meeting_table, transpose, union_table
+from .spaces import FiniteSpace, bits, meeting_table, transpose, union_over, union_table
 
 SCAN_CAP = 7  # the slowest known table of every capped scan runs in under 1 s (README)
 
@@ -176,9 +176,7 @@ def _first_unclosed(points: Sequence[int]) -> dict[str, tuple[int, ...] | None]:
         for j in bits(near):
             chained = points[j] & ~near
             if chained:
-                escaped = 0
-                for k in bits(near):
-                    escaped |= points[k] & ~near
+                escaped = union_over(points, near) & ~near
                 return {
                     "L5": (1 << i, 1 << j, chained & -chained),
                     "EF": (1 << i, escaped & -escaped),

@@ -151,10 +151,13 @@ def _pick_relation(
 def _pick_map(ws: WorkspaceDocument, flags: Mapping[str, Any]):
     name = flags.get("map")
     if name is None:
-        if len(ws.maps) == 1:
-            name = next(iter(ws.maps))
-        else:
+        if not ws.maps:
             return "id", identity_map(ws.space)
+        if len(ws.maps) != 1:
+            raise WorkspaceError(
+                "maps", f"document has {len(ws.maps)} maps; pass --map NAME"
+            )
+        name = next(iter(ws.maps))
     if name not in ws.maps:
         raise WorkspaceError("maps", f"unknown map {name!r}")
     return name, ws.maps[name]

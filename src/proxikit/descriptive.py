@@ -36,9 +36,6 @@ class ProbeTable:
                     f"element {i} has {len(vec)} feature values, expected {self.arity}"
                 )
 
-    def description(self, i: int) -> tuple[int, ...]:
-        return self.values[i]
-
 
 def probe_table(space: FiniteSpace, values: Sequence[Sequence[int]]) -> ProbeTable:
     rows = tuple(tuple(v) for v in values)

@@ -532,8 +532,7 @@ def _filtered_structures(scope: FuzzScope) -> Iterator[dict]:
     for s in _structures(scope):
         g = s["group"][1]
         report = check_proximal_group(
-            g, s["relation"], axiom_class=_axiom_class(s["relation_class"]),
-            max_size=MAX_CARRIER,
+            g, s["relation"], axiom_class=_axiom_class(s["relation_class"])
         )
         if report.ok:
             yield s
@@ -658,7 +657,7 @@ def _first_iso_instances(scope: FuzzScope) -> Iterator[dict]:
             for rel1 in relations[gname1]:
                 for rel2 in relations[gname2]:
                     for eta in homs:
-                        if check_pcont(eta, rel1, rel2, max_size=MAX_CARRIER).ok:
+                        if check_pcont(eta, rel1, rel2).ok:
                             yield {
                                 "group": (gname1, g1),
                                 "relation": rel1,
@@ -695,63 +694,59 @@ def _carrier_relations(scope: FuzzScope) -> Iterator[dict]:
 
 # -- verdicts: live instance -> the statement holds -------------------------
 # They name the checkers at call time, so a checker patched on this module is
-# the one that runs.  A sweep's cost is bounded by its scope, so every
-# verdict scans up to MAX_CARRIER rather than stopping at a scan cap.
+# the one that runs.  Every sweep source yields Cech relations, and so do
+# their subspace and quotient pullbacks, so the checkers decide them on the
+# point relation and no verdict reaches a capped read.  The multiplication
+# harness is the exception: its transitivity-chain and pointwise-nearness
+# reads always scan, and a sweep's cost is bounded by its scope, so it scans
+# up to MAX_CARRIER rather than stopping at the scan cap.
 
 
 def _translations_hold(i: dict) -> bool:
     g = i["group"][1]
-    return check_translations(g, i["relation"], max_size=MAX_CARRIER).ok
+    return check_translations(g, i["relation"]).ok
 
 
 def _subgroup_holds(i: dict) -> bool:
     g = i["group"][1]
     return subgroup_proximal_group(
-        g, i["relation"], i["subgroup_mask"],
-        axiom_class=_axiom_class(i["relation_class"]), max_size=MAX_CARRIER,
+        g, i["relation"], i["subgroup_mask"], axiom_class=_axiom_class(i["relation_class"])
     ).ok
 
 
 def _product_holds(i: dict) -> bool:
     g1, g2 = i["group"][1], i["group2"][1]
     return product_proximal_group(
-        g1, i["relation"], g2, i["relation2"],
-        axiom_class=_axiom_class(i["relation_class"]), max_size=MAX_CARRIER,
+        g1, i["relation"], g2, i["relation2"], axiom_class=_axiom_class(i["relation_class"])
     ).ok
 
 
 def _first_iso_holds(i: dict) -> bool:
     g1, g2 = i["group"][1], i["group2"][1]
-    return first_iso_harness(
-        i["map_images"], g1, i["relation"], g2, i["relation2"], max_size=MAX_CARRIER
-    ).ok
+    return first_iso_harness(i["map_images"], g1, i["relation"], g2, i["relation2"]).ok
 
 
 def _second_iso_holds(i: dict) -> bool:
     g = i["group"][1]
-    return second_iso_harness(
-        g, i["relation"], i["subgroup_mask"], i["normal_mask"], max_size=MAX_CARRIER
-    ).ok
+    return second_iso_harness(g, i["relation"], i["subgroup_mask"], i["normal_mask"]).ok
 
 
 def _third_iso_holds(i: dict) -> bool:
     g = i["group"][1]
-    return third_iso_harness(
-        g, i["relation"], i["normal_mask"], i["containing_mask"], max_size=MAX_CARRIER
-    ).ok
+    return third_iso_harness(g, i["relation"], i["normal_mask"], i["containing_mask"]).ok
 
 
 def _hom_criterion_holds(i: dict) -> bool:
     g1, g2 = i["group"][1], i["group2"][1]
     return hom_criterion_check(
         i["map_images"], g1, i["relation"], g2, i["relation2"],
-        axiom_class=_axiom_class(i["relation_class2"]), max_size=MAX_CARRIER,
+        axiom_class=_axiom_class(i["relation_class2"]),
     ).implication_ok
 
 
 def _inversion_holds(i: dict) -> bool:
     g = i["group"][1]
-    return inversion_continuity_harness(g, i["relation"], max_size=MAX_CARRIER).implication_ok
+    return inversion_continuity_harness(g, i["relation"]).implication_ok
 
 
 def _multiplication_holds(i: dict) -> bool:
@@ -764,7 +759,7 @@ def _multiplication_holds(i: dict) -> bool:
 def _t1_readings_agree(i: dict) -> bool:
     g = i["group"][1]
     return hausdorff_check(
-        g, i["relation"], axiom_class=_axiom_class(i["relation_class"]), max_size=MAX_CARRIER
+        g, i["relation"], axiom_class=_axiom_class(i["relation_class"])
     ).readings_agree
 
 
@@ -820,7 +815,7 @@ THEOREMS: dict[str, Theorem] = {
     "every-cech-is-lodato": Theorem(
         FuzzScope(3, ("cech",)),
         _carrier_relations,
-        lambda i: check_lodato(i["relation"], max_size=MAX_CARRIER).ok,
+        lambda i: check_lodato(i["relation"]).ok,
     ),
 }
 

@@ -24,7 +24,7 @@ from .relations import (
     quotient_proximity,
     subspace_proximity,
 )
-from .spaces import FiniteSpace, bits, default_space, memo, product_space, union_table
+from .spaces import FiniteSpace, bits, default_space, image, memo, product_space, union_table
 
 AXIOM_CHECKS = {
     "cech": check_cech,
@@ -61,9 +61,6 @@ class FiniteGroup:
 
     def op(self, i: int, j: int) -> int:
         return self.cayley[i][j]
-
-    def inv(self, i: int) -> int:
-        return self.inverse[i]
 
     @staticmethod
     def from_table(
@@ -217,17 +214,12 @@ def subset_product(g: FiniteGroup, a: int, b: int) -> int:
     """{ x*y : x in A, y in B }; empty if either side is empty."""
     out = 0
     for i in bits(a):
-        row = g.cayley[i]
-        for j in bits(b):
-            out |= 1 << row[j]
+        out |= image(g.cayley[i], b)
     return out
 
 
 def subset_inverse(g: FiniteGroup, a: int) -> int:
-    out = 0
-    for i in bits(a):
-        out |= 1 << g.inverse[i]
-    return out
+    return image(g.inverse, a)
 
 
 def subset_product_table(g: FiniteGroup) -> list[list[int]]:
@@ -274,17 +266,15 @@ def all_subgroups(g: FiniteGroup) -> tuple[int, ...]:
 
 
 def normality_violation(g: FiniteGroup, h: int) -> str | None:
-    """None when H is normal, else the conjugating element label."""
+    """None when H is normal, else the label of the first x with
+    xHx^-1 != H, found as the first x with xH != Hx."""
 
     def build() -> str | None:
         reason = subgroup_violation(g, h)
         if reason is not None:
             return reason
-        for x in range(g.order):
-            conj = 0
-            for i in bits(h):
-                conj |= 1 << g.cayley[g.cayley[x][i]][g.inverse[x]]
-            if conj != h:
+        for x, column in enumerate(zip(*g.cayley)):
+            if image(g.cayley[x], h) != image(column, h):
                 return f"not normal: conjugation by {g.space.labels[x]} moves the subgroup"
         return None
 
@@ -305,9 +295,7 @@ def coset_partition(g: FiniteGroup, n_mask: int) -> tuple[int, ...]:
     for x in range(g.order):
         if (seen >> x) & 1:
             continue
-        coset = 0
-        for i in bits(n_mask):
-            coset |= 1 << g.cayley[x][i]
+        coset = image(g.cayley[x], n_mask)
         blocks.append(coset)
         seen |= coset
     return tuple(blocks)
@@ -346,10 +334,8 @@ class ProximalGroupReport:
 def _coset_mu1(g: FiniteGroup, points: tuple[int, ...]) -> bool:
     """P[e] is a normal subgroup N and P[a] = aN for every a."""
     n_mask = points[g.identity]
-    members = list(bits(n_mask))
     return all(
-        points[a] == sum(1 << row[i] for i in members)
-        for a, row in enumerate(g.cayley)
+        points[a] == image(row, n_mask) for a, row in enumerate(g.cayley)
     ) and normality_violation(g, n_mask) is None
 
 
@@ -400,10 +386,7 @@ def _table_mu1_witness(
                 continue
             img = images.get(r2)
             if img is None:
-                near2 = list(bits(r2))
-                img = images[r2] = [
-                    sum(1 << p for p in {row[c2] for c2 in near2}) for row in prod
-                ]
+                img = images[r2] = [image(row, r2) for row in prod]
             far = full & ~rows[products[b2]]
             for c1 in near1:
                 if img[c1] & far:
@@ -546,8 +529,6 @@ def check_transitivity_property(
 # ---------------------------------------------------------------------------
 # homomorphisms
 
-GroupMap = SpaceMap
-
 
 def homomorphism_violation(
     eta: SpaceMap, g1: FiniteGroup, g2: FiniteGroup
@@ -662,7 +643,7 @@ def subgroup_group(g: FiniteGroup, h: int) -> FiniteGroup:
         members = list(bits(h))
         index = {m: k for k, m in enumerate(members)}
         return FiniteGroup(
-            FiniteSpace(tuple(g.space.labels[i] for i in members)),
+            FiniteSpace(g.space.label_set(h)),
             tuple(tuple(index[g.cayley[i][j]] for j in members) for i in members),
             index[g.identity],
             tuple(index[g.inverse[i]] for i in members),

@@ -34,7 +34,7 @@ from .groups import (
 )
 from .maps import SpaceMap, check_pcont, check_proximal_isomorphism
 from .relations import ProximityRelation, quotient_proximity, subspace_proximity
-from .spaces import bits
+from .spaces import bits, image, union_over
 
 
 @dataclass(frozen=True)
@@ -162,12 +162,6 @@ def _iso_report(
     return IsoTheoremReport(True, group_iso, proximal, canonical=f)
 
 
-def _in_g(blocks: Sequence[int], parts: Sequence[int]) -> list[int]:
-    """Each block over an index set as a mask of G: the union (here the sum)
-    of the disjoint masks of G in ``parts`` that its members index."""
-    return [sum(parts[i] for i in bits(block)) for block in blocks]
-
-
 def _containing(blocks: Sequence[int], targets: Sequence[int]) -> list[int]:
     """The canonical map read off containment in G: each block goes to the
     target block that holds it, the only one, as the targets are disjoint."""
@@ -185,7 +179,8 @@ def _quotient_inside(
     sub = subgroup_group(g, s)
     quot, blocks = quotient_group(sub, sub.space.mask_of(g.space.label_set(m)))
     quot_rel = quotient_proximity(subspace_proximity(rel, s), blocks)
-    return (quot, quot_rel), _in_g(blocks, [1 << x for x in bits(s)])
+    members = list(bits(s))
+    return (quot, quot_rel), [image(members, block) for block in blocks]
 
 
 def first_iso_harness(
@@ -286,7 +281,7 @@ def third_iso_harness(
             k_over_n |= 1 << idx
     left = quotient_proximal_group(quot_n, rel_n, k_over_n)
     right = quotient_proximal_group(g, rel, k)
-    left_blocks = _in_g(quotient_group(quot_n, k_over_n)[1], n_blocks)
+    left_blocks = [union_over(n_blocks, b) for b in quotient_group(quot_n, k_over_n)[1]]
     images = _containing(left_blocks, quotient_group(g, k)[1])
     return _iso_report(left, right, images, max_size)
 

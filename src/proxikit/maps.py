@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from .axioms import SCAN_CAP, AxiomReport, require_scan_size
 from .relations import ProximityRelation
-from .spaces import FiniteSpace, bits, union_table
+from .spaces import FiniteSpace, bits, image, union_table
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,7 @@ class SpaceMap:
                 raise ValueError(f"image of element {i} out of range: {img}")
 
     def image_mask(self, mask: int) -> int:
-        out = 0
-        for i in bits(mask):
-            out |= 1 << self.images[i]
-        return out
+        return image(self.images, mask)
 
     def is_bijective(self) -> bool:
         return self.domain.size == self.codomain.size and len(set(self.images)) == len(
@@ -64,17 +61,12 @@ def compose(f: SpaceMap, g: SpaceMap) -> SpaceMap:
     return SpaceMap(f.domain, g.codomain, images, f"{g.name}.{f.name}")
 
 
-def all_image_masks(f: SpaceMap) -> list[int]:
-    """Image mask of every subset of the domain, indexed by subset mask."""
-    return union_table([1 << img for img in f.images])
-
-
 def _table_pcont_witness(
     f: SpaceMap, rel1: ProximityRelation, rel2: ProximityRelation
 ) -> tuple[int, int] | None:
     """The first near pair (A, B) of ``rel1``, A outermost, whose images are
     far in ``rel2``, read off the tables."""
-    img = all_image_masks(f)
+    img = union_table([1 << y for y in f.images])
     return next(
         ((a, b) for a, row in enumerate(rel1.rows) for b in bits(row)
          if not rel2.near(img[a], img[b])),

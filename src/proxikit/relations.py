@@ -20,6 +20,8 @@ from .spaces import (
     product_space,
     rectangle_mask,
     split_rectangle,
+    transpose,
+    union_over,
     union_table,
 )
 
@@ -209,20 +211,13 @@ def relation_from_near_pairs(
     Returns the relation and a flag saying whether the input was asymmetric
     (closure added entries).
     """
-    m = space.n_subsets
-    rows = [0] * m
+    rows = [0] * space.n_subsets
     for a, b in pairs:
         space.check_mask(a)
         space.check_mask(b)
         rows[a] |= 1 << b
-    symmetric = all(
-        (rows[a] >> b) & 1 == (rows[b] >> a) & 1 for a in range(m) for b in bits(rows[a])
-    )
-    if not symmetric:
-        for a in range(m):
-            for b in bits(rows[a]):
-                rows[b] |= 1 << a
-    return ProximityRelation(space, tuple(rows), provenance), not symmetric
+    closed = [row | col for row, col in zip(rows, transpose(rows))]
+    return ProximityRelation(space, tuple(closed), provenance), closed != rows
 
 
 def subspace_proximity(rel: ProximityRelation, v: int) -> ProximityRelation:
@@ -232,12 +227,10 @@ def subspace_proximity(rel: ProximityRelation, v: int) -> ProximityRelation:
     """
 
     def build() -> ProximityRelation:
-        rel.space.check_mask(v)
         if v == 0:
             raise ValueError("subspace carrier must be nonempty")
-        members = list(bits(v))
-        sub = FiniteSpace(tuple(rel.space.labels[i] for i in members))
-        return _pullback(rel, sub, [1 << i for i in members], "subspace")
+        sub = FiniteSpace(rel.space.label_set(v))
+        return _pullback(rel, sub, [1 << i for i in bits(v)], "subspace")
 
     return memo(rel, ("subspace", v), build)
 
@@ -264,9 +257,7 @@ def _pullback(
         k = len(images)
         q = []
         for image in images:
-            reach = 0
-            for x in bits(image):
-                reach |= points[x]
+            reach = union_over(points, image)
             q.append(sum(1 << j for j in range(k) if images[j] & reach))
         return relation_from_point_pairs(space, q, provenance)
     pre = union_table(images)

@@ -91,6 +91,24 @@ def union_table(images: Sequence[int]) -> list[int]:
     return table
 
 
+def union_over(rows: Sequence[int], mask: int) -> int:
+    """Union of ``rows[i]`` over the members i of mask: one entry,
+    ``union_table(rows)[mask]``, with no table built."""
+    out = 0
+    for i in bits(mask):
+        out |= rows[i]
+    return out
+
+
+def image(images: Sequence[int], mask: int) -> int:
+    """Mask of ``images[i]`` over the members i of mask: the image of the
+    subset under the element map ``images``."""
+    out = 0
+    for i in bits(mask):
+        out |= 1 << images[i]
+    return out
+
+
 @lru_cache(maxsize=None)
 def meeting_table(n: int) -> tuple[int, ...]:
     """``table[c]`` = bitset over the 2^n masks of those that meet mask c.
@@ -152,10 +170,6 @@ def memo(obj, key: Hashable, build: Callable[[], T]) -> T:
     if key not in derived:
         derived[key] = build()
     return derived[key]
-
-
-def singleton(i: int) -> int:
-    return 1 << i
 
 
 def default_space(n: int) -> FiniteSpace:

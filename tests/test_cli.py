@@ -575,3 +575,29 @@ def test_verb_errors_name_the_verb_argument(argv, message, capsys):
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_map_verbs_on_a_two_map_document_need_map(tmp_path, capsys):
+    document = {
+        "space": {"labels": ["a", "b", "c"]},
+        "relations": {"m": {"encoding": "discrete"}},
+        "group": {"cayley": [[(i + j) % 3 for j in range(3)] for i in range(3)], "identity": 0},
+        "maps": {"shift": {"images": [1, 2, 0]}, "swap": {"images": [0, 2, 1]}},
+    }
+    path = tmp_path / "two_maps.json"
+    path.write_text(json.dumps(document))
+    for argv in (
+        ["pcont", str(path), "--rel", "m"],
+        ["hom-check", str(path), "--rel", "m"],
+        ["iso-theorems", str(path), "--which", "first", "--rel", "m"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: maps: document has 2 maps; pass --map NAME\n"
+    assert main(["pcont", str(path), "--rel", "m", "--map", "swap", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["map"] == "swap"
+    del document["maps"]
+    path.write_text(json.dumps(document))
+    assert main(["pcont", str(path), "--rel", "m", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["map"] == "id"

@@ -454,6 +454,19 @@ def test_verified_structures_are_the_filtered_structures(scope):
     assert verified == filtered
 
 
+def test_every_sweep_source_is_cech():
+    # the sweep verdicts pass no max_size: a Cech table reaches no capped read
+    scopes = {entry.scope for entry in THEOREMS.values()} | {FuzzScope(8, ("discrete", "coarse"))}
+    for scope in scopes:
+        for _, g in all_groups_up_to(scope.max_order):
+            for _, rel in enumeration._relations_for(g.space, scope.relation_classes):
+                assert rel.point_graph is not None
+        for s in enumeration._verified_structures(scope):
+            assert s["relation"].point_graph is not None
+        for i in enumeration._carrier_relations(scope):
+            assert i["relation"].point_graph is not None
+
+
 def test_verified_cech_structures_pass_the_enumeration_cap():
     # one coset relation per normal subgroup of each catalog group of order <= 8
     outcome = fuzz_theorem("translations-are-proximal-isomorphisms", FuzzScope(8, ("cech",)))

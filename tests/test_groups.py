@@ -691,3 +691,28 @@ def test_importing_proxikit_loads_no_numpy():
     code = f"import sys; sys.path.insert(0, {src!r}); import proxikit; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _conjugation_violation(g, h):
+    """normality_violation by conjugating H by each x in turn."""
+    reason = subgroup_violation(g, h)
+    if reason is not None:
+        return reason
+    for x in range(g.order):
+        conj = 0
+        for i in range(g.order):
+            if (h >> i) & 1:
+                conj |= 1 << g.cayley[g.cayley[x][i]][g.inverse[x]]
+        if conj != h:
+            return f"not normal: conjugation by {g.space.labels[x]} moves the subgroup"
+    return None
+
+
+def test_normality_violation_matches_conjugation_on_the_catalog():
+    moved = 0
+    for _, g in all_groups_up_to(8):
+        for h in all_subgroups(g):
+            expected = _conjugation_violation(g, h)
+            assert normality_violation(g, h) == expected
+            moved += expected is not None
+    assert moved > 0

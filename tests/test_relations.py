@@ -125,6 +125,37 @@ def test_explicit_symmetric_closure_flag():
     assert rel.same_table(rel2)
 
 
+def _closed_by_loops(space, pairs):
+    """The symmetric closure and asymmetry flag, entry by entry."""
+    m = space.n_subsets
+    rows = [0] * m
+    for a, b in pairs:
+        rows[a] |= 1 << b
+    symmetric = all(
+        (rows[a] >> b) & 1 == (rows[b] >> a) & 1 for a in range(m) for b in bits(rows[a])
+    )
+    for a in range(m):
+        for b in bits(rows[a]):
+            rows[b] |= 1 << a
+    return tuple(rows), not symmetric
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_near_pair_closure_matches_the_entry_loop(n):
+    space = default_space(n)
+    m = space.n_subsets
+    rng = random.Random(n)
+    flags = set()
+    for _ in range(40):
+        pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(rng.randrange(3 * m))]
+        if rng.random() < 0.5:
+            pairs += [(b, a) for a, b in pairs]
+        rel, asymmetric = relation_from_near_pairs(space, pairs)
+        assert (rel.rows, asymmetric) == _closed_by_loops(space, pairs)
+        flags.add(asymmetric)
+    assert flags == {True, False}
+
+
 # --- subspace ---------------------------------------------------------------
 
 

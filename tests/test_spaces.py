@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from proxikit import FiniteSpace, bits, default_space, product_space
-from proxikit.spaces import rectangle_mask, split_rectangle
+from proxikit.spaces import image, rectangle_mask, split_rectangle, union_over, union_table
 
 
 def test_default_space_letters():
@@ -79,3 +81,18 @@ def test_rectangle_split_inverts_mask(m1, m2):
         assert (got1, got2) == (m1, m2)
     else:
         assert m == 0 and (got1, got2) == (0, 0)
+
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_image_and_union_over_match_their_definitions(n):
+    rng = random.Random(n)
+    for _ in range(8):
+        images = [rng.randrange(n) for _ in range(n)]
+        rows = [rng.randrange(1 << n) for _ in range(n)]
+        table = union_table(rows)
+        for mask in range(1 << n):
+            members = [i for i in range(n) if (mask >> i) & 1]
+            assert image(images, mask) == sum(1 << y for y in {images[i] for i in members})
+            covered = {x for i in members for x in range(n) if (rows[i] >> x) & 1}
+            assert union_over(rows, mask) == sum(1 << x for x in covered) == table[mask]
