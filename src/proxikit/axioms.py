@@ -39,9 +39,16 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .relations import ProximityRelation
-from .spaces import FiniteSpace, bits, meeting_table, transpose, union_over, union_table
-
-SCAN_CAP = 7  # the slowest known table of every capped scan runs in under 1 s (README)
+from .spaces import (
+    SCAN_CAP,
+    FiniteSpace,
+    bits,
+    meeting_table,
+    require_scan_size,
+    transpose,
+    union_over,
+    union_table,
+)
 
 
 @dataclass(frozen=True)
@@ -70,16 +77,6 @@ class AxiomReport:
 
     def failed(self) -> tuple[str, ...]:
         return tuple(k for k, v in self.verdicts.items() if not v)
-
-
-def require_scan_size(size: int, max_size: int, what: str) -> None:
-    """Refuse the ``what`` scan over a carrier of ``size`` elements above
-    ``max_size``; called just before the scan runs."""
-    if size > max_size:
-        raise ValueError(
-            f"exhaustive {what} scan on a {size}-element carrier exceeds the"
-            f" cap {max_size}; pass max_size={size} to run it anyway"
-        )
 
 
 def _first_set_bit(masks: Iterable[int]) -> tuple[int, int] | None:

@@ -381,13 +381,15 @@ def _cmd_quotient(ws, flags):
     if flags.get("normal") is not None:
         group = _need_group(ws)
         n_mask = _need_mask(flags, "normal", ws.space)
-        quot_group, quot_rel = quotient_proximal_group(group, rel, n_mask)
+        quot_group, quot_rel = quotient_proximal_group(
+            group, rel, n_mask, max_size=_scan_size(flags)
+        )
         payload.update(normal_mask=n_mask, cayley=[list(row) for row in quot_group.cayley])
         cayley = ["cayley: " + " ".join(",".join(map(str, row)) for row in quot_group.cayley)]
     elif ws.partition is None:
         raise WorkspaceError("partition", "quotient needs a partition section or --normal MASK")
     else:
-        quot_rel = quotient_proximity(rel, ws.partition)
+        quot_rel = quotient_proximity(rel, ws.partition, max_size=_scan_size(flags))
     payload.update(carrier=list(quot_rel.space.labels), rows=list(quot_rel.rows), ok=True)
     lines = [
         "carrier: " + " ".join(quot_rel.space.labels),
@@ -630,8 +632,7 @@ VERBS: dict[str, Verb] = {
         _cmd_product, ("--rel", "--rel2"), classes=AXIOM_CHECKS, default_class="efremovic"
     ),
     "hom-check": Verb(_cmd_hom_check, ("--rel", "--rel2", "--map", "--iso", "--criterion")),
-    # quotient and subspace relations are built without a size-capped scan
-    "quotient": Verb(_cmd_quotient, ("--rel", "--normal"), max_n=False),
+    "quotient": Verb(_cmd_quotient, ("--rel", "--normal")),
     "iso-theorems": Verb(
         _cmd_iso_theorems,
         ("--which", "--rel", "--rel2", "--map", "--subset", "--normal", "--normal2"),

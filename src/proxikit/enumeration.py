@@ -59,7 +59,7 @@ from .relations import (
     make_discrete_proximity,
     relation_from_point_pairs,
 )
-from .spaces import MAX_CARRIER, FiniteSpace, bits, default_space
+from .spaces import MAX_CARRIER, FiniteSpace, bits, default_space, memo
 
 ENUMERATION_CAP = 4
 PARTITION_CAP = 8
@@ -586,12 +586,17 @@ def _verified_relations(g: FiniteGroup, classes: Sequence[str]) -> Iterator[tupl
     carrier that pass the proximal-group check, with no checker call: the
     enumerated classes through :func:`_coset_relations`, and ``discrete``
     and ``coarse`` as constructed, being the coset relations of {e} and of
-    g."""
+    g.
+
+    Each class's pairs are built once per group and kept in its memo, so on
+    a catalog group every sweep gets the same relations, and with them the
+    pullbacks and verdicts memoized on those relations.
+    """
     for cls in classes:
-        if cls in RELATION_CLASSES:
-            yield from _coset_relations(g, cls)
-        else:
-            yield from _relations_for(g.space, (cls,))
+        yield from memo(g, ("relations", cls), lambda: tuple(
+            _coset_relations(g, cls) if cls in RELATION_CLASSES
+            else _relations_for(g.space, (cls,))
+        ))
 
 
 def _verified_structures(scope: FuzzScope) -> Iterator[dict]:

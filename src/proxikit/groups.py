@@ -6,7 +6,7 @@ nearness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 from .axioms import (
@@ -177,33 +177,46 @@ def quaternion_group() -> FiniteGroup:
 
 def all_groups_up_to(max_order: int) -> tuple[tuple[str, FiniteGroup], ...]:
     """Every group of order <= max_order up to isomorphism (max_order <= 8),
-    with letter-labelled carriers, in a fixed deterministic order."""
+    with letter-labelled carriers, in a fixed deterministic order.
+
+    Each order's groups are built once per process (:func:`_groups_of_order`)
+    and only when first asked for, so every call returns a prefix of the same
+    catalog and what ``spaces.memo`` keeps on a catalog group serves every
+    later caller.
+    """
     if max_order > 8:
         raise ValueError("group catalog covers orders up to 8")
     catalog: list[tuple[str, FiniteGroup]] = []
-    relabel = lambda g: g.with_labels(default_space(g.order).labels)
     for n in range(1, max_order + 1):
-        catalog.append((f"Z{n}", cyclic_group(n)))
-        if n == 4:
-            catalog.append(("V4", relabel(direct_product_group(cyclic_group(2), cyclic_group(2)))))
-        if n == 6:
-            catalog.append(("S3", dihedral_group(3)))
-        if n == 8:
-            catalog.append(("Z4xZ2", relabel(direct_product_group(cyclic_group(4), cyclic_group(2)))))
-            catalog.append(
-                (
-                    "Z2xZ2xZ2",
-                    relabel(
-                        direct_product_group(
-                            cyclic_group(2),
-                            direct_product_group(cyclic_group(2), cyclic_group(2)),
-                        )
-                    ),
-                )
-            )
-            catalog.append(("D4", dihedral_group(4)))
-            catalog.append(("Q8", quaternion_group()))
+        catalog.extend(_groups_of_order(n))
     return tuple(catalog)
+
+
+@cache
+def _groups_of_order(n: int) -> tuple[tuple[str, FiniteGroup], ...]:
+    """The catalog groups of order n (1 <= n <= 8), cyclic group first."""
+    relabel = lambda g: g.with_labels(default_space(g.order).labels)
+    groups = [(f"Z{n}", cyclic_group(n))]
+    if n == 4:
+        groups.append(("V4", relabel(direct_product_group(cyclic_group(2), cyclic_group(2)))))
+    if n == 6:
+        groups.append(("S3", dihedral_group(3)))
+    if n == 8:
+        groups.append(("Z4xZ2", relabel(direct_product_group(cyclic_group(4), cyclic_group(2)))))
+        groups.append(
+            (
+                "Z2xZ2xZ2",
+                relabel(
+                    direct_product_group(
+                        cyclic_group(2),
+                        direct_product_group(cyclic_group(2), cyclic_group(2)),
+                    )
+                ),
+            )
+        )
+        groups.append(("D4", dihedral_group(4)))
+        groups.append(("Q8", quaternion_group()))
+    return tuple(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +675,7 @@ def subgroup_proximal_group(
 ) -> ProximalGroupReport:
     """Run the proximal-group check on a subgroup with the subspace relation."""
     return check_proximal_group(
-        subgroup_group(g, h), subspace_proximity(rel, h),
+        subgroup_group(g, h), subspace_proximity(rel, h, max_size=max_size),
         axiom_class=axiom_class, max_size=max_size,
     )
 
@@ -697,13 +710,14 @@ def quotient_group(g: FiniteGroup, n_mask: int) -> tuple[FiniteGroup, tuple[int,
 
 
 def quotient_proximal_group(
-    g: FiniteGroup, rel: ProximityRelation, n_mask: int
+    g: FiniteGroup, rel: ProximityRelation, n_mask: int, *, max_size: int = SCAN_CAP
 ) -> tuple[FiniteGroup, ProximityRelation]:
-    """Coset group with the quotient proximity over the coset partition."""
+    """Coset group with the quotient proximity over the coset partition;
+    ``max_size`` caps its pullback scan (see :func:`quotient_proximity`)."""
     if g.space != rel.space:
         raise ValueError("group and relation carriers do not match")
     quot, blocks = quotient_group(g, n_mask)
-    return quot, quotient_proximity(rel, blocks)
+    return quot, quotient_proximity(rel, blocks, max_size=max_size)
 
 
 def product_proximal_group(

@@ -34,7 +34,7 @@ from .groups import (
 )
 from .maps import SpaceMap, check_pcont, check_proximal_isomorphism
 from .relations import ProximityRelation, quotient_proximity, subspace_proximity
-from .spaces import bits, image, union_over
+from .spaces import bits, image, memo, union_over
 
 
 @dataclass(frozen=True)
@@ -169,18 +169,27 @@ def _containing(blocks: Sequence[int], targets: Sequence[int]) -> list[int]:
 
 
 def _quotient_inside(
-    g: FiniteGroup, rel: ProximityRelation, s: int, m: int
-) -> tuple[tuple[FiniteGroup, ProximityRelation], list[int]]:
+    g: FiniteGroup, rel: ProximityRelation, s: int, m: int, max_size: int
+) -> tuple[tuple[FiniteGroup, ProximityRelation], tuple[int, ...]]:
     """S/M for a subgroup S of G and a subgroup M normal in S: its group and
     relation (the quotient of the subspace relation on S), and its elements,
     the cosets xM for x in S, as masks of G.  ``subgroup_group`` keeps the
     labels of S, so M is found on S's carrier by its labels.
+
+    The group side, S/M with its blocks on S and in G, is built once per
+    (G, S, M) and kept in G's memo; the relation side is the two pullbacks
+    memoized on ``rel``, which ``max_size`` caps.
     """
-    sub = subgroup_group(g, s)
-    quot, blocks = quotient_group(sub, sub.space.mask_of(g.space.label_set(m)))
-    quot_rel = quotient_proximity(subspace_proximity(rel, s), blocks)
-    members = list(bits(s))
-    return (quot, quot_rel), [image(members, block) for block in blocks]
+
+    def build() -> tuple[FiniteGroup, tuple[int, ...], tuple[int, ...]]:
+        sub = subgroup_group(g, s)
+        quot, blocks = quotient_group(sub, sub.space.mask_of(g.space.label_set(m)))
+        members = list(bits(s))
+        return quot, blocks, tuple(image(members, block) for block in blocks)
+
+    quot, blocks, in_g = memo(g, ("inside", s, m), build)
+    sub_rel = subspace_proximity(rel, s, max_size=max_size)
+    return (quot, quotient_proximity(sub_rel, blocks, max_size=max_size)), in_g
 
 
 def first_iso_harness(
@@ -213,7 +222,7 @@ def first_iso_harness(
     for i in range(g1.order):
         if eta.images[i] == g2.identity:
             kernel |= 1 << i
-    quot, quot_rel = quotient_proximal_group(g1, rel1, kernel)
+    quot, quot_rel = quotient_proximal_group(g1, rel1, kernel, max_size=max_size)
     # induced map: coset block -> image of any representative
     blocks = quotient_group(g1, kernel)[1]
     images = [eta.images[min(bits(block))] for block in blocks]
@@ -244,8 +253,8 @@ def second_iso_harness(
         raise ValueError(f"N: {reason}")
     if g.space != rel.space:
         raise ValueError("group and relation carriers do not match")
-    left, left_blocks = _quotient_inside(g, rel, h, h & n)
-    right, right_blocks = _quotient_inside(g, rel, subset_product(g, h, n), n)
+    left, left_blocks = _quotient_inside(g, rel, h, h & n, max_size)
+    right, right_blocks = _quotient_inside(g, rel, subset_product(g, h, n), n, max_size)
     return _iso_report(left, right, _containing(left_blocks, right_blocks), max_size)
 
 
@@ -273,14 +282,14 @@ def third_iso_harness(
         raise ValueError(f"K: {reason}")
     if n & ~k:
         raise ValueError("N must be contained in K")
-    quot_n, rel_n = quotient_proximal_group(g, rel, n)
+    quot_n, rel_n = quotient_proximal_group(g, rel, n, max_size=max_size)
     n_blocks = quotient_group(g, n)[1]
     k_over_n = 0
     for idx, block in enumerate(n_blocks):
         if block & ~k == 0:
             k_over_n |= 1 << idx
-    left = quotient_proximal_group(quot_n, rel_n, k_over_n)
-    right = quotient_proximal_group(g, rel, k)
+    left = quotient_proximal_group(quot_n, rel_n, k_over_n, max_size=max_size)
+    right = quotient_proximal_group(g, rel, k, max_size=max_size)
     left_blocks = [union_over(n_blocks, b) for b in quotient_group(quot_n, k_over_n)[1]]
     images = _containing(left_blocks, quotient_group(g, k)[1])
     return _iso_report(left, right, images, max_size)

@@ -13,12 +13,14 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from .spaces import (
+    SCAN_CAP,
     FiniteSpace,
     bits,
     meeting_table,
     memo,
     product_space,
     rectangle_mask,
+    require_scan_size,
     split_rectangle,
     transpose,
     union_over,
@@ -220,23 +222,31 @@ def relation_from_near_pairs(
     return ProximityRelation(space, tuple(closed), provenance), closed != rows
 
 
-def subspace_proximity(rel: ProximityRelation, v: int) -> ProximityRelation:
+def subspace_proximity(
+    rel: ProximityRelation, v: int, *, max_size: int = SCAN_CAP
+) -> ProximityRelation:
     """Restriction of the relation to the subsets of a nonempty carrier subset.
 
     Built once per (relation, mask) and then returned from ``rel``'s memo.
+    ``max_size`` caps the pullback scan of a non-Cech parent (see
+    :func:`_pullback`); a memo hit runs no scan and is never refused.
     """
 
     def build() -> ProximityRelation:
         if v == 0:
             raise ValueError("subspace carrier must be nonempty")
         sub = FiniteSpace(rel.space.label_set(v))
-        return _pullback(rel, sub, [1 << i for i in bits(v)], "subspace")
+        return _pullback(rel, sub, [1 << i for i in bits(v)], "subspace", max_size)
 
     return memo(rel, ("subspace", v), build)
 
 
 def _pullback(
-    rel: ProximityRelation, space: FiniteSpace, images: Sequence[int], provenance: str
+    rel: ProximityRelation,
+    space: FiniteSpace,
+    images: Sequence[int],
+    provenance: str,
+    max_size: int,
 ) -> ProximityRelation:
     """Relation on ``space`` whose element i stands for the parent mask
     ``images[i]``: subsets are near iff the unions of their images are.
@@ -250,7 +260,8 @@ def _pullback(
 
     so the result is the existential extension of Q[i] = {j : images[j] meets
     reach_i}.  That costs O(k^2 + 2^k) for k = len(images), against O(4^k)
-    for the entry-by-entry scan that every other table takes.
+    for the entry-by-entry scan that every other table takes, which
+    ``max_size`` caps.
     """
     points = rel.point_graph
     if points is not None:
@@ -260,6 +271,7 @@ def _pullback(
             reach = union_over(points, image)
             q.append(sum(1 << j for j in range(k) if images[j] & reach))
         return relation_from_point_pairs(space, q, provenance)
+    require_scan_size(space.size, max_size, "pullback table")
     pre = union_table(images)
     m = space.n_subsets
     rows = []
@@ -288,19 +300,20 @@ def validate_partition(space: FiniteSpace, blocks: Sequence[int]) -> None:
 
 
 def quotient_proximity(
-    rel: ProximityRelation, blocks: Sequence[int]
+    rel: ProximityRelation, blocks: Sequence[int], *, max_size: int = SCAN_CAP
 ) -> ProximityRelation:
     """Relation on the blocks: block sets are near iff their preimages are.
 
     Built once per (relation, block tuple) and then returned from ``rel``'s
-    memo.
+    memo.  ``max_size`` caps the pullback scan of a non-Cech parent, as in
+    :func:`subspace_proximity`.
     """
     blocks = tuple(blocks)
 
     def build() -> ProximityRelation:
         validate_partition(rel.space, blocks)
         labels = tuple("|".join(rel.space.label_set(block)) for block in blocks)
-        return _pullback(rel, FiniteSpace(labels), blocks, "quotient")
+        return _pullback(rel, FiniteSpace(labels), blocks, "quotient", max_size)
 
     return memo(rel, ("quotient", blocks), build)
 

@@ -12,6 +12,7 @@ from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 MAX_CARRIER = 12
+SCAN_CAP = 7  # the slowest known table of every capped scan runs in under 1 s (README)
 
 T = TypeVar("T")
 
@@ -71,6 +72,16 @@ class FiniteSpace:
 
     def subsets(self) -> range:
         return range(self.n_subsets)
+
+
+def require_scan_size(size: int, max_size: int, what: str) -> None:
+    """Refuse the ``what`` scan over a carrier of ``size`` elements above
+    ``max_size``; called just before the scan runs."""
+    if size > max_size:
+        raise ValueError(
+            f"exhaustive {what} scan on a {size}-element carrier exceeds the"
+            f" cap {max_size}; pass max_size={size} to run it anyway"
+        )
 
 
 def bits(mask: int) -> Iterator[int]:

@@ -29,7 +29,7 @@ from .relations import (
     validate_partition,
 )
 from .descriptive import descriptive_proximity
-from .spaces import FiniteSpace, bits
+from .spaces import MAX_CARRIER, FiniteSpace, bits
 
 
 class WorkspaceError(ValueError):
@@ -186,7 +186,9 @@ def _parse_relations(
                 )
                 subset = _parse_mask(spec.get("subset"), base.space, f"{loc}.subset")
                 try:
-                    built[name] = subspace_proximity(base, subset)
+                    # part of the document's own data, like an explicit
+                    # table: pulled back at any carrier size, with no scan cap
+                    built[name] = subspace_proximity(base, subset, max_size=MAX_CARRIER)
                 except ValueError as e:
                     raise WorkspaceError(f"{loc}.subset", str(e)) from None
                 normalized[name] = {

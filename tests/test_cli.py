@@ -237,12 +237,27 @@ def test_document_free_verbs_take_no_max_n(argv, capsys):
     assert "--max-n" in capsys.readouterr().err
 
 
-def test_quotient_takes_no_max_n(capsys):
-    # quotient and subspace relations are built without a size-capped scan
-    with pytest.raises(SystemExit) as exc:
-        main(["quotient", str(FIXTURES / "z4_quotient.json"), "--max-n", "99"])
-    assert exc.value.code == 2
-    assert "--max-n" in capsys.readouterr().err
+def test_quotient_max_n_raises_the_pullback_cap(tmp_path, capsys):
+    # the empty set near itself: not Cech, so the quotient scans the table;
+    # singletons in reverse order are not the identity pullback
+    document = {
+        "space": {"labels": list("abcdefgh")},
+        "relations": {"e": {"encoding": "explicit", "near": [[0, 0]]}},
+        "partition": {"blocks": [[i] for i in reversed(range(8))]},
+    }
+    path = tmp_path / "wide_quotient.json"
+    path.write_text(json.dumps(document))
+    assert main(["quotient", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: exhaustive pullback table scan on a 8-element carrier exceeds"
+        " the cap 7; pass max_size=8 to run it anyway\n"
+    )
+    assert main(["quotient", str(path), "--max-n", "8", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["carrier"] == list("hgfedcba") and payload["rows"] == [1] + [0] * 255
+    assert main(["quotient", str(FIXTURES / "z4_quotient.json"), "--max-n", "99"]) == 0
 
 
 def test_mapping_space_takes_no_max_n(capsys):

@@ -1,10 +1,16 @@
+import gc
 import hashlib
 import json
 import random
+import subprocess
+import sys
+import tracemalloc
 from itertools import combinations, islice, product
+from pathlib import Path
 
 import pytest
 
+import proxikit
 from proxikit import (
     FiniteSpace,
     ProximityRelation,
@@ -467,6 +473,47 @@ def test_every_sweep_source_is_cech():
             assert i["relation"].point_graph is not None
 
 
+def _relation_fields(rel: ProximityRelation) -> tuple:
+    return rel.space.labels, rel.rows, rel.provenance, rel.point_graph
+
+
+def test_verified_relations_are_kept_and_equal_a_fresh_build():
+    classes = ("discrete", "coarse", *enumeration.RELATION_CLASSES)
+    for gname, g in all_groups_up_to(8):
+        fresh_g = groups.FiniteGroup(g.space, g.cayley, g.identity, g.inverse)
+        for cls in classes:
+            kept = list(enumeration._verified_relations(g, (cls,)))
+            fresh = list(enumeration._verified_relations(fresh_g, (cls,)))
+            assert [(name, _relation_fields(rel)) for name, rel in kept] == [
+                (name, _relation_fields(rel)) for name, rel in fresh
+            ], (gname, cls)
+            again = enumeration._verified_relations(g, (cls,))
+            assert all(b is a for (_, a), (_, b) in zip(kept, again, strict=True))
+        # several classes: each class's pairs, in the order asked for
+        mixed = list(enumeration._verified_relations(g, ("coarse", "cech", "discrete")))
+        assert mixed == [
+            pair for cls in ("coarse", "cech", "discrete")
+            for pair in enumeration._verified_relations(g, (cls,))
+        ]
+
+
+def test_repeated_default_sweeps_keep_no_new_memory():
+    # the first pass fills the memos of the catalog; a second pass finds
+    # every relation and pullback there and keeps nothing new
+    for theorem in THEOREMS:
+        fuzz_theorem(theorem)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for theorem in THEOREMS:
+            fuzz_theorem(theorem)
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept <= 4096
+
+
 def test_verified_cech_structures_pass_the_enumeration_cap():
     # one coset relation per normal subgroup of each catalog group of order <= 8
     outcome = fuzz_theorem("translations-are-proximal-isomorphisms", FuzzScope(8, ("cech",)))
@@ -503,18 +550,35 @@ def test_second_isomorphism_sweep_over_partitions_is_finite():
     assert (outcome.instances, len(outcome.counterexamples)) == (5551, 650)
 
 
-def test_hom_criterion_sweep_verifies_each_structure_once(monkeypatch):
-    calls = []
-    check = groups.check_proximal_group
+_COUNT_HOM_CRITERION_VERIFICATIONS = """
+import sys
+sys.path.insert(0, {src!r})
+from proxikit import fuzz_theorem, groups
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return check(*args, **kwargs)
+calls = []
+check = groups.check_proximal_group
 
-    monkeypatch.setattr(groups, "check_proximal_group", spy)
+def spy(*args, **kwargs):
+    calls.append(args)
+    return check(*args, **kwargs)
+
+groups.check_proximal_group = spy
+for _ in range(2):
+    before = len(calls)
     outcome = fuzz_theorem("hom-criterion-implies-pcont")
-    assert (outcome.instances, len(outcome.counterexamples)) == (240, 0)
-    assert len(calls) == 10  # the discrete and coarse relation on 5 groups
+    print(outcome.instances, len(outcome.counterexamples), len(calls) - before)
+"""
+
+
+def test_hom_criterion_sweep_verifies_each_structure_once():
+    # The relations live on the catalog groups and each verdict on its
+    # relation for the whole process, so only a fresh process shows the
+    # first sweep: it verifies the discrete and coarse relation on 5
+    # groups, and a second sweep verifies nothing.
+    src = str(Path(proxikit.__file__).resolve().parent.parent)
+    code = _COUNT_HOM_CRITERION_VERIFICATIONS.format(src=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["240 0 10", "240 0 0"]
 
 
 @pytest.mark.parametrize(

@@ -676,6 +676,17 @@ def test_rejected_masks_raise_on_every_call_and_leave_no_memo_entry():
     assert ("quotient", reflection) not in g._derived
 
 
+def test_every_catalog_prefix_holds_the_same_groups():
+    catalog = all_groups_up_to(8)
+    assert all_groups_up_to(8) == catalog
+    for k in range(1, 9):
+        prefix = all_groups_up_to(k)
+        assert [name for name, _ in prefix] == [name for name, g in catalog if g.order <= k]
+        assert all(g is catalog[i][1] for i, (_, g) in enumerate(prefix)), k
+    with pytest.raises(ValueError, match="group catalog covers orders up to 8"):
+        all_groups_up_to(9)
+
+
 def test_memo_dies_with_its_group():
     g = cyclic_group(4)
     sub = subgroup_group(g, 0b0101)

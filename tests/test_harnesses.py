@@ -26,9 +26,10 @@ from proxikit import (
     subgroup_proximal_group,
     third_iso_harness,
 )
-from proxikit.enumeration import _all_homomorphisms, _coset_relations
-from proxikit.groups import _mu1_check, all_subgroups, normal_subgroups, subset_product
-from proxikit.harnesses import _iso_report, _pointwise_nearness
+from proxikit.axioms import SCAN_CAP
+from proxikit.enumeration import THEOREMS, _all_homomorphisms, _coset_relations, _second_iso_instances
+from proxikit.groups import FiniteGroup, _mu1_check, all_subgroups, normal_subgroups, subset_product
+from proxikit.harnesses import _iso_report, _pointwise_nearness, _quotient_inside
 from proxikit.maps import check_pcont
 
 
@@ -407,6 +408,51 @@ def test_harness_scans_obey_max_size():
             run()
     assert inversion_continuity_harness(z3, bad, max_size=3).implication_ok
     assert third_iso_harness(z3, bad, 0b001, 0b001, max_size=3).ok
+
+
+def test_harnesses_pass_max_size_to_their_pullbacks():
+    z6 = cyclic_group(6)
+    rows = list(make_discrete_proximity(z6.space).rows)
+    rows[0] |= 1
+    bad = ProximityRelation(z6.space, tuple(rows))
+    runs = [
+        # H = {0, 2, 4}: the subspace on H is pulled back from the table
+        lambda max_size: second_iso_harness(z6, bad, 0b010101, 0b000001, max_size=max_size),
+        # N = {0, 3}: G/N has three blocks
+        lambda max_size: third_iso_harness(z6, bad, 0b001001, 0b111111, max_size=max_size),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="exhaustive pullback table scan on a 3-element"
+                           " carrier exceeds the cap 2; pass max_size=3 to run it anyway"):
+            run(2)
+        assert run(3).ok
+
+
+def _group_fields(g: FiniteGroup) -> tuple:
+    return g.space.labels, g.cayley, g.identity, g.inverse
+
+
+def test_quotient_inside_is_kept_and_equals_a_fresh_build():
+    scope = THEOREMS["second-isomorphism-theorem"].scope
+    drawn = {}
+    for i in _second_iso_instances(scope):
+        g, rel, h, n = i["group"][1], i["relation"], i["subgroup_mask"], i["normal_mask"]
+        for s, m in ((h, h & n), (subset_product(g, h, n), n)):
+            drawn[g, rel, s, m] = None
+    assert len({(g, s, m) for g, _, s, m in drawn}) == 198
+    for g, rel, s, m in drawn:
+        (quot, quot_rel), in_g = _quotient_inside(g, rel, s, m, SCAN_CAP)
+        fresh_g = FiniteGroup(g.space, g.cayley, g.identity, g.inverse)
+        fresh_rel = ProximityRelation(rel.space, rel.rows, rel.provenance)
+        (fresh_quot, fresh_quot_rel), fresh_in_g = _quotient_inside(fresh_g, fresh_rel, s, m, SCAN_CAP)
+        assert _group_fields(quot) == _group_fields(fresh_quot)
+        assert (quot_rel.space, quot_rel.rows, quot_rel.provenance, quot_rel.point_graph) == (
+            fresh_quot_rel.space, fresh_quot_rel.rows,
+            fresh_quot_rel.provenance, fresh_quot_rel.point_graph,
+        )
+        assert in_g == fresh_in_g
+        again = _quotient_inside(g, rel, s, m, SCAN_CAP)
+        assert again[0][0] is quot and again[0][1] is quot_rel and again[1] is in_g
 
 
 def test_harness_helpers_cap_their_own_scans():

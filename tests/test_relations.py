@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from proxikit import (
     subspace_proximity,
 )
 from proxikit.groups import coset_partition, cyclic_group
-from proxikit.spaces import bits
+from proxikit.spaces import MAX_CARRIER, bits
 
 
 def test_discrete_shared_element_near():
@@ -477,18 +478,22 @@ def test_memoized_pullbacks_equal_a_fresh_build():
         assert seeded.point_graph is None
         masks = all_subgroups(g)
         partitions = [coset_partition(g, n) for n in normal_subgroups(g)]
+        # the seeded table's pullbacks scan up to all g.order points
+        cap = g.order
         for rel in (make_discrete_proximity(g.space), make_coarse_proximity(g.space), seeded):
             # fill the memo with every key first, so a key that loses the
             # mask or the blocks hands back some other result below
-            subspaces = {v: subspace_proximity(rel, v) for v in masks}
-            quotients = {blocks: quotient_proximity(rel, list(blocks)) for blocks in partitions}
+            subspaces = {v: subspace_proximity(rel, v, max_size=cap) for v in masks}
+            quotients = {
+                blocks: quotient_proximity(rel, list(blocks), max_size=cap) for blocks in partitions
+            }
             for v, sub in subspaces.items():
                 assert subspace_proximity(rel, v) is sub
-                fresh = subspace_proximity(_fresh(rel), v)
+                fresh = subspace_proximity(_fresh(rel), v, max_size=cap)
                 assert _relation_fields(sub) == _relation_fields(fresh), (name, v)
             for blocks, quot in quotients.items():
                 assert quotient_proximity(rel, blocks) is quot
-                fresh = quotient_proximity(_fresh(rel), blocks)
+                fresh = quotient_proximity(_fresh(rel), blocks, max_size=cap)
                 assert _relation_fields(quot) == _relation_fields(fresh), (name, blocks)
             # the memo is not a field: equality and hashing ignore it
             assert rel == _fresh(rel) and hash(rel) == hash(_fresh(rel))
@@ -521,3 +526,73 @@ def test_memo_dies_with_its_relation():
     del rel, sub, quot
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
+
+
+# --- the pullback cap ----------------------------------------------------------
+
+
+def _random_partition(rng: random.Random, n: int) -> list[int]:
+    """A seeded set partition of range(n) as masks, blocks in seeded order."""
+    order = list(range(n))
+    rng.shuffle(order)
+    blocks = []
+    for i in order:
+        if blocks and rng.random() < 0.5:
+            blocks[rng.randrange(len(blocks))] |= 1 << i
+        else:
+            blocks.append(1 << i)
+    return blocks
+
+
+def test_cech_pullbacks_run_under_any_cap():
+    rng = random.Random(26)
+    for n in range(1, 13):
+        space = default_space(n)
+        sources = [make_discrete_proximity(space), make_coarse_proximity(space)]
+        for _ in range(3):
+            rows = [1 << i for i in range(n)]
+            for i, j in combinations(range(n), 2):
+                if rng.random() < 0.3:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+            sources.append(relation_from_point_pairs(space, rows, "explicit"))
+        for rel in sources:
+            v = rng.randrange(1, 1 << n)
+            blocks = _random_partition(rng, n)
+            sub = subspace_proximity(rel, v, max_size=1)
+            quot = quotient_proximity(rel, blocks, max_size=1)
+            assert sub == subspace_proximity(_fresh(rel), v, max_size=MAX_CARRIER)
+            assert quot == quotient_proximity(_fresh(rel), blocks, max_size=MAX_CARRIER)
+
+
+def test_non_cech_pullbacks_are_capped():
+    for n in (3, 9):
+        base = make_discrete_proximity(default_space(n))
+        # the empty set near itself breaks L2, so the table is never Cech
+        rel = ProximityRelation(base.space, (1, *base.rows[1:]))
+        assert rel.point_graph is None
+        singletons = [1 << i for i in range(n)]
+        # the identity pullbacks (whole carrier, singletons in carrier order)
+        # scan like any other
+        for build, arg, k in (
+            (subspace_proximity, rel.space.full_mask, n),
+            (quotient_proximity, singletons, n),
+            (quotient_proximity, singletons[::-1], n),
+            (subspace_proximity, rel.space.full_mask >> 1, n - 1),
+        ):
+            before = dict(rel._derived)
+            for _ in range(2):
+                with pytest.raises(
+                    ValueError,
+                    match=f"exhaustive pullback table scan on a {k}-element carrier exceeds the cap 1",
+                ):
+                    build(rel, arg, max_size=1)
+            assert rel._derived == before
+            # a raised cap runs the scan, and the memo hit needs no cap
+            pulled = build(rel, arg, max_size=k)
+            assert build(rel, arg, max_size=1) is pulled
+        # the identity keeps the table, and so does reversing the labels:
+        # discrete, empty set near itself
+        assert subspace_proximity(rel, rel.space.full_mask).rows == rel.rows
+        assert quotient_proximity(rel, singletons).rows == rel.rows
+        assert quotient_proximity(rel, singletons[::-1]).rows == rel.rows
