@@ -38,23 +38,18 @@ from .maps import (
     check_pcont,
     check_proximal_isomorphism,
     compose,
-    constant_map,
     identity_map,
 )
 from .descriptive import (
     MappingSpaceVerdict,
-    PathDemo,
     ProbeTable,
     check_descriptive_ef,
     check_descriptive_lodato,
     check_dpcont,
-    concat_paths,
     describe,
     descriptive_intersection,
     descriptive_proximity,
     mapping_space_relation,
-    path_label_demo,
-    paths_near,
     probe_table,
     product_probe_table,
 )
@@ -100,8 +95,6 @@ from .enumeration import (
     FuzzOutcome,
     FuzzScope,
     RelationCensus,
-    branching_cech_relations,
-    brute_force_tables,
     enumerate_relations,
     fuzz_theorem,
     mine_separating_examples,
@@ -113,7 +106,6 @@ from .workspace import (
     WorkspaceDocument,
     WorkspaceError,
     parse_workspace,
-    serialize_workspace,
 )
 from .cli import CommandResult, run_command
 

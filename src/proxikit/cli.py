@@ -464,7 +464,7 @@ def _cmd_descriptive_check(ws, flags):
     }
     if flags.get("group"):
         group = _need_group(ws)
-        report = check_descriptive_proximal_group(group, probes, max_size=_scan_size(flags))
+        report = check_descriptive_proximal_group(group, probes)
         mu_lines, mu, mu_witnesses = _report_lines(_continuity(report), probes.space)
         lines += mu_lines
         witnesses.update(mu_witnesses)

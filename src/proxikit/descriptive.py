@@ -184,56 +184,3 @@ def product_probe_table(p1: ProbeTable, p2: ProbeTable) -> ProbeTable:
     values = tuple(v1 + v2 for v1 in p1.values for v2 in p2.values)
     return ProbeTable(space, p1.arity + p2.arity, values)
 
-
-@dataclass(frozen=True)
-class PathDemo:
-    """Result of comparing two label paths on a grid of probed boxes.
-
-    ``concatenation`` is the spliced sequence when the first path ends where
-    the second starts, else None.
-    """
-
-    near: bool
-    concatenation: tuple[str, ...] | None
-
-
-def _check_path(grid: ProbeTable, path: Sequence[str], which: str) -> tuple[str, ...]:
-    if not path:
-        raise ValueError(f"{which} must be a nonempty label sequence")
-    for label in path:
-        if label not in grid.space.labels:
-            raise ValueError(f"{which} visits unknown box {label!r}")
-    return tuple(path)
-
-
-def paths_near(grid: ProbeTable, path1: Sequence[str], path2: Sequence[str]) -> bool:
-    """Position-by-position equality of the paths' description sequences."""
-    p1 = _check_path(grid, path1, "path1")
-    p2 = _check_path(grid, path2, "path2")
-    if len(p1) != len(p2):
-        return False
-    desc = {label: grid.values[i] for i, label in enumerate(grid.space.labels)}
-    return all(desc[x] == desc[y] for x, y in zip(p1, p2))
-
-
-def concat_paths(
-    grid: ProbeTable, path1: Sequence[str], path2: Sequence[str]
-) -> tuple[str, ...]:
-    """Splice two paths at a shared endpoint; reject mismatched endpoints."""
-    p1 = _check_path(grid, path1, "path1")
-    p2 = _check_path(grid, path2, "path2")
-    if p1[-1] != p2[0]:
-        raise ValueError(
-            f"cannot concatenate: path1 ends at {p1[-1]!r} but path2 starts at {p2[0]!r}"
-        )
-    return p1 + p2[1:]
-
-
-def path_label_demo(
-    grid: ProbeTable, path1: Sequence[str], path2: Sequence[str]
-) -> PathDemo:
-    near = paths_near(grid, path1, path2)
-    p1 = tuple(path1)
-    p2 = tuple(path2)
-    concatenation = p1 + p2[1:] if p1[-1] == p2[0] else None
-    return PathDemo(near, concatenation)

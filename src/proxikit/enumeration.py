@@ -15,11 +15,12 @@ Symmetry plus the union axiom (an iff) force every L1-L4 relation to be
 determined by a reflexive symmetric relation on points, near meaning "some
 member pair is point-related", and every such graph extends to a Cech
 relation; the Lodato and Efremovic relations are those whose point relation
-is transitive, that is the set partitions.  Two independent cross-check
-paths are kept: branching over free subset pairs with forced entries (tiny
-carriers) and raw brute force over all tables (n <= 2).  The sweeps over
-proximal groups take, from each class, one relation per normal subgroup of
-the group (:func:`_coset_relations`) in place of filtering the class.
+is transitive, that is the set partitions.  The sweeps over proximal
+groups take, from each class, one relation per normal subgroup of the
+group (:func:`_coset_relations`) in place of filtering the class.  The
+independent cross-checks (branching over free subset pairs, brute force
+over all tables, and the filter over :func:`_structures`) live in
+``tests/test_enumeration.py``.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from .groups import (
     FiniteGroup,
     all_groups_up_to,
     all_subgroups,
-    check_proximal_group,
+    check_proximal_group,  # unused here; perfbench.spans.VERIFY_SITE patches it
     check_translations,
     coset_partition,
     hom_criterion_check,
@@ -63,8 +64,6 @@ from .spaces import MAX_CARRIER, FiniteSpace, bits, default_space, memo
 
 ENUMERATION_CAP = 4
 PARTITION_CAP = 8
-BRANCHING_CAP = 3
-BRUTE_FORCE_CAP = 2
 
 RELATION_CLASSES = ("cech", "lodato", "efremovic")
 
@@ -241,58 +240,6 @@ def enumerate_relations(n: int, axiom_class: str = "cech") -> Iterator[Proximity
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
         yield relation_from_point_pairs(space, rows, "explicit")
-
-
-def branching_cech_relations(n: int) -> Iterator[ProximityRelation]:
-    """Cross-check generator: force empty/intersecting entries, branch on the
-    free disjoint subset pairs (upper triangle only), filter by the naive
-    oracle.  Exponential in the number of free pairs; tiny carriers only.
-    """
-    if n > BRANCHING_CAP:
-        free = sum(
-            1
-            for a in range(1, 1 << n)
-            for b in range(a + 1, 1 << n)
-            if not a & b
-        )
-        raise ValueError(
-            f"branching generator capped at n <= {BRANCHING_CAP}: size {n} has"
-            f" {free} free subset pairs, {2 ** free} candidates"
-        )
-    space = default_space(n)
-    m = 1 << n
-    base_rows = [0] * m
-    for a in range(m):
-        for b in range(m):
-            if a & b:
-                base_rows[a] |= 1 << b
-    free_pairs = [
-        (a, b) for a in range(1, m) for b in range(a + 1, m) if not a & b
-    ]
-    for assignment in range(1 << len(free_pairs)):
-        rows = list(base_rows)
-        for idx, (a, b) in enumerate(free_pairs):
-            if (assignment >> idx) & 1:
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-        rel = ProximityRelation(space, tuple(rows), "explicit")
-        if all(naive_oracle(rel, ax) for ax in ("L1", "L2", "L3", "L4")):
-            yield rel
-
-
-def brute_force_tables(n: int) -> Iterator[ProximityRelation]:
-    """All (2^n x 2^n) tables whatsoever; n <= 2 keeps this at 65536 tables."""
-    if n > BRUTE_FORCE_CAP:
-        raise ValueError(
-            f"brute force capped at n <= {BRUTE_FORCE_CAP}: size {n} means"
-            f" 2^{(1 << n) * (1 << n)} tables"
-        )
-    space = default_space(n)
-    m = 1 << n
-    row_mask = (1 << m) - 1
-    for code in range(1 << (m * m)):
-        rows = tuple((code >> (a * m)) & row_mask for a in range(m))
-        yield ProximityRelation(space, rows, "explicit")
 
 
 # ---------------------------------------------------------------------------
@@ -526,18 +473,6 @@ def _structures(scope: FuzzScope, **fields) -> Iterator[dict]:
             yield {"group": (gname, g), "relation": rel, "relation_class": rname, **fields}
 
 
-def _filtered_structures(scope: FuzzScope) -> Iterator[dict]:
-    """The structures in scope that pass the proximal-group check, found by
-    checking every one: the reference for :func:`_verified_structures`."""
-    for s in _structures(scope):
-        g = s["group"][1]
-        report = check_proximal_group(
-            g, s["relation"], axiom_class=_axiom_class(s["relation_class"])
-        )
-        if report.ok:
-            yield s
-
-
 def _coset_relations(g: FiniteGroup, axiom_class: str) -> list[tuple[str, ProximityRelation]]:
     """The relations of the ``axiom_class`` stream on g that make g a
     proximal group, named and ordered as in that stream: one per normal
@@ -601,7 +536,7 @@ def _verified_relations(g: FiniteGroup, classes: Sequence[str]) -> Iterator[tupl
 
 def _verified_structures(scope: FuzzScope) -> Iterator[dict]:
     """The structures in scope that pass the proximal-group check, in the
-    order of :func:`_filtered_structures`."""
+    order in which filtering :func:`_structures` by that check finds them."""
     for gname, g in all_groups_up_to(scope.max_order):
         for rname, rel in _verified_relations(g, scope.relation_classes):
             yield {"group": (gname, g), "relation": rel, "relation_class": rname}

@@ -343,14 +343,15 @@ def hausdorff_check(
 # descriptive proximal groups
 
 
-def check_descriptive_proximal_group(
-    g: FiniteGroup, probes: ProbeTable, *, max_size: int = SCAN_CAP
-) -> ProximalGroupReport:
-    """Proximal-group check on the relation induced by the probe table."""
+def check_descriptive_proximal_group(g: FiniteGroup, probes: ProbeTable) -> ProximalGroupReport:
+    """Proximal-group check on the relation induced by the probe table.
+
+    That relation is Cech, so the check is decided on its point relation
+    and reaches no capped read, at any carrier size.
+    """
     if g.space != probes.space:
         raise ValueError("group and probe-table carriers do not match")
-    rel = descriptive_proximity(probes)
-    return check_proximal_group(g, rel, max_size=max_size)
+    return check_proximal_group(g, descriptive_proximity(probes))
 
 
 @dataclass(frozen=True)

@@ -47,10 +47,6 @@ def identity_map(space: FiniteSpace, name: str = "id") -> SpaceMap:
     return SpaceMap(space, space, tuple(range(space.size)), name)
 
 
-def constant_map(domain: FiniteSpace, codomain: FiniteSpace, target: int) -> SpaceMap:
-    return SpaceMap(domain, codomain, (target,) * domain.size, f"const_{target}")
-
-
 def compose(f: SpaceMap, g: SpaceMap) -> SpaceMap:
     """Apply f first, then g."""
     if f.codomain != g.domain:

@@ -2,11 +2,10 @@
 a group, probe tables, maps, and a partition over it.
 
 Documents are the CLI's input format.  Exactly one carrier per document;
-every other section references it.  Subset masks serialize as unsigned ints
-with bit i meaning element i (carrier order).  Parsing validates every
-cross-reference and normalizes explicit relation payloads (symmetric
-closure, sorted pair lists), so parse -> serialize -> parse is the identity
-on valid documents.
+every other section references it.  Subset masks are unsigned ints with
+bit i meaning element i (carrier order).  Parsing validates every field and
+cross-reference, and closes explicit near-pair lists symmetrically with a
+warning.
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ from .relations import (
     validate_partition,
 )
 from .descriptive import descriptive_proximity
-from .spaces import MAX_CARRIER, FiniteSpace, bits
+from .spaces import MAX_CARRIER, FiniteSpace
 
 
 class WorkspaceError(ValueError):
@@ -42,7 +41,7 @@ class WorkspaceError(ValueError):
 
 @dataclass(frozen=True)
 class WorkspaceDocument:
-    """Parsed, validated workspace with its normalized document dict."""
+    """Parsed, validated workspace."""
 
     space: FiniteSpace
     relations: dict[str, ProximityRelation | RectangleRelation]
@@ -50,7 +49,6 @@ class WorkspaceDocument:
     probes: dict[str, ProbeTable]
     maps: dict[str, SpaceMap]
     partition: tuple[int, ...] | None
-    doc: dict
     warnings: tuple[str, ...] = field(compare=False, default=())
 
 
@@ -111,11 +109,10 @@ def _parse_relations(
     space: FiniteSpace,
     probes: dict[str, ProbeTable],
     warnings: list[str],
-) -> tuple[dict[str, ProximityRelation | RectangleRelation], dict]:
+) -> dict[str, ProximityRelation | RectangleRelation]:
     _expect(isinstance(raw, dict), "relations", "must be an object of named relations")
     pending = dict(raw)
     built: dict[str, ProximityRelation | RectangleRelation] = {}
-    normalized: dict[str, dict] = {}
     progress = True
     while pending and progress:
         progress = False
@@ -127,18 +124,25 @@ def _parse_relations(
             _expect(isinstance(encoding, str), f"{loc}.encoding", "missing encoding")
             if encoding == "discrete":
                 built[name] = make_discrete_proximity(space)
-                normalized[name] = {"encoding": "discrete"}
             elif encoding == "coarse":
                 built[name] = make_coarse_proximity(space)
-                normalized[name] = {"encoding": "coarse"}
             elif encoding == "metric":
                 matrix = spec.get("matrix")
                 _expect(isinstance(matrix, list), f"{loc}.matrix", "missing distance matrix")
+                for i, row in enumerate(matrix):
+                    _expect(
+                        isinstance(row, list), f"{loc}.matrix[{i}]", "must be a list of distances"
+                    )
+                    for j, v in enumerate(row):
+                        _expect(
+                            isinstance(v, (int, float)) and not isinstance(v, bool),
+                            f"{loc}.matrix[{i}][{j}]",
+                            "distances must be numbers",
+                        )
                 try:
                     built[name] = make_metric_proximity(space, matrix)
                 except ValueError as e:
                     raise WorkspaceError(f"{loc}.matrix", str(e)) from None
-                normalized[name] = {"encoding": "metric", "matrix": matrix}
             elif encoding == "explicit":
                 near = spec.get("near")
                 _expect(isinstance(near, list), f"{loc}.near", "missing near-pair list")
@@ -161,16 +165,11 @@ def _parse_relations(
                         f"{loc}: asymmetric near-pair list; symmetric closure applied"
                     )
                 built[name] = rel
-                normalized[name] = {
-                    "encoding": "explicit",
-                    "near": [[a, b] for a, b in rel.near_pairs()],
-                }
             elif encoding == "descriptive":
                 ref = spec.get("probes")
                 _expect(isinstance(ref, str), f"{loc}.probes", "missing probes reference")
                 _expect(ref in probes, f"{loc}.probes", f"unknown probe table {ref!r}")
                 built[name] = descriptive_proximity(probes[ref])
-                normalized[name] = {"encoding": "descriptive", "probes": ref}
             elif encoding == "subspace":
                 parent = spec.get("parent")
                 _expect(isinstance(parent, str), f"{loc}.parent", "missing parent reference")
@@ -191,15 +190,12 @@ def _parse_relations(
                     built[name] = subspace_proximity(base, subset, max_size=MAX_CARRIER)
                 except ValueError as e:
                     raise WorkspaceError(f"{loc}.subset", str(e)) from None
-                normalized[name] = {
-                    "encoding": "subspace",
-                    "parent": parent,
-                    "subset": subset,
-                }
             elif encoding == "product":
                 factors = spec.get("factors")
                 _expect(
-                    isinstance(factors, list) and len(factors) == 2,
+                    isinstance(factors, list)
+                    and len(factors) == 2
+                    and all(isinstance(f, str) for f in factors),
                     f"{loc}.factors",
                     "needs exactly two factor names",
                 )
@@ -220,7 +216,6 @@ def _parse_relations(
                     built[name] = product_proximity(f1, f2)
                 except ValueError as e:
                     raise WorkspaceError(f"{loc}.factors", str(e)) from None
-                normalized[name] = {"encoding": "product", "factors": list(factors)}
             else:
                 raise WorkspaceError(f"{loc}.encoding", f"unknown encoding {encoding!r}")
             del pending[name]
@@ -230,7 +225,7 @@ def _parse_relations(
         raise WorkspaceError(
             f"relations.{name}", "unresolvable reference cycle among relations"
         )
-    return built, normalized
+    return built
 
 
 def _parse_group(raw: Any, space: FiniteSpace) -> FiniteGroup:
@@ -336,40 +331,14 @@ def parse_workspace(text: str) -> WorkspaceDocument:
         for name in sorted(raw["probes"]):
             probes[name] = _parse_probe_table(name, raw["probes"][name], space)
 
-    relations: dict[str, ProximityRelation | RectangleRelation] = {}
-    normalized_relations: dict = {}
-    if "relations" in raw:
-        relations, normalized_relations = _parse_relations(
-            raw["relations"], space, probes, warnings
-        )
-
+    relations = (
+        _parse_relations(raw["relations"], space, probes, warnings) if "relations" in raw else {}
+    )
     group = _parse_group(raw["group"], space) if "group" in raw else None
     maps = _parse_maps(raw["maps"], space) if "maps" in raw else {}
     partition = _parse_partition(raw["partition"], space) if "partition" in raw else None
 
-    doc: dict = {"space": {"labels": list(space.labels)}}
-    if normalized_relations:
-        doc["relations"] = {k: normalized_relations[k] for k in sorted(normalized_relations)}
-    if group is not None:
-        doc["group"] = {
-            "cayley": [list(row) for row in group.cayley],
-            "identity": group.identity,
-        }
-    if probes:
-        doc["probes"] = {
-            k: {"arity": p.arity, "values": [list(v) for v in p.values]}
-            for k, p in sorted(probes.items())
-        }
-    if maps:
-        doc["maps"] = {k: {"images": list(m.images)} for k, m in sorted(maps.items())}
-    if partition is not None:
-        doc["partition"] = {"blocks": [sorted(bits(b)) for b in partition]}
-
     return WorkspaceDocument(
-        space, relations, group, probes, maps, partition, doc, tuple(warnings)
+        space, relations, group, probes, maps, partition, tuple(warnings)
     )
 
-
-def serialize_workspace(ws: WorkspaceDocument) -> str:
-    """Canonical JSON text of the normalized document."""
-    return json.dumps(ws.doc, sort_keys=True, indent=2) + "\n"

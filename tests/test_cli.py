@@ -102,6 +102,28 @@ def test_main_exit_codes(capsys):
     assert "unknown relation" in err
 
 
+@pytest.mark.parametrize(
+    "relation, location",
+    [
+        ({"encoding": "metric", "matrix": [1, 2]}, "relations.d.matrix[0]"),
+        ({"encoding": "metric", "matrix": [[0, "x"], ["x", 0]]}, "relations.d.matrix[0][1]"),
+        ({"encoding": "metric", "matrix": [[0, None], [None, 0]]}, "relations.d.matrix[0][1]"),
+        ({"encoding": "metric", "matrix": [[0, True], [True, 0]]}, "relations.d.matrix[0][1]"),
+        ({"encoding": "product", "factors": [["e"], "e"]}, "relations.d.factors"),
+    ],
+)
+def test_malformed_relation_fields_exit_2_naming_the_field(relation, location, tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({
+        "space": {"labels": ["a", "b"]},
+        "relations": {"d": relation, "e": {"encoding": "discrete"}},
+    }))
+    assert main(["check-axioms", str(doc), "--rel", "d"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {location}: ")
+    assert "Traceback" not in err
+
+
 def test_main_reads_stdin(tmp_path, monkeypatch):
     result = subprocess.run(
         [sys.executable, "-m", "proxikit.cli", "check-axioms", "-", "--rel", "d"],

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proxikit import (
-    FiniteSpace,
     MappingSpaceVerdict,
     SpaceMap,
     check_descriptive_ef,
@@ -13,7 +12,6 @@ from proxikit import (
     check_efremovic,
     check_lodato,
     check_pcont,
-    concat_paths,
     default_space,
     describe,
     descriptive_intersection,
@@ -23,8 +21,6 @@ from proxikit import (
     make_coarse_proximity,
     make_discrete_proximity,
     mapping_space_relation,
-    path_label_demo,
-    paths_near,
     probe_table,
     product_probe_table,
 )
@@ -265,51 +261,3 @@ def test_product_probe_table_matches_factor_conjunction():
                     )
                     assert got == want
 
-
-# --- paths --------------------------------------------------------------------
-
-GRID = probe_table(FiniteSpace(("A", "B", "C")), [[0], [1], [2]])
-
-
-def test_equal_paths_near():
-    assert paths_near(GRID, ("A", "B", "C"), ("A", "B", "C"))
-
-
-def test_reordered_paths_far():
-    assert not paths_near(GRID, ("A", "B", "C"), ("A", "C", "B"))
-
-
-def test_different_length_paths_far():
-    assert not paths_near(GRID, ("A", "B"), ("A", "B", "C"))
-
-
-def test_concat_splices_at_endpoint():
-    assert concat_paths(GRID, ("A", "B"), ("B", "C")) == ("A", "B", "C")
-
-
-def test_concat_rejects_endpoint_mismatch():
-    with pytest.raises(ValueError, match="concatenate"):
-        concat_paths(GRID, ("A", "B"), ("C", "B"))
-
-
-def test_path_demo_reports_both():
-    demo = path_label_demo(GRID, ("A", "B"), ("B", "C"))
-    assert not demo.near and demo.concatenation == ("A", "B", "C")
-    demo2 = path_label_demo(GRID, ("A", "B", "C"), ("A", "C", "B"))
-    assert not demo2.near and demo2.concatenation is None
-
-
-def test_path_rejects_unknown_box():
-    with pytest.raises(ValueError, match="unknown box"):
-        paths_near(GRID, ("A", "Z"), ("A", "Z"))
-
-
-def test_path_nearness_is_equivalence_on_fixed_length():
-    paths = [(x, y) for x in "ABC" for y in "ABC"]
-    for p in paths:
-        assert paths_near(GRID, p, p)
-        for q in paths:
-            assert paths_near(GRID, p, q) == paths_near(GRID, q, p)
-            for r in paths:
-                if paths_near(GRID, p, q) and paths_near(GRID, q, r):
-                    assert paths_near(GRID, p, r)

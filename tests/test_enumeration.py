@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from itertools import combinations, islice, product
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -16,12 +17,11 @@ from proxikit import (
     ProximityRelation,
     SpaceMap,
     all_groups_up_to,
-    branching_cech_relations,
-    brute_force_tables,
     check_cech,
     check_efremovic,
     check_kuratowski,
     check_lodato,
+    check_proximal_group,
     check_transitivity_property,
     default_space,
     enumerate_relations,
@@ -38,6 +38,8 @@ from proxikit.enumeration import (
     THEOREMS,
     VIOLATIONS,
     FuzzScope,
+    _axiom_class,
+    _structures,
     instance_from_payload,
     instance_payload,
     relation_from_payload,
@@ -46,6 +48,65 @@ from proxikit.enumeration import (
 
 
 # --- generators -----------------------------------------------------------------
+
+# Two cross-check generators, independent of the point-relation enumeration:
+# branching over free subset pairs with forced entries (tiny carriers), and
+# raw brute force over all tables (n <= 2).
+
+BRANCHING_CAP = 3
+BRUTE_FORCE_CAP = 2
+
+
+def branching_cech_relations(n: int) -> Iterator[ProximityRelation]:
+    """Cross-check generator: force empty/intersecting entries, branch on the
+    free disjoint subset pairs (upper triangle only), filter by the naive
+    oracle.  Exponential in the number of free pairs; tiny carriers only.
+    """
+    if n > BRANCHING_CAP:
+        free = sum(
+            1
+            for a in range(1, 1 << n)
+            for b in range(a + 1, 1 << n)
+            if not a & b
+        )
+        raise ValueError(
+            f"branching generator capped at n <= {BRANCHING_CAP}: size {n} has"
+            f" {free} free subset pairs, {2 ** free} candidates"
+        )
+    space = default_space(n)
+    m = 1 << n
+    base_rows = [0] * m
+    for a in range(m):
+        for b in range(m):
+            if a & b:
+                base_rows[a] |= 1 << b
+    free_pairs = [
+        (a, b) for a in range(1, m) for b in range(a + 1, m) if not a & b
+    ]
+    for assignment in range(1 << len(free_pairs)):
+        rows = list(base_rows)
+        for idx, (a, b) in enumerate(free_pairs):
+            if (assignment >> idx) & 1:
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+        rel = ProximityRelation(space, tuple(rows), "explicit")
+        if all(naive_oracle(rel, ax) for ax in ("L1", "L2", "L3", "L4")):
+            yield rel
+
+
+def brute_force_tables(n: int) -> Iterator[ProximityRelation]:
+    """All (2^n x 2^n) tables whatsoever; n <= 2 keeps this at 65536 tables."""
+    if n > BRUTE_FORCE_CAP:
+        raise ValueError(
+            f"brute force capped at n <= {BRUTE_FORCE_CAP}: size {n} means"
+            f" 2^{(1 << n) * (1 << n)} tables"
+        )
+    space = default_space(n)
+    m = 1 << n
+    row_mask = (1 << m) - 1
+    for code in range(1 << (m * m)):
+        rows = tuple((code >> (a * m)) & row_mask for a in range(m))
+        yield ProximityRelation(space, rows, "explicit")
 
 
 def test_single_cech_relation_on_one_point():
@@ -441,6 +502,18 @@ def test_default_scope_counterexample_bytes():
     assert digests == DEFAULT_SCOPE_DIGESTS
 
 
+def _filtered_structures(scope: FuzzScope) -> Iterator[dict]:
+    """The structures in scope that pass the proximal-group check, found by
+    checking every one: the reference for :func:`_verified_structures`."""
+    for s in _structures(scope):
+        g = s["group"][1]
+        report = check_proximal_group(
+            g, s["relation"], axiom_class=_axiom_class(s["relation_class"])
+        )
+        if report.ok:
+            yield s
+
+
 def _structure_fields(s):
     rel = s["relation"]
     return s["group"][0], s["relation_class"], rel.space.labels, rel.rows, rel.provenance
@@ -456,7 +529,7 @@ def _structure_fields(s):
 )
 def test_verified_structures_are_the_filtered_structures(scope):
     verified = [_structure_fields(s) for s in enumeration._verified_structures(scope)]
-    filtered = [_structure_fields(s) for s in enumeration._filtered_structures(scope)]
+    filtered = [_structure_fields(s) for s in _filtered_structures(scope)]
     assert verified == filtered
 
 

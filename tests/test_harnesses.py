@@ -347,7 +347,7 @@ def test_descriptive_group_constant_probe_small_orders():
 
 
 def test_descriptive_group_matches_plain_check_on_induced_relation(z7_on_samples, trunc_offset_probes):
-    direct = check_descriptive_proximal_group(z7_on_samples, trunc_offset_probes, max_size=7)
+    direct = check_descriptive_proximal_group(z7_on_samples, trunc_offset_probes)
     via_rel = check_proximal_group(
         z7_on_samples, descriptive_proximity(trunc_offset_probes), max_size=7
     )
@@ -360,7 +360,7 @@ def test_trunc_offset_fixture_verdicts(z7_on_samples, trunc_offset_probes):
     # index addition mod 7 does not respect the description classes: adding
     # inside the {0, 0.3} class lands on both sides of the {1, 1.3} / {2.5}
     # split, so multiplication continuity fails while inversion survives
-    report = check_descriptive_proximal_group(z7_on_samples, trunc_offset_probes, max_size=7)
+    report = check_descriptive_proximal_group(z7_on_samples, trunc_offset_probes)
     assert report.is_proximity.ok
     assert not report.mu1_pcont.ok
     assert report.mu2_pcont.ok

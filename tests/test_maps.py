@@ -8,7 +8,6 @@ from proxikit import (
     check_pcont,
     check_proximal_isomorphism,
     compose,
-    constant_map,
     default_space,
     enumerate_relations,
     identity_map,
@@ -48,7 +47,7 @@ def test_discrete_to_coarse_pcont_but_not_back():
 
 def test_constant_map_into_l3_relation_is_pcont():
     for rel in (D2, C2):
-        assert check_pcont(constant_map(S2, S2, 0), rel, rel).ok
+        assert check_pcont(SpaceMap(S2, S2, (0, 0)), rel, rel).ok
 
 
 def test_pcont_rejects_carrier_mismatch():
