@@ -6,16 +6,12 @@ from .spaces import (
     bits,
     default_space,
     product_space,
-    rectangle_mask,
-    split_rectangle,
 )
 from .relations import (
     ProximityRelation,
-    RectangleRelation,
     make_coarse_proximity,
     make_discrete_proximity,
     make_metric_proximity,
-    product_proximity,
     quotient_proximity,
     relation_from_near_pairs,
     relation_from_point_pairs,

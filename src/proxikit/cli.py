@@ -131,21 +131,15 @@ def _pick_relation(
 ) -> tuple[str, ProximityRelation]:
     name = flags.get(key) or default
     if name is None:
-        plain = [k for k, v in ws.relations.items() if isinstance(v, ProximityRelation)]
-        if len(plain) != 1:
+        if len(ws.relations) != 1:
             raise WorkspaceError(
                 "relations",
-                f"document has {len(plain)} plain relations; pass --{key.replace('_', '-')} NAME",
+                f"document has {len(ws.relations)} relations; pass --{key.replace('_', '-')} NAME",
             )
-        name = plain[0]
+        name = next(iter(ws.relations))
     if name not in ws.relations:
         raise WorkspaceError("relations", f"unknown relation {name!r}")
-    rel = ws.relations[name]
-    if not isinstance(rel, ProximityRelation):
-        raise WorkspaceError(
-            "relations", f"relation {name!r} is a product relation; this verb needs a plain table"
-        )
-    return name, rel
+    return name, ws.relations[name]
 
 
 def _pick_map(ws: WorkspaceDocument, flags: Mapping[str, Any]):

@@ -24,7 +24,6 @@ over all tables, and the filter over :func:`_structures`) live in
 """
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from functools import cache
@@ -293,9 +292,6 @@ class RelationCensus:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, indent=2) + "\n"
-
 
 def mine_separating_examples(n: int) -> RelationCensus:
     """Census of the axiom classes with minimal separating exemplars, over
@@ -361,8 +357,10 @@ class FuzzOutcome:
 
 
 def _relations_for(space: FiniteSpace, classes: Sequence[str]) -> Iterator[tuple[str, ProximityRelation]]:
-    """(source name, relation) pairs; :func:`_axiom_class` maps each source
-    name to the axiom class its structures are verified against."""
+    """(source name, relation) pairs on ``space``, which is
+    ``default_space(n)``: the enumerated classes are built there, and so is
+    every catalog group.  :func:`_axiom_class` maps each source name to the
+    axiom class its structures are verified against."""
     for cls in classes:
         if cls == "discrete":
             yield "discrete", make_discrete_proximity(space)
@@ -370,8 +368,6 @@ def _relations_for(space: FiniteSpace, classes: Sequence[str]) -> Iterator[tuple
             yield "coarse", make_coarse_proximity(space)
         elif cls in RELATION_CLASSES:
             for idx, rel in enumerate(enumerate_relations(space.size, cls)):
-                if rel.space != space:
-                    rel = relation_from_point_pairs(space, rel.point_graph, "explicit")
                 yield f"{cls}[{idx}]", rel
         else:
             raise ValueError(f"unknown relation class {cls!r}")

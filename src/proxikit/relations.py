@@ -8,7 +8,7 @@ assumed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -18,10 +18,7 @@ from .spaces import (
     bits,
     meeting_table,
     memo,
-    product_space,
-    rectangle_mask,
     require_scan_size,
-    split_rectangle,
     transpose,
     union_over,
     union_table,
@@ -68,9 +65,6 @@ class ProximityRelation:
     def near(self, a: int, b: int) -> bool:
         return bool((self.rows[a] >> b) & 1)
 
-    def far(self, a: int, b: int) -> bool:
-        return not self.near(a, b)
-
     def near_pairs(self) -> Iterator[tuple[int, int]]:
         """Ordered near pairs, first argument outermost."""
         for a, row in enumerate(self.rows):
@@ -79,10 +73,6 @@ class ProximityRelation:
 
     def near_pair_count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
-
-    def same_table(self, other: "ProximityRelation") -> bool:
-        """Entry-for-entry table equality (labels ignored, sizes must match)."""
-        return self.space.size == other.space.size and self.rows == other.rows
 
     @cached_property
     def _derived(self) -> dict:
@@ -317,41 +307,3 @@ def quotient_proximity(
 
     return memo(rel, ("quotient", blocks), build)
 
-
-@dataclass(frozen=True)
-class RectangleRelation:
-    """Product proximity, queryable on rectangle subsets only.
-
-    A rectangle is a product-carrier mask of the form B1 x B2.  Nearness of
-    two rectangles is the coordinatewise conjunction of the factor relations.
-    Queries on non-rectangle masks are rejected: the product relation is not
-    defined off rectangles and no extension is attempted.
-    """
-
-    rel1: ProximityRelation
-    rel2: ProximityRelation
-    space: FiniteSpace = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "space", product_space(self.rel1.space, self.rel2.space)
-        )
-
-    def factor_near(self, a1: int, a2: int, b1: int, b2: int) -> bool:
-        """Nearness of rectangles a1 x a2 and b1 x b2 given by factor masks."""
-        return self.rel1.near(a1, b1) and self.rel2.near(a2, b2)
-
-    def near(self, mask_a: int, mask_b: int) -> bool:
-        a1, a2 = split_rectangle(self.rel1.space, self.rel2.space, mask_a)
-        b1, b2 = split_rectangle(self.rel1.space, self.rel2.space, mask_b)
-        return self.factor_near(a1, a2, b1, b2)
-
-    def rectangle(self, mask1: int, mask2: int) -> int:
-        return rectangle_mask(self.rel1.space, self.rel2.space, mask1, mask2)
-
-
-def product_proximity(
-    rel1: ProximityRelation, rel2: ProximityRelation
-) -> RectangleRelation:
-    """Cartesian product proximity over the product carrier (rectangles only)."""
-    return RectangleRelation(rel1, rel2)

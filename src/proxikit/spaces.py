@@ -70,9 +70,6 @@ class FiniteSpace:
             raise ValueError(f"mask {mask} out of range for carrier of size {self.size}")
         return mask
 
-    def subsets(self) -> range:
-        return range(self.n_subsets)
-
 
 def require_scan_size(size: int, max_size: int, what: str) -> None:
     """Refuse the ``what`` scan over a carrier of ``size`` elements above
@@ -197,30 +194,3 @@ def product_space(s1: FiniteSpace, s2: FiniteSpace) -> FiniteSpace:
     )
     return FiniteSpace(labels)
 
-
-def rectangle_mask(s1: FiniteSpace, s2: FiniteSpace, mask1: int, mask2: int) -> int:
-    """Product-carrier mask of the rectangle mask1 x mask2."""
-    out = 0
-    for i in bits(mask1):
-        out |= mask2 << (i * s2.size)
-    return out
-
-
-def split_rectangle(s1: FiniteSpace, s2: FiniteSpace, mask: int) -> tuple[int, int]:
-    """Decompose a product-carrier mask into factors, or raise if non-rectangle.
-
-    The empty mask decomposes canonically as (0, 0).
-    """
-    if mask == 0:
-        return 0, 0
-    row_full = s2.full_mask
-    mask1 = 0
-    mask2 = 0
-    for i in range(s1.size):
-        row = (mask >> (i * s2.size)) & row_full
-        if row:
-            mask1 |= 1 << i
-            mask2 |= row
-    if rectangle_mask(s1, s2, mask1, mask2) != mask:
-        raise ValueError(f"non-rectangle subset mask {mask} over product carrier")
-    return mask1, mask2

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Any
 
 from .descriptive import ProbeTable
@@ -18,11 +19,9 @@ from .groups import FiniteGroup
 from .maps import SpaceMap
 from .relations import (
     ProximityRelation,
-    RectangleRelation,
     make_coarse_proximity,
     make_discrete_proximity,
     make_metric_proximity,
-    product_proximity,
     relation_from_near_pairs,
     subspace_proximity,
     validate_partition,
@@ -44,7 +43,7 @@ class WorkspaceDocument:
     """Parsed, validated workspace."""
 
     space: FiniteSpace
-    relations: dict[str, ProximityRelation | RectangleRelation]
+    relations: dict[str, ProximityRelation]
     group: FiniteGroup | None
     probes: dict[str, ProbeTable]
     maps: dict[str, SpaceMap]
@@ -81,7 +80,11 @@ def _parse_probe_table(name: str, raw: Any, space: FiniteSpace) -> ProbeTable:
     _expect(isinstance(raw, dict), loc, "must be an object")
     arity = raw.get("arity")
     values = raw.get("values")
-    _expect(isinstance(arity, int) and arity >= 0, f"{loc}.arity", "must be a nonnegative int")
+    _expect(
+        isinstance(arity, int) and not isinstance(arity, bool) and arity >= 0,
+        f"{loc}.arity",
+        "must be a nonnegative int",
+    )
     _expect(isinstance(values, list), f"{loc}.values", "must be a list of feature vectors")
     _expect(
         len(values) == space.size,
@@ -109,15 +112,20 @@ def _parse_relations(
     space: FiniteSpace,
     probes: dict[str, ProbeTable],
     warnings: list[str],
-) -> dict[str, ProximityRelation | RectangleRelation]:
+) -> dict[str, ProximityRelation]:
     _expect(isinstance(raw, dict), "relations", "must be an object of named relations")
-    pending = dict(raw)
-    built: dict[str, ProximityRelation | RectangleRelation] = {}
-    progress = True
-    while pending and progress:
-        progress = False
-        for name in sorted(pending):
-            spec = pending[name]
+    built: dict[str, ProximityRelation] = {}
+    closed: list[str] = []
+    for first in sorted(raw):
+        # the subspaces whose parents led here, ``first`` outermost; a list
+        # and not the call stack, so that no chain is too long to parse
+        chain = [first]
+        while chain:
+            name = chain[-1]
+            if name in built:
+                chain.pop()
+                continue
+            spec = raw[name]
             loc = f"relations.{name}"
             _expect(isinstance(spec, dict), loc, "must be an object")
             encoding = spec.get("encoding")
@@ -134,10 +142,16 @@ def _parse_relations(
                         isinstance(row, list), f"{loc}.matrix[{i}]", "must be a list of distances"
                     )
                     for j, v in enumerate(row):
+                        at = f"{loc}.matrix[{i}][{j}]"
                         _expect(
                             isinstance(v, (int, float)) and not isinstance(v, bool),
-                            f"{loc}.matrix[{i}][{j}]",
+                            at,
                             "distances must be numbers",
+                        )
+                        _expect(
+                            isinstance(v, int) or isfinite(v),
+                            at,
+                            "distances must be finite numbers",
                         )
                 try:
                     built[name] = make_metric_proximity(space, matrix)
@@ -159,11 +173,9 @@ def _parse_relations(
                             _parse_mask(pair[1], space, f"{loc}.near[{k}][1]"),
                         )
                     )
-                rel, closed = relation_from_near_pairs(space, pairs)
-                if closed:
-                    warnings.append(
-                        f"{loc}: asymmetric near-pair list; symmetric closure applied"
-                    )
+                rel, asymmetric = relation_from_near_pairs(space, pairs)
+                if asymmetric:
+                    closed.append(name)
                 built[name] = rel
             elif encoding == "descriptive":
                 ref = spec.get("probes")
@@ -173,16 +185,15 @@ def _parse_relations(
             elif encoding == "subspace":
                 parent = spec.get("parent")
                 _expect(isinstance(parent, str), f"{loc}.parent", "missing parent reference")
+                _expect(parent in raw, f"{loc}.parent", f"unknown relation {parent!r}")
                 if parent not in built:
-                    if parent not in raw:
-                        raise WorkspaceError(f"{loc}.parent", f"unknown relation {parent!r}")
-                    continue  # parent not resolved yet
+                    if parent in chain:
+                        raise WorkspaceError(
+                            f"relations.{first}", "unresolvable reference cycle among relations"
+                        )
+                    chain.append(parent)
+                    continue
                 base = built[parent]
-                _expect(
-                    isinstance(base, ProximityRelation),
-                    f"{loc}.parent",
-                    "cannot take a subspace of a product relation",
-                )
                 subset = _parse_mask(spec.get("subset"), base.space, f"{loc}.subset")
                 try:
                     # part of the document's own data, like an explicit
@@ -190,42 +201,14 @@ def _parse_relations(
                     built[name] = subspace_proximity(base, subset, max_size=MAX_CARRIER)
                 except ValueError as e:
                     raise WorkspaceError(f"{loc}.subset", str(e)) from None
-            elif encoding == "product":
-                factors = spec.get("factors")
-                _expect(
-                    isinstance(factors, list)
-                    and len(factors) == 2
-                    and all(isinstance(f, str) for f in factors),
-                    f"{loc}.factors",
-                    "needs exactly two factor names",
-                )
-                if not all(f in built for f in factors):
-                    if not all(f in raw for f in factors):
-                        missing = next(f for f in factors if f not in raw)
-                        raise WorkspaceError(
-                            f"{loc}.factors", f"unknown relation {missing!r}"
-                        )
-                    continue
-                f1, f2 = (built[f] for f in factors)
-                _expect(
-                    isinstance(f1, ProximityRelation) and isinstance(f2, ProximityRelation),
-                    f"{loc}.factors",
-                    "factors must be plain relations",
-                )
-                try:
-                    built[name] = product_proximity(f1, f2)
-                except ValueError as e:
-                    raise WorkspaceError(f"{loc}.factors", str(e)) from None
             else:
                 raise WorkspaceError(f"{loc}.encoding", f"unknown encoding {encoding!r}")
-            del pending[name]
-            progress = True
-    if pending:
-        name = sorted(pending)[0]
-        raise WorkspaceError(
-            f"relations.{name}", "unresolvable reference cycle among relations"
-        )
-    return built
+    # in name order, whatever order the parent references built them in
+    warnings.extend(
+        f"relations.{name}: asymmetric near-pair list; symmetric closure applied"
+        for name in sorted(closed)
+    )
+    return {name: built[name] for name in sorted(raw)}
 
 
 def _parse_group(raw: Any, space: FiniteSpace) -> FiniteGroup:

@@ -109,7 +109,6 @@ def test_main_exit_codes(capsys):
         ({"encoding": "metric", "matrix": [[0, "x"], ["x", 0]]}, "relations.d.matrix[0][1]"),
         ({"encoding": "metric", "matrix": [[0, None], [None, 0]]}, "relations.d.matrix[0][1]"),
         ({"encoding": "metric", "matrix": [[0, True], [True, 0]]}, "relations.d.matrix[0][1]"),
-        ({"encoding": "product", "factors": [["e"], "e"]}, "relations.d.factors"),
     ],
 )
 def test_malformed_relation_fields_exit_2_naming_the_field(relation, location, tmp_path, capsys):
@@ -413,6 +412,45 @@ def test_pcont_verb_iso_flag():
     assert result.payload["verdicts"]["inverse_pcont"] is False
 
 
+@pytest.mark.parametrize("distance", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_distances_exit_2_naming_the_entry(distance, tmp_path, capsys):
+    # json.loads accepts these three literals; they are not distances
+    doc = tmp_path / "doc.json"
+    doc.write_text(
+        '{"space": {"labels": ["a", "b"]}, "relations": {"m": {"encoding": "metric",'
+        f' "matrix": [[0, {distance}], [{distance}, 0]]}}}}}}'
+    )
+    assert main(["check-axioms", str(doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: relations.m.matrix[0][1]: distances must be finite numbers\n"
+
+
+def test_bool_probe_arity_exits_2_naming_the_field(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({
+        "space": {"labels": ["a", "b"]},
+        "probes": {"q": {"arity": True, "values": [[0], [1]]}},
+    }))
+    assert main(["descriptive-check", str(doc), "--probes", "q"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: probes.q.arity: ")
+    assert "Traceback" not in err
+
+
+def test_product_is_an_unknown_encoding(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({
+        "space": {"labels": ["a", "b"]},
+        "relations": {
+            "d": {"encoding": "discrete"},
+            "pr": {"encoding": "product", "factors": ["d", "d"]},
+        },
+    }))
+    assert main(["check-axioms", str(doc), "--rel", "d"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: relations.pr.encoding: unknown encoding 'product'\n"
+
+
 def test_subgroup_and_translations_verbs():
     ws = parse_workspace((FIXTURES / "z3_group.json").read_text())
     subgroup = run_command("subgroup", ws, {"rel": "d", "subset": 1})
@@ -456,19 +494,6 @@ def test_iso_theorems_non_surjective_map_reports_witness():
     assert result.exit_code == 1
     assert "surjective" in result.payload["witnesses"]
     assert "surjective FAIL witness" in result.text
-
-
-def test_product_relation_rejected_by_table_verbs():
-    text = """{
-      "space": {"labels": ["a", "b"]},
-      "relations": {
-        "d": {"encoding": "discrete"},
-        "pr": {"encoding": "product", "factors": ["d", "d"]}
-      }
-    }"""
-    ws = parse_workspace(text)
-    with pytest.raises(WorkspaceError, match="product relation"):
-        run_command("check-axioms", ws, {"rel": "pr"})
 
 
 @pytest.mark.parametrize("verb", ["group-check", "subgroup", "product"])

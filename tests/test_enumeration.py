@@ -13,7 +13,6 @@ import pytest
 
 import proxikit
 from proxikit import (
-    FiniteSpace,
     ProximityRelation,
     SpaceMap,
     all_groups_up_to,
@@ -114,7 +113,7 @@ def test_single_cech_relation_on_one_point():
     assert len(rels) == 1
     rel = rels[0]
     assert rel.near(1, 1)
-    assert rel.far(0, 0) and rel.far(0, 1) and rel.far(1, 0)
+    assert not rel.near(0, 0) and not rel.near(0, 1) and not rel.near(1, 0)
 
 
 def test_enumeration_counts():
@@ -187,10 +186,8 @@ def test_partition_classes_have_bell_many_transitive_members():
             assert [r.rows for r in enumerate_relations(n, "efremovic")] == [r.rows for r in rels]
 
 
-@pytest.mark.parametrize(
-    "space", [default_space(4), FiniteSpace(("w", "x", "y", "z"))], ids=["default", "relabelled"]
-)
-def test_sweep_relations_carry_their_point_graph(space):
+def test_sweep_relations_carry_their_point_graph():
+    space = default_space(4)
     relations = [rel for _, rel in enumeration._relations_for(space, ("cech",))]
     expected = list(enumerate_relations(4, "cech"))
     assert len(relations) == len(expected) == 64
@@ -389,13 +386,13 @@ def test_census_n3_exemplars_verified_and_minimal():
 
 
 def test_census_determinism():
-    a = mine_separating_examples(2)
-    b = mine_separating_examples(2)
-    assert a.to_json() == b.to_json()
-    c = mine_separating_examples(3)
-    d = mine_separating_examples(3)
-    assert c.to_json() == d.to_json()
-    assert json.loads(c.to_json())["counts"]["cech"] == 8
+    def dump(census):
+        return json.dumps(census.to_payload(), sort_keys=True, indent=2)
+
+    assert dump(mine_separating_examples(2)) == dump(mine_separating_examples(2))
+    c = dump(mine_separating_examples(3))
+    assert c == dump(mine_separating_examples(3))
+    assert json.loads(c)["counts"]["cech"] == 8
 
 
 # --- fuzzer ----------------------------------------------------------------------
@@ -697,7 +694,7 @@ def test_first_iso_fuzz_finds_the_failure():
 
 def test_relation_payload_roundtrip():
     for rel in enumerate_relations(2, "cech"):
-        assert relation_from_payload(relation_payload(rel)).same_table(rel)
+        assert relation_from_payload(relation_payload(rel)).rows == rel.rows
 
 
 def test_all_registered_theorems_have_default_scopes():

@@ -369,7 +369,7 @@ def test_trunc_offset_fixture_verdicts(z7_on_samples, trunc_offset_probes):
     from proxikit import subset_product
 
     assert rel.near(b1, c1) and rel.near(b2, c2)
-    assert rel.far(
+    assert not rel.near(
         subset_product(z7_on_samples, b1, b2), subset_product(z7_on_samples, c1, c2)
     )
 
@@ -494,10 +494,11 @@ def test_projection_blocks_on_far_second_coordinates():
     # though the projected first coordinates are near
     z2 = cyclic_group(2)
     probes = probe_table(z2.space, [[0], [1]])
-    from proxikit import product_probe_table, rectangle_mask
+    from proxikit import product_probe_table
 
     prod_probes = product_probe_table(probes, probes)
     rel = descriptive_proximity(prod_probes)
-    r1 = rectangle_mask(z2.space, z2.space, 0b01, 0b01)
-    r2 = rectangle_mask(z2.space, z2.space, 0b01, 0b10)
-    assert rel.far(r1, r2)
+    # the pair (i, j) is element 2i + j of the product carrier
+    r1 = 0b0001  # {a} x {a}
+    r2 = 0b0010  # {a} x {b}
+    assert not rel.near(r1, r2)

@@ -18,7 +18,6 @@ from proxikit import (
     make_discrete_proximity,
     make_metric_proximity,
     normal_subgroups,
-    product_proximity,
     quotient_proximity,
     relation_from_near_pairs,
     relation_from_point_pairs,
@@ -32,14 +31,14 @@ def test_discrete_shared_element_near():
     s = default_space(2)
     d = make_discrete_proximity(s)
     assert d.near(0b01, 0b11)  # {a} vs {a,b}
-    assert d.far(0b01, 0b10)  # {a} vs {b}
+    assert not d.near(0b01, 0b10)  # {a} vs {b}
 
 
 def test_coarse_nonempty_near():
     s = default_space(2)
     c = make_coarse_proximity(s)
     assert c.near(0b01, 0b10)
-    assert c.far(0, 0b11)  # empty side is always far
+    assert not c.near(0, 0b11)  # empty side is always far
 
 
 def test_table_shape_validation():
@@ -58,7 +57,7 @@ def test_table_shape_validation():
 def test_genuine_metric_equals_discrete():
     s = default_space(3)
     d = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
-    assert make_metric_proximity(s, d).same_table(make_discrete_proximity(s))
+    assert make_metric_proximity(s, d).rows == make_discrete_proximity(s).rows
 
 
 @given(
@@ -76,7 +75,7 @@ def test_any_genuine_metric_equals_discrete(offdiag):
         for j in range(i + 1, 4):
             d[i][j] = d[j][i] = offdiag[idx]
             idx += 1
-    assert make_metric_proximity(s, d).same_table(make_discrete_proximity(s))
+    assert make_metric_proximity(s, d).rows == make_discrete_proximity(s).rows
 
 
 def pseudometric_ab():
@@ -123,7 +122,7 @@ def test_explicit_symmetric_closure_flag():
     assert rel.near(1, 2) and rel.near(2, 1)
     rel2, closed2 = relation_from_near_pairs(s, [(1, 2), (2, 1)])
     assert not closed2
-    assert rel.same_table(rel2)
+    assert rel.rows == rel2.rows
 
 
 def _closed_by_loops(space, pairs):
@@ -173,7 +172,7 @@ def test_subspace_of_discrete_is_discrete():
     d = make_discrete_proximity(s)
     sub = subspace_proximity(d, 0b101)  # {a, c}
     assert sub.space.labels == ("a", "c")
-    assert sub.same_table(make_discrete_proximity(default_space(2)))
+    assert sub.rows == make_discrete_proximity(default_space(2)).rows
 
 
 def test_subspace_rejects_empty():
@@ -203,7 +202,7 @@ def test_quotient_of_coarse_is_coarse():
     s = default_space(4)
     c = make_coarse_proximity(s)
     q = quotient_proximity(c, [0b0011, 0b1100])
-    assert q.same_table(make_coarse_proximity(default_space(2)))
+    assert q.rows == make_coarse_proximity(default_space(2)).rows
 
 
 def test_quotient_discrete_by_cosets_is_discrete():
@@ -211,7 +210,7 @@ def test_quotient_discrete_by_cosets_is_discrete():
     d = make_discrete_proximity(z4.space)
     blocks = coset_partition(z4, 0b0101)  # subgroup {0, 2}
     q = quotient_proximity(d, blocks)
-    assert q.same_table(make_discrete_proximity(default_space(2)))
+    assert q.rows == make_discrete_proximity(default_space(2)).rows
 
 
 def test_quotient_partition_validation():
@@ -223,42 +222,6 @@ def test_quotient_partition_validation():
         quotient_proximity(d, [0b011, 0b110])
     with pytest.raises(ValueError, match="cover"):
         quotient_proximity(d, [0b011])
-
-
-# --- product ----------------------------------------------------------------
-
-
-def test_product_rectangle_examples():
-    s = default_space(2)
-    d = make_discrete_proximity(s)
-    prod = product_proximity(d, d)
-    a_x = prod.rectangle(0b01, 0b01)
-    b_x = prod.rectangle(0b10, 0b01)
-    assert prod.near(a_x, a_x)
-    assert not prod.near(a_x, b_x)  # first coordinates differ
-
-
-def test_product_agrees_with_conjunction_everywhere():
-    s = default_space(2)
-    rels = list(enumerate_relations(2, "cech"))
-    for rel1 in rels:
-        for rel2 in rels:
-            prod = product_proximity(rel1, rel2)
-            for a1 in range(4):
-                for a2 in range(4):
-                    for b1 in range(4):
-                        for b2 in range(4):
-                            want = rel1.near(a1, b1) and rel2.near(a2, b2)
-                            got = prod.factor_near(a1, a2, b1, b2)
-                            assert got == want
-
-
-def test_product_rejects_non_rectangle_query():
-    s = default_space(2)
-    d = make_discrete_proximity(s)
-    prod = product_proximity(d, d)
-    with pytest.raises(ValueError, match="non-rectangle"):
-        prod.near(0b1001, 0b0001)
 
 
 def test_subspace_preserves_each_axiom_class():
@@ -279,7 +242,7 @@ def test_relation_storage_at_cap_size():
     rel = make_discrete_proximity(s)
     assert len(rel.rows) == 4096
     assert rel.near(1, (1 << 12) - 1)
-    assert rel.far(1, 2)
+    assert not rel.near(1, 2)
     with pytest.raises(ValueError):
         default_space(13)
 
@@ -326,12 +289,12 @@ def test_point_pair_extension_matches_definition_on_every_graph():
                     points[i] |= 1 << j
                     points[j] |= 1 << i
             rel = relation_from_point_pairs(space, points, "explicit")
-            for a in space.subsets():
+            for a in range(space.n_subsets):
                 reach = 0
                 for i in bits(a):
                     reach |= points[i]
                 # A near B iff some a in A and b in B are point-related
-                assert rel.rows[a] == sum(1 << b for b in space.subsets() if b & reach)
+                assert rel.rows[a] == sum(1 << b for b in range(space.n_subsets) if b & reach)
 
 
 def _random_partition(rng, n):
@@ -364,8 +327,8 @@ def test_pullbacks_match_definition_on_non_cech_tables(seed):
                 out |= images[i]
             return out
 
-        for a in pulled.space.subsets():
-            for b in pulled.space.subsets():
+        for a in range(pulled.space.n_subsets):
+            for b in range(pulled.space.n_subsets):
                 assert pulled.near(a, b) == rel.near(pre(a), pre(b))
 
 
@@ -408,9 +371,9 @@ def _assert_pullbacks_match_definition(rel):
         pre = [0] * pulled.space.n_subsets
         for a in range(1, len(pre)):
             pre[a] = pre[a & (a - 1)] | images[(a & -a).bit_length() - 1]
-        for a in pulled.space.subsets():
+        for a in range(pulled.space.n_subsets):
             assert pulled.rows[a] == sum(
-                1 << b for b in pulled.space.subsets() if rel.near(pre[a], pre[b])
+                1 << b for b in range(pulled.space.n_subsets) if rel.near(pre[a], pre[b])
             )
         assert pulled.provenance == provenance
         fresh = ProximityRelation(pulled.space, pulled.rows, provenance)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from proxikit import FiniteSpace, bits, default_space, product_space
-from proxikit.spaces import image, rectangle_mask, split_rectangle, union_over, union_table
+from proxikit.spaces import image, union_over, union_table
 
 
 def test_default_space_letters():
@@ -52,36 +52,6 @@ def test_product_space_indexing():
     assert p.size == 6
     assert p.labels[0] == "(a,a)"
     assert p.labels[1 * 3 + 2] == "(b,c)"
-
-
-def test_rectangle_mask_and_split():
-    s1, s2 = default_space(2), default_space(3)
-    m = rectangle_mask(s1, s2, 0b11, 0b001)
-    assert split_rectangle(s1, s2, m) == (0b11, 0b001)
-    assert split_rectangle(s1, s2, 0) == (0, 0)
-
-
-def test_split_rejects_non_rectangle():
-    s1, s2 = default_space(2), default_space(2)
-    # {(a,a), (b,b)} is not a rectangle
-    diag = 0b1001
-    with pytest.raises(ValueError, match="non-rectangle"):
-        split_rectangle(s1, s2, diag)
-
-
-@given(
-    st.integers(min_value=0, max_value=3),
-    st.integers(min_value=0, max_value=7),
-)
-def test_rectangle_split_inverts_mask(m1, m2):
-    s1, s2 = default_space(2), default_space(3)
-    m = rectangle_mask(s1, s2, m1, m2)
-    got1, got2 = split_rectangle(s1, s2, m)
-    if m1 and m2:
-        assert (got1, got2) == (m1, m2)
-    else:
-        assert m == 0 and (got1, got2) == (0, 0)
-
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,8 @@ from proxikit import (
     make_discrete_proximity,
     parse_workspace,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MINIMAL = """{
   "space": {"labels": ["a", "b"]},
@@ -18,7 +22,7 @@ def test_minimal_document_parses_with_full_table():
     ws = parse_workspace(MINIMAL)
     rel = ws.relations["d"]
     assert len(rel.rows) == 4  # 16 entries
-    assert rel.same_table(make_discrete_proximity(ws.space))
+    assert rel.rows == make_discrete_proximity(ws.space).rows
     assert not ws.warnings
 
 
@@ -103,6 +107,51 @@ def test_reference_cycle_rejected():
         parse_workspace(text)
 
 
+def test_subspace_parents_resolve_whatever_their_names():
+    text = """{
+      "space": {"labels": ["a", "b", "c"]},
+      "relations": {
+        "a": {"encoding": "subspace", "parent": "b", "subset": 3},
+        "b": {"encoding": "subspace", "parent": "z", "subset": 7},
+        "m": {"encoding": "explicit", "near": [[1, 2], [1, 1], [2, 2], [4, 4]]},
+        "z": {"encoding": "explicit", "near": [[1, 4], [1, 1], [2, 2], [4, 4]]}
+      }
+    }"""
+    ws = parse_workspace(text)
+    assert list(ws.relations) == ["a", "b", "m", "z"]
+    assert ws.relations["a"].space.labels == ("a", "b")
+    assert ws.relations["b"].rows == ws.relations["z"].rows
+    # walking from "a" builds "z" before "m"; the warnings stay in name order
+    assert [w.split(":")[0] for w in ws.warnings] == ["relations.m", "relations.z"]
+
+
+def test_a_long_subspace_chain_parses():
+    # each name's parent sorts after it, so the first name walks the whole
+    # chain before anything is built; deeper than Python's recursion limit
+    n = 2000
+    relations = {f"r{n - 1:04d}": {"encoding": "discrete"}}
+    for i in range(n - 1):
+        relations[f"r{i:04d}"] = {"encoding": "subspace", "parent": f"r{i + 1:04d}", "subset": 1}
+    ws = parse_workspace(json.dumps({"space": {"labels": ["a"]}, "relations": relations}))
+    assert len(ws.relations) == n
+    assert ws.relations["r0000"].rows == ws.relations[f"r{n - 1:04d}"].rows
+
+
+def test_reference_cycle_reported_at_the_first_name_that_reaches_it():
+    text = """{
+      "space": {"labels": ["a", "b"]},
+      "relations": {
+        "b": {"encoding": "subspace", "parent": "p", "subset": 1},
+        "d": {"encoding": "discrete"},
+        "p": {"encoding": "subspace", "parent": "q", "subset": 1},
+        "q": {"encoding": "subspace", "parent": "p", "subset": 1}
+      }
+    }"""
+    with pytest.raises(WorkspaceError) as exc:
+        parse_workspace(text)
+    assert str(exc.value) == "relations.b: unresolvable reference cycle among relations"
+
+
 FULL = """{
   "space": {"labels": ["a", "b", "c", "d"]},
   "relations": {
@@ -111,8 +160,7 @@ FULL = """{
     "m": {"encoding": "metric", "matrix": [[0,1,1,1],[1,0,1,1],[1,1,0,1],[1,1,1,0]]},
     "dp": {"encoding": "descriptive", "probes": "q"},
     "s": {"encoding": "subspace", "parent": "d", "subset": 3},
-    "x": {"encoding": "explicit", "near": [[1,1],[2,2],[4,4],[8,8],[1,2],[2,1]]},
-    "pr": {"encoding": "product", "factors": ["s", "s"]}
+    "x": {"encoding": "explicit", "near": [[1,1],[2,2],[4,4],[8,8],[1,2],[2,1]]}
   },
   "group": {"cayley": [[0,1,2,3],[1,2,3,0],[2,3,0,1],[3,0,1,2]], "identity": 0},
   "probes": {"q": {"arity": 2, "values": [[0,0],[0,1],[1,0],[1,1]]}},
@@ -124,8 +172,8 @@ FULL = """{
 def test_full_document_round_trip_identity():
     ws = parse_workspace(FULL)
     assert parse_workspace(FULL) == ws
-    # product relation landed as a rectangle relation over a derived carrier
-    assert ws.relations["pr"].space.size == 4
+    # the subspace relation landed on its derived carrier
+    assert ws.relations["s"].space.labels == ("a", "b")
     assert ws.partition == (0b0101, 0b1010)
 
 
@@ -177,3 +225,25 @@ def test_random_documents_round_trip():
     for _ in range(80):
         text = json.dumps(_random_document(rng))
         assert parse_workspace(text) == parse_workspace(text)
+
+
+def test_readme_example_parses_and_uses_every_encoding():
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("## Workspace documents", 1)[1].split("```json\n", 1)[1]
+    example = example.split("```", 1)[0]
+    ws = parse_workspace(example)
+    assert not ws.warnings
+    used = {spec["encoding"] for spec in json.loads(example)["relations"].values()}
+    # the encodings the parser accepts: the strings it compares `encoding` with
+    tree = ast.parse((ROOT / "src" / "proxikit" / "workspace.py").read_text())
+    accepted = {
+        node.comparators[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Name)
+        and node.left.id == "encoding"
+        and isinstance(node.comparators[0], ast.Constant)
+    }
+    assert accepted == {"discrete", "coarse", "metric", "explicit", "descriptive", "subspace"}
+    assert used == accepted
+    assert set(ws.relations) == set(json.loads(example)["relations"])
