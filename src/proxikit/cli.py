@@ -46,11 +46,12 @@ from .harnesses import (
     third_iso_harness,
 )
 from .maps import check_pcont, check_proximal_isomorphism, identity_map
-from .relations import ProximityRelation, quotient_proximity
+from .relations import quotient_proximity
 from .spaces import FiniteSpace
 from .workspace import WorkspaceDocument, WorkspaceError, parse_workspace
 
 AXIOM_CHECKERS = {**AXIOM_CHECKS, "kuratowski": check_kuratowski}
+Report = tuple[dict, list[str], dict, bool]  # what a verb handler returns (see Verb)
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,8 @@ def _report_lines(
     report: AxiomReport, spaces: Mapping[str, FiniteSpace] | FiniteSpace
 ) -> tuple[list[str], dict, dict]:
     lines = []
-    verdicts = {}
     witnesses = {}
     for key, ok in report.verdicts.items():
-        verdicts[key] = ok
         if ok:
             lines.append(f"{key} PASS")
         elif key in report.witnesses:
@@ -96,7 +95,7 @@ def _report_lines(
             lines.append(f"{key} FAIL {_witness_text(space, witness)}")
         else:
             lines.append(f"{key} FAIL")
-    return lines, verdicts, witnesses
+    return lines, dict(report.verdicts), witnesses
 
 
 def _continuity(report) -> AxiomReport:
@@ -119,55 +118,39 @@ def _map_spaces(domain: FiniteSpace, codomain: FiniteSpace) -> dict:
     }
 
 
-def _result(payload: dict, lines: list[str], witnesses: dict, ok: bool) -> CommandResult:
-    """A verdict's result: witnesses attached when there are any, exit 0 or 1."""
-    if witnesses:
-        payload["witnesses"] = witnesses
-    return CommandResult(payload, "\n".join(lines), 0 if ok else 1)
+NAMED = {  # flag: (the document section it names an entry of, entry noun, plural)
+    "rel": ("relations", "relation", "relations"),
+    "rel2": ("relations", "relation", "relations"),
+    "map": ("maps", "map", "maps"),
+    "probes": ("probes", "probe table", "probe tables"),
+    "probes2": ("probes", "probe table", "probe tables"),
+}
 
 
-def _pick_relation(
-    ws: WorkspaceDocument, flags: Mapping[str, Any], key: str = "rel", default: str | None = None
-) -> tuple[str, ProximityRelation]:
-    name = flags.get(key) or default
+def _lookup(ws: WorkspaceDocument, key: str, name: str):
+    section, noun, _ = NAMED[key]
+    entries = getattr(ws, section)
+    if name not in entries:
+        raise WorkspaceError(section, f"unknown {noun} {name!r}")
+    return entries[name]
+
+
+def _pick(ws: WorkspaceDocument, flags: Mapping[str, Any], key: str, default: str | None = None):
+    """The entry --key names (an empty name too), else ``default``, else the only one."""
+    name = default if flags.get(key) is None else flags[key]
     if name is None:
-        if len(ws.relations) != 1:
-            raise WorkspaceError(
-                "relations",
-                f"document has {len(ws.relations)} relations; pass --{key.replace('_', '-')} NAME",
-            )
-        name = next(iter(ws.relations))
-    if name not in ws.relations:
-        raise WorkspaceError("relations", f"unknown relation {name!r}")
-    return name, ws.relations[name]
+        section, _, plural = NAMED[key]
+        entries = getattr(ws, section)
+        if len(entries) != 1:
+            raise WorkspaceError(section, f"document has {len(entries)} {plural}; pass --{key} NAME")
+        name = next(iter(entries))
+    return name, _lookup(ws, key, name)
 
 
 def _pick_map(ws: WorkspaceDocument, flags: Mapping[str, Any]):
-    name = flags.get("map")
-    if name is None:
-        if not ws.maps:
-            return "id", identity_map(ws.space)
-        if len(ws.maps) != 1:
-            raise WorkspaceError(
-                "maps", f"document has {len(ws.maps)} maps; pass --map NAME"
-            )
-        name = next(iter(ws.maps))
-    if name not in ws.maps:
-        raise WorkspaceError("maps", f"unknown map {name!r}")
-    return name, ws.maps[name]
-
-
-def _pick_probes(ws: WorkspaceDocument, flags: Mapping[str, Any], key: str = "probes"):
-    name = flags.get(key)
-    if name is None:
-        if len(ws.probes) != 1:
-            raise WorkspaceError(
-                "probes", f"document has {len(ws.probes)} probe tables; pass --{key} NAME"
-            )
-        name = next(iter(ws.probes))
-    if name not in ws.probes:
-        raise WorkspaceError("probes", f"unknown probe table {name!r}")
-    return name, ws.probes[name]
+    if flags.get("map") is None and not ws.maps:
+        return "id", identity_map(ws.space)
+    return _pick(ws, flags, "map")
 
 
 def _need_group(ws: WorkspaceDocument):
@@ -186,12 +169,11 @@ def _need_mask(flags: Mapping[str, Any], key: str, space: FiniteSpace) -> int:
         raise WorkspaceError("flags", str(e)) from None
 
 
-def _proximal_group_result(verb: str, extra: dict, report, space: FiniteSpace) -> CommandResult:
+def _proximal_group_result(extra: dict, report, space: FiniteSpace) -> Report:
     lines, verdicts, witnesses = _report_lines(report.is_proximity, space)
     mu_lines, mu, mu_witnesses = _report_lines(_continuity(report), space)
-    payload = {"verb": verb, **extra, "axioms": verdicts, "ok": report.ok, **mu}
-    return _result(
-        payload,
+    return (
+        {**extra, "axioms": verdicts, **mu},
         [f"axioms {line}" for line in lines] + mu_lines,
         {**{f"axioms.{k}": v for k, v in witnesses.items()}, **mu_witnesses},
         report.ok,
@@ -203,22 +185,20 @@ def _proximal_group_result(verb: str, extra: dict, report, space: FiniteSpace) -
 
 
 def _cmd_check_axioms(ws, flags):
-    name, rel = _pick_relation(ws, flags)
+    name, rel = _pick(ws, flags, "rel")
     klass = flags["axiom_class"]
     report = AXIOM_CHECKERS[klass](rel, max_size=_scan_size(flags))
     lines, verdicts, witnesses = _report_lines(report, rel.space)
     payload = {
-        "verb": "check-axioms",
         "relation": name,
         "class": klass,
         "verdicts": verdicts,
-        "ok": report.ok,
     }
-    return _result(payload, lines, witnesses, report.ok)
+    return payload, lines, witnesses, report.ok
 
 
 def _cmd_topology(ws, flags):
-    name, rel = _pick_relation(ws, flags)
+    name, rel = _pick(ws, flags, "rel")
     snapshot = induced_topology(rel, max_size=_scan_size(flags))
     space = rel.space
     lines = [
@@ -228,24 +208,22 @@ def _cmd_topology(ws, flags):
         f"topology {'PASS' if snapshot.is_topology else 'FAIL'}",
     ]
     payload = {
-        "verb": "topology",
         "relation": name,
         "closed_masks": list(snapshot.closed_sets),
         "open_masks": list(snapshot.open_sets),
         "kuratowski_ok": snapshot.kuratowski_ok,
         "is_topology": snapshot.is_topology,
-        "ok": snapshot.kuratowski_ok,
     }
     witnesses = {}
     for k, w in snapshot.kuratowski.witnesses.items():
         witnesses[k] = _witness_payload(space, w)
         lines.append(f"{k} FAIL {_witness_text(space, w)}")
-    return _result(payload, lines, witnesses, snapshot.kuratowski_ok)
+    return payload, lines, witnesses, snapshot.kuratowski_ok
 
 
 def _cmd_pcont(ws, flags):
-    name1, rel1 = _pick_relation(ws, flags, "rel")
-    name2, rel2 = _pick_relation(ws, flags, "rel2", default=name1)
+    name1, rel1 = _pick(ws, flags, "rel")
+    name2, rel2 = _pick(ws, flags, "rel2", default=name1)
     map_name, f = _pick_map(ws, flags)
     scan = _scan_size(flags)
     if flags.get("iso"):
@@ -254,29 +232,27 @@ def _cmd_pcont(ws, flags):
         report = check_pcont(f, rel1, rel2, max_size=scan)
     lines, verdicts, witnesses = _report_lines(report, _map_spaces(rel1.space, rel2.space))
     payload = {
-        "verb": "pcont",
         "map": map_name,
         "relation": name1,
         "relation2": name2,
         "verdicts": verdicts,
-        "ok": report.ok,
     }
-    return _result(payload, lines, witnesses, report.ok)
+    return payload, lines, witnesses, report.ok
 
 
 def _cmd_group_check(ws, flags):
     group = _need_group(ws)
-    name, rel = _pick_relation(ws, flags)
+    name, rel = _pick(ws, flags, "rel")
     klass = flags["axiom_class"]
     report = check_proximal_group(group, rel, axiom_class=klass, max_size=_scan_size(flags))
     return _proximal_group_result(
-        "group-check", {"relation": name, "class": klass}, report, rel.space
+        {"relation": name, "class": klass}, report, rel.space
     )
 
 
 def _cmd_translations(ws, flags):
     group = _need_group(ws)
-    name, rel = _pick_relation(ws, flags)
+    name, rel = _pick(ws, flags, "rel")
     report = check_translations(group, rel, max_size=_scan_size(flags))
     lines = []
     entries = {}
@@ -292,17 +268,15 @@ def _cmd_translations(ws, flags):
             for k, w in rep.witnesses.items():
                 witnesses[f"{label}.{side}.{k}"] = _witness_payload(rel.space, w)
     payload = {
-        "verb": "translations",
         "relation": name,
         "entries": entries,
-        "ok": report.ok,
     }
-    return _result(payload, lines, witnesses, report.ok)
+    return payload, lines, witnesses, report.ok
 
 
 def _cmd_subgroup(ws, flags):
     group = _need_group(ws)
-    name, rel = _pick_relation(ws, flags)
+    name, rel = _pick(ws, flags, "rel")
     h = _need_mask(flags, "subset", ws.space)
     report = subgroup_proximal_group(
         group, rel, h, axiom_class=flags["axiom_class"],
@@ -310,7 +284,6 @@ def _cmd_subgroup(ws, flags):
     )
     sub_space = subgroup_group(group, h).space
     return _proximal_group_result(
-        "subgroup",
         {"relation": name, "subgroup_mask": h, "subgroup": list(sub_space.labels)},
         report,
         sub_space,
@@ -319,22 +292,22 @@ def _cmd_subgroup(ws, flags):
 
 def _cmd_product(ws, flags):
     group = _need_group(ws)
-    name1, rel1 = _pick_relation(ws, flags, "rel")
-    name2, rel2 = _pick_relation(ws, flags, "rel2", default=name1)
+    name1, rel1 = _pick(ws, flags, "rel")
+    name2, rel2 = _pick(ws, flags, "rel2", default=name1)
     report = product_proximal_group(
         group, rel1, group, rel2, axiom_class=flags["axiom_class"],
         max_size=_scan_size(flags),
     )
     # a product of verified factors passes, so the report holds no witness
     return _proximal_group_result(
-        "product", {"relation": name1, "relation2": name2}, report, rel1.space
+        {"relation": name1, "relation2": name2}, report, rel1.space
     )
 
 
 def _cmd_hom_check(ws, flags):
     group = _need_group(ws)
-    name1, rel1 = _pick_relation(ws, flags, "rel")
-    name2, rel2 = _pick_relation(ws, flags, "rel2", default=name1)
+    name1, rel1 = _pick(ws, flags, "rel")
+    name2, rel2 = _pick(ws, flags, "rel2", default=name1)
     map_name, eta = _pick_map(ws, flags)
     scan = _scan_size(flags)
     report = check_proximal_homomorphism(
@@ -343,12 +316,10 @@ def _cmd_hom_check(ws, flags):
     )
     lines, verdicts, witnesses = _report_lines(report, _map_spaces(rel1.space, rel2.space))
     payload = {
-        "verb": "hom-check",
         "map": map_name,
         "relation": name1,
         "relation2": name2,
         "verdicts": verdicts,
-        "ok": report.ok,
     }
     ok = report.ok
     if flags.get("criterion"):
@@ -365,12 +336,12 @@ def _cmd_hom_check(ws, flags):
             ok = False
             if crit.conclusion.witness:
                 witnesses["criterion"] = _witness_payload(rel1.space, crit.conclusion.witness)
-    return _result(payload, lines, witnesses, ok)
+    return payload, lines, witnesses, ok
 
 
 def _cmd_quotient(ws, flags):
-    name, rel = _pick_relation(ws, flags)
-    payload: dict = {"verb": "quotient", "relation": name}
+    name, rel = _pick(ws, flags, "rel")
+    payload: dict = {"relation": name}
     cayley = []
     if flags.get("normal") is not None:
         group = _need_group(ws)
@@ -384,22 +355,22 @@ def _cmd_quotient(ws, flags):
         raise WorkspaceError("partition", "quotient needs a partition section or --normal MASK")
     else:
         quot_rel = quotient_proximity(rel, ws.partition, max_size=_scan_size(flags))
-    payload.update(carrier=list(quot_rel.space.labels), rows=list(quot_rel.rows), ok=True)
+    payload.update(carrier=list(quot_rel.space.labels), rows=list(quot_rel.rows))
     lines = [
         "carrier: " + " ".join(quot_rel.space.labels),
         *cayley,
         "rows: " + " ".join(str(r) for r in quot_rel.rows),
     ]
-    return _result(payload, lines, {}, True)
+    return payload, lines, {}, True
 
 
 def _cmd_iso_theorems(ws, flags):
     group = _need_group(ws)
     which = flags.get("which") or "first"
-    name1, rel1 = _pick_relation(ws, flags, "rel")
+    name1, rel1 = _pick(ws, flags, "rel")
     scan = _scan_size(flags)
     if which == "first":
-        name2, rel2 = _pick_relation(ws, flags, "rel2", default=name1)
+        name2, rel2 = _pick(ws, flags, "rel2", default=name1)
         map_name, eta = _pick_map(ws, flags)
         report = first_iso_harness(eta, group, rel1, group, rel2, max_size=scan)
         extra = {"relation": name1, "relation2": name2, "map": map_name}
@@ -428,19 +399,17 @@ def _cmd_iso_theorems(ws, flags):
         lines[0] += " " + _witness_text(ws.space, (report.missing_image,))
     lines += [f"proximal {line}" for line in plines]
     payload = {
-        "verb": "iso-theorems",
         "which": which,
         **extra,
         "surjective": report.surjective,
         "group_isomorphism": report.group_isomorphism,
         "proximal": verdicts,
-        "ok": report.ok,
     }
-    return _result(payload, lines, witnesses, report.ok)
+    return payload, lines, witnesses, report.ok
 
 
 def _cmd_descriptive_check(ws, flags):
-    name, probes = _pick_probes(ws, flags)
+    name, probes = _pick(ws, flags, "probes")
     lodato = check_descriptive_lodato(probes)
     ef = check_descriptive_ef(probes)
     # DL1-DL4 from the Lodato report, then DEF from the EF one
@@ -451,10 +420,8 @@ def _cmd_descriptive_check(ws, flags):
     lines, verdicts, witnesses = _report_lines(axioms, probes.space)
     ok = lodato.ok and ef.ok
     payload = {
-        "verb": "descriptive-check",
         "probes": name,
         "verdicts": verdicts,
-        "ok": ok,
     }
     if flags.get("group"):
         group = _need_group(ws)
@@ -463,43 +430,31 @@ def _cmd_descriptive_check(ws, flags):
         lines += mu_lines
         witnesses.update(mu_witnesses)
         ok = ok and report.ok
-        payload.update(mu, group_ok=report.ok, ok=ok)
-    return _result(payload, lines, witnesses, ok)
+        payload.update(mu, group_ok=report.ok)
+    return payload, lines, witnesses, ok
 
 
 def _cmd_mapping_space(ws, flags):
-    name1, probes1 = _pick_probes(ws, flags, "probes")
-    name2, probes2 = (
-        _pick_probes(ws, flags, "probes2") if flags.get("probes2") else (name1, probes1)
-    )
-
-    def pick_set(key):
+    name1, probes1 = _pick(ws, flags, "probes")
+    name2, probes2 = _pick(ws, flags, "probes2", default=name1)
+    maps = []
+    for key in ("set1", "set2"):
         raw = flags.get(key)
         if not raw:
             raise WorkspaceError("flags", f"mapping-space needs --{key} NAME[,NAME...]")
-        out = []
-        for map_name in raw.split(","):
-            if map_name not in ws.maps:
-                raise WorkspaceError("maps", f"unknown map {map_name!r}")
-            out.append(ws.maps[map_name])
-        return out
-
-    maps1 = pick_set("set1")
-    maps2 = pick_set("set2")
-    verdict = mapping_space_relation(maps1, maps2, probes1, probes2)
+        maps.append([_lookup(ws, "map", name) for name in raw.split(",")])
+    verdict = mapping_space_relation(*maps, probes1, probes2)
     payload = {
-        "verb": "mapping-space",
         "probes": name1,
         "probes2": name2,
         "near": verdict.near,
-        "ok": verdict.near,
     }
     if verdict.near:
-        return _result(payload, ["near PASS"], {}, True)
+        return payload, ["near PASS"], {}, True
     a, b, f_name, g_name = verdict.witness
     witness = {**_witness_payload(ws.space, (a, b)), "maps": [f_name, g_name]}
     line = f"near FAIL {_witness_text(ws.space, (a, b))} maps=({f_name}, {g_name})"
-    return _result(payload, [line], {"mapping_space": witness}, False)
+    return payload, [line], {"mapping_space": witness}, False
 
 
 def _cmd_enumerate(ws, flags):
@@ -509,16 +464,14 @@ def _cmd_enumerate(ws, flags):
     klass = flags["axiom_class"]
     rels = list(enumerate_relations(n, klass))
     payload = {
-        "verb": "enumerate",
         "n": n,
         "class": klass,
         "count": len(rels),
         "relations": [{"rows": list(r.rows)} for r in rels],
-        "ok": True,
     }
     lines = [f"count {len(rels)}"]
     lines += ["rows: " + " ".join(str(v) for v in r.rows) for r in rels]
-    return _result(payload, lines, {}, True)
+    return payload, lines, {}, True
 
 
 def _cmd_fuzz(ws, flags):
@@ -539,18 +492,15 @@ def _cmd_fuzz(ws, flags):
         entry.scope.relation_classes if classes is None else tuple(classes.split(",")),
     )
     outcome = fuzz_theorem(theorem, scope)
-    ok = not outcome.counterexamples
     payload = {
-        "verb": "fuzz",
         "theorem": outcome.theorem,
         "instances": outcome.instances,
         "counterexamples": [dict(sorted(c.items())) for c in outcome.counterexamples],
-        "ok": ok,
     }
     lines = [f"instances {outcome.instances}", f"counterexamples {len(outcome.counterexamples)}"]
     for c in outcome.counterexamples:
         lines.append(json.dumps(c, sort_keys=True))
-    return _result(payload, lines, {}, ok)
+    return payload, lines, {}, not outcome.counterexamples
 
 
 def _cmd_census(ws, flags):
@@ -558,7 +508,6 @@ def _cmd_census(ws, flags):
     if n is None:
         raise WorkspaceError("flags", "census needs --n SIZE")
     census = mine_separating_examples(n)
-    payload = {"verb": "census", **census.to_payload(), "ok": True}
     lines = [f"{k} {v}" for k, v in sorted(census.counts.items())]
     for tag in ("cech_not_lodato", "cech_not_ef"):
         rel = getattr(census, tag)
@@ -566,7 +515,7 @@ def _cmd_census(ws, flags):
             lines.append(f"{tag}: none")
         else:
             lines.append(f"{tag}: rows " + " ".join(str(v) for v in rel.rows))
-    return _result(payload, lines, {}, True)
+    return census.to_payload(), lines, {}, True
 
 
 # Flag specs by name; a verb lists the ones it takes, in --help order.
@@ -594,11 +543,11 @@ FLAGS: dict[str, dict] = {
 
 @dataclass(frozen=True)
 class Verb:
-    """A verb: its handler, its :data:`FLAGS` in --help order (``required``
-    ones too), whether it reads a document and takes --max-n, and the
-    --class choices, added last, with their default."""
+    """A verb: its handler (payload entries, lines, witnesses, verdict), its
+    :data:`FLAGS` in --help order (``required`` ones too), whether it reads a
+    document and takes --max-n, and its --class choices, added last, and default."""
 
-    handler: Callable[[WorkspaceDocument | None, dict], CommandResult]
+    handler: Callable[[WorkspaceDocument | None, dict], Report]
     flags: tuple[str, ...] = ()
     required: tuple[str, ...] = ()
     document: bool = True
@@ -649,7 +598,9 @@ VERBS: dict[str, Verb] = {
 
 
 def run_command(verb: str, ws: WorkspaceDocument | None, flags: Mapping[str, Any] | None = None) -> CommandResult:
-    """Run one verb against a parsed workspace; reports are deterministic."""
+    """Run one verb against a parsed workspace; reports are deterministic.
+    Every payload carries ``verb`` and ``ok``, and ``witnesses`` when the
+    handler found any; the exit code is 0 on a pass and 1 on a failure."""
     if verb not in VERBS:
         raise WorkspaceError("verb", f"unknown verb {verb!r}; known: {', '.join(VERBS)}")
     spec = VERBS[verb]
@@ -662,7 +613,11 @@ def run_command(verb: str, ws: WorkspaceDocument | None, flags: Mapping[str, Any
         flags["axiom_class"] = flags.get("axiom_class") or spec.default_class
         if flags["axiom_class"] not in spec.classes:
             raise WorkspaceError("flags", f"--class must be one of {sorted(spec.classes)}")
-    return spec.handler(ws, flags)
+    payload, lines, witnesses, ok = spec.handler(ws, flags)
+    payload = {"verb": verb, **payload, "ok": ok}
+    if witnesses:
+        payload["witnesses"] = witnesses
+    return CommandResult(payload, "\n".join(lines), 0 if ok else 1)
 
 
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:

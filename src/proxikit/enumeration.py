@@ -675,8 +675,7 @@ def _third_iso_holds(i: dict) -> bool:
 def _hom_criterion_holds(i: dict) -> bool:
     g1, g2 = i["group"][1], i["group2"][1]
     return hom_criterion_check(
-        i["map_images"], g1, i["relation"], g2, i["relation2"],
-        axiom_class=_axiom_class(i["relation_class2"]),
+        i["map_images"], g1, i["relation"], g2, i["relation2"]
     ).implication_ok
 
 
@@ -694,9 +693,7 @@ def _multiplication_holds(i: dict) -> bool:
 
 def _t1_readings_agree(i: dict) -> bool:
     g = i["group"][1]
-    return hausdorff_check(
-        g, i["relation"], axiom_class=_axiom_class(i["relation_class"])
-    ).readings_agree
+    return hausdorff_check(g, i["relation"]).readings_agree
 
 
 @dataclass(frozen=True)

@@ -482,6 +482,15 @@ def check_proximal_group(
 
     Runs the requested axiom class on the relation, rectangle continuity of
     subset multiplication, and continuity of subset inversion.
+
+    The class shapes the report but not its verdict: ``ok`` is the same for
+    all three classes.  Every class includes L1-L4, which together say the
+    table is Cech.  On a table that is not Cech, L1-L4 fail under every
+    class.  On a Cech table with point relation P, mu1 holds exactly when P
+    is the coset partition of a normal subgroup (see :func:`_mu1_check`), so
+    a passing mu1 makes P transitive, and then L5 and EF hold (see
+    ``axioms.check_lodato`` and ``axioms.check_efremovic``).  So callers
+    that need only the verdict pass no class.
     """
     if axiom_class not in AXIOM_CHECKS:
         known = ", ".join(AXIOM_CHECKS)
@@ -602,22 +611,23 @@ def hom_criterion_check(
     g2: FiniteGroup,
     rel2: ProximityRelation,
     *,
-    axiom_class: str = "efremovic",
     max_size: int = SCAN_CAP,
 ) -> HomCriterionReport:
     """Test: if B near {e1} forces eta(B) near {e2}, then eta is pcont.
 
     Requires eta to be a group homomorphism between verified proximal groups.
-    Each structure is verified once per (group, axiom class) and the verdict
-    kept on its relation (see :func:`spaces.memo`); ``max_size`` caps the
-    scans of the verifications and of the pcont check that run.
+    Each structure is verified once per group, under any class, since the
+    verdict does not depend on it (see :func:`check_proximal_group`), and
+    the verdict is kept on its relation (see :func:`spaces.memo`);
+    ``max_size`` caps the scans of the verifications and of the pcont check
+    that run.
     """
     hom_witness = homomorphism_violation(eta, g1, g2)
     if hom_witness is not None:
         raise ValueError(f"map is not a group homomorphism at {hom_witness}")
     for name, (g, rel) in (("domain", (g1, rel1)), ("codomain", (g2, rel2))):
-        ok = memo(rel, ("proximal_group", g, axiom_class), lambda: check_proximal_group(
-            g, rel, axiom_class=axiom_class, max_size=max_size
+        ok = memo(rel, ("proximal_group", g), lambda: check_proximal_group(
+            g, rel, max_size=max_size
         ).ok)
         if not ok:
             raise ValueError(f"{name} structure is not a verified proximal group")
@@ -656,7 +666,7 @@ def subgroup_group(g: FiniteGroup, h: int) -> FiniteGroup:
         members = list(bits(h))
         index = {m: k for k, m in enumerate(members)}
         return FiniteGroup(
-            FiniteSpace(g.space.label_set(h)),
+            g.space.subspace(h),
             tuple(tuple(index[g.cayley[i][j]] for j in members) for i in members),
             index[g.identity],
             tuple(index[g.inverse[i]] for i in members),
@@ -701,10 +711,9 @@ def quotient_group(g: FiniteGroup, n_mask: int) -> tuple[FiniteGroup, tuple[int,
         for k, block in enumerate(blocks):
             for i in bits(block):
                 block_of[i] = k
-        labels = tuple("|".join(g.space.label_set(block)) for block in blocks)
         cayley = tuple(tuple(block_of[g.cayley[a][b]] for b in rep) for a in rep)
         inverse = tuple(block_of[g.inverse[a]] for a in rep)
-        return FiniteGroup(FiniteSpace(labels), cayley, block_of[g.identity], inverse), blocks
+        return FiniteGroup(g.space.quotient(blocks), cayley, block_of[g.identity], inverse), blocks
 
     return memo(g, ("quotient", n_mask), build)
 

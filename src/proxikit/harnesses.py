@@ -323,12 +323,12 @@ def hausdorff_check(
     g: FiniteGroup,
     rel: ProximityRelation,
     *,
-    axiom_class: str = "efremovic",
     max_size: int = SCAN_CAP,
 ) -> HausdorffReport:
-    """T1 versus closed-identity readings on a verified proximal group."""
-    report = check_proximal_group(g, rel, axiom_class=axiom_class, max_size=max_size)
-    if not report.ok:
+    """T1 versus closed-identity readings on a verified proximal group; the
+    verdict does not depend on the axiom class (see
+    :func:`check_proximal_group`)."""
+    if not check_proximal_group(g, rel, max_size=max_size).ok:
         raise ValueError("input is not a verified proximal group")
     t1 = all(closure(rel, 1 << x) == 1 << x for x in range(g.order))
     e = 1 << g.identity

@@ -30,7 +30,6 @@ PROVENANCES = (
     "coarse",
     "metric",
     "descriptive",
-    "product",
     "subspace",
     "quotient",
 )
@@ -225,8 +224,8 @@ def subspace_proximity(
     def build() -> ProximityRelation:
         if v == 0:
             raise ValueError("subspace carrier must be nonempty")
-        sub = FiniteSpace(rel.space.label_set(v))
-        return _pullback(rel, sub, [1 << i for i in bits(v)], "subspace", max_size)
+        images = [1 << i for i in bits(v)]
+        return _pullback(rel, rel.space.subspace(v), images, "subspace", max_size)
 
     return memo(rel, ("subspace", v), build)
 
@@ -302,8 +301,7 @@ def quotient_proximity(
 
     def build() -> ProximityRelation:
         validate_partition(rel.space, blocks)
-        labels = tuple("|".join(rel.space.label_set(block)) for block in blocks)
-        return _pullback(rel, FiniteSpace(labels), blocks, "quotient", max_size)
+        return _pullback(rel, rel.space.quotient(blocks), blocks, "quotient", max_size)
 
     return memo(rel, ("quotient", blocks), build)
 

@@ -70,6 +70,17 @@ class FiniteSpace:
             raise ValueError(f"mask {mask} out of range for carrier of size {self.size}")
         return mask
 
+    def subspace(self, mask: int) -> "FiniteSpace":
+        """Carrier of the members of ``mask``, in carrier order, keeping
+        their labels: the carrier of a subgroup and of a subspace relation."""
+        return FiniteSpace(self.label_set(mask))
+
+    def quotient(self, blocks: Sequence[int]) -> "FiniteSpace":
+        """Carrier of the blocks, in order, each labelled by its members'
+        labels joined by "|": the carrier of a coset group and of a
+        quotient relation."""
+        return FiniteSpace(tuple("|".join(self.label_set(block)) for block in blocks))
+
 
 def require_scan_size(size: int, max_size: int, what: str) -> None:
     """Refuse the ``what`` scan over a carrier of ``size`` elements above

@@ -240,6 +240,11 @@ def _parse_group(raw: Any, space: FiniteSpace) -> FiniteGroup:
     identity = raw.get("identity")
     if identity is not None:
         _expect(
+            isinstance(identity, int) and not isinstance(identity, bool),
+            "group.identity",
+            "must be an element index",
+        )
+        _expect(
             identity == group.identity,
             "group.identity",
             f"declared identity {identity} but the table's identity is {group.identity}",

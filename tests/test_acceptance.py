@@ -183,7 +183,7 @@ def test_criterion_07_t1_equals_identity_closure():
                 rel = ProximityRelation(g.space, rel.rows, rel.provenance)
                 if not check_proximal_group(g, rel, axiom_class=axiom_class).ok:
                     continue
-                report = hausdorff_check(g, rel, axiom_class=axiom_class)
+                report = hausdorff_check(g, rel)
                 assert report.readings_agree
                 checked += 1
         assert checked > 0

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from proxikit import parse_workspace, run_command
-from proxikit.cli import VERBS, build_parser, main, parse_args
+from proxikit.cli import VERBS, Verb, build_parser, main, parse_args
 from proxikit.workspace import WorkspaceError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -44,16 +44,20 @@ def test_reports_byte_identical_across_runs(entry):
     )
 
 
+def check_envelope(verb, result):
+    """Payload ``verb`` is the verb, ``ok`` is the exit verdict, and a
+    witness is reported exactly on a failure (fuzz lists counterexamples)."""
+    payload = result.payload
+    assert payload["verb"] == verb
+    assert payload["ok"] is (result.exit_code == 0)
+    has_witness = bool(payload.get("witnesses")) or bool(payload.get("counterexamples"))
+    assert has_witness is (result.exit_code == 1)
+    assert payload.get("witnesses", True) != {}
+
+
 @pytest.mark.parametrize("entry", MANIFEST, ids=lambda e: e["name"])
 def test_witnesses_exactly_on_failures(entry):
-    result = run_entry(entry)
-    has_witness = bool(result.payload.get("witnesses")) or bool(
-        result.payload.get("counterexamples")
-    )
-    if result.exit_code == 1:
-        assert has_witness
-    if result.exit_code == 0:
-        assert not has_witness
+    check_envelope(entry["verb"], run_entry(entry))
 
 
 def test_fuzz_failure_carries_serialized_counterexamples():
@@ -437,6 +441,21 @@ def test_bool_probe_arity_exits_2_naming_the_field(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("identity", [False, 0.0])
+def test_non_int_group_identity_exits_2_naming_the_field(identity, tmp_path, capsys):
+    # False == 0 and 0.0 == 0, so only the type check refuses them
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({
+        "space": {"labels": ["a", "b"]},
+        "relations": {"d": {"encoding": "discrete"}},
+        "group": {"cayley": [[0, 1], [1, 0]], "identity": identity},
+    }))
+    assert main(["group-check", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: group.identity: must be an element index\n"
+
+
 def test_product_is_an_unknown_encoding(tmp_path, capsys):
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps({
@@ -663,3 +682,68 @@ def test_map_verbs_on_a_two_map_document_need_map(tmp_path, capsys):
     path.write_text(json.dumps(document))
     assert main(["pcont", str(path), "--rel", "m", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["map"] == "id"
+
+
+# --- the report envelope and named inputs ----------------------------------
+
+
+def test_default_flag_reports_carry_their_verb_verdict_and_witnesses():
+    # every document verb with no flags on every fixture document that it
+    # gives a report for
+    reports = 0
+    for path in sorted(FIXTURES.glob("*.json")):
+        if path.name == "manifest.json":
+            continue
+        ws = parse_workspace(path.read_text())
+        for verb, spec in VERBS.items():
+            if spec.document:
+                try:
+                    result = run_command(verb, ws, {})
+                except (WorkspaceError, ValueError):
+                    continue
+                check_envelope(verb, result)
+                reports += 1
+    assert reports > 0
+
+
+@pytest.mark.parametrize(
+    "witnesses, ok", [({}, True), ({}, False), ({"w": {"masks": [1], "labels": [["a"]]}}, False)]
+)
+def test_run_command_attaches_witnesses_only_when_the_handler_found_any(
+    witnesses, ok, monkeypatch
+):
+    def handler(ws, flags):
+        return {"x": 1}, ["line 1", "line 2"], witnesses, ok
+
+    monkeypatch.setitem(VERBS, "census", Verb(handler, document=False))
+    result = run_command("census", None, {})
+    expected = {"verb": "census", "x": 1, "ok": ok}
+    if witnesses:
+        expected["witnesses"] = witnesses
+    assert result.payload == expected
+    assert result.text == "line 1\nline 2"
+    assert result.exit_code == (0 if ok else 1)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["group-check", "z3_group.json", "--rel", ""], "relations: unknown relation ''"),
+        (["pcont", "two_points.json", "--rel", "d", "--rel2", ""], "relations: unknown relation ''"),
+        (["pcont", "z2_first_iso.json", "--rel", "d", "--map", ""], "maps: unknown map ''"),
+        (["descriptive-check", "sample_probes.json", "--probes", ""],
+         "probes: unknown probe table ''"),
+        (["mapping-space", "mapping_space.json", "--probes2", "", "--set1", "id", "--set2", "id"],
+         "probes: unknown probe table ''"),
+        (["mapping-space", "mapping_space.json", "--set1", "id,", "--set2", "id"],
+         "maps: unknown map ''"),
+    ],
+    ids=["rel", "rel2", "map", "probes", "probes2", "set1"],
+)
+def test_an_empty_name_is_an_unknown_name(argv, message, capsys):
+    # an empty name is looked up like any other name, never replaced by a default
+    argv = [argv[0], str(FIXTURES / argv[1]), *argv[2:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -697,6 +697,12 @@ def test_relation_payload_roundtrip():
         assert relation_from_payload(relation_payload(rel)).rows == rel.rows
 
 
+def test_product_is_an_unknown_provenance():
+    payload = relation_payload(next(enumerate_relations(2, "cech")))
+    with pytest.raises(ValueError, match="unknown provenance tag 'product'"):
+        relation_from_payload({**payload, "provenance": "product"})
+
+
 def test_all_registered_theorems_have_default_scopes():
     for theorem, entry in THEOREMS.items():
         assert entry.scope.max_order >= 1

@@ -1,4 +1,5 @@
 import gc
+import random
 import subprocess
 import sys
 import weakref
@@ -212,13 +213,43 @@ def test_unknown_axiom_class_is_a_value_error_naming_the_classes():
         lambda: check_proximal_group(Z4, D4, axiom_class="foo"),
         lambda: subgroup_proximal_group(Z4, D4, 0b0101, axiom_class="foo"),
         lambda: product_proximal_group(z2, d, z2, d, axiom_class="foo"),
-        lambda: hom_criterion_check(identity_map(Z4.space), Z4, D4, Z4, D4, axiom_class="foo"),
-        lambda: proxikit.hausdorff_check(Z4, D4, axiom_class="foo"),
     ]
     message = "unknown axiom class 'foo'; known classes: cech, lodato, efremovic"
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_verdict_only_checks_take_no_axiom_class():
+    # their verdict does not depend on the class (check_proximal_group)
+    calls = [
+        lambda: hom_criterion_check(identity_map(Z4.space), Z4, D4, Z4, D4, axiom_class="foo"),
+        lambda: proxikit.hausdorff_check(Z4, D4, axiom_class="foo"),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="axiom_class"):
+            call()
+
+
+def test_proximal_group_verdict_does_not_depend_on_the_class():
+    # every Cech relation and 40 arbitrary tables per group of order <= 4
+    rng = random.Random(0)
+    checked = 0
+    for name, g in all_groups_up_to(4):
+        m = g.space.n_subsets
+        tables = list(enumerate_relations(g.order, "cech"))
+        tables += [
+            ProximityRelation(g.space, tuple(rng.getrandbits(m) for _ in range(m)))
+            for _ in range(40)
+        ]
+        for rel in tables:
+            verdicts = {
+                klass: check_proximal_group(g, rel, axiom_class=klass).ok
+                for klass in ("cech", "lodato", "efremovic")
+            }
+            assert len(set(verdicts.values())) == 1, (name, rel.rows, verdicts)
+            checked += 1
+    assert checked == 339
 
 
 # --- translations ---------------------------------------------------------
@@ -516,14 +547,12 @@ def test_hom_criterion_verifies_each_structure_once(monkeypatch):
     for _ in range(3):
         assert hom_criterion_check(eta, z3, d3, z3, c3).implication_ok
     assert len(calls) == 2
-    hom_criterion_check(eta, z3, d3, z3, c3, axiom_class="lodato")
-    assert len(calls) == 4
     # a -- b only: not the coset partition of a subgroup of Z3
     tolerance = relation_from_point_pairs(z3.space, [0b011, 0b011, 0b100], "explicit")
     for _ in range(2):
         with pytest.raises(ValueError, match="codomain structure is not a verified"):
             hom_criterion_check(eta, z3, d3, z3, tolerance)
-    assert len(calls) == 5
+    assert len(calls) == 3
 
 
 def test_hom_criterion_requires_homomorphism():

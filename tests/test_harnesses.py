@@ -328,7 +328,7 @@ def test_hausdorff_readings_agree_on_all_verified_structures():
     for _, g in all_groups_up_to(4):
         for rel in enumerate_relations(g.order, "cech"):
             if check_proximal_group(g, rel, axiom_class="cech").ok:
-                assert hausdorff_check(g, rel, axiom_class="cech").readings_agree
+                assert hausdorff_check(g, rel).readings_agree
 
 
 # --- descriptive proximal groups --------------------------------------------------

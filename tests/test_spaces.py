@@ -15,6 +15,13 @@ def test_default_space_letters():
     assert s.full_mask == 7
 
 
+def test_subspace_and_quotient_carriers():
+    s = default_space(4)
+    assert s.subspace(0b1010).labels == ("b", "d")
+    assert s.quotient((0b0101, 0b1010)).labels == ("a|c", "b|d")
+    assert s.quotient((0b1111,)).subspace(1).labels == ("a|b|c|d",)
+
+
 def test_size_bounds():
     with pytest.raises(ValueError):
         FiniteSpace(())
