@@ -65,6 +65,7 @@ from .groups import (
     direct_product_group,
     hom_criterion_check,
     invertible_subsets,
+    is_proximal_group,
     normal_subgroups,
     product_proximal_group,
     quaternion_group,

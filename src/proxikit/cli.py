@@ -13,7 +13,15 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Collection, Mapping, Sequence
 
-from .axioms import SCAN_CAP, AxiomReport, check_kuratowski, induced_topology
+from .axioms import (
+    SCAN_CAP,
+    AxiomReport,
+    check_cech,
+    check_efremovic,
+    check_kuratowski,
+    check_lodato,
+    induced_topology,
+)
 from .descriptive import (
     check_descriptive_ef,
     check_descriptive_lodato,
@@ -29,7 +37,6 @@ from .enumeration import (
     mine_separating_examples,
 )
 from .groups import (
-    AXIOM_CHECKS,
     check_proximal_group,
     check_proximal_homomorphism,
     check_translations,
@@ -50,7 +57,12 @@ from .relations import quotient_proximity
 from .spaces import FiniteSpace
 from .workspace import WorkspaceDocument, WorkspaceError, parse_workspace
 
-AXIOM_CHECKERS = {**AXIOM_CHECKS, "kuratowski": check_kuratowski}
+AXIOM_CHECKERS = {  # the --class choices of check-axioms
+    "cech": check_cech,
+    "lodato": check_lodato,
+    "efremovic": check_efremovic,
+    "kuratowski": check_kuratowski,
+}
 Report = tuple[dict, list[str], dict, bool]  # what a verb handler returns (see Verb)
 
 
@@ -147,6 +159,21 @@ def _pick(ws: WorkspaceDocument, flags: Mapping[str, Any], key: str, default: st
     return name, _lookup(ws, key, name)
 
 
+def _pick_on_carrier(
+    ws: WorkspaceDocument, flags: Mapping[str, Any], key: str, default: str | None = None
+):
+    """:func:`_pick` for a relation read with the document's group, partition,
+    masks or maps, which live on the document carrier; a subspace does not."""
+    name, rel = _pick(ws, flags, key, default)
+    if rel.space != ws.space:
+        raise WorkspaceError(
+            f"relations.{name}",
+            f"relation is on a carrier of size {rel.space.size}, but this verb reads it"
+            f" with the document carrier of size {ws.space.size}",
+        )
+    return name, rel
+
+
 def _pick_map(ws: WorkspaceDocument, flags: Mapping[str, Any]):
     if flags.get("map") is None and not ws.maps:
         return "id", identity_map(ws.space)
@@ -222,8 +249,8 @@ def _cmd_topology(ws, flags):
 
 
 def _cmd_pcont(ws, flags):
-    name1, rel1 = _pick(ws, flags, "rel")
-    name2, rel2 = _pick(ws, flags, "rel2", default=name1)
+    name1, rel1 = _pick_on_carrier(ws, flags, "rel")
+    name2, rel2 = _pick_on_carrier(ws, flags, "rel2", default=name1)
     map_name, f = _pick_map(ws, flags)
     scan = _scan_size(flags)
     if flags.get("iso"):
@@ -242,17 +269,14 @@ def _cmd_pcont(ws, flags):
 
 def _cmd_group_check(ws, flags):
     group = _need_group(ws)
-    name, rel = _pick(ws, flags, "rel")
-    klass = flags["axiom_class"]
-    report = check_proximal_group(group, rel, axiom_class=klass, max_size=_scan_size(flags))
-    return _proximal_group_result(
-        {"relation": name, "class": klass}, report, rel.space
-    )
+    name, rel = _pick_on_carrier(ws, flags, "rel")
+    report = check_proximal_group(group, rel, max_size=_scan_size(flags))
+    return _proximal_group_result({"relation": name}, report, rel.space)
 
 
 def _cmd_translations(ws, flags):
     group = _need_group(ws)
-    name, rel = _pick(ws, flags, "rel")
+    name, rel = _pick_on_carrier(ws, flags, "rel")
     report = check_translations(group, rel, max_size=_scan_size(flags))
     lines = []
     entries = {}
@@ -276,12 +300,9 @@ def _cmd_translations(ws, flags):
 
 def _cmd_subgroup(ws, flags):
     group = _need_group(ws)
-    name, rel = _pick(ws, flags, "rel")
+    name, rel = _pick_on_carrier(ws, flags, "rel")
     h = _need_mask(flags, "subset", ws.space)
-    report = subgroup_proximal_group(
-        group, rel, h, axiom_class=flags["axiom_class"],
-        max_size=_scan_size(flags),
-    )
+    report = subgroup_proximal_group(group, rel, h, max_size=_scan_size(flags))
     sub_space = subgroup_group(group, h).space
     return _proximal_group_result(
         {"relation": name, "subgroup_mask": h, "subgroup": list(sub_space.labels)},
@@ -292,12 +313,9 @@ def _cmd_subgroup(ws, flags):
 
 def _cmd_product(ws, flags):
     group = _need_group(ws)
-    name1, rel1 = _pick(ws, flags, "rel")
-    name2, rel2 = _pick(ws, flags, "rel2", default=name1)
-    report = product_proximal_group(
-        group, rel1, group, rel2, axiom_class=flags["axiom_class"],
-        max_size=_scan_size(flags),
-    )
+    name1, rel1 = _pick_on_carrier(ws, flags, "rel")
+    name2, rel2 = _pick_on_carrier(ws, flags, "rel2", default=name1)
+    report = product_proximal_group(group, rel1, group, rel2)
     # a product of verified factors passes, so the report holds no witness
     return _proximal_group_result(
         {"relation": name1, "relation2": name2}, report, rel1.space
@@ -306,8 +324,8 @@ def _cmd_product(ws, flags):
 
 def _cmd_hom_check(ws, flags):
     group = _need_group(ws)
-    name1, rel1 = _pick(ws, flags, "rel")
-    name2, rel2 = _pick(ws, flags, "rel2", default=name1)
+    name1, rel1 = _pick_on_carrier(ws, flags, "rel")
+    name2, rel2 = _pick_on_carrier(ws, flags, "rel2", default=name1)
     map_name, eta = _pick_map(ws, flags)
     scan = _scan_size(flags)
     report = check_proximal_homomorphism(
@@ -323,7 +341,7 @@ def _cmd_hom_check(ws, flags):
     }
     ok = report.ok
     if flags.get("criterion"):
-        crit = hom_criterion_check(eta, group, rel1, group, rel2, max_size=scan)
+        crit = hom_criterion_check(eta, group, rel1, group, rel2)
         payload["criterion"] = {
             "hypothesis": crit.hypothesis.ok,
             "conclusion": crit.conclusion.ok,
@@ -340,7 +358,7 @@ def _cmd_hom_check(ws, flags):
 
 
 def _cmd_quotient(ws, flags):
-    name, rel = _pick(ws, flags, "rel")
+    name, rel = _pick_on_carrier(ws, flags, "rel")
     payload: dict = {"relation": name}
     cayley = []
     if flags.get("normal") is not None:
@@ -367,10 +385,10 @@ def _cmd_quotient(ws, flags):
 def _cmd_iso_theorems(ws, flags):
     group = _need_group(ws)
     which = flags.get("which") or "first"
-    name1, rel1 = _pick(ws, flags, "rel")
+    name1, rel1 = _pick_on_carrier(ws, flags, "rel")
     scan = _scan_size(flags)
     if which == "first":
-        name2, rel2 = _pick(ws, flags, "rel2", default=name1)
+        name2, rel2 = _pick_on_carrier(ws, flags, "rel2", default=name1)
         map_name, eta = _pick_map(ws, flags)
         report = first_iso_harness(eta, group, rel1, group, rel2, max_size=scan)
         extra = {"relation": name1, "relation2": name2, "map": map_name}
@@ -563,17 +581,11 @@ VERBS: dict[str, Verb] = {
     ),
     "topology": Verb(_cmd_topology, ("--rel",)),
     "pcont": Verb(_cmd_pcont, ("--rel", "--rel2", "--map", "--iso")),
-    "group-check": Verb(
-        _cmd_group_check, ("--rel",), classes=AXIOM_CHECKS, default_class="efremovic"
-    ),
+    "group-check": Verb(_cmd_group_check, ("--rel",)),
     "translations": Verb(_cmd_translations, ("--rel",)),
-    "subgroup": Verb(
-        _cmd_subgroup, ("--rel", "--subset"), required=("--subset",),
-        classes=AXIOM_CHECKS, default_class="efremovic",
-    ),
-    "product": Verb(
-        _cmd_product, ("--rel", "--rel2"), classes=AXIOM_CHECKS, default_class="efremovic"
-    ),
+    "subgroup": Verb(_cmd_subgroup, ("--rel", "--subset"), required=("--subset",)),
+    # verified factors are Cech, so the product reads no table
+    "product": Verb(_cmd_product, ("--rel", "--rel2"), max_n=False),
     "hom-check": Verb(_cmd_hom_check, ("--rel", "--rel2", "--map", "--iso", "--criterion")),
     "quotient": Verb(_cmd_quotient, ("--rel", "--normal")),
     "iso-theorems": Verb(

@@ -40,9 +40,10 @@ from .groups import (
     check_translations,
     coset_partition,
     hom_criterion_check,
+    is_proximal_group,
     normal_subgroups,
     product_proximal_group,
-    subgroup_proximal_group,
+    subgroup_group,
 )
 from .harnesses import (
     first_iso_harness,
@@ -58,6 +59,7 @@ from .relations import (
     make_coarse_proximity,
     make_discrete_proximity,
     relation_from_point_pairs,
+    subspace_proximity,
 )
 from .spaces import MAX_CARRIER, FiniteSpace, bits, default_space, memo
 
@@ -359,8 +361,7 @@ class FuzzOutcome:
 def _relations_for(space: FiniteSpace, classes: Sequence[str]) -> Iterator[tuple[str, ProximityRelation]]:
     """(source name, relation) pairs on ``space``, which is
     ``default_space(n)``: the enumerated classes are built there, and so is
-    every catalog group.  :func:`_axiom_class` maps each source name to the
-    axiom class its structures are verified against."""
+    every catalog group."""
     for cls in classes:
         if cls == "discrete":
             yield "discrete", make_discrete_proximity(space)
@@ -375,13 +376,14 @@ def _relations_for(space: FiniteSpace, classes: Sequence[str]) -> Iterator[tuple
 
 def _axiom_class(source: str) -> str:
     """efremovic for the discrete and coarse constructors, ``cls`` for the
-    enumerated source ``cls[i]``."""
-    if source in ("discrete", "coarse"):
-        return "efremovic"
-    cls = source.partition("[")[0]
-    if cls not in RELATION_CLASSES:
-        raise ValueError(f"unknown relation class {source!r}")
-    return cls
+    enumerated source ``cls[i]``.
+
+    Only :func:`_product_instances` reads it, to pair structures whose
+    sources share a class; that pairing fixes the product sweep's instances.
+    No verdict depends on it (see :func:`groups.is_proximal_group`).  The
+    sources are those :func:`_relations_for` accepted.
+    """
+    return "efremovic" if source in ("discrete", "coarse") else source.partition("[")[0]
 
 
 _GROUP_KEYS = ("group", "group2")
@@ -476,14 +478,10 @@ def _coset_relations(g: FiniteGroup, axiom_class: str) -> list[tuple[str, Proxim
 
     * Each relation of the stream is the Cech extension of its point
       relation P (:func:`enumerate_relations`), and by
-      :func:`groups._mu1_check` mu1 holds on it exactly when P relates a to
-      the members of aN for a normal subgroup N.
+      :func:`groups.is_proximal_group` it makes g a proximal group exactly
+      when P relates a to the members of aN for a normal subgroup N.
     * Such a P is an equivalence, so its extension is Lodato and Efremovic
       as well as Cech and lies in every stream.
-    * mu2 holds on it: a P b means b is in aN, so b^-1 is in
-      (aN)^-1 = N a^-1 = a^-1 N, that is a^-1 P b^-1; and A is near B
-      exactly when some a in A and b in B have a P b, so A^-1 is then near
-      B^-1.
     * Distinct normal subgroups have distinct coset partitions.
 
     So these are exactly the relations the filter keeps, with no checker
@@ -644,17 +642,13 @@ def _translations_hold(i: dict) -> bool:
 
 
 def _subgroup_holds(i: dict) -> bool:
-    g = i["group"][1]
-    return subgroup_proximal_group(
-        g, i["relation"], i["subgroup_mask"], axiom_class=_axiom_class(i["relation_class"])
-    ).ok
+    g, h = i["group"][1], i["subgroup_mask"]
+    return is_proximal_group(subgroup_group(g, h), subspace_proximity(i["relation"], h))
 
 
 def _product_holds(i: dict) -> bool:
     g1, g2 = i["group"][1], i["group2"][1]
-    return product_proximal_group(
-        g1, i["relation"], g2, i["relation2"], axiom_class=_axiom_class(i["relation_class"])
-    ).ok
+    return product_proximal_group(g1, i["relation"], g2, i["relation2"]).ok
 
 
 def _first_iso_holds(i: dict) -> bool:

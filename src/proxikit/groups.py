@@ -12,9 +12,7 @@ from typing import Sequence
 from .axioms import (
     SCAN_CAP,
     AxiomReport,
-    check_cech,
     check_efremovic,
-    check_lodato,
     first_chain_violation,
     require_scan_size,
 )
@@ -25,12 +23,6 @@ from .relations import (
     subspace_proximity,
 )
 from .spaces import FiniteSpace, bits, default_space, image, memo, product_space, union_table
-
-AXIOM_CHECKS = {
-    "cech": check_cech,
-    "lodato": check_lodato,
-    "efremovic": check_efremovic,
-}
 
 
 @dataclass(frozen=True)
@@ -471,33 +463,50 @@ def _mu2_check(g: FiniteGroup, rel: ProximityRelation, max_size: int) -> Check:
     return Check(report.verdicts["pcont"], report.witnesses.get("pcont"))
 
 
-def check_proximal_group(
-    g: FiniteGroup,
-    rel: ProximityRelation,
-    *,
-    axiom_class: str = "efremovic",
-    max_size: int = SCAN_CAP,
-) -> ProximalGroupReport:
-    """Verify (G, rel) as a proximal group.
+def is_proximal_group(g: FiniteGroup, rel: ProximityRelation) -> bool:
+    """Whether (G, rel) is a proximal group: rel is an Efremovic proximity
+    and subset multiplication (mu1) and inversion (mu2) are proximally
+    continuous.  Decided on the point relation P in O(n*|N|) plus one
+    memoized normality test, and kept on ``rel`` (see :func:`spaces.memo`).
 
-    Runs the requested axiom class on the relation, rectangle continuity of
-    subset multiplication, and continuity of subset inversion.
+    It holds exactly when rel is Cech and P is the coset partition of a
+    normal subgroup N, by four steps:
 
-    The class shapes the report but not its verdict: ``ok`` is the same for
-    all three classes.  Every class includes L1-L4, which together say the
-    table is Cech.  On a table that is not Cech, L1-L4 fail under every
-    class.  On a Cech table with point relation P, mu1 holds exactly when P
-    is the coset partition of a normal subgroup (see :func:`_mu1_check`), so
-    a passing mu1 makes P transitive, and then L5 and EF hold (see
-    ``axioms.check_lodato`` and ``axioms.check_efremovic``).  So callers
-    that need only the verdict pass no class.
+    1. L1-L4 hold exactly when P exists (``rel.point_graph``), so a table
+       that is not Cech fails, under every axiom class.
+    2. On a Cech table mu1 holds exactly when N = P[e] is a normal subgroup
+       and P[a] = aN for every a (:func:`_mu1_check`).
+    3. Then P is an equivalence, so transitive, and L5 and EF hold (see
+       ``axioms.check_lodato`` and ``axioms.check_efremovic``).
+    4. mu2 holds: a P b means b is in aN, so b^-1 is in
+       (aN)^-1 = N a^-1 = a^-1 N, that is a^-1 P b^-1; and A is near B
+       exactly when some a in A and b in B have a P b, so A^-1 is then near
+       B^-1.
+
+    So the verdict is the same under the Cech, Lodato and Efremovic axioms.
     """
-    if axiom_class not in AXIOM_CHECKS:
-        known = ", ".join(AXIOM_CHECKS)
-        raise ValueError(f"unknown axiom class {axiom_class!r}; known classes: {known}")
+
+    def build() -> bool:
+        if g.space != rel.space:
+            raise ValueError("group and relation carriers do not match")
+        return rel.point_graph is not None and _coset_mu1(g, rel.point_graph)
+
+    return memo(rel, ("proximal_group", g), build)
+
+
+def check_proximal_group(
+    g: FiniteGroup, rel: ProximityRelation, *, max_size: int = SCAN_CAP
+) -> ProximalGroupReport:
+    """Verify (G, rel) as a proximal group, with a witness for each failure.
+
+    Runs the Efremovic axioms (L1-L4 and EF) on the relation, rectangle
+    continuity of subset multiplication, and continuity of subset
+    inversion.  ``ok`` equals :func:`is_proximal_group`, which callers that
+    need only the verdict use.
+    """
     if g.space != rel.space:
         raise ValueError("group and relation carriers do not match")
-    axioms = AXIOM_CHECKS[axiom_class](rel, max_size=max_size)
+    axioms = check_efremovic(rel, max_size=max_size)
     mu1 = _mu1_check(g, rel, max_size)
     mu2 = _mu2_check(g, rel, max_size)
     return ProximalGroupReport(axioms, mu1, mu2)
@@ -610,26 +619,18 @@ def hom_criterion_check(
     rel1: ProximityRelation,
     g2: FiniteGroup,
     rel2: ProximityRelation,
-    *,
-    max_size: int = SCAN_CAP,
 ) -> HomCriterionReport:
     """Test: if B near {e1} forces eta(B) near {e2}, then eta is pcont.
 
-    Requires eta to be a group homomorphism between verified proximal groups.
-    Each structure is verified once per group, under any class, since the
-    verdict does not depend on it (see :func:`check_proximal_group`), and
-    the verdict is kept on its relation (see :func:`spaces.memo`);
-    ``max_size`` caps the scans of the verifications and of the pcont check
-    that run.
+    Requires eta to be a group homomorphism between verified proximal groups
+    (:func:`is_proximal_group`).  Verified structures are Cech, so the pcont
+    check reads their point relations and no scan cap applies.
     """
     hom_witness = homomorphism_violation(eta, g1, g2)
     if hom_witness is not None:
         raise ValueError(f"map is not a group homomorphism at {hom_witness}")
     for name, (g, rel) in (("domain", (g1, rel1)), ("codomain", (g2, rel2))):
-        ok = memo(rel, ("proximal_group", g), lambda: check_proximal_group(
-            g, rel, max_size=max_size
-        ).ok)
-        if not ok:
+        if not is_proximal_group(g, rel):
             raise ValueError(f"{name} structure is not a verified proximal group")
     e1 = 1 << g1.identity
     e2 = 1 << g2.identity
@@ -638,7 +639,7 @@ def hom_criterion_check(
         if rel1.near(b, e1) and not rel2.near(eta.image_mask(b), e2):
             hypothesis = Check(False, (b, e1))
             break
-    pcont = check_pcont(eta, rel1, rel2, max_size=max_size)
+    pcont = check_pcont(eta, rel1, rel2)
     conclusion = Check(pcont.verdicts["pcont"], pcont.witnesses.get("pcont"))
     return HomCriterionReport(hypothesis, conclusion)
 
@@ -680,13 +681,11 @@ def subgroup_proximal_group(
     rel: ProximityRelation,
     h: int,
     *,
-    axiom_class: str = "efremovic",
     max_size: int = SCAN_CAP,
 ) -> ProximalGroupReport:
     """Run the proximal-group check on a subgroup with the subspace relation."""
     return check_proximal_group(
-        subgroup_group(g, h), subspace_proximity(rel, h, max_size=max_size),
-        axiom_class=axiom_class, max_size=max_size,
+        subgroup_group(g, h), subspace_proximity(rel, h, max_size=max_size), max_size=max_size
     )
 
 
@@ -730,22 +729,17 @@ def quotient_proximal_group(
 
 
 def product_proximal_group(
-    g1: FiniteGroup,
-    rel1: ProximityRelation,
-    g2: FiniteGroup,
-    rel2: ProximityRelation,
-    *,
-    axiom_class: str = "efremovic",
-    max_size: int = SCAN_CAP,
+    g1: FiniteGroup, rel1: ProximityRelation, g2: FiniteGroup, rel2: ProximityRelation
 ) -> ProximalGroupReport:
     """Direct product with the rectangle product proximity.
 
-    Both factors must already verify as proximal groups, and then the
-    product is one: the report has every axiom of the class and mu1 and
-    mu2 passing.  Product-carrier subsets enter only as rectangles, and two
-    rectangles are near exactly when both factor pairs are near.
+    Both factors must already verify as proximal groups
+    (:func:`is_proximal_group`), and then the product is one: the report
+    has L1-L4, EF, mu1 and mu2 passing.  Product-carrier subsets enter only
+    as rectangles, and two rectangles are near exactly when both factor
+    pairs are near.
 
-    * Each class verdict is the conjunction of the factors' verdicts, and
+    * Each axiom verdict is the conjunction of the factors' verdicts, and
       both factors pass.
     * mu1: a rectangle-of-rectangle violation needs all four factor pairs
       near, so it splits by which coordinate breaks into a far product pair
@@ -755,8 +749,7 @@ def product_proximal_group(
       C1^-1 x C2^-1 are near.
     """
     for name, (g, rel) in (("first", (g1, rel1)), ("second", (g2, rel2))):
-        report = check_proximal_group(g, rel, axiom_class=axiom_class, max_size=max_size)
-        if not report.ok:
+        if not is_proximal_group(g, rel):
             raise ValueError(f"{name} factor is not a verified proximal group")
-    verdicts = dict.fromkeys(report.is_proximity.verdicts, True)
+    verdicts = dict.fromkeys(("L1", "L2", "L3", "L4", "EF"), True)
     return ProximalGroupReport(AxiomReport(verdicts), Check(True), Check(True))

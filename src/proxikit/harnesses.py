@@ -23,6 +23,7 @@ from .groups import (
     check_translations,
     direct_product_group,
     homomorphism_violation,
+    is_proximal_group,
     normality_violation,
     quotient_group,
     quotient_proximal_group,
@@ -319,16 +320,10 @@ class HausdorffReport:
         return self.t1 == self.identity_closed
 
 
-def hausdorff_check(
-    g: FiniteGroup,
-    rel: ProximityRelation,
-    *,
-    max_size: int = SCAN_CAP,
-) -> HausdorffReport:
-    """T1 versus closed-identity readings on a verified proximal group; the
-    verdict does not depend on the axiom class (see
-    :func:`check_proximal_group`)."""
-    if not check_proximal_group(g, rel, max_size=max_size).ok:
+def hausdorff_check(g: FiniteGroup, rel: ProximityRelation) -> HausdorffReport:
+    """T1 versus closed-identity readings on a verified proximal group
+    (:func:`is_proximal_group`)."""
+    if not is_proximal_group(g, rel):
         raise ValueError("input is not a verified proximal group")
     t1 = all(closure(rel, 1 << x) == 1 << x for x in range(g.order))
     e = 1 << g.identity

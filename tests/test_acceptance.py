@@ -176,12 +176,12 @@ def test_criterion_07_t1_equals_identity_closure():
     with criterion(7, "T1 iff identity closed"):
         checked = 0
         for _, g in all_groups_up_to(4):
-            pools = [("cech", rel) for rel in enumerate_relations(g.order, "cech")]
-            pools.append(("efremovic", make_discrete_proximity(g.space)))
-            pools.append(("efremovic", make_coarse_proximity(g.space)))
-            for axiom_class, rel in pools:
+            pools = list(enumerate_relations(g.order, "cech"))
+            pools.append(make_discrete_proximity(g.space))
+            pools.append(make_coarse_proximity(g.space))
+            for rel in pools:
                 rel = ProximityRelation(g.space, rel.rows, rel.provenance)
-                if not check_proximal_group(g, rel, axiom_class=axiom_class).ok:
+                if not check_proximal_group(g, rel).ok:
                     continue
                 report = hausdorff_check(g, rel)
                 assert report.readings_agree

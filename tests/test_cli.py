@@ -516,11 +516,76 @@ def test_iso_theorems_non_surjective_map_reports_witness():
 
 
 @pytest.mark.parametrize("verb", ["group-check", "subgroup", "product"])
-def test_unknown_class_is_a_flags_error(verb):
-    ws = parse_workspace((FIXTURES / "z2_first_iso.json").read_text())
-    message = r"--class must be one of \['cech', 'efremovic', 'lodato'\]"
+def test_unknown_class_is_a_flags_error(verb, capsys):
+    # the proximal-group verdict is the same under every class, so these
+    # verbs take no --class; check-axioms still checks the one it is given
+    document = FIXTURES / "z2_first_iso.json"
+    subset = ["--subset", "1"] if verb == "subgroup" else []
+    with pytest.raises(SystemExit) as exc:
+        main([verb, str(document), "--rel", "d", *subset, "--class", "lodato"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --class lodato" in capsys.readouterr().err
+    ws = parse_workspace(document.read_text())
+    message = r"--class must be one of \['cech', 'efremovic', 'kuratowski', 'lodato'\]"
     with pytest.raises(WorkspaceError, match=message):
-        run_command(verb, ws, {"rel": "d", "subset": 1, "axiom_class": "foo"})
+        run_command("check-axioms", ws, {"rel": "d", "axiom_class": "foo"})
+
+
+# The README's example document: ``s`` is the subspace of ``d`` on {a, b}.
+SUBSPACE_DOCUMENT = {
+    "space": {"labels": ["a", "b", "c", "d"]},
+    "relations": {
+        "d": {"encoding": "discrete"},
+        "s": {"encoding": "subspace", "parent": "d", "subset": 3},
+    },
+    "group": {"cayley": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], "identity": 0},
+    "maps": {"id": {"images": [0, 1, 2, 3]}},
+    "partition": {"blocks": [[0, 2], [1, 3]]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pcont", "--rel", "s"],
+        ["group-check", "--rel", "s"],
+        ["translations", "--rel", "s"],
+        ["subgroup", "--rel", "s", "--subset", "5"],
+        ["product", "--rel", "s"],
+        ["hom-check", "--rel", "s"],
+        ["quotient", "--rel", "s"],
+        ["quotient", "--rel", "s", "--normal", "5"],
+        ["iso-theorems", "--which", "first", "--rel", "s"],
+        ["iso-theorems", "--which", "second", "--rel", "s", "--subset", "5", "--normal", "5"],
+        ["iso-theorems", "--which", "third", "--rel", "s", "--normal", "5", "--normal2", "15"],
+        ["pcont", "--rel", "d", "--rel2", "s"],
+        ["hom-check", "--rel", "d", "--rel2", "s"],
+        ["hom-check", "--rel", "d", "--rel2", "s", "--criterion"],
+        ["product", "--rel", "d", "--rel2", "s"],
+        ["iso-theorems", "--which", "first", "--rel", "d", "--rel2", "s"],
+    ],
+    ids=" ".join,
+)
+def test_a_relation_off_the_document_carrier_exits_2_naming_it(argv, tmp_path, capsys):
+    # these verbs read the relation with the document's group, partition,
+    # masks or maps, which all live on the four-point carrier
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(SUBSPACE_DOCUMENT))
+    assert main([argv[0], str(doc), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: relations.s: relation is on a carrier of size 2,"
+        " but this verb reads it with the document carrier of size 4\n"
+    )
+
+
+@pytest.mark.parametrize("verb", ["check-axioms", "topology"])
+def test_verbs_that_read_a_relation_alone_take_a_subspace_relation(verb, tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(SUBSPACE_DOCUMENT))
+    assert main([verb, str(doc), "--rel", "s"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_readme_lists_the_verb_table_in_order():

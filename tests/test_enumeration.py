@@ -37,7 +37,6 @@ from proxikit.enumeration import (
     THEOREMS,
     VIOLATIONS,
     FuzzScope,
-    _axiom_class,
     _structures,
     instance_from_payload,
     instance_payload,
@@ -504,10 +503,7 @@ def _filtered_structures(scope: FuzzScope) -> Iterator[dict]:
     checking every one: the reference for :func:`_verified_structures`."""
     for s in _structures(scope):
         g = s["group"][1]
-        report = check_proximal_group(
-            g, s["relation"], axiom_class=_axiom_class(s["relation_class"])
-        )
-        if report.ok:
+        if check_proximal_group(g, s["relation"]).ok:
             yield s
 
 
@@ -607,9 +603,7 @@ def test_isomorphism_sweeps_draw_only_verified_structures(theorem):
         live = instance_from_payload(instance)
         for group_key, relation_key in (("group", "relation"), ("group2", "relation2")):
             if group_key in live:
-                assert groups.check_proximal_group(
-                    live[group_key][1], live[relation_key], axiom_class="cech"
-                ).ok
+                assert groups.check_proximal_group(live[group_key][1], live[relation_key]).ok
     if theorem == "second-isomorphism-theorem":
         sources = {(i["group"]["name"], i["relation_class"]) for i in outcome.counterexamples}
         assert sources == {("V4", "cech[12]"), ("V4", "cech[18]"), ("V4", "cech[33]")}
@@ -626,13 +620,13 @@ sys.path.insert(0, {src!r})
 from proxikit import fuzz_theorem, groups
 
 calls = []
-check = groups.check_proximal_group
+check = groups._coset_mu1
 
 def spy(*args, **kwargs):
     calls.append(args)
     return check(*args, **kwargs)
 
-groups.check_proximal_group = spy
+groups._coset_mu1 = spy
 for _ in range(2):
     before = len(calls)
     outcome = fuzz_theorem("hom-criterion-implies-pcont")
@@ -644,7 +638,8 @@ def test_hom_criterion_sweep_verifies_each_structure_once():
     # The relations live on the catalog groups and each verdict on its
     # relation for the whole process, so only a fresh process shows the
     # first sweep: it verifies the discrete and coarse relation on 5
-    # groups, and a second sweep verifies nothing.
+    # groups, one coset test each (groups.is_proximal_group), and a second
+    # sweep verifies nothing.
     src = str(Path(proxikit.__file__).resolve().parent.parent)
     code = _COUNT_HOM_CRITERION_VERIFICATIONS.format(src=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -718,33 +713,6 @@ def test_every_instance_replays_through_the_sweep_verdict(theorem):
         payload = json.loads(json.dumps(instance_payload(instance)))
         assert instance_payload(instance_from_payload(payload)) == payload
         assert replay_counterexample(theorem, payload) is (not entry.holds(instance))
-
-
-@pytest.mark.parametrize(
-    "source, axiom_class",
-    [
-        ("discrete", "efremovic"),
-        ("coarse", "efremovic"),
-        ("cech", "cech"),
-        ("lodato", "lodato"),
-        ("efremovic", "efremovic"),
-    ],
-)
-def test_replay_verifies_against_the_sweeps_axiom_class(source, axiom_class, monkeypatch):
-    seen = []
-    check = enumeration.subgroup_proximal_group
-
-    def spy(*args, axiom_class, **kwargs):
-        seen.append(axiom_class)
-        return check(*args, axiom_class=axiom_class, **kwargs)
-
-    monkeypatch.setattr(enumeration, "subgroup_proximal_group", spy)
-    entry = THEOREMS["subgroups-inherit-proximal-group"]
-    instance = next(entry.instances(FuzzScope(2, (source,))))
-    assert not replay_counterexample(
-        "subgroups-inherit-proximal-group", instance_payload(instance)
-    )
-    assert seen == [axiom_class]
 
 
 def test_fuzz_outcomes_deterministic():

@@ -16,6 +16,9 @@ from proxikit import (
     all_groups_up_to,
     bits,
     all_subgroups,
+    check_cech,
+    check_efremovic,
+    check_lodato,
     check_proximal_group,
     check_proximal_homomorphism,
     check_translations,
@@ -28,6 +31,7 @@ from proxikit import (
     hom_criterion_check,
     identity_map,
     invertible_subsets,
+    is_proximal_group,
     make_coarse_proximity,
     make_discrete_proximity,
     normal_subgroups,
@@ -50,7 +54,9 @@ from proxikit.groups import (
     subset_product_table,
     translation_map,
 )
+from proxikit.enumeration import RELATION_CLASSES, _coset_relations
 from proxikit.maps import check_pcont
+from proxikit.spaces import image
 
 Z4 = cyclic_group(4)
 D4 = make_discrete_proximity(Z4.space)
@@ -202,54 +208,63 @@ def test_mu1_witness_is_genuine():
 
 
 def test_carrier_mismatch_rejected():
-    with pytest.raises(ValueError, match="carriers"):
-        check_proximal_group(Z4, make_discrete_proximity(default_space(3)))
-
-
-def test_unknown_axiom_class_is_a_value_error_naming_the_classes():
-    z2 = cyclic_group(2)
-    d = make_discrete_proximity(z2.space)
-    calls = [
-        lambda: check_proximal_group(Z4, D4, axiom_class="foo"),
-        lambda: subgroup_proximal_group(Z4, D4, 0b0101, axiom_class="foo"),
-        lambda: product_proximal_group(z2, d, z2, d, axiom_class="foo"),
-    ]
-    message = "unknown axiom class 'foo'; known classes: cech, lodato, efremovic"
-    for call in calls:
-        with pytest.raises(ValueError, match=message):
-            call()
+    for check in (check_proximal_group, is_proximal_group):
+        with pytest.raises(ValueError, match="group and relation carriers do not match"):
+            check(Z4, make_discrete_proximity(default_space(3)))
 
 
 def test_verdict_only_checks_take_no_axiom_class():
-    # their verdict does not depend on the class (check_proximal_group)
-    calls = [
-        lambda: hom_criterion_check(identity_map(Z4.space), Z4, D4, Z4, D4, axiom_class="foo"),
-        lambda: proxikit.hausdorff_check(Z4, D4, axiom_class="foo"),
-    ]
-    for call in calls:
-        with pytest.raises(TypeError, match="axiom_class"):
-            call()
+    # the verdict does not depend on the class (is_proximal_group), and the
+    # checks that read only the verdict reach no capped read
+    z2 = cyclic_group(2)
+    d = make_discrete_proximity(z2.space)
+    calls = {
+        "axiom_class": [
+            lambda: check_proximal_group(Z4, D4, axiom_class="cech"),
+            lambda: subgroup_proximal_group(Z4, D4, 0b0101, axiom_class="cech"),
+            lambda: product_proximal_group(z2, d, z2, d, axiom_class="cech"),
+            lambda: hom_criterion_check(identity_map(Z4.space), Z4, D4, Z4, D4, axiom_class="cech"),
+            lambda: proxikit.hausdorff_check(Z4, D4, axiom_class="cech"),
+        ],
+        "max_size": [
+            lambda: product_proximal_group(z2, d, z2, d, max_size=8),
+            lambda: hom_criterion_check(identity_map(Z4.space), Z4, D4, Z4, D4, max_size=8),
+            lambda: proxikit.hausdorff_check(Z4, D4, max_size=8),
+        ],
+    }
+    for keyword, keyword_calls in calls.items():
+        for call in keyword_calls:
+            with pytest.raises(TypeError, match=keyword):
+                call()
 
 
 def test_proximal_group_verdict_does_not_depend_on_the_class():
-    # every Cech relation and 40 arbitrary tables per group of order <= 4
+    # every Cech relation and 40 arbitrary tables per group of order <= 4,
+    # and discrete, coarse and every class's coset relations up to order 8:
+    # the verdict is the report's, and the same under each axiom class
     rng = random.Random(0)
-    checked = 0
-    for name, g in all_groups_up_to(4):
-        m = g.space.n_subsets
-        tables = list(enumerate_relations(g.order, "cech"))
-        tables += [
-            ProximityRelation(g.space, tuple(rng.getrandbits(m) for _ in range(m)))
-            for _ in range(40)
-        ]
+    checked = passed = 0
+    for name, g in all_groups_up_to(8):
+        tables = [make_discrete_proximity(g.space), make_coarse_proximity(g.space)]
+        tables += [rel for cls in RELATION_CLASSES for _, rel in _coset_relations(g, cls)]
+        if g.order <= 4:
+            m = g.space.n_subsets
+            tables += enumerate_relations(g.order, "cech")
+            tables += [
+                ProximityRelation(g.space, tuple(rng.getrandbits(m) for _ in range(m)))
+                for _ in range(40)
+            ]
         for rel in tables:
-            verdicts = {
-                klass: check_proximal_group(g, rel, axiom_class=klass).ok
-                for klass in ("cech", "lodato", "efremovic")
-            }
-            assert len(set(verdicts.values())) == 1, (name, rel.rows, verdicts)
+            verdict = is_proximal_group(g, rel)
+            report = check_proximal_group(g, rel)
+            assert report.ok is verdict, (name, rel.rows)
+            mu = report.mu1_pcont.ok and report.mu2_pcont.ok
+            for axioms in (check_cech, check_lodato, check_efremovic):
+                assert (axioms(rel).ok and mu) is verdict, (name, rel.rows, axioms)
             checked += 1
-    assert checked == 339
+            passed += verdict
+    # the 339 relations of order <= 4, of which 13 pass, and 220 built to pass
+    assert (checked, passed) == (559, 233)
 
 
 # --- translations ---------------------------------------------------------
@@ -265,6 +280,54 @@ def test_identity_translations_trivial():
 
 def test_z4_all_translations_pass():
     assert check_translations(Z4, D4).ok
+
+
+def cayley_relations(g):
+    """(S, the Cech extension of P[a] = aS) for every S that holds e and is
+    closed under inverses and under conjugation, by ascending mask."""
+    columns = list(zip(*g.cayley))
+    return [
+        (s, relation_from_point_pairs(g.space, [image(row, s) for row in g.cayley], "explicit"))
+        for s in range(1, g.space.n_subsets)
+        if (s >> g.identity) & 1
+        and image(g.inverse, s) == s
+        and all(image(row, s) == image(column, s) for row, column in zip(g.cayley, columns))
+    ]
+
+
+CAYLEY_COUNTS = {
+    "Z1": 1, "Z2": 2, "Z3": 2, "Z4": 4, "V4": 8, "Z5": 4, "Z6": 8, "S3": 4,
+    "Z7": 8, "Z8": 16, "Z4xZ2": 32, "Z2xZ2xZ2": 128, "D4": 16, "Q8": 16,
+}
+
+
+def test_on_cayley_relations_a_proximal_group_is_a_subgroup():
+    # README "Findings": every translation is a proximal isomorphism, and
+    # the proximal-group check and L5 each pass exactly when S is a subgroup
+    counts, subgroups = {}, 0
+    for name, g in all_groups_up_to(8):
+        relations = cayley_relations(g)
+        counts[name] = len(relations)
+        for s, rel in relations:
+            is_subgroup = s in all_subgroups(g)
+            assert check_translations(g, rel).ok, (name, s)
+            assert check_proximal_group(g, rel).ok is is_subgroup, (name, s)
+            assert is_proximal_group(g, rel) is is_subgroup, (name, s)
+            assert check_lodato(rel).ok is is_subgroup, (name, s)
+            subgroups += is_subgroup
+    assert counts == CAYLEY_COUNTS
+    assert (sum(counts.values()), subgroups) == (249, 64)
+
+
+def test_translations_pass_exactly_on_the_cayley_relations():
+    # every Cech relation on the catalog groups of order <= 4
+    checked = 0
+    for name, g in all_groups_up_to(4):
+        cayley = {rel.point_graph for _, rel in cayley_relations(g)}
+        for rel in enumerate_relations(g.order, "cech"):
+            assert check_translations(g, rel).ok is (rel.point_graph in cayley), (name, rel.rows)
+            checked += 1
+    assert checked == 139
 
 
 def test_translation_and_homomorphism_scans_obey_max_size():
@@ -310,8 +373,7 @@ COSET12 = relation_from_point_pairs(
     ids=["discrete", "coarse", "coset"],
 )
 def test_passing_order_twelve_structures_need_no_max_size(rel):
-    for axiom_class in ("cech", "lodato", "efremovic"):
-        assert check_proximal_group(Z12, rel, axiom_class=axiom_class).ok
+    assert check_proximal_group(Z12, rel).ok and is_proximal_group(Z12, rel)
     assert check_translations(Z12, rel).ok
 
 
@@ -344,7 +406,7 @@ def test_failing_order_twelve_translations_need_no_max_size():
 
 
 def test_failing_order_twelve_proximal_group_needs_no_max_size():
-    report = check_proximal_group(Z12, point_graph12((0, 1)), axiom_class="lodato")
+    report = check_proximal_group(Z12, point_graph12((0, 1)))
     assert report.is_proximity.ok
     assert report.mu1_pcont == Check(False, (1, 1, 2, 2))
     assert report.mu2_pcont == Check(False, (1, 2))
@@ -453,7 +515,7 @@ def test_products_of_verified_factors_pass_on_the_product_group():
         (g, rel)
         for _, g in all_groups_up_to(3)
         for rel in enumerate_relations(g.order, "cech")
-        if g.order > 1 and check_proximal_group(g, rel, axiom_class="cech").ok
+        if g.order > 1 and is_proximal_group(g, rel)
     ]
     pairs = 0
     for g1, rel1 in structures:
@@ -478,8 +540,8 @@ def test_products_of_verified_factors_pass_on_the_product_group():
                 assert (subset_inverse(g, b1), subset_inverse(g, c1)) in near
                 for b2, c2 in near:
                     assert (products[b1][b2], products[c1][c2]) in near
-            report = product_proximal_group(g1, rel1, g2, rel2, axiom_class="cech")
-            assert report.ok and set(report.is_proximity.verdicts) == {"L1", "L2", "L3", "L4"}
+            report = product_proximal_group(g1, rel1, g2, rel2)
+            assert report.ok and set(report.is_proximity.verdicts) == {"L1", "L2", "L3", "L4", "EF"}
             pairs += 1
     assert pairs == 12
 
@@ -533,14 +595,17 @@ def test_hom_criterion_discrete_to_coarse():
 
 
 def test_hom_criterion_verifies_each_structure_once(monkeypatch):
+    # is_proximal_group computes a verdict once per (relation, group) and
+    # keeps it on the relation; each computation on a Cech table runs one
+    # coset test
     calls = []
-    check = groups.check_proximal_group
+    check = groups._coset_mu1
 
     def spy(*args, **kwargs):
         calls.append(args)
         return check(*args, **kwargs)
 
-    monkeypatch.setattr(groups, "check_proximal_group", spy)
+    monkeypatch.setattr(groups, "_coset_mu1", spy)
     z3 = cyclic_group(3)
     eta = identity_map(z3.space)
     d3, c3 = make_discrete_proximity(z3.space), make_coarse_proximity(z3.space)

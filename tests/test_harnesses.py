@@ -327,7 +327,7 @@ def test_hausdorff_rejects_unverified():
 def test_hausdorff_readings_agree_on_all_verified_structures():
     for _, g in all_groups_up_to(4):
         for rel in enumerate_relations(g.order, "cech"):
-            if check_proximal_group(g, rel, axiom_class="cech").ok:
+            if check_proximal_group(g, rel).ok:
                 assert hausdorff_check(g, rel).readings_agree
 
 
