@@ -386,21 +386,20 @@ def _cmd_iso_theorems(ws, flags):
     group = _need_group(ws)
     which = flags.get("which") or "first"
     name1, rel1 = _pick_on_carrier(ws, flags, "rel")
-    scan = _scan_size(flags)
     if which == "first":
         name2, rel2 = _pick_on_carrier(ws, flags, "rel2", default=name1)
         map_name, eta = _pick_map(ws, flags)
-        report = first_iso_harness(eta, group, rel1, group, rel2, max_size=scan)
+        report = first_iso_harness(eta, group, rel1, group, rel2)
         extra = {"relation": name1, "relation2": name2, "map": map_name}
     elif which == "second":
         h = _need_mask(flags, "subset", ws.space)
         n = _need_mask(flags, "normal", ws.space)
-        report = second_iso_harness(group, rel1, h, n, max_size=scan)
+        report = second_iso_harness(group, rel1, h, n)
         extra = {"relation": name1, "subgroup_mask": h, "normal_mask": n}
     elif which == "third":
         n = _need_mask(flags, "normal", ws.space)
         k = _need_mask(flags, "normal2", ws.space)
-        report = third_iso_harness(group, rel1, n, k, max_size=scan)
+        report = third_iso_harness(group, rel1, n, k)
         extra = {"relation": name1, "normal_mask": n, "containing_mask": k}
     else:
         raise WorkspaceError("flags", "--which must be first, second, or third")
@@ -588,9 +587,11 @@ VERBS: dict[str, Verb] = {
     "product": Verb(_cmd_product, ("--rel", "--rel2"), max_n=False),
     "hom-check": Verb(_cmd_hom_check, ("--rel", "--rel2", "--map", "--iso", "--criterion")),
     "quotient": Verb(_cmd_quotient, ("--rel", "--normal")),
+    # the isomorphism harnesses take verified proximal groups, which are Cech
     "iso-theorems": Verb(
         _cmd_iso_theorems,
         ("--which", "--rel", "--rel2", "--map", "--subset", "--normal", "--normal2"),
+        max_n=False,
     ),
     "descriptive-check": Verb(_cmd_descriptive_check, ("--probes", "--group")),
     # descriptive relations are Cech, so the map-set test runs on points alone
@@ -612,11 +613,18 @@ VERBS: dict[str, Verb] = {
 def run_command(verb: str, ws: WorkspaceDocument | None, flags: Mapping[str, Any] | None = None) -> CommandResult:
     """Run one verb against a parsed workspace; reports are deterministic.
     Every payload carries ``verb`` and ``ok``, and ``witnesses`` when the
-    handler found any; the exit code is 0 on a pass and 1 on a failure."""
+    handler found any; the exit code is 0 on a pass and 1 on a failure.
+    ``flags`` holds only the verb's own flags, keyed as ``main`` parses them."""
     if verb not in VERBS:
         raise WorkspaceError("verb", f"unknown verb {verb!r}; known: {', '.join(VERBS)}")
     spec = VERBS[verb]
     flags = dict(flags or {})
+    declared = {flag[2:].replace("-", "_") for flag in spec.flags}
+    declared |= {"max_n"} if spec.max_n else set()
+    declared |= {"axiom_class"} if spec.classes else set()
+    undeclared = sorted(set(flags) - declared)
+    if undeclared:
+        raise WorkspaceError("flags", f"{verb} takes no flag {undeclared[0]!r}")
     if flags.get("max_n") is not None and flags["max_n"] < 1:
         raise WorkspaceError("flags", f"--max-n must be at least 1, got {flags['max_n']}")
     if spec.document and ws is None:

@@ -494,6 +494,12 @@ def is_proximal_group(g: FiniteGroup, rel: ProximityRelation) -> bool:
     return memo(rel, ("proximal_group", g), build)
 
 
+def _require_proximal_group(g: FiniteGroup, rel: ProximityRelation, what: str) -> None:
+    """Refuse ``what`` unless it is a proximal group (:func:`is_proximal_group`)."""
+    if not is_proximal_group(g, rel):
+        raise ValueError(f"{what} is not a verified proximal group")
+
+
 def check_proximal_group(
     g: FiniteGroup, rel: ProximityRelation, *, max_size: int = SCAN_CAP
 ) -> ProximalGroupReport:
@@ -629,9 +635,8 @@ def hom_criterion_check(
     hom_witness = homomorphism_violation(eta, g1, g2)
     if hom_witness is not None:
         raise ValueError(f"map is not a group homomorphism at {hom_witness}")
-    for name, (g, rel) in (("domain", (g1, rel1)), ("codomain", (g2, rel2))):
-        if not is_proximal_group(g, rel):
-            raise ValueError(f"{name} structure is not a verified proximal group")
+    _require_proximal_group(g1, rel1, "domain structure")
+    _require_proximal_group(g2, rel2, "codomain structure")
     e1 = 1 << g1.identity
     e2 = 1 << g2.identity
     hypothesis = Check(True)
@@ -748,8 +753,7 @@ def product_proximal_group(
       C2, so by mu2 in each factor their inverses A1^-1 x A2^-1 and
       C1^-1 x C2^-1 are near.
     """
-    for name, (g, rel) in (("first", (g1, rel1)), ("second", (g2, rel2))):
-        if not is_proximal_group(g, rel):
-            raise ValueError(f"{name} factor is not a verified proximal group")
+    _require_proximal_group(g1, rel1, "first factor")
+    _require_proximal_group(g2, rel2, "second factor")
     verdicts = dict.fromkeys(("L1", "L2", "L3", "L4", "EF"), True)
     return ProximalGroupReport(AxiomReport(verdicts), Check(True), Check(True))

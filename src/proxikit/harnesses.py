@@ -5,6 +5,10 @@ separately and reports both: a failed hypothesis means the harness abstains
 (the implication holds vacuously), and a satisfied hypothesis with a failed
 conclusion is a counterexample.  Harnesses never assert; callers decide what
 a verdict means.
+
+The isomorphism harnesses rebuild theorems stated for proximal groups, so
+they require verified proximal groups (:func:`~proxikit.groups.is_proximal_group`)
+and raise ``ValueError`` naming the side that is not one.
 """
 from __future__ import annotations
 
@@ -23,15 +27,14 @@ from .groups import (
     check_translations,
     direct_product_group,
     homomorphism_violation,
-    is_proximal_group,
     normality_violation,
     quotient_group,
-    quotient_proximal_group,
     subgroup_group,
     subgroup_violation,
     subset_product,
     _mu1_check,
     _mu2_check,
+    _require_proximal_group,
 )
 from .maps import SpaceMap, check_pcont, check_proximal_isomorphism
 from .relations import ProximityRelation, quotient_proximity, subspace_proximity
@@ -152,14 +155,13 @@ def _iso_report(
     source: tuple[FiniteGroup, ProximityRelation],
     target: tuple[FiniteGroup, ProximityRelation],
     images: list[int],
-    max_size: int,
 ) -> IsoTheoremReport:
     """Report on the theorem's canonical map between its two sides, given by
     images: a bijective group homomorphism, and a proximal isomorphism."""
     (g1, rel1), (g2, rel2) = source, target
     f = SpaceMap(g1.space, g2.space, tuple(images), "canonical")
-    group_iso = homomorphism_violation(f, g1, g2) is None and f.is_bijective()
-    proximal = check_proximal_isomorphism(f, rel1, rel2, max_size=max_size)
+    proximal = check_proximal_isomorphism(f, rel1, rel2)
+    group_iso = proximal.verdicts["bijective"] and homomorphism_violation(f, g1, g2) is None
     return IsoTheoremReport(True, group_iso, proximal, canonical=f)
 
 
@@ -170,7 +172,7 @@ def _containing(blocks: Sequence[int], targets: Sequence[int]) -> list[int]:
 
 
 def _quotient_inside(
-    g: FiniteGroup, rel: ProximityRelation, s: int, m: int, max_size: int
+    g: FiniteGroup, rel: ProximityRelation, s: int, m: int
 ) -> tuple[tuple[FiniteGroup, ProximityRelation], tuple[int, ...]]:
     """S/M for a subgroup S of G and a subgroup M normal in S: its group and
     relation (the quotient of the subspace relation on S), and its elements,
@@ -179,7 +181,8 @@ def _quotient_inside(
 
     The group side, S/M with its blocks on S and in G, is built once per
     (G, S, M) and kept in G's memo; the relation side is the two pullbacks
-    memoized on ``rel``, which ``max_size`` caps.
+    memoized on ``rel``.  On a proximal group both are read off the point
+    relation, so neither reaches a capped scan.
     """
 
     def build() -> tuple[FiniteGroup, tuple[int, ...], tuple[int, ...]]:
@@ -189,8 +192,7 @@ def _quotient_inside(
         return quot, blocks, tuple(image(members, block) for block in blocks)
 
     quot, blocks, in_g = memo(g, ("inside", s, m), build)
-    sub_rel = subspace_proximity(rel, s, max_size=max_size)
-    return (quot, quotient_proximity(sub_rel, blocks, max_size=max_size)), in_g
+    return (quot, quotient_proximity(subspace_proximity(rel, s), blocks)), in_g
 
 
 def first_iso_harness(
@@ -199,19 +201,19 @@ def first_iso_harness(
     rel1: ProximityRelation,
     g2: FiniteGroup,
     rel2: ProximityRelation,
-    *,
-    max_size: int = SCAN_CAP,
 ) -> IsoTheoremReport:
     """Quotient by the kernel and compare with the image structure.
 
-    Requires a proximally continuous group homomorphism; surjectivity is a
-    reported verdict.  The harness is built to exhibit failures of the
-    induced map, not to assert success.
+    Requires a proximally continuous group homomorphism between proximal
+    groups; surjectivity is a reported verdict.  The harness is built to
+    exhibit failures of the induced map, not to assert success.
     """
+    _require_proximal_group(g1, rel1, "domain structure")
+    _require_proximal_group(g2, rel2, "codomain structure")
     hom_witness = homomorphism_violation(eta, g1, g2)
     if hom_witness is not None:
         raise ValueError(f"map is not a group homomorphism at {hom_witness}")
-    if not check_pcont(eta, rel1, rel2, max_size=max_size).ok:
+    if not check_pcont(eta, rel1, rel2).ok:
         raise ValueError("map is not proximally continuous")
     surjective = set(eta.images) == set(range(g2.order))
     if not surjective:
@@ -219,62 +221,50 @@ def first_iso_harness(
         return IsoTheoremReport(
             False, False, AxiomReport({"bijective": False}), 1 << missing
         )
-    kernel = 0
-    for i in range(g1.order):
-        if eta.images[i] == g2.identity:
-            kernel |= 1 << i
-    quot, quot_rel = quotient_proximal_group(g1, rel1, kernel, max_size=max_size)
+    kernel = sum(1 << i for i in range(g1.order) if eta.images[i] == g2.identity)
+    quot, blocks = _quotient_inside(g1, rel1, g1.space.full_mask, kernel)
     # induced map: coset block -> image of any representative
-    blocks = quotient_group(g1, kernel)[1]
     images = [eta.images[min(bits(block))] for block in blocks]
-    return _iso_report((quot, quot_rel), (g2, rel2), images, max_size)
+    return _iso_report(quot, (g2, rel2), images)
 
 
 def second_iso_harness(
-    g: FiniteGroup,
-    rel: ProximityRelation,
-    h: int,
-    n: int,
-    *,
-    max_size: int = SCAN_CAP,
+    g: FiniteGroup, rel: ProximityRelation, h: int, n: int
 ) -> IsoTheoremReport:
     """Compare H/(H intersect N) with HN/N as proximal groups.
 
-    H must be a subgroup and N a normal subgroup.  Both sides are quotients
-    inside G, and the canonical map sends x(H cap N) to the coset xN that
-    holds it.  On the coset relation of a normal subgroup M the map is a
-    proximal isomorphism exactly when HN cap M lies in (H cap M)N; with the
-    discrete or coarse proximity (M = {e} or G) that always holds.
+    (G, rel) must be a proximal group, H a subgroup and N a normal
+    subgroup.  Both sides are quotients inside G, and the canonical map
+    sends x(H cap N) to the coset xN that holds it.  On the coset relation
+    of a normal subgroup M the map is a proximal isomorphism exactly when
+    HN cap M lies in (H cap M)N; with the discrete or coarse proximity
+    (M = {e} or G) that always holds.
     """
+    _require_proximal_group(g, rel, "input")
     reason = subgroup_violation(g, h)
     if reason is not None:
         raise ValueError(f"H: {reason}")
     reason = normality_violation(g, n)
     if reason is not None:
         raise ValueError(f"N: {reason}")
-    if g.space != rel.space:
-        raise ValueError("group and relation carriers do not match")
-    left, left_blocks = _quotient_inside(g, rel, h, h & n, max_size)
-    right, right_blocks = _quotient_inside(g, rel, subset_product(g, h, n), n, max_size)
-    return _iso_report(left, right, _containing(left_blocks, right_blocks), max_size)
+    left, left_blocks = _quotient_inside(g, rel, h, h & n)
+    right, right_blocks = _quotient_inside(g, rel, subset_product(g, h, n), n)
+    return _iso_report(left, right, _containing(left_blocks, right_blocks))
 
 
 def third_iso_harness(
-    g: FiniteGroup,
-    rel: ProximityRelation,
-    n: int,
-    k: int,
-    *,
-    max_size: int = SCAN_CAP,
+    g: FiniteGroup, rel: ProximityRelation, n: int, k: int
 ) -> IsoTheoremReport:
     """Compare (G/N)/(K/N) with G/K as proximal groups, for N inside K.
 
-    K/N, the N-cosets inside K, is the image of K under x -> xN, so a
-    subgroup of G/N, and normal: (xN)(kN)(xN)^-1 = (xkx^-1)N with xkx^-1 in
-    K.  So it is not checked here; ``quotient_group`` checks it anyway.
-    Each element of (G/N)/(K/N) is a union of N-cosets making up one
-    K-coset, which the canonical map sends it to.
+    (G, rel) must be a proximal group.  K/N, the N-cosets inside K, is the
+    image of K under x -> xN, so a subgroup of G/N, and normal:
+    (xN)(kN)(xN)^-1 = (xkx^-1)N with xkx^-1 in K.  So it is not checked
+    here; ``quotient_group`` checks it anyway.  Each element of
+    (G/N)/(K/N) is a union of N-cosets making up one K-coset, which the
+    canonical map sends it to.
     """
+    _require_proximal_group(g, rel, "input")
     reason = normality_violation(g, n)
     if reason is not None:
         raise ValueError(f"N: {reason}")
@@ -283,17 +273,12 @@ def third_iso_harness(
         raise ValueError(f"K: {reason}")
     if n & ~k:
         raise ValueError("N must be contained in K")
-    quot_n, rel_n = quotient_proximal_group(g, rel, n, max_size=max_size)
-    n_blocks = quotient_group(g, n)[1]
-    k_over_n = 0
-    for idx, block in enumerate(n_blocks):
-        if block & ~k == 0:
-            k_over_n |= 1 << idx
-    left = quotient_proximal_group(quot_n, rel_n, k_over_n, max_size=max_size)
-    right = quotient_proximal_group(g, rel, k, max_size=max_size)
-    left_blocks = [union_over(n_blocks, b) for b in quotient_group(quot_n, k_over_n)[1]]
-    images = _containing(left_blocks, quotient_group(g, k)[1])
-    return _iso_report(left, right, images, max_size)
+    (quot_n, rel_n), n_blocks = _quotient_inside(g, rel, g.space.full_mask, n)
+    k_over_n = sum(1 << j for j, block in enumerate(n_blocks) if block & ~k == 0)
+    left, left_blocks = _quotient_inside(quot_n, rel_n, quot_n.space.full_mask, k_over_n)
+    right, right_blocks = _quotient_inside(g, rel, g.space.full_mask, k)
+    left_in_g = [union_over(n_blocks, b) for b in left_blocks]
+    return _iso_report(left, right, _containing(left_in_g, right_blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +308,7 @@ class HausdorffReport:
 def hausdorff_check(g: FiniteGroup, rel: ProximityRelation) -> HausdorffReport:
     """T1 versus closed-identity readings on a verified proximal group
     (:func:`is_proximal_group`)."""
-    if not is_proximal_group(g, rel):
-        raise ValueError("input is not a verified proximal group")
+    _require_proximal_group(g, rel, "input")
     t1 = all(closure(rel, 1 << x) == 1 << x for x in range(g.order))
     e = 1 << g.identity
     identity_closed = closure(rel, e) == e
@@ -368,13 +352,12 @@ def projection_hom_demo(
     Expected: a descriptive proximal homomorphism always, an isomorphism only
     when the second factor is trivial.
     """
-    for name, (g, p) in (("first", (g1, probes1)), ("second", (g2, probes2))):
-        if not check_descriptive_proximal_group(g, p).ok:
-            raise ValueError(f"{name} factor is not a descriptive proximal group")
+    rel1 = descriptive_proximity(probes1)
+    _require_proximal_group(g1, rel1, "first factor")
+    _require_proximal_group(g2, descriptive_proximity(probes2), "second factor")
     product_group = direct_product_group(g1, g2)
     probes = product_probe_table(probes1, probes2)
     rel_product = descriptive_proximity(probes)
-    rel1 = descriptive_proximity(probes1)
     projection = SpaceMap(
         product_group.space,
         g1.space,

@@ -149,7 +149,6 @@ def test_criterion_05_first_iso_reproduction():
                 make_discrete_proximity(g.space),
                 g,
                 make_coarse_proximity(g.space),
-                max_size=max(6, order),
             )
             assert report.surjective and report.group_isomorphism
             assert report.proximal.verdicts["bijective"]

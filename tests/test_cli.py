@@ -311,23 +311,105 @@ def test_topology_checks_kuratowski_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_iso_theorems_on_a_group_above_max_n_names_the_cap(tmp_path, capsys):
+def z8_document(tmp_path):
+    """Z8 with the relation x, only {a} near {a}: not even a proximity (L3
+    fails) and not Cech, so every check that reads it scans the table."""
     n = 8
     document = {
         "space": {"labels": list("abcdefgh")},
-        # only {a} near {a}: not Cech, so every pcont check on it reads the table
         "relations": {"x": {"encoding": "explicit", "near": [[1, 1]]}, "c": {"encoding": "coarse"}},
         "group": {"cayley": [[(i + j) % n for j in range(n)] for i in range(n)], "identity": 0},
         "maps": {"id": {"images": list(range(n))}},
+        "probes": {"q": {"arity": 1, "values": [[i] for i in range(n)]}},
     }
     path = tmp_path / "z8.json"
     path.write_text(json.dumps(document))
-    # the inverse of id: coarse -> x is not pcont
-    argv = ["iso-theorems", str(path), "--which", "first", "--rel", "x", "--rel2", "c"]
-    assert main([*argv, "--max-n", "7"]) == 2
-    assert "pcont table scan on a 8-element carrier exceeds the cap 7" in capsys.readouterr().err
-    assert main([*argv, "--max-n", "8"]) == 1
-    assert "proximal inverse_pcont FAIL" in capsys.readouterr().out
+    return str(path)
+
+
+def test_iso_theorems_on_a_group_above_max_n_names_the_cap(tmp_path, capsys):
+    # x is no proximal group, so the harnesses refuse it before any scan
+    path = z8_document(tmp_path)
+    argv = ["iso-theorems", path, "--which", "first", "--rel", "x", "--rel2", "c"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: domain structure is not a verified proximal group\n"
+    argv2 = ["iso-theorems", path, "--which", "second", "--rel", "x", "--subset", "255",
+             "--normal", "1"]
+    assert main(argv2) == 2
+    assert capsys.readouterr().err == "error: input is not a verified proximal group\n"
+    for args in (argv, argv2):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--max-n", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-n 8" in capsys.readouterr().err
+
+
+# Per verb that takes --max-n, flags that make it read x on the Z8 document.
+MAX_N_READS = {
+    "check-axioms": ["--rel", "x"],
+    "topology": ["--rel", "x"],
+    "pcont": ["--rel", "x"],
+    "group-check": ["--rel", "x"],
+    "translations": ["--rel", "x"],
+    "subgroup": ["--rel", "x", "--subset", "255"],
+    "hom-check": ["--rel", "x"],
+    "quotient": ["--rel", "x", "--normal", "1"],
+    # a descriptive relation is Cech, so no read is capped (ROADMAP item 9)
+    "descriptive-check": ["--probes", "q"],
+}
+CAPPED_READ = re.compile(
+    r"^error: exhaustive (L1-L4 table|closed-family pair|pcont table|pullback table) scan"
+    r" on a 8-element carrier exceeds the cap 7; pass max_size=8 to run it anyway\n$"
+)
+
+
+def test_max_n_is_taken_exactly_by_the_verbs_with_a_capped_read():
+    assert sorted(MAX_N_READS) == sorted(v for v, spec in VERBS.items() if spec.max_n)
+
+
+@pytest.mark.parametrize("verb", list(VERBS))
+def test_max_n_raises_a_cap_that_its_verb_can_reach(verb, tmp_path, capsys):
+    path = z8_document(tmp_path)
+    spec = VERBS[verb]
+    if not spec.max_n:
+        required = [arg for flag in spec.required for arg in (flag, "1")]
+        with pytest.raises(SystemExit) as exc:
+            main([verb, *([path] if spec.document else []), *required, "--max-n", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-n 8" in capsys.readouterr().err
+        return
+    argv = [verb, path, *MAX_N_READS[verb]]
+    if verb == "descriptive-check":
+        assert main(argv) == 0 and main([*argv, "--max-n", "8"]) == 0
+        return
+    assert main(argv) == 2
+    assert CAPPED_READ.match(capsys.readouterr().err)
+    assert main([*argv, "--max-n", "8"]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
+def test_iso_theorems_refuses_a_cech_relation_that_is_no_coset_relation(tmp_path, capsys):
+    # a -- b -- c on Z3: Cech, but P[e] = {a, b} is no subgroup
+    points = [0b011, 0b111, 0b110]
+    near = [[a, b] for a in range(8) for b in range(8)
+            if any(points[i] & b for i in range(3) if a >> i & 1)]
+    document = {
+        "space": {"labels": ["a", "b", "c"]},
+        "relations": {"p": {"encoding": "explicit", "near": near}, "d": {"encoding": "discrete"}},
+        "group": {"cayley": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "identity": 0},
+        "maps": {"id": {"images": [0, 1, 2]}},
+    }
+    path = tmp_path / "z3_path.json"
+    path.write_text(json.dumps(document))
+    cases = [
+        (["--which", "first", "--rel", "p"], "domain structure"),
+        (["--which", "first", "--rel", "d", "--rel2", "p"], "codomain structure"),
+        (["--which", "second", "--rel", "p", "--subset", "7", "--normal", "1"], "input"),
+        (["--which", "third", "--rel", "p", "--normal", "1", "--normal2", "7"], "input"),
+    ]
+    for flags, side in cases:
+        assert main(["iso-theorems", str(path), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {side} is not a verified proximal group\n"
 
 
 def test_iso_theorems_labels_each_witness_on_its_own_carrier(tmp_path, capsys):
@@ -812,3 +894,28 @@ def test_an_empty_name_is_an_unknown_name(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("verb", list(VERBS))
+def test_run_command_refuses_a_flag_its_verb_does_not_declare(verb):
+    with pytest.raises(WorkspaceError, match=f"^flags: {verb} takes no flag 'bogus'$") as exc:
+        run_command(verb, None, {"bogus": 1})
+    assert exc.value.location == "flags"
+
+
+@pytest.mark.parametrize(
+    "verb, document, flags, key",
+    [
+        ("product", "z3_group.json", {"rel": "d", "max_n": 9}, "max_n"),
+        ("iso-theorems", "z3_group.json",
+         {"which": "second", "rel": "d", "subset": 7, "normal": 1, "max_n": 9}, "max_n"),
+        ("group-check", "z3_group.json", {"rel": "d", "axiom_class": "lodato"}, "axiom_class"),
+        ("census", None, {"n": 2, "max_n": 9}, "max_n"),
+    ],
+)
+def test_run_command_refuses_a_retired_flag(verb, document, flags, key):
+    ws = parse_workspace((FIXTURES / document).read_text()) if document else None
+    declared = {k: v for k, v in flags.items() if k != key}
+    assert run_command(verb, ws, declared).exit_code == 0
+    with pytest.raises(WorkspaceError, match=f"^flags: {verb} takes no flag '{key}'$"):
+        run_command(verb, ws, flags)

@@ -215,7 +215,7 @@ def test_carrier_mismatch_rejected():
 
 def test_verdict_only_checks_take_no_axiom_class():
     # the verdict does not depend on the class (is_proximal_group), and the
-    # checks that read only the verdict reach no capped read
+    # checks that take only proximal groups reach no capped read
     z2 = cyclic_group(2)
     d = make_discrete_proximity(z2.space)
     calls = {
@@ -230,6 +230,9 @@ def test_verdict_only_checks_take_no_axiom_class():
             lambda: product_proximal_group(z2, d, z2, d, max_size=8),
             lambda: hom_criterion_check(identity_map(Z4.space), Z4, D4, Z4, D4, max_size=8),
             lambda: proxikit.hausdorff_check(Z4, D4, max_size=8),
+            lambda: proxikit.first_iso_harness(identity_map(Z4.space), Z4, D4, Z4, D4, max_size=8),
+            lambda: proxikit.second_iso_harness(Z4, D4, 0b0101, 0b0101, max_size=8),
+            lambda: proxikit.third_iso_harness(Z4, D4, 0b0001, 0b0101, max_size=8),
         ],
     }
     for keyword, keyword_calls in calls.items():

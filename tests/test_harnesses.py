@@ -26,7 +26,6 @@ from proxikit import (
     subgroup_proximal_group,
     third_iso_harness,
 )
-from proxikit.axioms import SCAN_CAP
 from proxikit.enumeration import THEOREMS, _all_homomorphisms, _coset_relations, _second_iso_instances
 from proxikit.groups import FiniteGroup, _mu1_check, all_subgroups, normal_subgroups, subset_product
 from proxikit.harnesses import _iso_report, _pointwise_nearness, _quotient_inside
@@ -209,7 +208,7 @@ def test_third_iso_z8_chain():
     d = make_discrete_proximity(z8.space)
     n = (1 << 0) | (1 << 4)
     k = (1 << 0) | (1 << 2) | (1 << 4) | (1 << 6)
-    report = third_iso_harness(z8, d, n, k, max_size=8)
+    report = third_iso_harness(z8, d, n, k)
     assert report.ok
     # (G/N)/(K/N) and G/K both list the K-cosets by smallest member
     assert report.canonical.domain.labels == ("a|e|c|g", "b|f|d|h")
@@ -229,10 +228,10 @@ def test_iso_harness_tail_needs_a_bijective_homomorphism():
     # bijective is no group isomorphism, whatever the proximal verdicts
     z2 = cyclic_group(2)
     c = make_coarse_proximity(z2.space)
-    report = _iso_report((z2, c), (z2, c), [0, 0], 6)
+    report = _iso_report((z2, c), (z2, c), [0, 0])
     assert not report.group_isomorphism and not report.ok
     assert report.proximal.verdicts["bijective"] is False
-    assert _iso_report((z2, c), (z2, c), [0, 1], 6).ok
+    assert _iso_report((z2, c), (z2, c), [0, 1]).ok
 
 
 # --- exact isomorphism theorems on coset relations ------------------------------
@@ -387,17 +386,13 @@ def test_descriptive_subgroup_composition():
 
 def test_harness_scans_obey_max_size():
     z3 = cyclic_group(3)
-    # the empty set near itself: not Cech, so every harness reads the table
+    # the empty set near itself: not Cech, so the implication harnesses read
+    # the table, and the isomorphism harnesses refuse it
     rows = list(make_discrete_proximity(z3.space).rows)
     rows[0] |= 1
     bad = ProximityRelation(z3.space, tuple(rows))
     ident = identity_map(z3.space)
-    runs = [
-        lambda: inversion_continuity_harness(z3, bad, max_size=1),
-        lambda: first_iso_harness(ident, z3, bad, z3, bad, max_size=1),
-        lambda: second_iso_harness(z3, bad, 0b111, 0b001, max_size=1),
-        lambda: third_iso_harness(z3, bad, 0b001, 0b001, max_size=1),
-    ]
+    runs = [lambda: inversion_continuity_harness(z3, bad, max_size=1)]
     runs += [
         lambda mode=mode: multiplication_continuity_harness(z3, bad, mode, max_size=1)
         for mode in ("ef-transitivity", "lodato-pointwise")
@@ -407,7 +402,14 @@ def test_harness_scans_obey_max_size():
                            " pass max_size=[1-9] to run it anyway"):
             run()
     assert inversion_continuity_harness(z3, bad, max_size=3).implication_ok
-    assert third_iso_harness(z3, bad, 0b001, 0b001, max_size=3).ok
+    iso_runs = [
+        ("domain structure", lambda: first_iso_harness(ident, z3, bad, z3, bad)),
+        ("input", lambda: second_iso_harness(z3, bad, 0b111, 0b001)),
+        ("input", lambda: third_iso_harness(z3, bad, 0b001, 0b001)),
+    ]
+    for side, run in iso_runs:
+        with pytest.raises(ValueError, match=f"^{side} is not a verified proximal group$"):
+            run()
 
 
 def test_harnesses_pass_max_size_to_their_pullbacks():
@@ -415,17 +417,33 @@ def test_harnesses_pass_max_size_to_their_pullbacks():
     rows = list(make_discrete_proximity(z6.space).rows)
     rows[0] |= 1
     bad = ProximityRelation(z6.space, tuple(rows))
+    # the pullbacks of H = {0, 2, 4} and of G/N for N = {0, 3} would scan
+    # the table; the isomorphism harnesses refuse it before building either
     runs = [
-        # H = {0, 2, 4}: the subspace on H is pulled back from the table
-        lambda max_size: second_iso_harness(z6, bad, 0b010101, 0b000001, max_size=max_size),
-        # N = {0, 3}: G/N has three blocks
-        lambda max_size: third_iso_harness(z6, bad, 0b001001, 0b111111, max_size=max_size),
+        lambda: second_iso_harness(z6, bad, 0b010101, 0b000001),
+        lambda: third_iso_harness(z6, bad, 0b001001, 0b111111),
     ]
     for run in runs:
-        with pytest.raises(ValueError, match="exhaustive pullback table scan on a 3-element"
-                           " carrier exceeds the cap 2; pass max_size=3 to run it anyway"):
-            run(2)
-        assert run(3).ok
+        with pytest.raises(ValueError, match="^input is not a verified proximal group$"):
+            run()
+
+
+def test_iso_harnesses_refuse_a_cech_relation_that_is_no_coset_relation():
+    # a -- b -- c on Z3: Cech, but P[e] = {a, b} is no subgroup
+    z3 = cyclic_group(3)
+    path = relation_from_point_pairs(z3.space, [0b011, 0b111, 0b110], "explicit")
+    d = make_discrete_proximity(z3.space)
+    ident = identity_map(z3.space)
+    assert path.point_graph is not None
+    runs = [
+        ("domain structure", lambda: first_iso_harness(ident, z3, path, z3, path)),
+        ("codomain structure", lambda: first_iso_harness(ident, z3, d, z3, path)),
+        ("input", lambda: second_iso_harness(z3, path, 0b111, 0b001)),
+        ("input", lambda: third_iso_harness(z3, path, 0b001, 0b111)),
+    ]
+    for side, run in runs:
+        with pytest.raises(ValueError, match=f"^{side} is not a verified proximal group$"):
+            run()
 
 
 def _group_fields(g: FiniteGroup) -> tuple:
@@ -441,17 +459,17 @@ def test_quotient_inside_is_kept_and_equals_a_fresh_build():
             drawn[g, rel, s, m] = None
     assert len({(g, s, m) for g, _, s, m in drawn}) == 198
     for g, rel, s, m in drawn:
-        (quot, quot_rel), in_g = _quotient_inside(g, rel, s, m, SCAN_CAP)
+        (quot, quot_rel), in_g = _quotient_inside(g, rel, s, m)
         fresh_g = FiniteGroup(g.space, g.cayley, g.identity, g.inverse)
         fresh_rel = ProximityRelation(rel.space, rel.rows, rel.provenance)
-        (fresh_quot, fresh_quot_rel), fresh_in_g = _quotient_inside(fresh_g, fresh_rel, s, m, SCAN_CAP)
+        (fresh_quot, fresh_quot_rel), fresh_in_g = _quotient_inside(fresh_g, fresh_rel, s, m)
         assert _group_fields(quot) == _group_fields(fresh_quot)
         assert (quot_rel.space, quot_rel.rows, quot_rel.provenance, quot_rel.point_graph) == (
             fresh_quot_rel.space, fresh_quot_rel.rows,
             fresh_quot_rel.provenance, fresh_quot_rel.point_graph,
         )
         assert in_g == fresh_in_g
-        again = _quotient_inside(g, rel, s, m, SCAN_CAP)
+        again = _quotient_inside(g, rel, s, m)
         assert again[0][0] is quot and again[0][1] is quot_rel and again[1] is in_g
 
 
@@ -502,3 +520,13 @@ def test_projection_blocks_on_far_second_coordinates():
     r1 = 0b0001  # {a} x {a}
     r2 = 0b0010  # {a} x {b}
     assert not rel.near(r1, r2)
+
+
+def test_projection_demo_names_a_factor_that_is_no_proximal_group():
+    # a and b share a description, so P[e] = {a, b} is no subgroup of Z3
+    z3 = cyclic_group(3)
+    good = probe_table(z3.space, [[0], [1], [2]])
+    bad = probe_table(z3.space, [[0], [0], [1]])
+    for name, args in (("first", (bad, good)), ("second", (good, bad))):
+        with pytest.raises(ValueError, match=f"^{name} factor is not a verified proximal group$"):
+            projection_hom_demo(z3, args[0], z3, args[1])
