@@ -631,19 +631,27 @@ def hom_criterion_check(
     Requires eta to be a group homomorphism between verified proximal groups
     (:func:`is_proximal_group`).  Verified structures are Cech, so the pcont
     check reads their point relations and no scan cap applies.
+
+    The hypothesis is decided on the point relations P1 and P2 too.  On a
+    Cech table B is near {e1} exactly when B meets P1[e1], and eta(B) is
+    near {e2} exactly when eta(x) is in P2[e2] for some x in B.  So B
+    violates the hypothesis exactly when it meets P1[e1] and eta sends none
+    of its members into P2[e2].  Let x be the lowest point of P1[e1] with
+    eta(x) not in P2[e2]: {x} violates, and a violating B holds such a
+    point, at least x, so B >= 1 << x.  The witness of the first violating
+    B is thus (1 << x, 1 << e1), and with no such x the hypothesis holds.
     """
     hom_witness = homomorphism_violation(eta, g1, g2)
     if hom_witness is not None:
         raise ValueError(f"map is not a group homomorphism at {hom_witness}")
     _require_proximal_group(g1, rel1, "domain structure")
     _require_proximal_group(g2, rel2, "codomain structure")
-    e1 = 1 << g1.identity
-    e2 = 1 << g2.identity
-    hypothesis = Check(True)
-    for b in range(g1.space.n_subsets):
-        if rel1.near(b, e1) and not rel2.near(eta.image_mask(b), e2):
-            hypothesis = Check(False, (b, e1))
-            break
+    near_e2 = rel2.point_graph[g2.identity]
+    x = next(
+        (x for x in bits(rel1.point_graph[g1.identity]) if not (near_e2 >> eta.images[x]) & 1),
+        None,
+    )
+    hypothesis = Check(True) if x is None else Check(False, (1 << x, 1 << g1.identity))
     pcont = check_pcont(eta, rel1, rel2)
     conclusion = Check(pcont.verdicts["pcont"], pcont.witnesses.get("pcont"))
     return HomCriterionReport(hypothesis, conclusion)

@@ -36,7 +36,7 @@ from .groups import (
     _mu2_check,
     _require_proximal_group,
 )
-from .maps import SpaceMap, check_pcont, check_proximal_isomorphism
+from .maps import SpaceMap, check_pcont, check_proximal_isomorphism, is_proximal_isomorphism
 from .relations import ProximityRelation, quotient_proximity, subspace_proximity
 from .spaces import bits, image, memo, union_over
 
@@ -154,7 +154,7 @@ class IsoTheoremReport:
 def _iso_report(
     source: tuple[FiniteGroup, ProximityRelation],
     target: tuple[FiniteGroup, ProximityRelation],
-    images: list[int],
+    images: Sequence[int],
 ) -> IsoTheoremReport:
     """Report on the theorem's canonical map between its two sides, given by
     images: a bijective group homomorphism, and a proximal isomorphism."""
@@ -165,25 +165,26 @@ def _iso_report(
     return IsoTheoremReport(True, group_iso, proximal, canonical=f)
 
 
-def _containing(blocks: Sequence[int], targets: Sequence[int]) -> list[int]:
+def _is_group_isomorphism(g1: FiniteGroup, g2: FiniteGroup, images: Sequence[int]) -> bool:
+    """Whether the map with these images is a bijective homomorphism g1 -> g2."""
+    f = SpaceMap(g1.space, g2.space, tuple(images))
+    return f.is_bijective() and homomorphism_violation(f, g1, g2) is None
+
+
+def _containing(blocks: Sequence[int], targets: Sequence[int]) -> tuple[int, ...]:
     """The canonical map read off containment in G: each block goes to the
     target block that holds it, the only one, as the targets are disjoint."""
-    return [j for b in blocks for j, t in enumerate(targets) if b & ~t == 0]
+    return tuple(j for b in blocks for j, t in enumerate(targets) if b & ~t == 0)
 
 
-def _quotient_inside(
-    g: FiniteGroup, rel: ProximityRelation, s: int, m: int
-) -> tuple[tuple[FiniteGroup, ProximityRelation], tuple[int, ...]]:
-    """S/M for a subgroup S of G and a subgroup M normal in S: its group and
-    relation (the quotient of the subspace relation on S), and its elements,
-    the cosets xM for x in S, as masks of G.  ``subgroup_group`` keeps the
-    labels of S, so M is found on S's carrier by its labels.
-
-    The group side, S/M with its blocks on S and in G, is built once per
-    (G, S, M) and kept in G's memo; the relation side is the two pullbacks
-    memoized on ``rel``.  On a proximal group both are read off the point
-    relation, so neither reaches a capped scan.
-    """
+def _group_inside(
+    g: FiniteGroup, s: int, m: int
+) -> tuple[FiniteGroup, tuple[int, ...], tuple[int, ...]]:
+    """S/M for a subgroup S of G and a subgroup M normal in S, with its
+    blocks on S's carrier and its elements, the cosets xM for x in S, as
+    masks of G.  Built once per (G, S, M) and kept in G's memo.
+    ``subgroup_group`` keeps the labels of S, so M is found on S's carrier
+    by its labels."""
 
     def build() -> tuple[FiniteGroup, tuple[int, ...], tuple[int, ...]]:
         sub = subgroup_group(g, s)
@@ -191,8 +192,23 @@ def _quotient_inside(
         members = list(bits(s))
         return quot, blocks, tuple(image(members, block) for block in blocks)
 
-    quot, blocks, in_g = memo(g, ("inside", s, m), build)
-    return (quot, quotient_proximity(subspace_proximity(rel, s), blocks)), in_g
+    return memo(g, ("inside", s, m), build)
+
+
+def _quotient_inside(
+    g: FiniteGroup, rel: ProximityRelation, s: int, m: int
+) -> tuple[tuple[FiniteGroup, ProximityRelation], tuple[int, ...]]:
+    """S/M (:func:`_group_inside`) with its relation, the quotient of the
+    subspace relation on S, and its elements as masks of G.
+
+    The relation side is the pullbacks memoized on ``rel``; on S = G the
+    subspace relation equals ``rel``, so the quotient is taken from ``rel``
+    itself.  On a proximal group both are read off the point relation, so
+    neither reaches a capped scan.
+    """
+    quot, blocks, in_g = _group_inside(g, s, m)
+    base = rel if s == g.space.full_mask else subspace_proximity(rel, s)
+    return (quot, quotient_proximity(base, blocks)), in_g
 
 
 def first_iso_harness(
@@ -228,6 +244,42 @@ def first_iso_harness(
     return _iso_report(quot, (g2, rel2), images)
 
 
+_Side = tuple[FiniteGroup, ProximityRelation]
+
+
+def _second_iso(
+    g: FiniteGroup, rel: ProximityRelation, h: int, n: int
+) -> tuple[_Side, _Side, tuple[int, ...], bool]:
+    """The second theorem's sides H/(H cap N) and HN/N, the canonical images
+    between them (see :func:`second_iso_harness`) and whether those are a
+    group isomorphism.
+
+    The group half (HN, the images and their verdict) does not depend on
+    the relation: it is built once per (G, H, N), after the checks of H and
+    N, and kept in G's memo under ``("second_iso", h, n)``.  The sides are
+    read for ``rel`` on every call.
+    """
+    _require_proximal_group(g, rel, "input")
+
+    def build() -> tuple[int, tuple[int, ...], bool]:
+        reason = subgroup_violation(g, h)
+        if reason is not None:
+            raise ValueError(f"H: {reason}")
+        reason = normality_violation(g, n)
+        if reason is not None:
+            raise ValueError(f"N: {reason}")
+        hn = subset_product(g, h, n)
+        left, _, left_in_g = _group_inside(g, h, h & n)
+        right, _, right_in_g = _group_inside(g, hn, n)
+        images = _containing(left_in_g, right_in_g)
+        return hn, images, _is_group_isomorphism(left, right, images)
+
+    hn, images, group_iso = memo(g, ("second_iso", h, n), build)
+    left, _ = _quotient_inside(g, rel, h, h & n)
+    right, _ = _quotient_inside(g, rel, hn, n)
+    return left, right, images, group_iso
+
+
 def second_iso_harness(
     g: FiniteGroup, rel: ProximityRelation, h: int, n: int
 ) -> IsoTheoremReport:
@@ -240,16 +292,55 @@ def second_iso_harness(
     HN cap M lies in (H cap M)N; with the discrete or coarse proximity
     (M = {e} or G) that always holds.
     """
+    left, right, images, _ = _second_iso(g, rel, h, n)
+    return _iso_report(left, right, images)
+
+
+def second_iso_holds(g: FiniteGroup, rel: ProximityRelation, h: int, n: int) -> bool:
+    """``second_iso_harness(g, rel, h, n).ok`` with no report: the memoized
+    group verdict and :func:`~proxikit.maps.is_proximal_isomorphism` on the
+    two sides' point relations."""
+    (_, rel1), (_, rel2), images, group_iso = _second_iso(g, rel, h, n)
+    return group_iso and is_proximal_isomorphism(images, rel1, rel2)
+
+
+def _third_iso(
+    g: FiniteGroup, rel: ProximityRelation, n: int, k: int
+) -> tuple[_Side, _Side, tuple[int, ...], bool]:
+    """The third theorem's sides (G/N)/(K/N) and G/K, the canonical images
+    between them (see :func:`third_iso_harness`) and whether those are a
+    group isomorphism.
+
+    The group half (K/N as a mask of G/N, the images and their verdict) is
+    built once per (G, N, K), after the checks of N and K, and kept in G's
+    memo under ``("third_iso", n, k)``.  The sides are read for ``rel`` on
+    every call.
+    """
     _require_proximal_group(g, rel, "input")
-    reason = subgroup_violation(g, h)
-    if reason is not None:
-        raise ValueError(f"H: {reason}")
-    reason = normality_violation(g, n)
-    if reason is not None:
-        raise ValueError(f"N: {reason}")
-    left, left_blocks = _quotient_inside(g, rel, h, h & n)
-    right, right_blocks = _quotient_inside(g, rel, subset_product(g, h, n), n)
-    return _iso_report(left, right, _containing(left_blocks, right_blocks))
+    full = g.space.full_mask
+
+    def build() -> tuple[int, tuple[int, ...], bool]:
+        reason = normality_violation(g, n)
+        if reason is not None:
+            raise ValueError(f"N: {reason}")
+        reason = normality_violation(g, k)
+        if reason is not None:
+            raise ValueError(f"K: {reason}")
+        if n & ~k:
+            raise ValueError("N must be contained in K")
+        quot_n, _, n_blocks = _group_inside(g, full, n)
+        k_over_n = sum(1 << j for j, block in enumerate(n_blocks) if block & ~k == 0)
+        left, _, left_blocks = _group_inside(quot_n, quot_n.space.full_mask, k_over_n)
+        right, _, right_blocks = _group_inside(g, full, k)
+        left_in_g = [union_over(n_blocks, b) for b in left_blocks]
+        images = _containing(left_in_g, right_blocks)
+        return k_over_n, images, _is_group_isomorphism(left, right, images)
+
+    k_over_n, images, group_iso = memo(g, ("third_iso", n, k), build)
+    (quot_n, rel_n), _ = _quotient_inside(g, rel, full, n)
+    left, _ = _quotient_inside(quot_n, rel_n, quot_n.space.full_mask, k_over_n)
+    right, _ = _quotient_inside(g, rel, full, k)
+    return left, right, images, group_iso
 
 
 def third_iso_harness(
@@ -264,21 +355,15 @@ def third_iso_harness(
     (G/N)/(K/N) is a union of N-cosets making up one K-coset, which the
     canonical map sends it to.
     """
-    _require_proximal_group(g, rel, "input")
-    reason = normality_violation(g, n)
-    if reason is not None:
-        raise ValueError(f"N: {reason}")
-    reason = normality_violation(g, k)
-    if reason is not None:
-        raise ValueError(f"K: {reason}")
-    if n & ~k:
-        raise ValueError("N must be contained in K")
-    (quot_n, rel_n), n_blocks = _quotient_inside(g, rel, g.space.full_mask, n)
-    k_over_n = sum(1 << j for j, block in enumerate(n_blocks) if block & ~k == 0)
-    left, left_blocks = _quotient_inside(quot_n, rel_n, quot_n.space.full_mask, k_over_n)
-    right, right_blocks = _quotient_inside(g, rel, g.space.full_mask, k)
-    left_in_g = [union_over(n_blocks, b) for b in left_blocks]
-    return _iso_report(left, right, _containing(left_in_g, right_blocks))
+    left, right, images, _ = _third_iso(g, rel, n, k)
+    return _iso_report(left, right, images)
+
+
+def third_iso_holds(g: FiniteGroup, rel: ProximityRelation, n: int, k: int) -> bool:
+    """``third_iso_harness(g, rel, n, k).ok`` with no report, decided as in
+    :func:`second_iso_holds`."""
+    (_, rel1), (_, rel2), images, group_iso = _third_iso(g, rel, n, k)
+    return group_iso and is_proximal_isomorphism(images, rel1, rel2)
 
 
 # ---------------------------------------------------------------------------

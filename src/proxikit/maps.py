@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .axioms import SCAN_CAP, AxiomReport, require_scan_size
 from .relations import ProximityRelation
@@ -150,3 +151,30 @@ def check_proximal_isomorphism(
         for axiom in report.verdicts:
             found[axiom] = report.witnesses.get(axiom)
     return AxiomReport.from_witnesses(found)
+
+
+def is_proximal_isomorphism(
+    images: Sequence[int], rel1: ProximityRelation, rel2: ProximityRelation
+) -> bool:
+    """The verdict of :func:`check_proximal_isomorphism` for the map f from
+    rel1's carrier to rel2's with these images, with no report.
+
+    When both tables are Cech with point relations P1 and P2, it holds
+    exactly when f is a bijection and f(P1[i]) = P2[f(i)] for every i.  By
+    :func:`check_pcont`, f is pcont exactly when i P1 j implies
+    f(i) P2 f(j), that is f(P1[i]) is inside P2[f(i)] for every i.  For a
+    bijection, f^-1 is pcont exactly when y P2 z implies f^-1(y) P1 f^-1(z);
+    with y = f(i) and z = f(j) that says f(j) in P2[f(i)] implies j in
+    P1[i], that is P2[f(i)] is inside f(P1[i]).  The two inclusions are the
+    equality.  Any other table is decided by the report.
+    """
+    p1, p2 = rel1.point_graph, rel2.point_graph
+    if p1 is None or p2 is None:
+        f = SpaceMap(rel1.space, rel2.space, tuple(images))
+        return check_proximal_isomorphism(f, rel1, rel2).ok
+    n = len(p2)
+    return (
+        len(images) == len(p1) == n
+        and set(images) == set(range(n))
+        and all(image(images, p1[i]) == p2[y] for i, y in enumerate(images))
+    )

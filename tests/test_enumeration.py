@@ -31,7 +31,7 @@ from proxikit import (
     replay_counterexample,
     witness_violates,
 )
-from proxikit import enumeration, groups
+from proxikit import enumeration, groups, harnesses, maps
 from proxikit.groups import homomorphism_violation
 from proxikit.enumeration import (
     THEOREMS,
@@ -578,6 +578,31 @@ def test_repeated_default_sweeps_keep_no_new_memory():
     finally:
         tracemalloc.stop()
     assert kept <= 4096
+
+
+def test_warm_iso_sweeps_build_no_report(monkeypatch):
+    # the second- and third-isomorphism sweeps decide on the point relation
+    # (harnesses.second_iso_holds, third_iso_holds): once their memos are
+    # filled they build no pcont or isomorphism report and no IsoTheoremReport
+    sweeps = ("second-isomorphism-theorem", "third-isomorphism-theorem")
+    for theorem in sweeps:
+        fuzz_theorem(theorem)
+    calls = []
+    for module, name in ((maps, "check_pcont"), (maps, "check_proximal_isomorphism"),
+                         (harnesses, "_iso_report")):
+        real = getattr(module, name)
+
+        def spy(*args, name=name, real=real, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        # wherever the name was imported, so that no call route escapes
+        for holder in (maps, harnesses, groups, enumeration):
+            if getattr(holder, name, None) is real:
+                monkeypatch.setattr(holder, name, spy)
+    outcomes = [fuzz_theorem(theorem) for theorem in sweeps]
+    assert [(o.instances, len(o.counterexamples)) for o in outcomes] == [(1034, 0), (368, 0)]
+    assert calls == []
 
 
 def test_verified_cech_structures_pass_the_enumeration_cap():

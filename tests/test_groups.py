@@ -54,7 +54,7 @@ from proxikit.groups import (
     subset_product_table,
     translation_map,
 )
-from proxikit.enumeration import RELATION_CLASSES, _coset_relations
+from proxikit.enumeration import THEOREMS, RELATION_CLASSES, FuzzScope, _coset_relations, _homomorphism_instances
 from proxikit.maps import check_pcont
 from proxikit.spaces import image
 
@@ -621,6 +621,31 @@ def test_hom_criterion_verifies_each_structure_once(monkeypatch):
         with pytest.raises(ValueError, match="codomain structure is not a verified"):
             hom_criterion_check(eta, z3, d3, z3, tolerance)
     assert len(calls) == 3
+
+
+def _subset_hypothesis(eta, g1, rel1, g2, rel2):
+    """The hom-criterion hypothesis read off the tables, subset by subset:
+    the first B near {e1} whose image is far from {e2}."""
+    e1, e2 = 1 << g1.identity, 1 << g2.identity
+    for b in range(g1.space.n_subsets):
+        if rel1.near(b, e1) and not rel2.near(eta.image_mask(b), e2):
+            return Check(False, (b, e1))
+    return Check(True)
+
+
+@pytest.mark.parametrize(
+    "scope, cases",
+    [(FuzzScope(4, ("cech",)), (745, 207)), (THEOREMS["hom-criterion-implies-pcont"].scope, (240, 35))],
+)
+def test_hom_criterion_hypothesis_on_p_equals_the_subset_scan(scope, cases):
+    seen = failed = 0
+    for i in _homomorphism_instances(scope):
+        args = (i["map_images"], i["group"][1], i["relation"], i["group2"][1], i["relation2"])
+        hypothesis = hom_criterion_check(*args).hypothesis
+        assert hypothesis == _subset_hypothesis(*args)
+        seen += 1
+        failed += not hypothesis.ok
+    assert (seen, failed) == cases
 
 
 def test_hom_criterion_requires_homomorphism():

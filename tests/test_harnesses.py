@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from proxikit import (
@@ -26,7 +28,14 @@ from proxikit import (
     subgroup_proximal_group,
     third_iso_harness,
 )
-from proxikit.enumeration import THEOREMS, _all_homomorphisms, _coset_relations, _second_iso_instances
+from proxikit.harnesses import second_iso_holds, third_iso_holds
+from proxikit.enumeration import (
+    THEOREMS,
+    _all_homomorphisms,
+    _coset_relations,
+    _normal_chain_instances,
+    _second_iso_instances,
+)
 from proxikit.groups import FiniteGroup, _mu1_check, all_subgroups, normal_subgroups, subset_product
 from proxikit.harnesses import _iso_report, _pointwise_nearness, _quotient_inside
 from proxikit.maps import check_pcont
@@ -281,6 +290,7 @@ def test_second_iso_exact_statement_on_coset_relations():
                 cases += 1
                 predicted = not subset_product(g, h, n) & m & ~subset_product(g, h & m, n)
                 assert second_iso_harness(g, rel, h, n).ok == predicted
+                assert second_iso_holds(g, rel, h, n) == predicted
                 failures += not predicted
     assert (cases, failures) == (5551, 650)
 
@@ -294,7 +304,74 @@ def test_third_iso_holds_on_every_coset_relation():
                 if not n & ~k:
                     cases += 1
                     assert third_iso_harness(g, rel, n, k).ok
+                    assert third_iso_holds(g, rel, n, k)
     assert cases == 1677
+
+
+def test_iso_twins_equal_the_harness_verdicts_at_default_scope():
+    cases = 0
+    for i in _second_iso_instances(THEOREMS["second-isomorphism-theorem"].scope):
+        args = (i["group"][1], i["relation"], i["subgroup_mask"], i["normal_mask"])
+        assert second_iso_holds(*args) == second_iso_harness(*args).ok
+        cases += 1
+    for i in _normal_chain_instances(THEOREMS["third-isomorphism-theorem"].scope):
+        args = (i["group"][1], i["relation"], i["normal_mask"], i["containing_mask"])
+        assert third_iso_holds(*args) == third_iso_harness(*args).ok
+        cases += 1
+    assert cases == 1402
+
+
+def test_iso_twins_keep_the_group_half_on_g_and_decide_each_relation():
+    v4 = dict(all_groups_up_to(4))["V4"]
+    d, c = make_discrete_proximity(v4.space), make_coarse_proximity(v4.space)
+    # H = {e, b}, N = {e, c}: HN = V4, and H/(H cap N) = H is Z2 = V4/N
+    h, n = 0b0011, 0b0101
+    assert second_iso_holds(v4, d, h, n)
+    assert v4._derived[("second_iso", h, n)] == (0b1111, (0, 1), True)
+    assert third_iso_holds(v4, c, 0b0001, n)
+    assert v4._derived[("third_iso", 0b0001, n)][0] == n
+    # the proximal half reads the relation: on the coset relation of
+    # M = {e, d}, HN cap M = M is not in (H cap M)N = N, so the same kept
+    # group half gives the other verdict
+    m = relation_from_point_pairs(v4.space, [0b1001, 0b0110, 0b0110, 0b1001], "explicit")
+    assert not second_iso_harness(v4, m, h, n).ok
+    assert not second_iso_holds(v4, m, h, n)
+    assert second_iso_holds(v4, d, h, n)
+
+
+def test_iso_twins_raise_the_harness_messages():
+    z3 = cyclic_group(3)
+    rows = list(make_discrete_proximity(z3.space).rows)
+    rows[0] |= 1
+    bad = ProximityRelation(z3.space, tuple(rows))
+    path = relation_from_point_pairs(z3.space, [0b011, 0b111, 0b110], "explicit")
+    s3 = dict(all_groups_up_to(6))["S3"]
+    d = make_discrete_proximity(s3.space)
+    refused = [(z3, rel, 0b111, 0b001) for rel in (bad, path)]
+    # {a, b} is no subgroup of S3 and {a, d} is one but not normal;
+    # A3 = {a, b, c} is normal and not inside {a}
+    second = refused + [(s3, d, 0b000011, 0b000001), (s3, d, 0b000001, 0b001001)]
+    third = refused + [
+        (s3, d, 0b000011, 0b111111), (s3, d, 0b000001, 0b001001), (s3, d, 0b000111, 0b000001)
+    ]
+    messages = []
+    for harness, twin, cases in (
+        (second_iso_harness, second_iso_holds, second),
+        (third_iso_harness, third_iso_holds, third),
+    ):
+        for args in cases:
+            with pytest.raises(ValueError) as raised:
+                harness(*args)
+            # twice: a refused instance keeps nothing, so it is refused again
+            for _ in range(2):
+                with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
+                    twin(*args)
+            messages.append(str(raised.value).split(":")[0])
+    assert messages == [
+        "input is not a verified proximal group", "input is not a verified proximal group", "H", "N",
+        "input is not a verified proximal group", "input is not a verified proximal group",
+        "N", "K", "N must be contained in K",
+    ]
 
 
 # --- hausdorff -------------------------------------------------------------------
@@ -471,6 +548,18 @@ def test_quotient_inside_is_kept_and_equals_a_fresh_build():
         assert in_g == fresh_in_g
         again = _quotient_inside(g, rel, s, m)
         assert again[0][0] is quot and again[0][1] is quot_rel and again[1] is in_g
+
+
+def test_full_carrier_sides_take_the_quotient_from_the_relation():
+    z4 = cyclic_group(4)
+    d = make_discrete_proximity(z4.space)
+    full = z4.space.full_mask
+    report = third_iso_harness(z4, d, 0b0001, 0b0101)
+    assert report.ok
+    assert ("subspace", full) not in d._derived
+    (quot, quot_rel), _ = _quotient_inside(z4, d, full, 0b0101)
+    assert d._derived[("quotient", (0b0101, 0b1010))] is quot_rel
+    assert quot_rel.provenance == "quotient" and quot_rel.point_graph == (0b01, 0b10)
 
 
 def test_harness_helpers_cap_their_own_scans():

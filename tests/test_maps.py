@@ -14,6 +14,8 @@ from proxikit import (
     make_coarse_proximity,
     make_discrete_proximity,
 )
+from proxikit.maps import is_proximal_isomorphism
+from proxikit.relations import ProximityRelation
 
 S2 = default_space(2)
 D2 = make_discrete_proximity(S2)
@@ -94,6 +96,62 @@ def test_injective_map_missing_a_point_names_it_on_the_codomain():
     # the lowest missed codomain point, here b of a, b, c
     report = check_proximal_isomorphism(SpaceMap(S2, s3, (0, 2)), D2, d3)
     assert report.witnesses == {"bijective": (0b010,)}
+
+
+def test_is_proximal_isomorphism_on_every_map_between_cech_relations():
+    # n <= 3, bijective or not: the P condition equals the report's verdict
+    rels = [rel for n in (1, 2, 3) for rel in enumerate_relations(n, "cech")]
+    cases = isomorphisms = 0
+    for r1 in rels:
+        for r2 in rels:
+            for images in product(range(r2.space.size), repeat=r1.space.size):
+                f = SpaceMap(r1.space, r2.space, images)
+                verdict = is_proximal_isomorphism(images, r1, r2)
+                assert verdict == check_proximal_isomorphism(f, r1, r2).ok, (r1, r2, images)
+                cases += 1
+                isomorphisms += verdict
+    assert (cases, isomorphisms) == (2055, 53)
+
+
+def _random_table(rng, n):
+    """The discrete table on n points with the empty set near itself, so
+    never Cech, and one random near pair added."""
+    rows = list(make_discrete_proximity(default_space(n)).rows)
+    a, b = rng.randrange(1 << n), rng.randrange(1 << n)
+    rows[a] |= 1 << b
+    rows[b] |= 1 << a
+    rows[0] |= 1
+    return ProximityRelation(default_space(n), tuple(rows))
+
+
+def _pushforward(rel, images):
+    """rel moved along the permutation images: a proximal isomorphism's target."""
+    n = rel.space.size
+    move = [sum(1 << images[x] for x in range(n) if (a >> x) & 1) for a in range(1 << n)]
+    rows = [0] * (1 << n)
+    for a, b in rel.near_pairs():
+        rows[move[a]] |= 1 << move[b]
+    return ProximityRelation(rel.space, tuple(rows))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_is_proximal_isomorphism_falls_back_on_other_tables(n):
+    import random
+
+    rng = random.Random(n)
+    verdicts = []
+    for _ in range(30):
+        r1 = _random_table(rng, n)
+        assert r1.point_graph is None
+        perm = tuple(rng.sample(range(n), n))
+        other = tuple(rng.randrange(n) for _ in range(n))
+        for r2 in (_pushforward(r1, perm), _random_table(rng, n), make_discrete_proximity(r1.space)):
+            for images in (perm, other):
+                f = SpaceMap(r1.space, r2.space, images)
+                verdict = is_proximal_isomorphism(images, r1, r2)
+                assert verdict == check_proximal_isomorphism(f, r1, r2).ok
+                verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 # --- composition ------------------------------------------------------------
