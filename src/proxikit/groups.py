@@ -47,6 +47,15 @@ class FiniteGroup:
         """Structures and verdicts derived from this group, by key."""
         return {}
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.space, self.cayley, self.identity, self.inverse))
+
+    def __hash__(self) -> int:
+        """The dataclass hash of the fields, computed once per group: the
+        group is in the memo key of every proximal-group verdict."""
+        return self._hash
+
     @property
     def order(self) -> int:
         return self.space.size

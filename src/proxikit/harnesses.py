@@ -36,8 +36,13 @@ from .groups import (
     _mu2_check,
     _require_proximal_group,
 )
-from .maps import SpaceMap, check_pcont, check_proximal_isomorphism, is_proximal_isomorphism
-from .relations import ProximityRelation, quotient_proximity, subspace_proximity
+from .maps import SpaceMap, check_pcont, check_proximal_isomorphism, points_isomorphic
+from .relations import (
+    ProximityRelation,
+    pullback_points,
+    quotient_proximity,
+    subspace_proximity,
+)
 from .spaces import bits, image, memo, union_over
 
 
@@ -244,20 +249,42 @@ def first_iso_harness(
     return _iso_report(quot, (g2, rel2), images)
 
 
-_Side = tuple[FiniteGroup, ProximityRelation]
+def _side_points(rel: ProximityRelation, in_g: tuple[int, ...]) -> tuple[int, ...]:
+    """The point relation of the side S/M that :func:`_quotient_inside`
+    builds for a proximal group (G, rel), read off P with no relation built:
+    ``pullback_points(P, in_g)`` for its elements ``in_g``, the cosets of M
+    as masks of G.  Kept on ``rel`` under ``("points", in_g)``; equal blocks
+    give equal points, whichever theorem reads them.
+
+    That side is the quotient by the blocks of the subspace relation on S.
+    The subspace relation's point relation is P_S[x] = P[x] & S, and by
+    :func:`~proxikit.relations._pullback` the quotient's is
+    Q[i] = {j : in_g[j] meets the union of P_S over in_g[i]}.  Every
+    in_g[j] lies in S, so it meets R & S exactly when it meets R, and Q is
+    ``pullback_points(P, in_g)``.  On S = G the quotient is taken from rel
+    itself, with the same Q.
+
+    The third theorem's left side (G/N)/(K/N) is a quotient of G/N, whose
+    point relation is Q_N = ``pullback_points(P, C)`` for the N-cosets C.
+    For its blocks L_i (masks of G/N), with U_i the union of C_c over c in
+    L_i, the union of Q_N over L_i is the set of d with C_d meeting R(U_i),
+    R the union of P.  So L_j meets it exactly when some C_d, d in L_j,
+    meets R(U_i), that is when U_j meets R(U_i): its point relation is
+    ``pullback_points(P, U)``, with U the left side's elements as masks of G.
+    """
+    return memo(rel, ("points", in_g), lambda: pullback_points(rel.point_graph, in_g))
 
 
 def _second_iso(
     g: FiniteGroup, rel: ProximityRelation, h: int, n: int
-) -> tuple[_Side, _Side, tuple[int, ...], bool]:
-    """The second theorem's sides H/(H cap N) and HN/N, the canonical images
-    between them (see :func:`second_iso_harness`) and whether those are a
-    group isomorphism.
+) -> tuple[int, tuple[int, ...], bool]:
+    """The gate, then the second theorem's group half: HN, the canonical
+    images from H/(H cap N) to HN/N (see :func:`second_iso_harness`) and
+    whether those are a group isomorphism.
 
-    The group half (HN, the images and their verdict) does not depend on
-    the relation: it is built once per (G, H, N), after the checks of H and
-    N, and kept in G's memo under ``("second_iso", h, n)``.  The sides are
-    read for ``rel`` on every call.
+    The group half does not depend on the relation: it is built once per
+    (G, H, N), after the checks of H and N, and kept in G's memo under
+    ``("second_iso", h, n)``.
     """
     _require_proximal_group(g, rel, "input")
 
@@ -274,10 +301,7 @@ def _second_iso(
         images = _containing(left_in_g, right_in_g)
         return hn, images, _is_group_isomorphism(left, right, images)
 
-    hn, images, group_iso = memo(g, ("second_iso", h, n), build)
-    left, _ = _quotient_inside(g, rel, h, h & n)
-    right, _ = _quotient_inside(g, rel, hn, n)
-    return left, right, images, group_iso
+    return memo(g, ("second_iso", h, n), build)
 
 
 def second_iso_harness(
@@ -292,34 +316,40 @@ def second_iso_harness(
     HN cap M lies in (H cap M)N; with the discrete or coarse proximity
     (M = {e} or G) that always holds.
     """
-    left, right, images, _ = _second_iso(g, rel, h, n)
+    hn, images, _ = _second_iso(g, rel, h, n)
+    left, _ = _quotient_inside(g, rel, h, h & n)
+    right, _ = _quotient_inside(g, rel, hn, n)
     return _iso_report(left, right, images)
 
 
 def second_iso_holds(g: FiniteGroup, rel: ProximityRelation, h: int, n: int) -> bool:
-    """``second_iso_harness(g, rel, h, n).ok`` with no report: the memoized
-    group verdict and :func:`~proxikit.maps.is_proximal_isomorphism` on the
-    two sides' point relations."""
-    (_, rel1), (_, rel2), images, group_iso = _second_iso(g, rel, h, n)
-    return group_iso and is_proximal_isomorphism(images, rel1, rel2)
+    """``second_iso_harness(g, rel, h, n).ok`` with no report and no side
+    relation: the memoized group verdict, then
+    :func:`~proxikit.maps.points_isomorphic` on the two sides' point
+    relations (:func:`_side_points`)."""
+    hn, images, group_iso = _second_iso(g, rel, h, n)
+    if not group_iso:
+        return False
+    left = _side_points(rel, _group_inside(g, h, h & n)[2])
+    right = _side_points(rel, _group_inside(g, hn, n)[2])
+    return points_isomorphic(images, left, right)
 
 
 def _third_iso(
     g: FiniteGroup, rel: ProximityRelation, n: int, k: int
-) -> tuple[_Side, _Side, tuple[int, ...], bool]:
-    """The third theorem's sides (G/N)/(K/N) and G/K, the canonical images
-    between them (see :func:`third_iso_harness`) and whether those are a
-    group isomorphism.
+) -> tuple[int, tuple[int, ...], bool, tuple[int, ...]]:
+    """The gate, then the third theorem's group half: K/N as a mask of G/N,
+    the canonical images from (G/N)/(K/N) to G/K (see
+    :func:`third_iso_harness`), whether those are a group isomorphism, and
+    the elements of (G/N)/(K/N) as masks of G.
 
-    The group half (K/N as a mask of G/N, the images and their verdict) is
-    built once per (G, N, K), after the checks of N and K, and kept in G's
-    memo under ``("third_iso", n, k)``.  The sides are read for ``rel`` on
-    every call.
+    It is built once per (G, N, K), after the checks of N and K, and kept
+    in G's memo under ``("third_iso", n, k)``.
     """
     _require_proximal_group(g, rel, "input")
     full = g.space.full_mask
 
-    def build() -> tuple[int, tuple[int, ...], bool]:
+    def build() -> tuple[int, tuple[int, ...], bool, tuple[int, ...]]:
         reason = normality_violation(g, n)
         if reason is not None:
             raise ValueError(f"N: {reason}")
@@ -332,15 +362,11 @@ def _third_iso(
         k_over_n = sum(1 << j for j, block in enumerate(n_blocks) if block & ~k == 0)
         left, _, left_blocks = _group_inside(quot_n, quot_n.space.full_mask, k_over_n)
         right, _, right_blocks = _group_inside(g, full, k)
-        left_in_g = [union_over(n_blocks, b) for b in left_blocks]
+        left_in_g = tuple(union_over(n_blocks, b) for b in left_blocks)
         images = _containing(left_in_g, right_blocks)
-        return k_over_n, images, _is_group_isomorphism(left, right, images)
+        return k_over_n, images, _is_group_isomorphism(left, right, images), left_in_g
 
-    k_over_n, images, group_iso = memo(g, ("third_iso", n, k), build)
-    (quot_n, rel_n), _ = _quotient_inside(g, rel, full, n)
-    left, _ = _quotient_inside(quot_n, rel_n, quot_n.space.full_mask, k_over_n)
-    right, _ = _quotient_inside(g, rel, full, k)
-    return left, right, images, group_iso
+    return memo(g, ("third_iso", n, k), build)
 
 
 def third_iso_harness(
@@ -355,15 +381,22 @@ def third_iso_harness(
     (G/N)/(K/N) is a union of N-cosets making up one K-coset, which the
     canonical map sends it to.
     """
-    left, right, images, _ = _third_iso(g, rel, n, k)
+    k_over_n, images, _, _ = _third_iso(g, rel, n, k)
+    full = g.space.full_mask
+    (quot_n, rel_n), _ = _quotient_inside(g, rel, full, n)
+    left, _ = _quotient_inside(quot_n, rel_n, quot_n.space.full_mask, k_over_n)
+    right, _ = _quotient_inside(g, rel, full, k)
     return _iso_report(left, right, images)
 
 
 def third_iso_holds(g: FiniteGroup, rel: ProximityRelation, n: int, k: int) -> bool:
-    """``third_iso_harness(g, rel, n, k).ok`` with no report, decided as in
-    :func:`second_iso_holds`."""
-    (_, rel1), (_, rel2), images, group_iso = _third_iso(g, rel, n, k)
-    return group_iso and is_proximal_isomorphism(images, rel1, rel2)
+    """``third_iso_harness(g, rel, n, k).ok`` with no report and no side
+    relation, decided as in :func:`second_iso_holds`."""
+    _, images, group_iso, left_in_g = _third_iso(g, rel, n, k)
+    if not group_iso:
+        return False
+    right = _side_points(rel, _group_inside(g, g.space.full_mask, k)[2])
+    return points_isomorphic(images, _side_points(rel, left_in_g), right)
 
 
 # ---------------------------------------------------------------------------

@@ -159,19 +159,28 @@ def is_proximal_isomorphism(
     """The verdict of :func:`check_proximal_isomorphism` for the map f from
     rel1's carrier to rel2's with these images, with no report.
 
-    When both tables are Cech with point relations P1 and P2, it holds
-    exactly when f is a bijection and f(P1[i]) = P2[f(i)] for every i.  By
-    :func:`check_pcont`, f is pcont exactly when i P1 j implies
-    f(i) P2 f(j), that is f(P1[i]) is inside P2[f(i)] for every i.  For a
-    bijection, f^-1 is pcont exactly when y P2 z implies f^-1(y) P1 f^-1(z);
-    with y = f(i) and z = f(j) that says f(j) in P2[f(i)] implies j in
-    P1[i], that is P2[f(i)] is inside f(P1[i]).  The two inclusions are the
-    equality.  Any other table is decided by the report.
+    When both tables are Cech it is :func:`points_isomorphic` on their point
+    relations; any other table is decided by the report.
     """
     p1, p2 = rel1.point_graph, rel2.point_graph
     if p1 is None or p2 is None:
         f = SpaceMap(rel1.space, rel2.space, tuple(images))
         return check_proximal_isomorphism(f, rel1, rel2).ok
+    return points_isomorphic(images, p1, p2)
+
+
+def points_isomorphic(images: Sequence[int], p1: Sequence[int], p2: Sequence[int]) -> bool:
+    """Whether the map f with these images is a proximal isomorphism between
+    the Cech tables with point relations P1 and P2: a bijection with
+    f(P1[i]) = P2[f(i)] for every i.
+
+    By :func:`check_pcont`, f is pcont exactly when i P1 j implies
+    f(i) P2 f(j), that is f(P1[i]) is inside P2[f(i)] for every i.  For a
+    bijection, f^-1 is pcont exactly when y P2 z implies f^-1(y) P1 f^-1(z);
+    with y = f(i) and z = f(j) that says f(j) in P2[f(i)] implies j in
+    P1[i], that is P2[f(i)] is inside f(P1[i]).  The two inclusions are the
+    equality.
+    """
     n = len(p2)
     return (
         len(images) == len(p1) == n

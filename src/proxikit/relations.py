@@ -41,9 +41,10 @@ class ProximityRelation:
 
     Two things are computed once per relation and kept on it, outside the
     dataclass fields (so ``==`` and ``hash`` ignore them): ``point_graph``,
-    and the subspace and quotient relations built from it, which
-    :func:`subspace_proximity` and :func:`quotient_proximity` store in
-    ``_derived`` keyed by carrier mask or block tuple.
+    and what is built from it, which :func:`spaces.memo` stores in
+    ``_derived``: the subspace and quotient relations, keyed by carrier mask
+    or block tuple, and the point relations of the isomorphism theorems'
+    sides (``harnesses._side_points``).
     """
 
     space: FiniteSpace
@@ -248,18 +249,13 @@ def _pullback(
                            iff some i in A, j in B have images[j] & reach_i,
 
     so the result is the existential extension of Q[i] = {j : images[j] meets
-    reach_i}.  That costs O(k^2 + 2^k) for k = len(images), against O(4^k)
-    for the entry-by-entry scan that every other table takes, which
-    ``max_size`` caps.
+    reach_i}, :func:`pullback_points`.  That costs O(k^2 + 2^k) for
+    k = len(images), against O(4^k) for the entry-by-entry scan that every
+    other table takes, which ``max_size`` caps.
     """
     points = rel.point_graph
     if points is not None:
-        k = len(images)
-        q = []
-        for image in images:
-            reach = union_over(points, image)
-            q.append(sum(1 << j for j in range(k) if images[j] & reach))
-        return relation_from_point_pairs(space, q, provenance)
+        return relation_from_point_pairs(space, pullback_points(points, images), provenance)
     require_scan_size(space.size, max_size, "pullback table")
     pre = union_table(images)
     m = space.n_subsets
@@ -272,6 +268,20 @@ def _pullback(
                 row |= 1 << b
         rows.append(row)
     return ProximityRelation(space, tuple(rows), provenance)
+
+
+def pullback_points(points: Sequence[int], blocks: Sequence[int]) -> tuple[int, ...]:
+    """Q[i] = {j : blocks[j] meets the union of ``points`` over blocks[i]}:
+    the point relation of the pullback of a Cech table with point relation
+    ``points`` to the carrier whose element i stands for ``blocks[i]`` (see
+    :func:`_pullback`).  Reflexive and symmetric when ``points`` is and no
+    block is empty."""
+    k = len(blocks)
+    q = []
+    for block in blocks:
+        reach = union_over(points, block)
+        q.append(sum(1 << j for j in range(k) if blocks[j] & reach))
+    return tuple(q)
 
 
 def validate_partition(space: FiniteSpace, blocks: Sequence[int]) -> None:

@@ -92,8 +92,26 @@ def require_scan_size(size: int, max_size: int, what: str) -> None:
         )
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, ascending."""
+def bits(mask: int) -> tuple[int, ...] | Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending.
+
+    A carrier mask (below ``1 << MAX_CARRIER``) gets a tuple, built on its
+    first call and kept in a table; any wider mask, such as a table row,
+    gets a generator.
+    """
+    if mask < _SMALL_MASKS:
+        found = _BITS[mask]
+        if found is None:
+            found = _BITS[mask] = tuple(_scan_bits(mask))
+        return found
+    return _scan_bits(mask)
+
+
+_SMALL_MASKS = 1 << MAX_CARRIER
+_BITS: list[tuple[int, ...] | None] = [None] * _SMALL_MASKS
+
+
+def _scan_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import subprocess
@@ -648,6 +649,23 @@ def test_hom_criterion_hypothesis_on_p_equals_the_subset_scan(scope, cases):
     assert (seen, failed) == cases
 
 
+@pytest.mark.parametrize(
+    "scope, cases",
+    [(FuzzScope(4, ("cech",)), 745), (THEOREMS["hom-criterion-implies-pcont"].scope, 240)],
+)
+def test_hom_criterion_hypothesis_is_its_conclusion(scope, cases):
+    # on proximal groups P1[e1] = M1, so the hypothesis says eta(M1) lies in
+    # M2, which is when eta is pcont between coset relations: the sweep
+    # holds by proof
+    seen = 0
+    for i in _homomorphism_instances(scope):
+        args = (i["map_images"], i["group"][1], i["relation"], i["group2"][1], i["relation2"])
+        report = hom_criterion_check(*args)
+        assert report.hypothesis.ok == report.conclusion.ok
+        seen += 1
+    assert seen == cases
+
+
 def test_hom_criterion_requires_homomorphism():
     z3 = cyclic_group(3)
     d3 = make_discrete_proximity(z3.space)
@@ -768,6 +786,24 @@ def test_memoized_derived_groups_equal_a_fresh_build():
             assert blocks == fresh_blocks == coset_partition(g, n)
         # the memo is not a field: equality and hashing ignore it
         assert g == _fresh(g) and hash(g) == hash(_fresh(g))
+
+
+def test_group_hash_is_the_field_hash_computed_once():
+    fields = tuple(f.name for f in dataclasses.fields(FiniteGroup))
+    assert fields == ("space", "cayley", "identity", "inverse")
+    seen = 0
+    for _, g in all_groups_up_to(8):
+        derived = [subgroup_group(g, h) for h in all_subgroups(g)]
+        derived += [quotient_group(g, n)[0] for n in normal_subgroups(g)]
+        for group in [g, *derived]:
+            field_hash = hash(tuple(getattr(group, name) for name in fields))
+            assert hash(group) == field_hash == hash(group)
+            assert vars(group)["_hash"] == field_hash
+            # built two ways: the checked table build and the constructor
+            other = FiniteGroup.from_table(group.space, group.cayley)
+            assert other == group and hash(other) == field_hash
+            seen += 1
+    assert seen == 149
 
 
 def test_subgroup_lists_equal_the_mask_filter_and_are_kept():

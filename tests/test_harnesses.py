@@ -28,16 +28,25 @@ from proxikit import (
     subgroup_proximal_group,
     third_iso_harness,
 )
+from proxikit import relations
 from proxikit.harnesses import second_iso_holds, third_iso_holds
 from proxikit.enumeration import (
     THEOREMS,
+    FuzzScope,
     _all_homomorphisms,
     _coset_relations,
     _normal_chain_instances,
     _second_iso_instances,
 )
 from proxikit.groups import FiniteGroup, _mu1_check, all_subgroups, normal_subgroups, subset_product
-from proxikit.harnesses import _iso_report, _pointwise_nearness, _quotient_inside
+from proxikit.harnesses import (
+    _iso_report,
+    _pointwise_nearness,
+    _quotient_inside,
+    _side_points,
+    _third_iso,
+)
+from proxikit.relations import pullback_points
 from proxikit.maps import check_pcont
 
 
@@ -372,6 +381,68 @@ def test_iso_twins_raise_the_harness_messages():
         "input is not a verified proximal group", "input is not a verified proximal group",
         "N", "K", "N must be contained in K",
     ]
+
+
+@pytest.mark.parametrize(
+    "scope, cases",
+    [(THEOREMS["second-isomorphism-theorem"].scope, (1034, 368)), (FuzzScope(4, ("cech",)), (169, 91))],
+)
+def test_twin_sides_equal_the_harness_sides(scope, cases):
+    # each side's point relation, read off P and the blocks as masks of G,
+    # is the point relation of the side relation the harness builds
+    def same_side(rel, side, in_g):
+        points = pullback_points(rel.point_graph, in_g)
+        assert points == side.point_graph == _side_points(rel, in_g)
+
+    second = third = 0
+    for i in _second_iso_instances(scope):
+        g, rel, h, n = i["group"][1], i["relation"], i["subgroup_mask"], i["normal_mask"]
+        for s, m in ((h, h & n), (subset_product(g, h, n), n)):
+            (_, side), in_g = _quotient_inside(g, rel, s, m)
+            same_side(rel, side, in_g)
+        second += 1
+    for i in _normal_chain_instances(scope):
+        g, rel, n, k = i["group"][1], i["relation"], i["normal_mask"], i["containing_mask"]
+        full = g.space.full_mask
+        k_over_n, _, _, left_in_g = _third_iso(g, rel, n, k)
+        (quot_n, rel_n), _ = _quotient_inside(g, rel, full, n)
+        (_, left), _ = _quotient_inside(quot_n, rel_n, quot_n.space.full_mask, k_over_n)
+        same_side(rel, left, left_in_g)
+        (_, right), right_in_g = _quotient_inside(g, rel, full, k)
+        same_side(rel, right, right_in_g)
+        third += 1
+    assert (second, third) == cases
+
+
+def test_iso_twins_build_no_side_relation(monkeypatch):
+    calls = []
+    real = relations._pullback
+
+    def spy(rel, space, images, provenance, max_size):
+        calls.append(provenance)
+        return real(rel, space, images, provenance, max_size)
+
+    monkeypatch.setattr(relations, "_pullback", spy)
+    second = third = 0
+    for g, source, _ in _coset_structures(8):
+        # a fresh relation, so no memo of the catalog source answers for it
+        rel = ProximityRelation(source.space, source.rows, source.provenance)
+        normals = normal_subgroups(g)
+        for h in all_subgroups(g):
+            for n in normals:
+                second_iso_holds(g, rel, h, n)
+                second += 1
+        for n in normals:
+            for k in normals:
+                if not n & ~k:
+                    assert third_iso_holds(g, rel, n, k)
+                    third += 1
+        assert not [key for key in rel._derived if key[0] in ("subspace", "quotient")]
+    assert (second, third) == (5551, 1677)
+    assert calls == []
+    # the spy sees a harness build its sides
+    assert third_iso_harness(g, rel, 1 << g.identity, g.space.full_mask).ok
+    assert calls == ["quotient"] * 3
 
 
 # --- hausdorff -------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from proxikit import FiniteSpace, bits, default_space, product_space
-from proxikit.spaces import image, union_over, union_table
+from proxikit.spaces import MAX_CARRIER, _scan_bits, image, union_over, union_table
 
 
 def test_default_space_letters():
@@ -51,6 +51,23 @@ def test_mask_roundtrip():
 def test_bits_reconstructs_mask(mask):
     assert sum(1 << i for i in bits(mask)) == mask
     assert list(bits(mask)) == sorted(bits(mask))
+
+
+def _set_bits(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
+def test_bits_table_equals_the_scan():
+    # every carrier mask is read from the table, built once and kept;
+    # a wider mask, such as a table row, is scanned
+    rng = random.Random(4096)
+    wide = [rng.getrandbits(rng.randrange(13, 4097)) for _ in range(200)] + [1 << 4096]
+    for mask in [*range(1 << MAX_CARRIER), *wide]:
+        found = tuple(bits(mask))
+        assert found == tuple(_scan_bits(mask)) == _set_bits(mask), mask
+    for mask in range(1 << MAX_CARRIER):
+        assert bits(mask) is bits(mask)
+    assert not isinstance(bits(1 << MAX_CARRIER), tuple)
 
 
 def test_product_space_indexing():
