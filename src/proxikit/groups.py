@@ -302,11 +302,14 @@ def normal_subgroups(g: FiniteGroup) -> tuple[int, ...]:
     ))
 
 
-def coset_partition(g: FiniteGroup, n_mask: int) -> tuple[int, ...]:
-    """Left cosets of a subgroup, ordered by their smallest member."""
+def coset_partition(g: FiniteGroup, n_mask: int, within: int | None = None) -> tuple[int, ...]:
+    """Left cosets xN of a subgroup N for x in a subgroup S that holds N
+    (``within``, all of G by default), as masks of G ordered by their
+    smallest member.  Each xN lies in S, and x is its smallest member, as
+    the smaller members of S lie in cosets already taken."""
     blocks = []
     seen = 0
-    for x in range(g.order):
+    for x in range(g.order) if within is None else bits(within):
         if (seen >> x) & 1:
             continue
         coset = image(g.cayley[x], n_mask)

@@ -25,6 +25,7 @@ from .groups import (
     check_proximal_homomorphism,
     check_transitivity_property,
     check_translations,
+    coset_partition,
     direct_product_group,
     homomorphism_violation,
     normality_violation,
@@ -43,7 +44,7 @@ from .relations import (
     quotient_proximity,
     subspace_proximity,
 )
-from .spaces import bits, image, memo, union_over
+from .spaces import bits, memo
 
 
 @dataclass(frozen=True)
@@ -170,12 +171,6 @@ def _iso_report(
     return IsoTheoremReport(True, group_iso, proximal, canonical=f)
 
 
-def _is_group_isomorphism(g1: FiniteGroup, g2: FiniteGroup, images: Sequence[int]) -> bool:
-    """Whether the map with these images is a bijective homomorphism g1 -> g2."""
-    f = SpaceMap(g1.space, g2.space, tuple(images))
-    return f.is_bijective() and homomorphism_violation(f, g1, g2) is None
-
-
 def _containing(blocks: Sequence[int], targets: Sequence[int]) -> tuple[int, ...]:
     """The canonical map read off containment in G: each block goes to the
     target block that holds it, the only one, as the targets are disjoint."""
@@ -187,15 +182,15 @@ def _group_inside(
 ) -> tuple[FiniteGroup, tuple[int, ...], tuple[int, ...]]:
     """S/M for a subgroup S of G and a subgroup M normal in S, with its
     blocks on S's carrier and its elements, the cosets xM for x in S, as
-    masks of G.  Built once per (G, S, M) and kept in G's memo.
-    ``subgroup_group`` keeps the labels of S, so M is found on S's carrier
-    by its labels."""
+    masks of G (``coset_partition(g, m, s)``).  Built once per (G, S, M)
+    and kept in G's memo.  ``subgroup_group`` keeps the labels of S, so M
+    is found on S's carrier by its labels; its members keep G's order, so
+    the blocks on S list the same cosets in the same order."""
 
     def build() -> tuple[FiniteGroup, tuple[int, ...], tuple[int, ...]]:
         sub = subgroup_group(g, s)
         quot, blocks = quotient_group(sub, sub.space.mask_of(g.space.label_set(m)))
-        members = list(bits(s))
-        return quot, blocks, tuple(image(members, block) for block in blocks)
+        return quot, blocks, coset_partition(g, m, s)
 
     return memo(g, ("inside", s, m), build)
 
@@ -277,18 +272,26 @@ def _side_points(rel: ProximityRelation, in_g: tuple[int, ...]) -> tuple[int, ..
 
 def _second_iso(
     g: FiniteGroup, rel: ProximityRelation, h: int, n: int
-) -> tuple[int, tuple[int, ...], bool]:
+) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The gate, then the second theorem's group half: HN, the canonical
-    images from H/(H cap N) to HN/N (see :func:`second_iso_harness`) and
-    whether those are a group isomorphism.
+    images from H/(H cap N) to HN/N (see :func:`second_iso_harness`), and
+    the two sides' elements as masks of G, the cosets x(H cap N) for x in
+    H and xN for x in HN (``coset_partition``), which are the elements of
+    :func:`_group_inside`'s sides.
 
     The group half does not depend on the relation: it is built once per
     (G, H, N), after the checks of H and N, and kept in G's memo under
-    ``("second_iso", h, n)``.
+    ``("second_iso", h, n)``.  No group is built for it, since the images
+    are a group isomorphism on every input that passes the checks.  N is
+    normal, so HN is a subgroup and x -> xN maps H onto HN/N (hnN = hN), a
+    homomorphism with kernel H cap N.  By the second isomorphism theorem
+    for groups, x(H cap N) -> xN is a well-defined isomorphism
+    H/(H cap N) -> HN/N, and it sends each left element to the N-coset
+    that holds it, the image :func:`_containing` reads.
     """
     _require_proximal_group(g, rel, "input")
 
-    def build() -> tuple[int, tuple[int, ...], bool]:
+    def build() -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         reason = subgroup_violation(g, h)
         if reason is not None:
             raise ValueError(f"H: {reason}")
@@ -296,10 +299,8 @@ def _second_iso(
         if reason is not None:
             raise ValueError(f"N: {reason}")
         hn = subset_product(g, h, n)
-        left, _, left_in_g = _group_inside(g, h, h & n)
-        right, _, right_in_g = _group_inside(g, hn, n)
-        images = _containing(left_in_g, right_in_g)
-        return hn, images, _is_group_isomorphism(left, right, images)
+        left, right = coset_partition(g, h & n, h), coset_partition(g, n, hn)
+        return hn, _containing(left, right), left, right
 
     return memo(g, ("second_iso", h, n), build)
 
@@ -316,7 +317,7 @@ def second_iso_harness(
     HN cap M lies in (H cap M)N; with the discrete or coarse proximity
     (M = {e} or G) that always holds.
     """
-    hn, images, _ = _second_iso(g, rel, h, n)
+    hn, images, _, _ = _second_iso(g, rel, h, n)
     left, _ = _quotient_inside(g, rel, h, h & n)
     right, _ = _quotient_inside(g, rel, hn, n)
     return _iso_report(left, right, images)
@@ -324,32 +325,37 @@ def second_iso_harness(
 
 def second_iso_holds(g: FiniteGroup, rel: ProximityRelation, h: int, n: int) -> bool:
     """``second_iso_harness(g, rel, h, n).ok`` with no report and no side
-    relation: the memoized group verdict, then
-    :func:`~proxikit.maps.points_isomorphic` on the two sides' point
-    relations (:func:`_side_points`)."""
-    hn, images, group_iso = _second_iso(g, rel, h, n)
-    if not group_iso:
-        return False
-    left = _side_points(rel, _group_inside(g, h, h & n)[2])
-    right = _side_points(rel, _group_inside(g, hn, n)[2])
-    return points_isomorphic(images, left, right)
+    built: :func:`~proxikit.maps.points_isomorphic` for the canonical
+    images between the two sides' point relations (:func:`_side_points`).
+    The harness's group verdict is True on every input that passes the
+    checks (:func:`_second_iso`), so its ``ok`` is the proximal verdict."""
+    _, images, left, right = _second_iso(g, rel, h, n)
+    return points_isomorphic(images, _side_points(rel, left), _side_points(rel, right))
 
 
 def _third_iso(
     g: FiniteGroup, rel: ProximityRelation, n: int, k: int
-) -> tuple[int, tuple[int, ...], bool, tuple[int, ...]]:
+) -> tuple[int, tuple[int, ...]]:
     """The gate, then the third theorem's group half: K/N as a mask of G/N,
-    the canonical images from (G/N)/(K/N) to G/K (see
-    :func:`third_iso_harness`), whether those are a group isomorphism, and
-    the elements of (G/N)/(K/N) as masks of G.
+    and the K-cosets as masks of G by smallest member
+    (``coset_partition``).  These are the elements of both sides, and the
+    canonical images from (G/N)/(K/N) to G/K are the identity.
+
+    G/N lists the N-cosets by smallest member (``quotient_group``).  An
+    element of (G/N)/(K/N) is a coset (xN)(K/N) = {xkN : k in K}, whose
+    union in G is xK, so its elements as masks of G are the K-cosets.  It
+    lists them by their first N-coset in G/N, the one that holds the
+    smallest member of xK, so by smallest member, as G/K does.  Each goes
+    to the K-coset that holds it, itself.  By the third isomorphism
+    theorem for groups, xN -> xK maps G/N onto G/K with kernel K/N, so
+    (xN)(K/N) -> xK is a well-defined group isomorphism.
 
     It is built once per (G, N, K), after the checks of N and K, and kept
     in G's memo under ``("third_iso", n, k)``.
     """
     _require_proximal_group(g, rel, "input")
-    full = g.space.full_mask
 
-    def build() -> tuple[int, tuple[int, ...], bool, tuple[int, ...]]:
+    def build() -> tuple[int, tuple[int, ...]]:
         reason = normality_violation(g, n)
         if reason is not None:
             raise ValueError(f"N: {reason}")
@@ -358,13 +364,9 @@ def _third_iso(
             raise ValueError(f"K: {reason}")
         if n & ~k:
             raise ValueError("N must be contained in K")
-        quot_n, _, n_blocks = _group_inside(g, full, n)
-        k_over_n = sum(1 << j for j, block in enumerate(n_blocks) if block & ~k == 0)
-        left, _, left_blocks = _group_inside(quot_n, quot_n.space.full_mask, k_over_n)
-        right, _, right_blocks = _group_inside(g, full, k)
-        left_in_g = tuple(union_over(n_blocks, b) for b in left_blocks)
-        images = _containing(left_in_g, right_blocks)
-        return k_over_n, images, _is_group_isomorphism(left, right, images), left_in_g
+        n_cosets = coset_partition(g, n)
+        k_over_n = sum(1 << j for j, block in enumerate(n_cosets) if block & ~k == 0)
+        return k_over_n, coset_partition(g, k)
 
     return memo(g, ("third_iso", n, k), build)
 
@@ -379,24 +381,26 @@ def third_iso_harness(
     (xN)(kN)(xN)^-1 = (xkx^-1)N with xkx^-1 in K.  So it is not checked
     here; ``quotient_group`` checks it anyway.  Each element of
     (G/N)/(K/N) is a union of N-cosets making up one K-coset, which the
-    canonical map sends it to.
+    canonical map sends it to; both sides list the K-cosets in one order,
+    so the canonical images are the identity (:func:`_third_iso`).
     """
-    k_over_n, images, _, _ = _third_iso(g, rel, n, k)
+    k_over_n, k_cosets = _third_iso(g, rel, n, k)
     full = g.space.full_mask
     (quot_n, rel_n), _ = _quotient_inside(g, rel, full, n)
     left, _ = _quotient_inside(quot_n, rel_n, quot_n.space.full_mask, k_over_n)
     right, _ = _quotient_inside(g, rel, full, k)
-    return _iso_report(left, right, images)
+    return _iso_report(left, right, range(len(k_cosets)))
 
 
 def third_iso_holds(g: FiniteGroup, rel: ProximityRelation, n: int, k: int) -> bool:
     """``third_iso_harness(g, rel, n, k).ok`` with no report and no side
-    relation, decided as in :func:`second_iso_holds`."""
-    _, images, group_iso, left_in_g = _third_iso(g, rel, n, k)
-    if not group_iso:
-        return False
-    right = _side_points(rel, _group_inside(g, g.space.full_mask, k)[2])
-    return points_isomorphic(images, _side_points(rel, left_in_g), right)
+    built: True on every input that passes the gate and the checks of N
+    and K.  Both sides have the K-cosets as their elements in G, with the
+    identity as canonical images (:func:`_third_iso`).  So both have the
+    point relation ``pullback_points(P, K-cosets)`` (:func:`_side_points`),
+    and the identity is a proximal isomorphism between them."""
+    _third_iso(g, rel, n, k)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -153,22 +153,6 @@ def check_proximal_isomorphism(
     return AxiomReport.from_witnesses(found)
 
 
-def is_proximal_isomorphism(
-    images: Sequence[int], rel1: ProximityRelation, rel2: ProximityRelation
-) -> bool:
-    """The verdict of :func:`check_proximal_isomorphism` for the map f from
-    rel1's carrier to rel2's with these images, with no report.
-
-    When both tables are Cech it is :func:`points_isomorphic` on their point
-    relations; any other table is decided by the report.
-    """
-    p1, p2 = rel1.point_graph, rel2.point_graph
-    if p1 is None or p2 is None:
-        f = SpaceMap(rel1.space, rel2.space, tuple(images))
-        return check_proximal_isomorphism(f, rel1, rel2).ok
-    return points_isomorphic(images, p1, p2)
-
-
 def points_isomorphic(images: Sequence[int], p1: Sequence[int], p2: Sequence[int]) -> bool:
     """Whether the map f with these images is a proximal isomorphism between
     the Cech tables with point relations P1 and P2: a bijection with

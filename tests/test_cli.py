@@ -713,6 +713,24 @@ def test_the_parser_requires_the_required_flags(argv, flag, capsys):
     assert f"the following arguments are required: {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "verb, document, flags, message",
+    [
+        ("iso-theorems", "z3_group.json", {"which": "fourth", "rel": "d"},
+         "--which must be first, second, or third"),
+        ("enumerate", None, {}, "enumerate needs --n SIZE"),
+        ("census", None, {}, "census needs --n SIZE"),
+        ("fuzz", None, {}, "fuzz needs --theorem ID; known ids: "),
+    ],
+)
+def test_run_command_refuses_what_the_parser_stops(verb, document, flags, message):
+    # argparse stops these inputs in main, so only a library caller meets them
+    ws = parse_workspace((FIXTURES / document).read_text()) if document else None
+    with pytest.raises(WorkspaceError, match=f"^flags: {re.escape(message)}") as raised:
+        run_command(verb, ws, flags)
+    assert raised.value.location == "flags"
+
+
 # --- one-verb parse ---------------------------------------------------------
 
 DOC = "fixtures/z3_group.json"  # parsed, never read

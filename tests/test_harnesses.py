@@ -28,7 +28,7 @@ from proxikit import (
     subgroup_proximal_group,
     third_iso_harness,
 )
-from proxikit import relations
+from proxikit import groups, harnesses, relations
 from proxikit.harnesses import second_iso_holds, third_iso_holds
 from proxikit.enumeration import (
     THEOREMS,
@@ -38,15 +38,28 @@ from proxikit.enumeration import (
     _normal_chain_instances,
     _second_iso_instances,
 )
-from proxikit.groups import FiniteGroup, _mu1_check, all_subgroups, normal_subgroups, subset_product
+from proxikit.groups import (
+    FiniteGroup,
+    _mu1_check,
+    all_subgroups,
+    coset_partition,
+    homomorphism_violation,
+    normal_subgroups,
+    subgroup_group,
+    subset_product,
+)
 from proxikit.harnesses import (
+    _containing,
+    _group_inside,
     _iso_report,
     _pointwise_nearness,
     _quotient_inside,
+    _second_iso,
     _side_points,
     _third_iso,
 )
 from proxikit.relations import pullback_points
+from proxikit.spaces import bits, image, union_over
 from proxikit.maps import check_pcont
 
 
@@ -336,9 +349,11 @@ def test_iso_twins_keep_the_group_half_on_g_and_decide_each_relation():
     # H = {e, b}, N = {e, c}: HN = V4, and H/(H cap N) = H is Z2 = V4/N
     h, n = 0b0011, 0b0101
     assert second_iso_holds(v4, d, h, n)
-    assert v4._derived[("second_iso", h, n)] == (0b1111, (0, 1), True)
+    # HN, the canonical images, and the sides {e}, {b} and N, bN as masks of G
+    assert v4._derived[("second_iso", h, n)] == (0b1111, (0, 1), (0b0001, 0b0010), (0b0101, 0b1010))
     assert third_iso_holds(v4, c, 0b0001, n)
-    assert v4._derived[("third_iso", 0b0001, n)][0] == n
+    # K/N = N over the trivial N, and the K-cosets N, bN
+    assert v4._derived[("third_iso", 0b0001, n)] == (n, (0b0101, 0b1010))
     # the proximal half reads the relation: on the coset relation of
     # M = {e, d}, HN cap M = M is not in (H cap M)N = N, so the same kept
     # group half gives the other verdict
@@ -404,7 +419,7 @@ def test_twin_sides_equal_the_harness_sides(scope, cases):
     for i in _normal_chain_instances(scope):
         g, rel, n, k = i["group"][1], i["relation"], i["normal_mask"], i["containing_mask"]
         full = g.space.full_mask
-        k_over_n, _, _, left_in_g = _third_iso(g, rel, n, k)
+        k_over_n, left_in_g = _third_iso(g, rel, n, k)
         (quot_n, rel_n), _ = _quotient_inside(g, rel, full, n)
         (_, left), _ = _quotient_inside(quot_n, rel_n, quot_n.space.full_mask, k_over_n)
         same_side(rel, left, left_in_g)
@@ -443,6 +458,114 @@ def test_iso_twins_build_no_side_relation(monkeypatch):
     # the spy sees a harness build its sides
     assert third_iso_harness(g, rel, 1 << g.identity, g.space.full_mask).ok
     assert calls == ["quotient"] * 3
+
+
+def _is_group_isomorphism(g1, g2, images):
+    """Whether the map with these images is a bijective homomorphism g1 -> g2:
+    the group verdict the twins once computed, kept here as an oracle."""
+    f = SpaceMap(g1.space, g2.space, tuple(images))
+    return f.is_bijective() and homomorphism_violation(f, g1, g2) is None
+
+
+def test_coset_partition_of_a_subgroup_equals_the_group_inside_elements():
+    # oracle: the cosets of M in the group S on its own carrier, moved to G
+    cases = 0
+    for _, g in all_groups_up_to(8):
+        for s in all_subgroups(g):
+            members = list(bits(s))
+            sub = subgroup_group(g, s)
+            for m_on_s in normal_subgroups(sub):
+                m = image(members, m_on_s)
+                _, blocks, in_g = _group_inside(g, s, m)
+                assert in_g == coset_partition(g, m, s)
+                assert in_g == tuple(image(members, block) for block in blocks)
+                cases += 1
+    assert cases == 202
+
+
+def test_second_iso_images_are_a_group_isomorphism_between_the_quotients():
+    cases = 0
+    for _, g in all_groups_up_to(8):
+        d = make_discrete_proximity(g.space)
+        for h in all_subgroups(g):
+            for n in normal_subgroups(g):
+                hn, images, left, right = _second_iso(g, d, h, n)
+                left_group, _, left_in_g = _group_inside(g, h, h & n)
+                right_group, _, right_in_g = _group_inside(g, hn, n)
+                assert (left, right) == (left_in_g, right_in_g)
+                assert sorted(images) == list(range(len(right)))
+                assert _is_group_isomorphism(left_group, right_group, images)
+                cases += 1
+    assert cases == 517
+
+
+def test_third_iso_left_elements_are_the_k_cosets_with_identity_images():
+    # oracle: (G/N)/(K/N) built inside G/N, its elements moved to G
+    cases = 0
+    for _, g in all_groups_up_to(8):
+        c = make_coarse_proximity(g.space)
+        full = g.space.full_mask
+        normals = normal_subgroups(g)
+        for n in normals:
+            for k in normals:
+                if n & ~k:
+                    continue
+                k_over_n, k_cosets = _third_iso(g, c, n, k)
+                quot_n, _, n_blocks = _group_inside(g, full, n)
+                left, _, left_blocks = _group_inside(quot_n, quot_n.space.full_mask, k_over_n)
+                right, _, right_in_g = _group_inside(g, full, k)
+                left_in_g = tuple(union_over(n_blocks, b) for b in left_blocks)
+                assert left_in_g == right_in_g == k_cosets == coset_partition(g, k)
+                images = _containing(left_in_g, right_in_g)
+                assert images == tuple(range(len(k_cosets)))
+                assert _is_group_isomorphism(left, right, images)
+                cases += 1
+    assert cases == 184
+
+
+def test_cold_iso_twins_build_no_group_and_no_map(monkeypatch):
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module in (groups, harnesses):
+        for name in ("subgroup_group", "quotient_group", "homomorphism_violation"):
+            spy(module, name)
+    real_init = SpaceMap.__post_init__
+
+    def counting_init(self):
+        calls.append("SpaceMap")
+        real_init(self)
+
+    monkeypatch.setattr(SpaceMap, "__post_init__", counting_init)
+    second = third = 0
+    for name, source in all_groups_up_to(8):
+        # a relabelled copy: an equal table on another carrier, memo empty
+        g = source.with_labels([f"{name}.{label}" for label in source.space.labels])
+        assert not g._derived
+        normals = normal_subgroups(g)
+        for _, rel in _coset_relations(g, "lodato"):
+            for h in all_subgroups(g):
+                for n in normals:
+                    second_iso_holds(g, rel, h, n)
+                    second += 1
+            for n in normals:
+                for k in normals:
+                    if not n & ~k:
+                        assert third_iso_holds(g, rel, n, k)
+                        third += 1
+    assert (second, third) == (5551, 1677)
+    assert calls == []
+    # the spies see a harness build its sides and its map
+    assert third_iso_harness(g, rel, 1 << g.identity, g.space.full_mask).ok
+    assert {"subgroup_group", "quotient_group", "homomorphism_violation", "SpaceMap"} <= set(calls)
 
 
 # --- hausdorff -------------------------------------------------------------------
