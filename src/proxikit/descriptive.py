@@ -144,11 +144,12 @@ def mapping_space_relation(
     Both relations are Cech, with the "same description" point relations
     P1 and P2, so the test runs on points: the sets are near exactly when
     x P1 y implies f(x) P2 g(y) for every f in ``maps1`` and g in
-    ``maps2``, as for :func:`~proxikit.maps.check_pcont`.  When they are
-    far, the witness is ({x}, {y}, f, g) for the first x, y, f, g, in
-    that order, that break it: a violating (A, B, f, g) holds such an x in
-    A and y in B for that f and g, so as for ``check_pcont`` the first
-    violating A is {x}, then B is {y}, and then come the first maps.
+    ``maps2``, as for :func:`~proxikit.maps.pcont_point_witness`.  When
+    they are far, the witness is ({x}, {y}, f, g) for the first x, y, f,
+    g, in that order, that break it: a violating (A, B, f, g) holds such
+    an x in A and y in B for that f and g, so as for
+    ``pcont_point_witness`` the first violating A is {x}, then B is {y},
+    and then come the first maps.
     """
     rel1 = descriptive_proximity(probes1)
     rel2 = descriptive_proximity(probes2)

@@ -37,13 +37,8 @@ from .groups import (
     _mu2_check,
     _require_proximal_group,
 )
-from .maps import SpaceMap, check_pcont, check_proximal_isomorphism, points_isomorphic
-from .relations import (
-    ProximityRelation,
-    pullback_points,
-    quotient_proximity,
-    subspace_proximity,
-)
+from .maps import SpaceMap, check_pcont, pcont_point_witness, points_isomorphic
+from .relations import ProximityRelation, pullback_points
 from .spaces import bits, memo
 
 
@@ -140,35 +135,50 @@ def multiplication_continuity_harness(
 class IsoTheoremReport:
     """Outcome of rebuilding one isomorphism theorem on a finite instance.
 
-    ``group_isomorphism`` is the purely algebraic verdict for the canonical
-    map ``canonical`` (None for a first theorem with no surjection);
-    ``proximal`` carries its bijective/pcont/inverse_pcont verdicts and
-    witnesses, inverse_pcont ones on its codomain and the rest on its domain.
+    ``proximal`` carries the bijective/pcont/inverse_pcont verdicts and
+    witnesses of the canonical map ``canonical`` (None for a first theorem
+    with no surjection), inverse_pcont ones on its codomain and the rest on
+    its domain.
     """
 
     surjective: bool
-    group_isomorphism: bool
     proximal: AxiomReport
     missing_image: int | None = None
     canonical: SpaceMap | None = None
 
     @property
+    def group_isomorphism(self) -> bool:
+        """Whether ``canonical`` is a group isomorphism: exactly when it
+        exists, that is when ``surjective``, so ``bijective`` holds too.
+
+        For a homomorphism eta with kernel K, eta(x) = eta(y) exactly when
+        xK = yK, so by the first isomorphism theorem for groups
+        xK -> eta(x) is an isomorphism G1/K -> eta(G1), onto G2 when eta
+        is.  The second and third isomorphism theorems for groups make the
+        other canonical maps isomorphisms (:func:`_second_iso`,
+        :func:`_third_iso`)."""
+        return self.surjective
+
+    @property
     def ok(self) -> bool:
-        return self.surjective and self.group_isomorphism and self.proximal.ok
+        return self.surjective and self.proximal.ok
 
 
 def _iso_report(
-    source: tuple[FiniteGroup, ProximityRelation],
-    target: tuple[FiniteGroup, ProximityRelation],
+    source: tuple[FiniteGroup, Sequence[int]],
+    target: tuple[FiniteGroup, Sequence[int]],
     images: Sequence[int],
 ) -> IsoTheoremReport:
     """Report on the theorem's canonical map between its two sides, given by
-    images: a bijective group homomorphism, and a proximal isomorphism."""
-    (g1, rel1), (g2, rel2) = source, target
+    their groups and the point relations of their Cech relations
+    (:func:`_side_points`): a group isomorphism with these images, and a
+    proximal isomorphism with the witnesses that ``check_pcont`` reads off
+    those point relations (:func:`~proxikit.maps.pcont_point_witness`)."""
+    (g1, p1), (g2, p2) = source, target
     f = SpaceMap(g1.space, g2.space, tuple(images), "canonical")
-    proximal = check_proximal_isomorphism(f, rel1, rel2)
-    group_iso = proximal.verdicts["bijective"] and homomorphism_violation(f, g1, g2) is None
-    return IsoTheoremReport(True, group_iso, proximal, canonical=f)
+    witnesses = {"bijective": None, "pcont": pcont_point_witness(f.images, p1, p2)}
+    witnesses["inverse_pcont"] = pcont_point_witness(f.inverse().images, p2, p1)
+    return IsoTheoremReport(True, AxiomReport.from_witnesses(witnesses), canonical=f)
 
 
 def _containing(blocks: Sequence[int], targets: Sequence[int]) -> tuple[int, ...]:
@@ -195,22 +205,6 @@ def _group_inside(
     return memo(g, ("inside", s, m), build)
 
 
-def _quotient_inside(
-    g: FiniteGroup, rel: ProximityRelation, s: int, m: int
-) -> tuple[tuple[FiniteGroup, ProximityRelation], tuple[int, ...]]:
-    """S/M (:func:`_group_inside`) with its relation, the quotient of the
-    subspace relation on S, and its elements as masks of G.
-
-    The relation side is the pullbacks memoized on ``rel``; on S = G the
-    subspace relation equals ``rel``, so the quotient is taken from ``rel``
-    itself.  On a proximal group both are read off the point relation, so
-    neither reaches a capped scan.
-    """
-    quot, blocks, in_g = _group_inside(g, s, m)
-    base = rel if s == g.space.full_mask else subspace_proximity(rel, s)
-    return (quot, quotient_proximity(base, blocks)), in_g
-
-
 def first_iso_harness(
     eta: SpaceMap,
     g1: FiniteGroup,
@@ -231,33 +225,31 @@ def first_iso_harness(
         raise ValueError(f"map is not a group homomorphism at {hom_witness}")
     if not check_pcont(eta, rel1, rel2).ok:
         raise ValueError("map is not proximally continuous")
-    surjective = set(eta.images) == set(range(g2.order))
-    if not surjective:
-        missing = next(i for i in range(g2.order) if i not in set(eta.images))
-        return IsoTheoremReport(
-            False, False, AxiomReport({"bijective": False}), 1 << missing
-        )
+    hit = set(eta.images)
+    missing = next((i for i in range(g2.order) if i not in hit), None)
+    if missing is not None:
+        return IsoTheoremReport(False, AxiomReport({"bijective": False}), 1 << missing)
     kernel = sum(1 << i for i in range(g1.order) if eta.images[i] == g2.identity)
-    quot, blocks = _quotient_inside(g1, rel1, g1.space.full_mask, kernel)
-    # induced map: coset block -> image of any representative
-    images = [eta.images[min(bits(block))] for block in blocks]
-    return _iso_report(quot, (g2, rel2), images)
+    quot, _, cosets = _group_inside(g1, g1.space.full_mask, kernel)
+    # induced map: coset -> image of any representative
+    images = [eta.images[min(bits(coset))] for coset in cosets]
+    return _iso_report((quot, _side_points(rel1, cosets)), (g2, rel2.point_graph), images)
 
 
 def _side_points(rel: ProximityRelation, in_g: tuple[int, ...]) -> tuple[int, ...]:
-    """The point relation of the side S/M that :func:`_quotient_inside`
-    builds for a proximal group (G, rel), read off P with no relation built:
+    """The point relation of the side S/M (:func:`_group_inside`) of a
+    proximal group (G, rel), read off P with no relation built:
     ``pullback_points(P, in_g)`` for its elements ``in_g``, the cosets of M
     as masks of G.  Kept on ``rel`` under ``("points", in_g)``; equal blocks
     give equal points, whichever theorem reads them.
 
-    That side is the quotient by the blocks of the subspace relation on S.
-    The subspace relation's point relation is P_S[x] = P[x] & S, and by
-    :func:`~proxikit.relations._pullback` the quotient's is
-    Q[i] = {j : in_g[j] meets the union of P_S over in_g[i]}.  Every
-    in_g[j] lies in S, so it meets R & S exactly when it meets R, and Q is
-    ``pullback_points(P, in_g)``.  On S = G the quotient is taken from rel
-    itself, with the same Q.
+    That side's relation is the quotient by the cosets of the subspace
+    relation on S.  The subspace relation's point relation is
+    P_S[x] = P[x] & S, and by :func:`~proxikit.relations._pullback` the
+    quotient's is Q[i] = {j : in_g[j] meets the union of P_S over in_g[i]}.
+    Every in_g[j] lies in S, so it meets R & S exactly when it meets R, and
+    Q is ``pullback_points(P, in_g)``.  On S = G the subspace relation is
+    rel itself, with the same Q.
 
     The third theorem's left side (G/N)/(K/N) is a quotient of G/N, whose
     point relation is Q_N = ``pullback_points(P, C)`` for the N-cosets C.
@@ -317,10 +309,10 @@ def second_iso_harness(
     HN cap M lies in (H cap M)N; with the discrete or coarse proximity
     (M = {e} or G) that always holds.
     """
-    hn, images, _, _ = _second_iso(g, rel, h, n)
-    left, _ = _quotient_inside(g, rel, h, h & n)
-    right, _ = _quotient_inside(g, rel, hn, n)
-    return _iso_report(left, right, images)
+    hn, images, left, right = _second_iso(g, rel, h, n)
+    source = _group_inside(g, h, h & n)[0], _side_points(rel, left)
+    target = _group_inside(g, hn, n)[0], _side_points(rel, right)
+    return _iso_report(source, target, images)
 
 
 def second_iso_holds(g: FiniteGroup, rel: ProximityRelation, h: int, n: int) -> bool:
@@ -385,11 +377,11 @@ def third_iso_harness(
     so the canonical images are the identity (:func:`_third_iso`).
     """
     k_over_n, k_cosets = _third_iso(g, rel, n, k)
-    full = g.space.full_mask
-    (quot_n, rel_n), _ = _quotient_inside(g, rel, full, n)
-    left, _ = _quotient_inside(quot_n, rel_n, quot_n.space.full_mask, k_over_n)
-    right, _ = _quotient_inside(g, rel, full, k)
-    return _iso_report(left, right, range(len(k_cosets)))
+    full, points = g.space.full_mask, _side_points(rel, k_cosets)
+    quot_n = _group_inside(g, full, n)[0]
+    left = _group_inside(quot_n, quot_n.space.full_mask, k_over_n)[0]
+    right = _group_inside(g, full, k)[0]
+    return _iso_report((left, points), (right, points), range(len(k_cosets)))
 
 
 def third_iso_holds(g: FiniteGroup, rel: ProximityRelation, n: int, k: int) -> bool:

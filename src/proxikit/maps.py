@@ -71,6 +71,31 @@ def _table_pcont_witness(
     )
 
 
+def pcont_point_witness(
+    images: Sequence[int], p1: Sequence[int], p2: Sequence[int]
+) -> tuple[int, int] | None:
+    """The pcont witness of the map with these images between the Cech
+    tables with point relations P1 and P2, or None when it is pcont.
+
+    The map f is pcont exactly when it is a homomorphism of the point
+    graphs: i P1 j implies f(i) P2 f(j).  A near pair A, B has i P1 j with
+    i in A and j in B, so f(i) P2 f(j) with f(i) in f(A) and f(j) in f(B),
+    and the images are near; singletons give the converse.
+
+    When it fails, the witness is ({i}, {j}) for the first point pair, i
+    outermost, with i P1 j but not f(i) P2 f(j).  A violating pair (A, B)
+    has such a point pair i in A, j in B: the i P1 j that makes A near B,
+    with f(A) far f(B).  Every such i is at least the first one, so A is
+    at least {i}, and ({i}, {j}) violates.  With A = {i}, a violating B
+    holds such a j for that i, so B is at least {j}.
+    """
+    return next(
+        ((1 << i, 1 << j) for i, row in enumerate(p1) for j in bits(row)
+         if not (p2[images[i]] >> images[j]) & 1),
+        None,
+    )
+
+
 def check_pcont(
     f: SpaceMap,
     rel1: ProximityRelation,
@@ -79,31 +104,14 @@ def check_pcont(
     max_size: int = SCAN_CAP,
     key: str = "pcont",
 ) -> AxiomReport:
-    """Pass iff every near pair maps to a near pair of images.
-
-    When both tables are Cech with point relations P1 and P2, this holds
-    exactly when f is a homomorphism of the point graphs: i P1 j implies
-    f(i) P2 f(j).  A near pair A, B has i P1 j with i in A and j in B, so
-    f(i) P2 f(j) with f(i) in f(A) and f(j) in f(B), and the images are
-    near; singletons give the converse.
-
-    When it fails, the witness is ({i}, {j}) for the first point pair, i
-    outermost, with i P1 j but not f(i) P2 f(j).  A violating pair (A, B)
-    has such a point pair i in A, j in B: the i P1 j that makes A near B,
-    with f(A) far f(B).  Every such i is at least the first one, so A is
-    at least {i}, and ({i}, {j}) violates.  With A = {i}, a violating B
-    holds such a j for that i, so B is at least {j}.  Only when either
-    table is not Cech is the table read.
-    """
+    """Pass iff every near pair maps to a near pair of images: read off the
+    point relations when both tables are Cech (:func:`pcont_point_witness`),
+    else off the tables."""
     if f.domain != rel1.space or f.codomain != rel2.space:
         raise ValueError("map endpoints do not match the relation carriers")
     p1, p2 = rel1.point_graph, rel2.point_graph
     if p1 is not None and p2 is not None:
-        witness = next(
-            ((1 << i, 1 << j) for i in range(f.domain.size) for j in bits(p1[i])
-             if not (p2[f.images[i]] >> f.images[j]) & 1),
-            None,
-        )
+        witness = pcont_point_witness(f.images, p1, p2)
     else:
         require_scan_size(f.domain.size, max_size, "pcont table")
         witness = _table_pcont_witness(f, rel1, rel2)
@@ -158,7 +166,7 @@ def points_isomorphic(images: Sequence[int], p1: Sequence[int], p2: Sequence[int
     the Cech tables with point relations P1 and P2: a bijection with
     f(P1[i]) = P2[f(i)] for every i.
 
-    By :func:`check_pcont`, f is pcont exactly when i P1 j implies
+    By :func:`pcont_point_witness`, f is pcont exactly when i P1 j implies
     f(i) P2 f(j), that is f(P1[i]) is inside P2[f(i)] for every i.  For a
     bijection, f^-1 is pcont exactly when y P2 z implies f^-1(y) P1 f^-1(z);
     with y = f(i) and z = f(j) that says f(j) in P2[f(i)] implies j in

@@ -435,6 +435,40 @@ def test_iso_theorems_labels_each_witness_on_its_own_carrier(tmp_path, capsys):
     assert payload["witnesses"] == {"inverse_pcont": {"masks": [1, 2], "labels": [["e|b"], ["a|c"]]}}
 
 
+def test_iso_theorems_third_runs_to_a_report(capsys):
+    # Z4, discrete, N = {a} inside K = {a, c}: (G/N)/(K/N) -> G/K passes
+    argv = ["iso-theorems", str(FIXTURES / "z4_quotient.json"), "--which", "third",
+            "--rel", "d", "--normal", "1", "--normal2", "5"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "surjective PASS\n"
+        "group-isomorphism PASS\n"
+        "proximal bijective PASS\n"
+        "proximal pcont PASS\n"
+        "proximal inverse_pcont PASS\n"
+    )
+    assert main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "verb": "iso-theorems", "ok": True, "which": "third", "relation": "d",
+        "normal_mask": 1, "containing_mask": 5, "surjective": True,
+        "group_isomorphism": True,
+        "proximal": {"bijective": True, "pcont": True, "inverse_pcont": True},
+    }
+
+
+def test_iso_theorems_refuses_a_map_that_is_no_homomorphism(tmp_path, capsys):
+    # the swap of Z2 sends the identity to b
+    document = json.loads((FIXTURES / "z2_first_iso.json").read_text())
+    document["maps"]["swap"] = {"images": [1, 0]}
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps(document))
+    argv = ["iso-theorems", str(path), "--which", "first", "--rel", "d", "--map", "swap"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: map is not a group homomorphism at (0, 0)\n"
+
+
 def test_group_check_on_order_twelve_runs_without_max_n(tmp_path, capsys):
     n = 12
     document = {

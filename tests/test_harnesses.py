@@ -28,16 +28,19 @@ from proxikit import (
     subgroup_proximal_group,
     third_iso_harness,
 )
-from proxikit import groups, harnesses, relations
+from proxikit import enumeration, groups, harnesses, maps, relations
 from proxikit.harnesses import second_iso_holds, third_iso_holds
 from proxikit.enumeration import (
     THEOREMS,
     FuzzScope,
     _all_homomorphisms,
     _coset_relations,
+    _first_iso_instances,
     _normal_chain_instances,
     _second_iso_instances,
+    fuzz_theorem,
 )
+from proxikit.axioms import AxiomReport
 from proxikit.groups import (
     FiniteGroup,
     _mu1_check,
@@ -51,16 +54,14 @@ from proxikit.groups import (
 from proxikit.harnesses import (
     _containing,
     _group_inside,
-    _iso_report,
     _pointwise_nearness,
-    _quotient_inside,
     _second_iso,
     _side_points,
     _third_iso,
 )
-from proxikit.relations import pullback_points
+from proxikit.relations import pullback_points, quotient_proximity, subspace_proximity
 from proxikit.spaces import bits, image, union_over
-from proxikit.maps import check_pcont
+from proxikit.maps import check_pcont, check_proximal_isomorphism
 
 
 # --- inversion-from-multiplication --------------------------------------------
@@ -169,6 +170,15 @@ def test_first_iso_rejects_non_pcont_map():
         first_iso_harness(identity_map(g.space), g, c, g, d)
 
 
+def test_first_iso_rejects_a_map_that_is_no_homomorphism():
+    # the swap of Z2 sends the identity to b: (a, a) is the first violation
+    z2 = cyclic_group(2)
+    d = make_discrete_proximity(z2.space)
+    swap = SpaceMap(z2.space, z2.space, (1, 0), "swap")
+    with pytest.raises(ValueError, match=r"^map is not a group homomorphism at \(0, 0\)$"):
+        first_iso_harness(swap, z2, d, z2, d)
+
+
 def test_first_iso_reports_non_surjective():
     z2 = cyclic_group(2)
     z4 = cyclic_group(4)
@@ -177,6 +187,9 @@ def test_first_iso_reports_non_surjective():
         eta, z2, make_discrete_proximity(z2.space), z4, make_discrete_proximity(z4.space)
     )
     assert not report.surjective and not report.ok
+    assert not report.group_isomorphism
+    # b of a, b, c, d is the lowest element of Z4 off the image {a, c}
+    assert report.missing_image == 0b10
     assert report.canonical is None
 
 
@@ -252,17 +265,6 @@ def test_third_iso_requires_containment():
     d = make_discrete_proximity(z8.space)
     with pytest.raises(ValueError, match="contained"):
         third_iso_harness(z8, d, (1 << 0) | (1 << 2) | (1 << 4) | (1 << 6), (1 << 0) | (1 << 4))
-
-
-def test_iso_harness_tail_needs_a_bijective_homomorphism():
-    # the shared tail of the three harnesses: a homomorphism that is not
-    # bijective is no group isomorphism, whatever the proximal verdicts
-    z2 = cyclic_group(2)
-    c = make_coarse_proximity(z2.space)
-    report = _iso_report((z2, c), (z2, c), [0, 0])
-    assert not report.group_isomorphism and not report.ok
-    assert report.proximal.verdicts["bijective"] is False
-    assert _iso_report((z2, c), (z2, c), [0, 1]).ok
 
 
 # --- exact isomorphism theorems on coset relations ------------------------------
@@ -413,17 +415,17 @@ def test_twin_sides_equal_the_harness_sides(scope, cases):
     for i in _second_iso_instances(scope):
         g, rel, h, n = i["group"][1], i["relation"], i["subgroup_mask"], i["normal_mask"]
         for s, m in ((h, h & n), (subset_product(g, h, n), n)):
-            (_, side), in_g = _quotient_inside(g, rel, s, m)
+            (_, side), in_g = _oracle_quotient_inside(g, rel, s, m)
             same_side(rel, side, in_g)
         second += 1
     for i in _normal_chain_instances(scope):
         g, rel, n, k = i["group"][1], i["relation"], i["normal_mask"], i["containing_mask"]
         full = g.space.full_mask
         k_over_n, left_in_g = _third_iso(g, rel, n, k)
-        (quot_n, rel_n), _ = _quotient_inside(g, rel, full, n)
-        (_, left), _ = _quotient_inside(quot_n, rel_n, quot_n.space.full_mask, k_over_n)
+        (quot_n, rel_n), _ = _oracle_quotient_inside(g, rel, full, n)
+        (_, left), _ = _oracle_quotient_inside(quot_n, rel_n, quot_n.space.full_mask, k_over_n)
         same_side(rel, left, left_in_g)
-        (_, right), right_in_g = _quotient_inside(g, rel, full, k)
+        (_, right), right_in_g = _oracle_quotient_inside(g, rel, full, k)
         same_side(rel, right, right_in_g)
         third += 1
     assert (second, third) == cases
@@ -455,8 +457,10 @@ def test_iso_twins_build_no_side_relation(monkeypatch):
         assert not [key for key in rel._derived if key[0] in ("subspace", "quotient")]
     assert (second, third) == (5551, 1677)
     assert calls == []
-    # the spy sees a harness build its sides
+    # nor does a report harness; the spy sees the oracle build its sides
     assert third_iso_harness(g, rel, 1 << g.identity, g.space.full_mask).ok
+    assert calls == []
+    assert _oracle_third_iso(g, rel, 1 << g.identity, g.space.full_mask)[2].ok
     assert calls == ["quotient"] * 3
 
 
@@ -563,9 +567,151 @@ def test_cold_iso_twins_build_no_group_and_no_map(monkeypatch):
                         third += 1
     assert (second, third) == (5551, 1677)
     assert calls == []
-    # the spies see a harness build its sides and its map
+    # the spies see a harness build its side groups and its map, and the
+    # first theorem check its map
     assert third_iso_harness(g, rel, 1 << g.identity, g.space.full_mask).ok
+    assert first_iso_harness(identity_map(g.space), g, rel, g, rel).ok
     assert {"subgroup_group", "quotient_group", "homomorphism_violation", "SpaceMap"} <= set(calls)
+
+
+# --- the report oracle -----------------------------------------------------------
+# The report harnesses once built each side's relation, the quotient of a
+# subspace pullback, and checked the canonical map between the side relations
+# with check_proximal_isomorphism and homomorphism_violation.  That build is
+# kept here as the oracle of the reports read off the sides' point relations.
+
+
+def _oracle_quotient_inside(g, rel, s, m):
+    """S/M (_group_inside) with its relation, the quotient of the subspace
+    relation on S (rel itself on S = G), and its elements as masks of G."""
+    quot, blocks, in_g = _group_inside(g, s, m)
+    base = rel if s == g.space.full_mask else subspace_proximity(rel, s)
+    return (quot, quotient_proximity(base, blocks)), in_g
+
+
+def _oracle_iso_report(source, target, images):
+    """The report fields (surjective, group_isomorphism, proximal,
+    missing_image, canonical) of the canonical map between two sides."""
+    (g1, rel1), (g2, rel2) = source, target
+    f = SpaceMap(g1.space, g2.space, tuple(images), "canonical")
+    proximal = check_proximal_isomorphism(f, rel1, rel2)
+    group_iso = proximal.verdicts["bijective"] and groups.homomorphism_violation(f, g1, g2) is None
+    return True, group_iso, proximal, None, f
+
+
+def _oracle_first_iso(eta, g1, rel1, g2, rel2):
+    if set(eta.images) != set(range(g2.order)):
+        missing = next(i for i in range(g2.order) if i not in set(eta.images))
+        return False, False, AxiomReport({"bijective": False}), 1 << missing, None
+    kernel = sum(1 << i for i in range(g1.order) if eta.images[i] == g2.identity)
+    quot, blocks = _oracle_quotient_inside(g1, rel1, g1.space.full_mask, kernel)
+    images = [eta.images[min(bits(block))] for block in blocks]
+    return _oracle_iso_report(quot, (g2, rel2), images)
+
+
+def _oracle_second_iso(g, rel, h, n):
+    hn, images, _, _ = _second_iso(g, rel, h, n)
+    left, _ = _oracle_quotient_inside(g, rel, h, h & n)
+    right, _ = _oracle_quotient_inside(g, rel, hn, n)
+    return _oracle_iso_report(left, right, images)
+
+
+def _oracle_third_iso(g, rel, n, k):
+    k_over_n, k_cosets = _third_iso(g, rel, n, k)
+    full = g.space.full_mask
+    (quot_n, rel_n), _ = _oracle_quotient_inside(g, rel, full, n)
+    left, _ = _oracle_quotient_inside(quot_n, rel_n, quot_n.space.full_mask, k_over_n)
+    right, _ = _oracle_quotient_inside(g, rel, full, k)
+    return _oracle_iso_report(left, right, range(len(k_cosets)))
+
+
+def _report_fields(fields):
+    """The fields with the proximal verdicts in report order, as printed."""
+    surjective, group_iso, proximal, missing, canonical = fields
+    verdicts = tuple(proximal.verdicts.items())
+    return surjective, group_iso, verdicts, dict(proximal.witnesses), missing, canonical
+
+
+def _fields(report):
+    return _report_fields((
+        report.surjective, report.group_isomorphism, report.proximal,
+        report.missing_image, report.canonical,
+    ))
+
+
+def _iso_cases(scope):
+    """(harness, oracle, args) over each theorem's instances; the default
+    scope is each theorem's own."""
+    for theorem, instances, harness, oracle, keys in (
+        ("first-isomorphism-theorem", _first_iso_instances, first_iso_harness, _oracle_first_iso,
+         ("map_images", "group", "relation", "group2", "relation2")),
+        ("second-isomorphism-theorem", _second_iso_instances, second_iso_harness,
+         _oracle_second_iso, ("group", "relation", "subgroup_mask", "normal_mask")),
+        ("third-isomorphism-theorem", _normal_chain_instances, third_iso_harness,
+         _oracle_third_iso, ("group", "relation", "normal_mask", "containing_mask")),
+    ):
+        for i in instances(scope or THEOREMS[theorem].scope):
+            args = tuple(i[key][1] if key.startswith("group") else i[key] for key in keys)
+            yield theorem, harness, oracle, args
+
+
+@pytest.mark.parametrize(
+    "scope, cases", [(None, (21, 1034, 368)), (FuzzScope(4, ("cech",)), (132, 169, 91))]
+)
+def test_iso_reports_equal_the_side_relation_oracle(scope, cases):
+    counts = dict.fromkeys(("first", "second", "third"), 0)
+    for theorem, harness, oracle, args in _iso_cases(scope):
+        assert _fields(harness(*args)) == _report_fields(oracle(*args)), (theorem, args)
+        counts[theorem.split("-")[0]] += 1
+    assert tuple(counts.values()) == cases
+
+
+def test_group_isomorphism_is_surjective_on_every_catalog_homomorphism():
+    # the oracle checks the induced map with homomorphism_violation
+    cases = onto = 0
+    for _, g1 in all_groups_up_to(6):
+        d1 = make_discrete_proximity(g1.space)
+        for _, g2 in all_groups_up_to(6):
+            d2 = make_discrete_proximity(g2.space)
+            for eta in _all_homomorphisms(g1, g2):
+                report = first_iso_harness(eta, g1, d1, g2, d2)
+                expected = _oracle_first_iso(eta, g1, d1, g2, d2)
+                assert _fields(report) == _report_fields(expected)
+                assert report.group_isomorphism == expected[1] == report.surjective
+                cases += 1
+                onto += report.surjective
+    assert (cases, onto) == (159, 39)
+
+
+def test_warm_first_iso_sweep_checks_each_map_once_and_builds_no_side(monkeypatch):
+    theorem = "first-isomorphism-theorem"
+    fuzz_theorem(theorem)
+    calls = []
+    spied = (
+        (groups, "homomorphism_violation"), (maps, "check_pcont"),
+        (maps, "pcont_point_witness"), (maps, "check_proximal_isomorphism"),
+        (harnesses, "_iso_report"), (relations, "quotient_proximity"),
+        (relations, "subspace_proximity"), (relations, "relation_from_point_pairs"),
+    )
+    for module, name in spied:
+        real = getattr(module, name)
+
+        def spy(*args, name=name, real=real, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        # wherever the name was imported, so that no call route escapes
+        for holder in (groups, maps, harnesses, relations, enumeration):
+            if getattr(holder, name, None) is real:
+                monkeypatch.setattr(holder, name, spy)
+    outcome = fuzz_theorem(theorem)
+    assert (outcome.instances, len(outcome.counterexamples)) == (21, 3)
+    # the sweep filters its maps with check_pcont, and each harness checks
+    # its map once more; every check is Cech, and each report reads its
+    # two witnesses off the side point relations
+    assert calls.count("homomorphism_violation") == calls.count("_iso_report") == 21
+    assert calls.count("pcont_point_witness") == calls.count("check_pcont") + 2 * 21
+    assert set(calls) == {"homomorphism_violation", "check_pcont", "pcont_point_witness", "_iso_report"}
 
 
 # --- hausdorff -------------------------------------------------------------------
@@ -730,17 +876,17 @@ def test_quotient_inside_is_kept_and_equals_a_fresh_build():
             drawn[g, rel, s, m] = None
     assert len({(g, s, m) for g, _, s, m in drawn}) == 198
     for g, rel, s, m in drawn:
-        (quot, quot_rel), in_g = _quotient_inside(g, rel, s, m)
+        (quot, quot_rel), in_g = _oracle_quotient_inside(g, rel, s, m)
         fresh_g = FiniteGroup(g.space, g.cayley, g.identity, g.inverse)
         fresh_rel = ProximityRelation(rel.space, rel.rows, rel.provenance)
-        (fresh_quot, fresh_quot_rel), fresh_in_g = _quotient_inside(fresh_g, fresh_rel, s, m)
+        (fresh_quot, fresh_quot_rel), fresh_in_g = _oracle_quotient_inside(fresh_g, fresh_rel, s, m)
         assert _group_fields(quot) == _group_fields(fresh_quot)
         assert (quot_rel.space, quot_rel.rows, quot_rel.provenance, quot_rel.point_graph) == (
             fresh_quot_rel.space, fresh_quot_rel.rows,
             fresh_quot_rel.provenance, fresh_quot_rel.point_graph,
         )
         assert in_g == fresh_in_g
-        again = _quotient_inside(g, rel, s, m)
+        again = _oracle_quotient_inside(g, rel, s, m)
         assert again[0][0] is quot and again[0][1] is quot_rel and again[1] is in_g
 
 
@@ -751,7 +897,7 @@ def test_full_carrier_sides_take_the_quotient_from_the_relation():
     report = third_iso_harness(z4, d, 0b0001, 0b0101)
     assert report.ok
     assert ("subspace", full) not in d._derived
-    (quot, quot_rel), _ = _quotient_inside(z4, d, full, 0b0101)
+    (quot, quot_rel), _ = _oracle_quotient_inside(z4, d, full, 0b0101)
     assert d._derived[("quotient", (0b0101, 0b1010))] is quot_rel
     assert quot_rel.provenance == "quotient" and quot_rel.point_graph == (0b01, 0b10)
 

@@ -29,6 +29,15 @@ def test_map_validation():
         SpaceMap(S2, S2, (0, 5))
 
 
+def test_only_bijections_invert():
+    swap = SpaceMap(S2, S2, (1, 0), "swap")
+    assert swap.inverse() == SpaceMap(S2, S2, (1, 0), "swap^-1")
+    s3 = default_space(3)
+    for f in (SpaceMap(S2, S2, (0, 0)), SpaceMap(S2, s3, (0, 2)), SpaceMap(s3, S2, (0, 1, 1))):
+        with pytest.raises(ValueError, match="^only bijections can be inverted$"):
+            f.inverse()
+
+
 def test_image_mask():
     f = SpaceMap(S2, S2, (1, 1))
     assert f.image_mask(0b11) == 0b10
