@@ -100,13 +100,11 @@ def _report_lines(
     for key, ok in report.verdicts.items():
         if ok:
             lines.append(f"{key} PASS")
-        elif key in report.witnesses:
+        else:  # every failed verdict has a witness (AxiomReport)
             space = spaces if isinstance(spaces, FiniteSpace) else spaces[key]
             witness = report.witnesses[key]
             witnesses[key] = _witness_payload(space, witness)
             lines.append(f"{key} FAIL {_witness_text(space, witness)}")
-        else:
-            lines.append(f"{key} FAIL")
     return lines, dict(report.verdicts), witnesses
 
 
@@ -405,8 +403,8 @@ def _cmd_iso_theorems(ws, flags):
         f"group-isomorphism {'PASS' if report.group_isomorphism else 'FAIL'}",
     ]
     f = report.canonical
-    # no canonical map, no proximal witness: the spaces are never read
-    spaces = _map_spaces(f.domain, f.codomain) if f else {}
+    # no canonical map: the bijective witness is a point G misses
+    spaces = _map_spaces(f.domain, f.codomain) if f else ws.space
     plines, verdicts, witnesses = _report_lines(report.proximal, spaces)
     if report.missing_image is not None:
         witnesses["surjective"] = _witness_payload(ws.space, (report.missing_image,))

@@ -50,8 +50,8 @@ from .harnesses import (
     hausdorff_check,
     inversion_continuity_harness,
     multiplication_continuity_harness,
-    second_iso_holds,
-    third_iso_holds,
+    second_iso_harness,
+    third_iso_harness,
 )
 from .maps import SpaceMap, check_pcont
 from .relations import (
@@ -630,9 +630,9 @@ def _carrier_relations(scope: FuzzScope) -> Iterator[dict]:
 # They name the checkers at call time, so a checker patched on this module is
 # the one that runs.  Every sweep source yields Cech relations, and so do
 # their subspace and quotient pullbacks, so the checkers decide them on the
-# point relation and no verdict reaches a capped read.  The second- and
-# third-isomorphism verdicts build no report: their twins of the harnesses
-# keep the group half on G and test the relation half on P.  The
+# point relation and no verdict reaches a capped read.  The isomorphism
+# verdicts read only a harness's ``ok``, which keeps the group half on G and
+# tests the relation half on P: no side group, map or witness is built.  The
 # multiplication harness is the exception: its transitivity-chain and
 # pointwise-nearness reads always scan, and a sweep's cost is bounded by its
 # scope, so it scans up to MAX_CARRIER rather than stopping at the scan cap.
@@ -660,12 +660,12 @@ def _first_iso_holds(i: dict) -> bool:
 
 def _second_iso_holds(i: dict) -> bool:
     g = i["group"][1]
-    return second_iso_holds(g, i["relation"], i["subgroup_mask"], i["normal_mask"])
+    return second_iso_harness(g, i["relation"], i["subgroup_mask"], i["normal_mask"]).ok
 
 
 def _third_iso_holds(i: dict) -> bool:
     g = i["group"][1]
-    return third_iso_holds(g, i["relation"], i["normal_mask"], i["containing_mask"])
+    return third_iso_harness(g, i["relation"], i["normal_mask"], i["containing_mask"]).ok
 
 
 def _hom_criterion_holds(i: dict) -> bool:

@@ -12,8 +12,9 @@ and raise ``ValueError`` naming the side that is not one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .axioms import SCAN_CAP, AxiomReport, check_lodato, closure, require_scan_size
 from .descriptive import ProbeTable, descriptive_proximity, product_probe_table
@@ -131,20 +132,37 @@ def multiplication_continuity_harness(
 # isomorphism theorems
 
 
-@dataclass(frozen=True)
+@dataclass
 class IsoTheoremReport:
     """Outcome of rebuilding one isomorphism theorem on a finite instance.
 
-    ``proximal`` carries the bijective/pcont/inverse_pcont verdicts and
-    witnesses of the canonical map ``canonical`` (None for a first theorem
-    with no surjection), inverse_pcont ones on its codomain and the rest on
-    its domain.
+    The harness decides ``ok`` and keeps a thunk of the two sides, each a
+    group (:func:`_group_inside`) with its point relation
+    (:func:`_side_points`), and of the canonical images.  ``canonical``
+    and ``proximal`` are built from it on first read.  ``proximal``
+    carries the bijective/pcont/inverse_pcont verdicts and witnesses of
+    ``canonical``, inverse_pcont ones on its codomain and the rest on its
+    domain.  A first theorem with no surjection has no canonical map; its
+    ``bijective`` witness is ``(missing_image,)`` on the codomain.  Treat
+    instances as read-only.
     """
 
     surjective: bool
-    proximal: AxiomReport
+    ok: bool
+    """``surjective and proximal.ok``, decided with no witness run: by
+    :func:`~proxikit.maps.points_isomorphic` on the sides' point relations
+    for the first and second theorems, True for the third, whose sides
+    share one point relation with identity images (:func:`_third_iso`).
+
+    A surjective report's canonical map f is a bijection
+    (:attr:`group_isomorphism`).  On a bijection ``points_isomorphic`` is
+    True exactly when f and f^-1 are pcont, as its docstring proves, and
+    :func:`~proxikit.maps.pcont_point_witness` returns None exactly when
+    its map is pcont: so exactly when both witness runs of ``proximal``
+    return None.
+    """
     missing_image: int | None = None
-    canonical: SpaceMap | None = None
+    _sides: Callable[[], tuple] | None = field(default=None, repr=False, compare=False)
 
     @property
     def group_isomorphism(self) -> bool:
@@ -159,26 +177,22 @@ class IsoTheoremReport:
         :func:`_third_iso`)."""
         return self.surjective
 
-    @property
-    def ok(self) -> bool:
-        return self.surjective and self.proximal.ok
+    @cached_property
+    def canonical(self) -> SpaceMap | None:
+        if self._sides is None:
+            return None
+        (g1, _), (g2, _), images = self._sides()
+        return SpaceMap(g1.space, g2.space, tuple(images), "canonical")
 
-
-def _iso_report(
-    source: tuple[FiniteGroup, Sequence[int]],
-    target: tuple[FiniteGroup, Sequence[int]],
-    images: Sequence[int],
-) -> IsoTheoremReport:
-    """Report on the theorem's canonical map between its two sides, given by
-    their groups and the point relations of their Cech relations
-    (:func:`_side_points`): a group isomorphism with these images, and a
-    proximal isomorphism with the witnesses that ``check_pcont`` reads off
-    those point relations (:func:`~proxikit.maps.pcont_point_witness`)."""
-    (g1, p1), (g2, p2) = source, target
-    f = SpaceMap(g1.space, g2.space, tuple(images), "canonical")
-    witnesses = {"bijective": None, "pcont": pcont_point_witness(f.images, p1, p2)}
-    witnesses["inverse_pcont"] = pcont_point_witness(f.inverse().images, p2, p1)
-    return IsoTheoremReport(True, AxiomReport.from_witnesses(witnesses), canonical=f)
+    @cached_property
+    def proximal(self) -> AxiomReport:
+        f = self.canonical
+        if f is None:
+            return AxiomReport({"bijective": False}, {"bijective": (self.missing_image,)})
+        (_, p1), (_, p2), _ = self._sides()
+        witnesses = {"bijective": None, "pcont": pcont_point_witness(f.images, p1, p2)}
+        witnesses["inverse_pcont"] = pcont_point_witness(f.inverse().images, p2, p1)
+        return AxiomReport.from_witnesses(witnesses)
 
 
 def _containing(blocks: Sequence[int], targets: Sequence[int]) -> tuple[int, ...]:
@@ -225,15 +239,18 @@ def first_iso_harness(
         raise ValueError(f"map is not a group homomorphism at {hom_witness}")
     if not check_pcont(eta, rel1, rel2).ok:
         raise ValueError("map is not proximally continuous")
-    hit = set(eta.images)
-    missing = next((i for i in range(g2.order) if i not in hit), None)
+    missing = min(set(range(g2.order)).difference(eta.images), default=None)
     if missing is not None:
-        return IsoTheoremReport(False, AxiomReport({"bijective": False}), 1 << missing)
+        return IsoTheoremReport(False, False, 1 << missing)
     kernel = sum(1 << i for i in range(g1.order) if eta.images[i] == g2.identity)
-    quot, _, cosets = _group_inside(g1, g1.space.full_mask, kernel)
+    cosets = coset_partition(g1, kernel)
     # induced map: coset -> image of any representative
     images = [eta.images[min(bits(coset))] for coset in cosets]
-    return _iso_report((quot, _side_points(rel1, cosets)), (g2, rel2.point_graph), images)
+    p1, p2 = _side_points(rel1, cosets), rel2.point_graph
+    return IsoTheoremReport(
+        True, points_isomorphic(images, p1, p2), None,
+        lambda: ((_group_inside(g1, g1.space.full_mask, kernel)[0], p1), (g2, p2), images),
+    )
 
 
 def _side_points(rel: ProximityRelation, in_g: tuple[int, ...]) -> tuple[int, ...]:
@@ -262,6 +279,12 @@ def _side_points(rel: ProximityRelation, in_g: tuple[int, ...]) -> tuple[int, ..
     return memo(rel, ("points", in_g), lambda: pullback_points(rel.point_graph, in_g))
 
 
+def _require_mask(name: str, reason: str | None) -> None:
+    """Refuse the mask ``name`` with the reason its check gave, if any."""
+    if reason is not None:
+        raise ValueError(f"{name}: {reason}")
+
+
 def _second_iso(
     g: FiniteGroup, rel: ProximityRelation, h: int, n: int
 ) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -284,12 +307,8 @@ def _second_iso(
     _require_proximal_group(g, rel, "input")
 
     def build() -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        reason = subgroup_violation(g, h)
-        if reason is not None:
-            raise ValueError(f"H: {reason}")
-        reason = normality_violation(g, n)
-        if reason is not None:
-            raise ValueError(f"N: {reason}")
+        _require_mask("H", subgroup_violation(g, h))
+        _require_mask("N", normality_violation(g, n))
         hn = subset_product(g, h, n)
         left, right = coset_partition(g, h & n, h), coset_partition(g, n, hn)
         return hn, _containing(left, right), left, right
@@ -310,19 +329,11 @@ def second_iso_harness(
     (M = {e} or G) that always holds.
     """
     hn, images, left, right = _second_iso(g, rel, h, n)
-    source = _group_inside(g, h, h & n)[0], _side_points(rel, left)
-    target = _group_inside(g, hn, n)[0], _side_points(rel, right)
-    return _iso_report(source, target, images)
-
-
-def second_iso_holds(g: FiniteGroup, rel: ProximityRelation, h: int, n: int) -> bool:
-    """``second_iso_harness(g, rel, h, n).ok`` with no report and no side
-    built: :func:`~proxikit.maps.points_isomorphic` for the canonical
-    images between the two sides' point relations (:func:`_side_points`).
-    The harness's group verdict is True on every input that passes the
-    checks (:func:`_second_iso`), so its ``ok`` is the proximal verdict."""
-    _, images, left, right = _second_iso(g, rel, h, n)
-    return points_isomorphic(images, _side_points(rel, left), _side_points(rel, right))
+    p1, p2 = _side_points(rel, left), _side_points(rel, right)
+    return IsoTheoremReport(
+        True, points_isomorphic(images, p1, p2), None,
+        lambda: ((_group_inside(g, h, h & n)[0], p1), (_group_inside(g, hn, n)[0], p2), images),
+    )
 
 
 def _third_iso(
@@ -348,12 +359,8 @@ def _third_iso(
     _require_proximal_group(g, rel, "input")
 
     def build() -> tuple[int, tuple[int, ...]]:
-        reason = normality_violation(g, n)
-        if reason is not None:
-            raise ValueError(f"N: {reason}")
-        reason = normality_violation(g, k)
-        if reason is not None:
-            raise ValueError(f"K: {reason}")
+        _require_mask("N", normality_violation(g, n))
+        _require_mask("K", normality_violation(g, k))
         if n & ~k:
             raise ValueError("N must be contained in K")
         n_cosets = coset_partition(g, n)
@@ -377,22 +384,14 @@ def third_iso_harness(
     so the canonical images are the identity (:func:`_third_iso`).
     """
     k_over_n, k_cosets = _third_iso(g, rel, n, k)
-    full, points = g.space.full_mask, _side_points(rel, k_cosets)
-    quot_n = _group_inside(g, full, n)[0]
-    left = _group_inside(quot_n, quot_n.space.full_mask, k_over_n)[0]
-    right = _group_inside(g, full, k)[0]
-    return _iso_report((left, points), (right, points), range(len(k_cosets)))
 
+    def sides() -> tuple:
+        full, points = g.space.full_mask, _side_points(rel, k_cosets)
+        quot_n = _group_inside(g, full, n)[0]
+        left = _group_inside(quot_n, quot_n.space.full_mask, k_over_n)[0]
+        return (left, points), (_group_inside(g, full, k)[0], points), range(len(k_cosets))
 
-def third_iso_holds(g: FiniteGroup, rel: ProximityRelation, n: int, k: int) -> bool:
-    """``third_iso_harness(g, rel, n, k).ok`` with no report and no side
-    built: True on every input that passes the gate and the checks of N
-    and K.  Both sides have the K-cosets as their elements in G, with the
-    identity as canonical images (:func:`_third_iso`).  So both have the
-    point relation ``pullback_points(P, K-cosets)`` (:func:`_side_points`),
-    and the identity is a proximal isomorphism between them."""
-    _third_iso(g, rel, n, k)
-    return True
+    return IsoTheoremReport(True, True, None, sides)
 
 
 # ---------------------------------------------------------------------------

@@ -469,6 +469,32 @@ def test_iso_theorems_refuses_a_map_that_is_no_homomorphism(tmp_path, capsys):
     assert captured.err == "error: map is not a group homomorphism at (0, 0)\n"
 
 
+
+def test_iso_theorems_first_names_the_missed_point_as_the_bijective_witness(tmp_path, capsys):
+    # the constant map of Z2 misses b, so no canonical map exists: bijective
+    # fails with b's singleton on the codomain, as surjective does
+    document = json.loads((FIXTURES / "z2_first_iso.json").read_text())
+    document["maps"]["const"] = {"images": [0, 0]}
+    path = tmp_path / "const.json"
+    path.write_text(json.dumps(document))
+    argv = ["iso-theorems", str(path), "--which", "first", "--rel", "d", "--map", "const"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (
+        "surjective FAIL witness sets=({b}) masks=(2)\n"
+        "group-isomorphism FAIL\n"
+        "proximal bijective FAIL witness sets=({b}) masks=(2)\n"
+    )
+    assert main([*argv, "--format", "json"]) == 1
+    witness = '{\n      "labels": [\n        [\n          "b"\n        ]\n      ],\n' \
+        '      "masks": [\n        2\n      ]\n    }'
+    assert capsys.readouterr().out == (
+        '{\n  "group_isomorphism": false,\n  "map": "const",\n  "ok": false,\n'
+        '  "proximal": {\n    "bijective": false\n  },\n  "relation": "d",\n'
+        '  "relation2": "d",\n  "surjective": false,\n  "verb": "iso-theorems",\n'
+        '  "which": "first",\n  "witnesses": {\n'
+        f'    "bijective": {witness},\n    "surjective": {witness}\n  }}\n}}\n'
+    )
+
 def test_group_check_on_order_twelve_runs_without_max_n(tmp_path, capsys):
     n = 12
     document = {

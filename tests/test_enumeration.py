@@ -25,6 +25,7 @@ from proxikit import (
     default_space,
     enumerate_relations,
     fuzz_theorem,
+    make_coarse_proximity,
     mine_separating_examples,
     naive_oracle,
     relation_from_point_pairs,
@@ -202,6 +203,14 @@ def test_enumeration_cap_states_bound():
     with pytest.raises(ValueError, match="1024 candidate"):
         list(enumerate_relations(5, "cech"))
 
+
+
+def test_enumeration_refuses_an_unknown_class():
+    with pytest.raises(
+        ValueError,
+        match=r"^relation class must be one of \('cech', 'lodato', 'efremovic'\), got 'kuratowski'$",
+    ):
+        list(enumerate_relations(2, "kuratowski"))
 
 def test_brute_force_matches_fast_path_at_n2():
     slow = sorted(
@@ -581,15 +590,18 @@ def test_repeated_default_sweeps_keep_no_new_memory():
 
 
 def test_warm_iso_sweeps_build_no_report(monkeypatch):
-    # the second- and third-isomorphism sweeps decide on the point relation
-    # (harnesses.second_iso_holds, third_iso_holds): once their memos are
-    # filled they build no pcont or isomorphism report and no IsoTheoremReport
-    sweeps = ("second-isomorphism-theorem", "third-isomorphism-theorem")
+    # the isomorphism sweeps read only a harness's ok, decided on the point
+    # relations: once their memos are filled they build no part of a
+    # report, no side group, no canonical map and no pcont or isomorphism
+    # witness; a forced read of proximal builds them once
+    sweeps = ("first-isomorphism-theorem", "second-isomorphism-theorem",
+              "third-isomorphism-theorem")
     for theorem in sweeps:
         fuzz_theorem(theorem)
     calls = []
-    for module, name in ((maps, "check_pcont"), (maps, "check_proximal_isomorphism"),
-                         (harnesses, "_iso_report")):
+    for module, name in ((maps, "check_pcont"), (maps, "pcont_point_witness"),
+                         (maps, "check_proximal_isomorphism"),
+                         (groups, "subgroup_group"), (groups, "quotient_group")):
         real = getattr(module, name)
 
         def spy(*args, name=name, real=real, **kwargs):
@@ -600,9 +612,33 @@ def test_warm_iso_sweeps_build_no_report(monkeypatch):
         for holder in (maps, harnesses, groups, enumeration):
             if getattr(holder, name, None) is real:
                 monkeypatch.setattr(holder, name, spy)
-    outcomes = [fuzz_theorem(theorem) for theorem in sweeps]
-    assert [(o.instances, len(o.counterexamples)) for o in outcomes] == [(1034, 0), (368, 0)]
-    assert calls == []
+    real_init = SpaceMap.__post_init__
+
+    def naming_init(self):
+        calls.append(f"SpaceMap {self.name}")
+        real_init(self)
+
+    monkeypatch.setattr(SpaceMap, "__post_init__", naming_init)
+    outcomes = []
+    for theorem in sweeps:
+        calls.clear()
+        outcomes.append(fuzz_theorem(theorem))
+        if theorem.startswith("first"):
+            # its instances are maps, each checked by check_pcont in the
+            # sweep and again in the harness, and no witness beyond those
+            assert set(calls) == {"check_pcont", "pcont_point_witness", "SpaceMap hom"}
+            assert calls.count("pcont_point_witness") == calls.count("check_pcont")
+        else:
+            assert calls == []
+    assert [(o.instances, len(o.counterexamples)) for o in outcomes] == [(21, 3), (1034, 0), (368, 0)]
+    # S3 over A3: (G/{e})/(A3/{e}) -> G/A3
+    s3 = dict(all_groups_up_to(6))["S3"]
+    report = harnesses.third_iso_harness(s3, make_coarse_proximity(s3.space), 0b000001, 0b000111)
+    calls.clear()
+    for _ in range(2):
+        assert report.proximal.ok and report.canonical.images == (0, 1)
+    assert calls.count("SpaceMap canonical") == calls.count("SpaceMap canonical^-1") == 1
+    assert calls.count("pcont_point_witness") == 2
 
 
 def test_verified_cech_structures_pass_the_enumeration_cap():

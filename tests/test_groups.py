@@ -78,6 +78,27 @@ def test_group_laws_checked():
         FiniteGroup.from_table(s3, [[0, 1, 2], [1, 9, 0], [2, 0, 1]])
 
 
+
+def test_from_table_refuses_each_malformed_table():
+    s2, s5 = default_space(2), default_space(5)
+    with pytest.raises(ValueError, match=r"^cayley table must have 2 rows, got 1$"):
+        FiniteGroup.from_table(s2, [[0, 1]])
+    with pytest.raises(ValueError, match=r"^cayley row 1 has 3 entries, expected 2$"):
+        FiniteGroup.from_table(s2, [[0, 1], [1, 0, 1]])
+    # every row a permutation, column 0 not
+    with pytest.raises(ValueError, match=r"^cayley column 0 is not a permutation$"):
+        FiniteGroup.from_table(s2, [[0, 1], [0, 1]])
+    # a loop of order 5: 2 * 3 = a but 3 * 2 = b, and no y has 2y = a = y2
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+    with pytest.raises(ValueError, match=r"^element 2 has no inverse$"):
+        FiniteGroup.from_table(s5, loop)
+
+
+def test_dihedral_group_needs_a_polygon():
+    with pytest.raises(ValueError, match=r"^dihedral group needs n >= 3$"):
+        dihedral_group(2)
+    assert dihedral_group(3).order == 6
+
 def test_with_labels_needs_one_label_per_element():
     z3 = cyclic_group(3)
     with pytest.raises(ValueError, match="order 3 needs 3 labels, got 1"):

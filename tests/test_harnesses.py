@@ -29,7 +29,6 @@ from proxikit import (
     third_iso_harness,
 )
 from proxikit import enumeration, groups, harnesses, maps, relations
-from proxikit.harnesses import second_iso_holds, third_iso_holds
 from proxikit.enumeration import (
     THEOREMS,
     FuzzScope,
@@ -191,6 +190,8 @@ def test_first_iso_reports_non_surjective():
     # b of a, b, c, d is the lowest element of Z4 off the image {a, c}
     assert report.missing_image == 0b10
     assert report.canonical is None
+    # the bijective witness is that point's singleton on the codomain
+    assert report.proximal == AxiomReport({"bijective": False}, {"bijective": (0b10,)})
 
 
 # --- second isomorphism ---------------------------------------------------------
@@ -313,8 +314,10 @@ def test_second_iso_exact_statement_on_coset_relations():
             for n in normal_subgroups(g):
                 cases += 1
                 predicted = not subset_product(g, h, n) & m & ~subset_product(g, h & m, n)
-                assert second_iso_harness(g, rel, h, n).ok == predicted
-                assert second_iso_holds(g, rel, h, n) == predicted
+                report = second_iso_harness(g, rel, h, n)
+                assert report.ok == predicted
+                # the witness runs of a forced read agree
+                assert report.proximal.ok == predicted
                 failures += not predicted
     assert (cases, failures) == (5551, 650)
 
@@ -327,20 +330,27 @@ def test_third_iso_holds_on_every_coset_relation():
             for k in normals:
                 if not n & ~k:
                     cases += 1
-                    assert third_iso_harness(g, rel, n, k).ok
-                    assert third_iso_holds(g, rel, n, k)
+                    report = third_iso_harness(g, rel, n, k)
+                    assert report.ok
+                    assert report.proximal.ok
     assert cases == 1677
 
 
 def test_iso_twins_equal_the_harness_verdicts_at_default_scope():
+    # ok, decided on the sides' point relations, is the verdict of the
+    # witness runs, which wait for the first read of proximal
     cases = 0
     for i in _second_iso_instances(THEOREMS["second-isomorphism-theorem"].scope):
         args = (i["group"][1], i["relation"], i["subgroup_mask"], i["normal_mask"])
-        assert second_iso_holds(*args) == second_iso_harness(*args).ok
+        report = second_iso_harness(*args)
+        assert not {"canonical", "proximal"} & set(vars(report))
+        assert report.ok == (report.surjective and report.proximal.ok)
         cases += 1
     for i in _normal_chain_instances(THEOREMS["third-isomorphism-theorem"].scope):
         args = (i["group"][1], i["relation"], i["normal_mask"], i["containing_mask"])
-        assert third_iso_holds(*args) == third_iso_harness(*args).ok
+        report = third_iso_harness(*args)
+        assert not {"canonical", "proximal"} & set(vars(report))
+        assert report.ok == (report.surjective and report.proximal.ok)
         cases += 1
     assert cases == 1402
 
@@ -350,10 +360,10 @@ def test_iso_twins_keep_the_group_half_on_g_and_decide_each_relation():
     d, c = make_discrete_proximity(v4.space), make_coarse_proximity(v4.space)
     # H = {e, b}, N = {e, c}: HN = V4, and H/(H cap N) = H is Z2 = V4/N
     h, n = 0b0011, 0b0101
-    assert second_iso_holds(v4, d, h, n)
+    assert second_iso_harness(v4, d, h, n).ok
     # HN, the canonical images, and the sides {e}, {b} and N, bN as masks of G
     assert v4._derived[("second_iso", h, n)] == (0b1111, (0, 1), (0b0001, 0b0010), (0b0101, 0b1010))
-    assert third_iso_holds(v4, c, 0b0001, n)
+    assert third_iso_harness(v4, c, 0b0001, n).ok
     # K/N = N over the trivial N, and the K-cosets N, bN
     assert v4._derived[("third_iso", 0b0001, n)] == (n, (0b0101, 0b1010))
     # the proximal half reads the relation: on the coset relation of
@@ -361,8 +371,7 @@ def test_iso_twins_keep_the_group_half_on_g_and_decide_each_relation():
     # group half gives the other verdict
     m = relation_from_point_pairs(v4.space, [0b1001, 0b0110, 0b0110, 0b1001], "explicit")
     assert not second_iso_harness(v4, m, h, n).ok
-    assert not second_iso_holds(v4, m, h, n)
-    assert second_iso_holds(v4, d, h, n)
+    assert second_iso_harness(v4, d, h, n).ok
 
 
 def test_iso_twins_raise_the_harness_messages():
@@ -381,17 +390,13 @@ def test_iso_twins_raise_the_harness_messages():
         (s3, d, 0b000011, 0b111111), (s3, d, 0b000001, 0b001001), (s3, d, 0b000111, 0b000001)
     ]
     messages = []
-    for harness, twin, cases in (
-        (second_iso_harness, second_iso_holds, second),
-        (third_iso_harness, third_iso_holds, third),
-    ):
+    for harness, cases in ((second_iso_harness, second), (third_iso_harness, third)):
         for args in cases:
             with pytest.raises(ValueError) as raised:
                 harness(*args)
-            # twice: a refused instance keeps nothing, so it is refused again
-            for _ in range(2):
-                with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
-                    twin(*args)
+            # again: a refused instance keeps nothing, so it is refused again
+            with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
+                harness(*args)
             messages.append(str(raised.value).split(":")[0])
     assert messages == [
         "input is not a verified proximal group", "input is not a verified proximal group", "H", "N",
@@ -447,18 +452,18 @@ def test_iso_twins_build_no_side_relation(monkeypatch):
         normals = normal_subgroups(g)
         for h in all_subgroups(g):
             for n in normals:
-                second_iso_holds(g, rel, h, n)
+                second_iso_harness(g, rel, h, n)
                 second += 1
         for n in normals:
             for k in normals:
                 if not n & ~k:
-                    assert third_iso_holds(g, rel, n, k)
+                    assert third_iso_harness(g, rel, n, k).ok
                     third += 1
         assert not [key for key in rel._derived if key[0] in ("subspace", "quotient")]
     assert (second, third) == (5551, 1677)
     assert calls == []
-    # nor does a report harness; the spy sees the oracle build its sides
-    assert third_iso_harness(g, rel, 1 << g.identity, g.space.full_mask).ok
+    # nor does a forced read; the spy sees the oracle build its sides
+    assert third_iso_harness(g, rel, 1 << g.identity, g.space.full_mask).proximal.ok
     assert calls == []
     assert _oracle_third_iso(g, rel, 1 << g.identity, g.space.full_mask)[2].ok
     assert calls == ["quotient"] * 3
@@ -528,6 +533,15 @@ def test_third_iso_left_elements_are_the_k_cosets_with_identity_images():
 
 
 def test_cold_iso_twins_build_no_group_and_no_map(monkeypatch):
+    # a harness's ok is the verdict twin of its proximal report: on a cold
+    # group it builds no side group and no map, and only a forced read does.
+    # A relabelled copy of each catalog group: an equal table on another
+    # carrier, memo empty, with its identity map built before the spies.
+    cold = [
+        source.with_labels([f"{name}.{label}" for label in source.space.labels])
+        for name, source in all_groups_up_to(8)
+    ]
+    identities = [identity_map(g.space) for g in cold]
     calls = []
 
     def spy(module, name):
@@ -549,29 +563,34 @@ def test_cold_iso_twins_build_no_group_and_no_map(monkeypatch):
         real_init(self)
 
     monkeypatch.setattr(SpaceMap, "__post_init__", counting_init)
-    second = third = 0
-    for name, source in all_groups_up_to(8):
-        # a relabelled copy: an equal table on another carrier, memo empty
-        g = source.with_labels([f"{name}.{label}" for label in source.space.labels])
+    first = second = third = 0
+    for g, identity in zip(cold, identities):
         assert not g._derived
         normals = normal_subgroups(g)
         for _, rel in _coset_relations(g, "lodato"):
+            assert first_iso_harness(identity, g, rel, g, rel).ok
+            first += 1
             for h in all_subgroups(g):
                 for n in normals:
-                    second_iso_holds(g, rel, h, n)
+                    second_iso_harness(g, rel, h, n)
                     second += 1
             for n in normals:
                 for k in normals:
                     if not n & ~k:
-                        assert third_iso_holds(g, rel, n, k)
+                        assert third_iso_harness(g, rel, n, k).ok
                         third += 1
-    assert (second, third) == (5551, 1677)
+    assert (first, second, third) == (64, 5551, 1677)
+    # the first theorem checks its map, and nothing else is built
+    assert calls == ["homomorphism_violation"] * first
+    # a forced read builds the side groups and the map once
+    calls.clear()
+    report = third_iso_harness(g, rel, 1 << g.identity, g.space.full_mask)
     assert calls == []
-    # the spies see a harness build its side groups and its map, and the
-    # first theorem check its map
-    assert third_iso_harness(g, rel, 1 << g.identity, g.space.full_mask).ok
-    assert first_iso_harness(identity_map(g.space), g, rel, g, rel).ok
-    assert {"subgroup_group", "quotient_group", "homomorphism_violation", "SpaceMap"} <= set(calls)
+    assert report.proximal.ok
+    built = list(calls)
+    assert {"subgroup_group", "quotient_group", "SpaceMap"} <= set(built)
+    assert report.proximal.ok and report.canonical.images == (0,)
+    assert calls == built
 
 
 # --- the report oracle -----------------------------------------------------------
@@ -602,7 +621,8 @@ def _oracle_iso_report(source, target, images):
 def _oracle_first_iso(eta, g1, rel1, g2, rel2):
     if set(eta.images) != set(range(g2.order)):
         missing = next(i for i in range(g2.order) if i not in set(eta.images))
-        return False, False, AxiomReport({"bijective": False}), 1 << missing, None
+        proximal = AxiomReport({"bijective": False}, {"bijective": (1 << missing,)})
+        return False, False, proximal, 1 << missing, None
     kernel = sum(1 << i for i in range(g1.order) if eta.images[i] == g2.identity)
     quot, blocks = _oracle_quotient_inside(g1, rel1, g1.space.full_mask, kernel)
     images = [eta.images[min(bits(block))] for block in blocks]
@@ -625,18 +645,23 @@ def _oracle_third_iso(g, rel, n, k):
     return _oracle_iso_report(left, right, range(len(k_cosets)))
 
 
-def _report_fields(fields):
-    """The fields with the proximal verdicts in report order, as printed."""
+def _report_fields(fields, ok=None):
+    """The fields with the proximal verdicts in report order, as printed,
+    and ok, by default the verdict of the witness runs."""
     surjective, group_iso, proximal, missing, canonical = fields
+    if ok is None:
+        ok = surjective and proximal.ok
     verdicts = tuple(proximal.verdicts.items())
-    return surjective, group_iso, verdicts, dict(proximal.witnesses), missing, canonical
+    return ok, surjective, group_iso, verdicts, dict(proximal.witnesses), missing, canonical
 
 
 def _fields(report):
+    """The report's fields; ok is read first, as a sweep reads it."""
+    ok = report.ok
     return _report_fields((
         report.surjective, report.group_isomorphism, report.proximal,
         report.missing_image, report.canonical,
-    ))
+    ), ok)
 
 
 def _iso_cases(scope):
@@ -690,8 +715,9 @@ def test_warm_first_iso_sweep_checks_each_map_once_and_builds_no_side(monkeypatc
     spied = (
         (groups, "homomorphism_violation"), (maps, "check_pcont"),
         (maps, "pcont_point_witness"), (maps, "check_proximal_isomorphism"),
-        (harnesses, "_iso_report"), (relations, "quotient_proximity"),
-        (relations, "subspace_proximity"), (relations, "relation_from_point_pairs"),
+        (groups, "subgroup_group"), (groups, "quotient_group"),
+        (relations, "quotient_proximity"), (relations, "subspace_proximity"),
+        (relations, "relation_from_point_pairs"),
     )
     for module, name in spied:
         real = getattr(module, name)
@@ -704,14 +730,32 @@ def test_warm_first_iso_sweep_checks_each_map_once_and_builds_no_side(monkeypatc
         for holder in (groups, maps, harnesses, relations, enumeration):
             if getattr(holder, name, None) is real:
                 monkeypatch.setattr(holder, name, spy)
+    real_init = SpaceMap.__post_init__
+
+    def naming_init(self):
+        calls.append(f"SpaceMap {self.name}")
+        real_init(self)
+
+    monkeypatch.setattr(SpaceMap, "__post_init__", naming_init)
     outcome = fuzz_theorem(theorem)
     assert (outcome.instances, len(outcome.counterexamples)) == (21, 3)
     # the sweep filters its maps with check_pcont, and each harness checks
-    # its map once more; every check is Cech, and each report reads its
-    # two witnesses off the side point relations
-    assert calls.count("homomorphism_violation") == calls.count("_iso_report") == 21
-    assert calls.count("pcont_point_witness") == calls.count("check_pcont") + 2 * 21
-    assert set(calls) == {"homomorphism_violation", "check_pcont", "pcont_point_witness", "_iso_report"}
+    # its map once more; every check is Cech, and ok reads no witness
+    assert calls.count("homomorphism_violation") == 21
+    assert calls.count("pcont_point_witness") == calls.count("check_pcont")
+    assert set(calls) == {"homomorphism_violation", "check_pcont", "pcont_point_witness", "SpaceMap hom"}
+    # a forced read builds the canonical map and its inverse and reads the
+    # two witnesses off the side point relations, once per report
+    reports = [
+        first_iso_harness(i["map_images"], i["group"][1], i["relation"], i["group2"][1], i["relation2"])
+        for i in _first_iso_instances(THEOREMS[theorem].scope)
+    ]
+    calls.clear()
+    for _ in range(2):
+        assert [r.ok for r in reports] == [r.proximal.ok for r in reports]
+    assert sorted(set(calls)) == ["SpaceMap canonical", "SpaceMap canonical^-1", "pcont_point_witness"]
+    assert calls.count("SpaceMap canonical") == calls.count("SpaceMap canonical^-1") == 21
+    assert calls.count("pcont_point_witness") == 2 * 21
 
 
 # --- hausdorff -------------------------------------------------------------------
@@ -761,6 +805,12 @@ def test_descriptive_group_constant_probe_small_orders():
         probes = probe_table(g.space, [[1]] * g.order)
         assert check_descriptive_proximal_group(g, probes).ok
 
+
+
+def test_descriptive_group_refuses_probes_on_another_carrier():
+    probes = probe_table(default_space(2), [[0], [1]])
+    with pytest.raises(ValueError, match=r"^group and probe-table carriers do not match$"):
+        check_descriptive_proximal_group(cyclic_group(3), probes)
 
 def test_descriptive_group_matches_plain_check_on_induced_relation(z7_on_samples, trunc_offset_probes):
     direct = check_descriptive_proximal_group(z7_on_samples, trunc_offset_probes)
