@@ -43,7 +43,6 @@ from .groups import (
     hom_criterion_check,
     product_proximal_group,
     quotient_proximal_group,
-    subgroup_group,
     subgroup_proximal_group,
 )
 from .harnesses import (
@@ -301,7 +300,7 @@ def _cmd_subgroup(ws, flags):
     name, rel = _pick_on_carrier(ws, flags, "rel")
     h = _need_mask(flags, "subset", ws.space)
     report = subgroup_proximal_group(group, rel, h, max_size=_scan_size(flags))
-    sub_space = subgroup_group(group, h).space
+    sub_space = ws.space.subspace(h)
     return _proximal_group_result(
         {"relation": name, "subgroup_mask": h, "subgroup": list(sub_space.labels)},
         report,

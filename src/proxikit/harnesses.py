@@ -30,8 +30,6 @@ from .groups import (
     direct_product_group,
     homomorphism_violation,
     normality_violation,
-    quotient_group,
-    subgroup_group,
     subgroup_violation,
     subset_product,
     _mu1_check,
@@ -40,7 +38,7 @@ from .groups import (
 )
 from .maps import SpaceMap, check_pcont, pcont_point_witness, points_isomorphic
 from .relations import ProximityRelation, pullback_points
-from .spaces import bits, memo
+from .spaces import FiniteSpace, bits, memo
 
 
 @dataclass(frozen=True)
@@ -137,12 +135,12 @@ class IsoTheoremReport:
     """Outcome of rebuilding one isomorphism theorem on a finite instance.
 
     The harness decides ``ok`` and keeps a thunk of the two sides, each a
-    group (:func:`_group_inside`) with its point relation
+    carrier (:func:`_carrier`) with its point relation
     (:func:`_side_points`), and of the canonical images.  ``canonical``
-    and ``proximal`` are built from it on first read.  ``proximal``
-    carries the bijective/pcont/inverse_pcont verdicts and witnesses of
-    ``canonical``, inverse_pcont ones on its codomain and the rest on its
-    domain.  A first theorem with no surjection has no canonical map; its
+    and ``proximal`` are built from it on first read, with no side group.
+    ``proximal`` carries the bijective/pcont/inverse_pcont verdicts and
+    witnesses of ``canonical``, inverse_pcont ones on its codomain and the
+    rest on its domain.  A first theorem with no surjection has no canonical map; its
     ``bijective`` witness is ``(missing_image,)`` on the codomain.  Treat
     instances as read-only.
     """
@@ -181,8 +179,8 @@ class IsoTheoremReport:
     def canonical(self) -> SpaceMap | None:
         if self._sides is None:
             return None
-        (g1, _), (g2, _), images = self._sides()
-        return SpaceMap(g1.space, g2.space, tuple(images), "canonical")
+        (domain, _), (codomain, _), images = self._sides()
+        return SpaceMap(domain, codomain, tuple(images), "canonical")
 
     @cached_property
     def proximal(self) -> AxiomReport:
@@ -201,22 +199,22 @@ def _containing(blocks: Sequence[int], targets: Sequence[int]) -> tuple[int, ...
     return tuple(j for b in blocks for j, t in enumerate(targets) if b & ~t == 0)
 
 
-def _group_inside(
-    g: FiniteGroup, s: int, m: int
-) -> tuple[FiniteGroup, tuple[int, ...], tuple[int, ...]]:
-    """S/M for a subgroup S of G and a subgroup M normal in S, with its
-    blocks on S's carrier and its elements, the cosets xM for x in S, as
-    masks of G (``coset_partition(g, m, s)``).  Built once per (G, S, M)
-    and kept in G's memo.  ``subgroup_group`` keeps the labels of S, so M
-    is found on S's carrier by its labels; its members keep G's order, so
-    the blocks on S list the same cosets in the same order."""
+def _carrier(g: FiniteGroup, in_g: tuple[int, ...], over: int | None = None) -> FiniteSpace:
+    """The carrier of the side S/M whose elements, the cosets xM for x in
+    S, are ``in_g`` as masks of G: each labelled by its members' labels
+    joined by "|", as ``quotient_group`` labels S/M.  The third theorem's
+    left side is a quotient of G/N, for N = ``over``, so its labels join
+    N-coset labels: ``a|c|b|d`` on Z4 with N = {a, c}, where G/K reads
+    ``a|b|c|d``.  Kept in G's memo."""
 
-    def build() -> tuple[FiniteGroup, tuple[int, ...], tuple[int, ...]]:
-        sub = subgroup_group(g, s)
-        quot, blocks = quotient_group(sub, sub.space.mask_of(g.space.label_set(m)))
-        return quot, blocks, coset_partition(g, m, s)
+    def build() -> FiniteSpace:
+        if over is None:
+            return g.space.quotient(in_g)
+        n_cosets = coset_partition(g, over)
+        blocks = tuple(sum(1 << j for j, c in enumerate(n_cosets) if c & ~b == 0) for b in in_g)
+        return g.space.quotient(n_cosets).quotient(blocks)
 
-    return memo(g, ("inside", s, m), build)
+    return memo(g, ("carrier", in_g, over), build)
 
 
 def first_iso_harness(
@@ -249,12 +247,12 @@ def first_iso_harness(
     p1, p2 = _side_points(rel1, cosets), rel2.point_graph
     return IsoTheoremReport(
         True, points_isomorphic(images, p1, p2), None,
-        lambda: ((_group_inside(g1, g1.space.full_mask, kernel)[0], p1), (g2, p2), images),
+        lambda: ((_carrier(g1, cosets), p1), (g2.space, p2), images),
     )
 
 
 def _side_points(rel: ProximityRelation, in_g: tuple[int, ...]) -> tuple[int, ...]:
-    """The point relation of the side S/M (:func:`_group_inside`) of a
+    """The point relation of the side S/M (:func:`_carrier`) of a
     proximal group (G, rel), read off P with no relation built:
     ``pullback_points(P, in_g)`` for its elements ``in_g``, the cosets of M
     as masks of G.  Kept on ``rel`` under ``("points", in_g)``; equal blocks
@@ -287,12 +285,12 @@ def _require_mask(name: str, reason: str | None) -> None:
 
 def _second_iso(
     g: FiniteGroup, rel: ProximityRelation, h: int, n: int
-) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The gate, then the second theorem's group half: HN, the canonical
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The gate, then the second theorem's group half: the canonical
     images from H/(H cap N) to HN/N (see :func:`second_iso_harness`), and
     the two sides' elements as masks of G, the cosets x(H cap N) for x in
-    H and xN for x in HN (``coset_partition``), which are the elements of
-    :func:`_group_inside`'s sides.
+    H and xN for x in HN (``coset_partition``), which :func:`_carrier`
+    labels.
 
     The group half does not depend on the relation: it is built once per
     (G, H, N), after the checks of H and N, and kept in G's memo under
@@ -306,12 +304,12 @@ def _second_iso(
     """
     _require_proximal_group(g, rel, "input")
 
-    def build() -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    def build() -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         _require_mask("H", subgroup_violation(g, h))
         _require_mask("N", normality_violation(g, n))
-        hn = subset_product(g, h, n)
-        left, right = coset_partition(g, h & n, h), coset_partition(g, n, hn)
-        return hn, _containing(left, right), left, right
+        left = coset_partition(g, h & n, h)
+        right = coset_partition(g, n, subset_product(g, h, n))
+        return _containing(left, right), left, right
 
     return memo(g, ("second_iso", h, n), build)
 
@@ -328,23 +326,23 @@ def second_iso_harness(
     HN cap M lies in (H cap M)N; with the discrete or coarse proximity
     (M = {e} or G) that always holds.
     """
-    hn, images, left, right = _second_iso(g, rel, h, n)
+    images, left, right = _second_iso(g, rel, h, n)
     p1, p2 = _side_points(rel, left), _side_points(rel, right)
     return IsoTheoremReport(
         True, points_isomorphic(images, p1, p2), None,
-        lambda: ((_group_inside(g, h, h & n)[0], p1), (_group_inside(g, hn, n)[0], p2), images),
+        lambda: ((_carrier(g, left), p1), (_carrier(g, right), p2), images),
     )
 
 
 def _third_iso(
     g: FiniteGroup, rel: ProximityRelation, n: int, k: int
-) -> tuple[int, tuple[int, ...]]:
-    """The gate, then the third theorem's group half: K/N as a mask of G/N,
-    and the K-cosets as masks of G by smallest member
-    (``coset_partition``).  These are the elements of both sides, and the
-    canonical images from (G/N)/(K/N) to G/K are the identity.
+) -> tuple[int, ...]:
+    """The gate, then the third theorem's group half: the K-cosets as
+    masks of G by smallest member (``coset_partition``).  These are the
+    elements of both sides, and the canonical images from (G/N)/(K/N) to
+    G/K are the identity.
 
-    G/N lists the N-cosets by smallest member (``quotient_group``).  An
+    G/N lists the N-cosets by smallest member (``coset_partition``).  An
     element of (G/N)/(K/N) is a coset (xN)(K/N) = {xkN : k in K}, whose
     union in G is xK, so its elements as masks of G are the K-cosets.  It
     lists them by their first N-coset in G/N, the one that holds the
@@ -358,14 +356,12 @@ def _third_iso(
     """
     _require_proximal_group(g, rel, "input")
 
-    def build() -> tuple[int, tuple[int, ...]]:
+    def build() -> tuple[int, ...]:
         _require_mask("N", normality_violation(g, n))
         _require_mask("K", normality_violation(g, k))
         if n & ~k:
             raise ValueError("N must be contained in K")
-        n_cosets = coset_partition(g, n)
-        k_over_n = sum(1 << j for j, block in enumerate(n_cosets) if block & ~k == 0)
-        return k_over_n, coset_partition(g, k)
+        return coset_partition(g, k)
 
     return memo(g, ("third_iso", n, k), build)
 
@@ -377,19 +373,19 @@ def third_iso_harness(
 
     (G, rel) must be a proximal group.  K/N, the N-cosets inside K, is the
     image of K under x -> xN, so a subgroup of G/N, and normal:
-    (xN)(kN)(xN)^-1 = (xkx^-1)N with xkx^-1 in K.  So it is not checked
-    here; ``quotient_group`` checks it anyway.  Each element of
-    (G/N)/(K/N) is a union of N-cosets making up one K-coset, which the
-    canonical map sends it to; both sides list the K-cosets in one order,
-    so the canonical images are the identity (:func:`_third_iso`).
+    (xN)(kN)(xN)^-1 = (xkx^-1)N with xkx^-1 in K.  So it is not checked.
+    Each element of (G/N)/(K/N) is a union of N-cosets making up one
+    K-coset, which the canonical map sends it to; both sides list the
+    K-cosets in one order, so the canonical images are the identity
+    (:func:`_third_iso`).  The two sides share their elements but not
+    their labels (:func:`_carrier`).
     """
-    k_over_n, k_cosets = _third_iso(g, rel, n, k)
+    k_cosets = _third_iso(g, rel, n, k)
 
     def sides() -> tuple:
-        full, points = g.space.full_mask, _side_points(rel, k_cosets)
-        quot_n = _group_inside(g, full, n)[0]
-        left = _group_inside(quot_n, quot_n.space.full_mask, k_over_n)[0]
-        return (left, points), (_group_inside(g, full, k)[0], points), range(len(k_cosets))
+        points = _side_points(rel, k_cosets)
+        left, right = _carrier(g, k_cosets, n), _carrier(g, k_cosets)
+        return (left, points), (right, points), range(len(k_cosets))
 
     return IsoTheoremReport(True, True, None, sides)
 

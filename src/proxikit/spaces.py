@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Hashable, Iterator, Sequence, TypeVar
 
 MAX_CARRIER = 12
 SCAN_CAP = 7  # the slowest known table of every capped scan runs in under 1 s (README)
@@ -44,18 +44,6 @@ class FiniteSpace:
     @property
     def full_mask(self) -> int:
         return (1 << len(self.labels)) - 1
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown element label {label!r}") from None
-
-    def mask_of(self, labels: Iterable[str]) -> int:
-        mask = 0
-        for label in labels:
-            mask |= 1 << self.index_of(label)
-        return mask
 
     def label_set(self, mask: int) -> tuple[str, ...]:
         """Labels of a subset mask, in carrier order."""

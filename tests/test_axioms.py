@@ -288,6 +288,27 @@ def closed_family_is_topology(snap):
     )
 
 
+@pytest.mark.parametrize(
+    "rows, closed_sets, is_topology",
+    [
+        ((0, 10, 8, 0), (0, 1, 3), True),
+        ((0, 8, 12, 0), (0, 2, 3), True),
+        ((214, 234, 142, 236, 164, 25, 47, 161), (0, 3, 5, 7), False),
+        ((0, 218, 180, 110, 224, 16, 129, 14), (0, 1, 2, 7), False),
+    ],
+)
+def test_closed_family_pair_scan_off_cech_tables(rows, closed_sets, is_topology):
+    # non-Cech tables whose closure fixes the empty set and the carrier, so
+    # the verdict rests on the pair scan: passing, then with a and b swapped;
+    # failing on an intersection ({a,b} & {a,c}), then on a union only
+    rel = ProximityRelation(default_space(len(rows).bit_length() - 1), rows)
+    assert rel.point_graph is None
+    snap = induced_topology(rel)
+    assert snap.closed_sets == closed_sets
+    assert {0, rel.space.full_mask} <= set(snap.closed_sets)
+    assert snap.is_topology is is_topology is closed_family_is_topology(snap)
+
+
 def test_cech_closed_families_are_topologies():
     # the proof in induced_topology's docstring, checked on every small Cech table
     for n in range(1, 5):

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import re
 import subprocess
@@ -136,6 +137,39 @@ def test_main_reads_stdin(tmp_path, monkeypatch):
     )
     assert result.returncode == 0
     assert "L5 PASS" in result.stdout
+
+
+def test_main_reads_a_document_from_stdin_in_process(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO((FIXTURES / "two_points.json").read_text()))
+    assert main(["check-axioms", "-", "--rel", "d"]) == 0
+    assert "L5 PASS" in capsys.readouterr().out
+
+
+def test_main_refuses_an_unreadable_document(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["check-axioms", str(missing), "--rel", "d"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {missing}: ")
+
+
+def test_main_prints_document_warnings_on_stderr(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({
+        "space": {"labels": ["a", "b"]},
+        "relations": {"x": {"encoding": "explicit", "near": [[1, 2], [1, 1], [2, 2], [3, 3]]}},
+    }))
+    main(["check-axioms", str(doc), "--rel", "x"])
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "warning: relations.x: asymmetric near-pair list; symmetric closure applied\n"
+    )
+    assert captured.out.startswith("L1 ")
+
+
+def test_subgroup_refuses_a_subset_mask_out_of_range(capsys):
+    assert main(["subgroup", str(FIXTURES / "z3_group.json"), "--rel", "d", "--subset", "99"]) == 2
+    assert capsys.readouterr().err == "error: flags: mask 99 out of range for carrier of size 3\n"
 
 
 def test_console_script_json_format():

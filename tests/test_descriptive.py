@@ -263,3 +263,7 @@ def test_product_probe_table_matches_factor_conjunction():
                     got = rel.near(rectangle(a1, a2), rectangle(b1, b2))
                     assert got == want
 
+
+def test_dpcont_refuses_a_map_off_the_probe_carriers():
+    with pytest.raises(ValueError, match="^map endpoints do not match the probe-table carriers$"):
+        check_dpcont(identity_map(default_space(2)), INJECTIVE3, INJECTIVE3)

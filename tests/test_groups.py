@@ -867,6 +867,16 @@ def test_rejected_masks_raise_on_every_call_and_leave_no_memo_entry():
     assert ("quotient", reflection) not in g._derived
 
 
+def test_carrier_checks_refuse_a_structure_on_another_carrier():
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    with pytest.raises(ValueError, match="^map endpoints do not match the group carriers$"):
+        groups.homomorphism_violation(identity_map(z2.space), z2, z3)
+    with pytest.raises(ValueError, match="^group and relation carriers do not match$"):
+        quotient_proximal_group(z3, make_discrete_proximity(z2.space), 0b001)
+    with pytest.raises(ValueError, match="^side must be 'left' or 'right', got 'up'$"):
+        translation_map(z3, 1, "up")
+
+
 def test_every_catalog_prefix_holds_the_same_groups():
     catalog = all_groups_up_to(8)
     assert all_groups_up_to(8) == catalog

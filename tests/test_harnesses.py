@@ -47,12 +47,13 @@ from proxikit.groups import (
     coset_partition,
     homomorphism_violation,
     normal_subgroups,
+    quotient_group,
     subgroup_group,
     subset_product,
 )
 from proxikit.harnesses import (
+    _carrier,
     _containing,
-    _group_inside,
     _pointwise_nearness,
     _second_iso,
     _side_points,
@@ -361,11 +362,11 @@ def test_iso_twins_keep_the_group_half_on_g_and_decide_each_relation():
     # H = {e, b}, N = {e, c}: HN = V4, and H/(H cap N) = H is Z2 = V4/N
     h, n = 0b0011, 0b0101
     assert second_iso_harness(v4, d, h, n).ok
-    # HN, the canonical images, and the sides {e}, {b} and N, bN as masks of G
-    assert v4._derived[("second_iso", h, n)] == (0b1111, (0, 1), (0b0001, 0b0010), (0b0101, 0b1010))
+    # the canonical images, and the sides {e}, {b} and N, bN as masks of G
+    assert v4._derived[("second_iso", h, n)] == ((0, 1), (0b0001, 0b0010), (0b0101, 0b1010))
     assert third_iso_harness(v4, c, 0b0001, n).ok
-    # K/N = N over the trivial N, and the K-cosets N, bN
-    assert v4._derived[("third_iso", 0b0001, n)] == (n, (0b0101, 0b1010))
+    # the K-cosets N, bN
+    assert v4._derived[("third_iso", 0b0001, n)] == (0b0101, 0b1010)
     # the proximal half reads the relation: on the coset relation of
     # M = {e, d}, HN cap M = M is not in (H cap M)N = N, so the same kept
     # group half gives the other verdict
@@ -426,9 +427,11 @@ def test_twin_sides_equal_the_harness_sides(scope, cases):
     for i in _normal_chain_instances(scope):
         g, rel, n, k = i["group"][1], i["relation"], i["normal_mask"], i["containing_mask"]
         full = g.space.full_mask
-        k_over_n, left_in_g = _third_iso(g, rel, n, k)
+        left_in_g = _third_iso(g, rel, n, k)
         (quot_n, rel_n), _ = _oracle_quotient_inside(g, rel, full, n)
-        (_, left), _ = _oracle_quotient_inside(quot_n, rel_n, quot_n.space.full_mask, k_over_n)
+        (_, left), _ = _oracle_quotient_inside(
+            quot_n, rel_n, quot_n.space.full_mask, _k_over_n(g, n, k)
+        )
         same_side(rel, left, left_in_g)
         (_, right), right_in_g = _oracle_quotient_inside(g, rel, full, k)
         same_side(rel, right, right_in_g)
@@ -477,7 +480,8 @@ def _is_group_isomorphism(g1, g2, images):
 
 
 def test_coset_partition_of_a_subgroup_equals_the_group_inside_elements():
-    # oracle: the cosets of M in the group S on its own carrier, moved to G
+    # oracle: the cosets of M in the group S on its own carrier, moved to G,
+    # and the carrier of S/M, which _carrier labels from those masks of G
     cases = 0
     for _, g in all_groups_up_to(8):
         for s in all_subgroups(g):
@@ -485,9 +489,10 @@ def test_coset_partition_of_a_subgroup_equals_the_group_inside_elements():
             sub = subgroup_group(g, s)
             for m_on_s in normal_subgroups(sub):
                 m = image(members, m_on_s)
-                _, blocks, in_g = _group_inside(g, s, m)
+                quot, blocks, in_g = _group_inside(g, s, m)
                 assert in_g == coset_partition(g, m, s)
                 assert in_g == tuple(image(members, block) for block in blocks)
+                assert _carrier(g, in_g) == quot.space
                 cases += 1
     assert cases == 202
 
@@ -498,12 +503,14 @@ def test_second_iso_images_are_a_group_isomorphism_between_the_quotients():
         d = make_discrete_proximity(g.space)
         for h in all_subgroups(g):
             for n in normal_subgroups(g):
-                hn, images, left, right = _second_iso(g, d, h, n)
+                images, left, right = _second_iso(g, d, h, n)
                 left_group, _, left_in_g = _group_inside(g, h, h & n)
-                right_group, _, right_in_g = _group_inside(g, hn, n)
+                right_group, _, right_in_g = _group_inside(g, subset_product(g, h, n), n)
                 assert (left, right) == (left_in_g, right_in_g)
                 assert sorted(images) == list(range(len(right)))
                 assert _is_group_isomorphism(left_group, right_group, images)
+                canonical = second_iso_harness(g, d, h, n).canonical
+                assert (canonical.domain, canonical.codomain) == (left_group.space, right_group.space)
                 cases += 1
     assert cases == 517
 
@@ -519,22 +526,38 @@ def test_third_iso_left_elements_are_the_k_cosets_with_identity_images():
             for k in normals:
                 if n & ~k:
                     continue
-                k_over_n, k_cosets = _third_iso(g, c, n, k)
+                k_cosets = _third_iso(g, c, n, k)
                 quot_n, _, n_blocks = _group_inside(g, full, n)
-                left, _, left_blocks = _group_inside(quot_n, quot_n.space.full_mask, k_over_n)
+                left, _, left_blocks = _group_inside(
+                    quot_n, quot_n.space.full_mask, _k_over_n(g, n, k)
+                )
                 right, _, right_in_g = _group_inside(g, full, k)
                 left_in_g = tuple(union_over(n_blocks, b) for b in left_blocks)
                 assert left_in_g == right_in_g == k_cosets == coset_partition(g, k)
                 images = _containing(left_in_g, right_in_g)
                 assert images == tuple(range(len(k_cosets)))
                 assert _is_group_isomorphism(left, right, images)
+                canonical = third_iso_harness(g, c, n, k).canonical
+                assert (canonical.domain, canonical.codomain) == (left.space, right.space)
                 cases += 1
     assert cases == 184
 
 
+def test_third_iso_left_carrier_joins_the_n_coset_labels():
+    # both sides have the K-cosets as elements, under their own memo keys
+    z4 = cyclic_group(4)
+    n, k = 0b0101, z4.space.full_mask
+    canonical = third_iso_harness(z4, make_discrete_proximity(z4.space), n, k).canonical
+    assert canonical.domain.labels == ("a|c|b|d",)
+    assert canonical.codomain.labels == ("a|b|c|d",)
+    assert z4._derived[("carrier", (k,), n)] is canonical.domain
+    assert z4._derived[("carrier", (k,), None)] is canonical.codomain
+
+
 def test_cold_iso_twins_build_no_group_and_no_map(monkeypatch):
     # a harness's ok is the verdict twin of its proximal report: on a cold
-    # group it builds no side group and no map, and only a forced read does.
+    # group it builds no side group and no map, and a forced read builds
+    # only the map.
     # A relabelled copy of each catalog group: an equal table on another
     # carrier, memo empty, with its identity map built before the spies.
     cold = [
@@ -553,9 +576,11 @@ def test_cold_iso_twins_build_no_group_and_no_map(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapped)
 
+    # wherever the name was imported, so that no call route escapes
     for module in (groups, harnesses):
         for name in ("subgroup_group", "quotient_group", "homomorphism_violation"):
-            spy(module, name)
+            if hasattr(module, name):
+                spy(module, name)
     real_init = SpaceMap.__post_init__
 
     def counting_init(self):
@@ -563,34 +588,33 @@ def test_cold_iso_twins_build_no_group_and_no_map(monkeypatch):
         real_init(self)
 
     monkeypatch.setattr(SpaceMap, "__post_init__", counting_init)
-    first = second = third = 0
+    reports = {"first": [], "second": [], "third": []}
     for g, identity in zip(cold, identities):
         assert not g._derived
         normals = normal_subgroups(g)
         for _, rel in _coset_relations(g, "lodato"):
-            assert first_iso_harness(identity, g, rel, g, rel).ok
-            first += 1
+            reports["first"].append(first_iso_harness(identity, g, rel, g, rel))
+            assert reports["first"][-1].ok
             for h in all_subgroups(g):
                 for n in normals:
-                    second_iso_harness(g, rel, h, n)
-                    second += 1
+                    reports["second"].append(second_iso_harness(g, rel, h, n))
             for n in normals:
                 for k in normals:
                     if not n & ~k:
-                        assert third_iso_harness(g, rel, n, k).ok
-                        third += 1
-    assert (first, second, third) == (64, 5551, 1677)
+                        reports["third"].append(third_iso_harness(g, rel, n, k))
+                        assert reports["third"][-1].ok
+    assert tuple(map(len, reports.values())) == (64, 5551, 1677)
     # the first theorem checks its map, and nothing else is built
-    assert calls == ["homomorphism_violation"] * first
-    # a forced read builds the side groups and the map once
-    calls.clear()
-    report = third_iso_harness(g, rel, 1 << g.identity, g.space.full_mask)
-    assert calls == []
-    assert report.proximal.ok
-    built = list(calls)
-    assert {"subgroup_group", "quotient_group", "SpaceMap"} <= set(built)
-    assert report.proximal.ok and report.canonical.images == (0,)
-    assert calls == built
+    assert calls == ["homomorphism_violation"] * 64
+    # a forced read builds the canonical map and its inverse, and no group:
+    # each side's carrier is labelled from its elements as masks of G
+    for theorem, made in reports.items():
+        calls.clear()
+        for _ in range(2):
+            assert [r.proximal.ok for r in made] == [r.ok for r in made], theorem
+        assert calls == ["SpaceMap"] * 2 * len(made), theorem
+    report = reports["third"][-1]
+    assert report.canonical.images == (0,) and report.canonical.domain.size == 1
 
 
 # --- the report oracle -----------------------------------------------------------
@@ -598,6 +622,22 @@ def test_cold_iso_twins_build_no_group_and_no_map(monkeypatch):
 # subspace pullback, and checked the canonical map between the side relations
 # with check_proximal_isomorphism and homomorphism_violation.  That build is
 # kept here as the oracle of the reports read off the sides' point relations.
+
+
+def _group_inside(g, s, m):
+    """S/M for a subgroup S of G and a subgroup M normal in S, with its
+    blocks on S's carrier and its elements, the cosets xM for x in S, as
+    masks of G.  The reports once built these side groups but read only
+    their carriers; the build is kept here, unmemoized, as the oracle of
+    harnesses._carrier."""
+    sub = subgroup_group(g, s)
+    quot, blocks = quotient_group(sub, sum(1 << j for j, x in enumerate(bits(s)) if m >> x & 1))
+    return quot, blocks, coset_partition(g, m, s)
+
+
+def _k_over_n(g, n, k):
+    """K/N as a mask of G/N: the N-cosets inside K."""
+    return sum(1 << j for j, block in enumerate(coset_partition(g, n)) if block & ~k == 0)
 
 
 def _oracle_quotient_inside(g, rel, s, m):
@@ -630,17 +670,17 @@ def _oracle_first_iso(eta, g1, rel1, g2, rel2):
 
 
 def _oracle_second_iso(g, rel, h, n):
-    hn, images, _, _ = _second_iso(g, rel, h, n)
+    images, _, _ = _second_iso(g, rel, h, n)
     left, _ = _oracle_quotient_inside(g, rel, h, h & n)
-    right, _ = _oracle_quotient_inside(g, rel, hn, n)
+    right, _ = _oracle_quotient_inside(g, rel, subset_product(g, h, n), n)
     return _oracle_iso_report(left, right, images)
 
 
 def _oracle_third_iso(g, rel, n, k):
-    k_over_n, k_cosets = _third_iso(g, rel, n, k)
+    k_cosets = _third_iso(g, rel, n, k)
     full = g.space.full_mask
     (quot_n, rel_n), _ = _oracle_quotient_inside(g, rel, full, n)
-    left, _ = _oracle_quotient_inside(quot_n, rel_n, quot_n.space.full_mask, k_over_n)
+    left, _ = _oracle_quotient_inside(quot_n, rel_n, quot_n.space.full_mask, _k_over_n(g, n, k))
     right, _ = _oracle_quotient_inside(g, rel, full, k)
     return _oracle_iso_report(left, right, range(len(k_cosets)))
 
@@ -913,11 +953,9 @@ def test_iso_harnesses_refuse_a_cech_relation_that_is_no_coset_relation():
             run()
 
 
-def _group_fields(g: FiniteGroup) -> tuple:
-    return g.space.labels, g.cayley, g.identity, g.inverse
-
-
 def test_quotient_inside_is_kept_and_equals_a_fresh_build():
+    # a side's carrier is built once per (G, elements) and kept in G's memo;
+    # it equals a fresh build, and the carrier of the oracle's side group
     scope = THEOREMS["second-isomorphism-theorem"].scope
     drawn = {}
     for i in _second_iso_instances(scope):
@@ -926,18 +964,19 @@ def test_quotient_inside_is_kept_and_equals_a_fresh_build():
             drawn[g, rel, s, m] = None
     assert len({(g, s, m) for g, _, s, m in drawn}) == 198
     for g, rel, s, m in drawn:
-        (quot, quot_rel), in_g = _oracle_quotient_inside(g, rel, s, m)
+        (_, quot_rel), in_g = _oracle_quotient_inside(g, rel, s, m)
+        carrier = _carrier(g, in_g)
         fresh_g = FiniteGroup(g.space, g.cayley, g.identity, g.inverse)
         fresh_rel = ProximityRelation(rel.space, rel.rows, rel.provenance)
         (fresh_quot, fresh_quot_rel), fresh_in_g = _oracle_quotient_inside(fresh_g, fresh_rel, s, m)
-        assert _group_fields(quot) == _group_fields(fresh_quot)
+        assert _carrier(fresh_g, fresh_in_g) == carrier == fresh_quot.space
         assert (quot_rel.space, quot_rel.rows, quot_rel.provenance, quot_rel.point_graph) == (
             fresh_quot_rel.space, fresh_quot_rel.rows,
             fresh_quot_rel.provenance, fresh_quot_rel.point_graph,
         )
         assert in_g == fresh_in_g
-        again = _oracle_quotient_inside(g, rel, s, m)
-        assert again[0][0] is quot and again[0][1] is quot_rel and again[1] is in_g
+        assert _carrier(g, in_g) is carrier is g._derived[("carrier", in_g, None)]
+        assert _oracle_quotient_inside(g, rel, s, m)[0][1] is quot_rel
 
 
 def test_full_carrier_sides_take_the_quotient_from_the_relation():

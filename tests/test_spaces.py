@@ -37,12 +37,9 @@ def test_labels_distinct():
 
 def test_mask_roundtrip():
     s = default_space(4)
-    assert s.mask_of(["a", "c"]) == 0b0101
     assert s.label_set(0b0101) == ("a", "c")
     assert s.format_mask(0) == "{}"
     assert s.format_mask(0b1010) == "{b,d}"
-    with pytest.raises(ValueError):
-        s.mask_of(["z"])
     with pytest.raises(ValueError):
         s.check_mask(16)
 

@@ -247,3 +247,47 @@ def test_readme_example_parses_and_uses_every_encoding():
     assert accepted == {"discrete", "coarse", "metric", "explicit", "descriptive", "subspace"}
     assert used == accepted
     assert set(ws.relations) == set(json.loads(example)["relations"])
+
+
+@pytest.mark.parametrize(
+    "document, location, message",
+    [
+        ({"space": {"labels": ["a", "a"]}}, "space.labels", "carrier labels must be distinct"),
+        (
+            {"space": {"labels": ["a", "b"]},
+             "relations": {"m": {"encoding": "metric", "matrix": [[0, 1], [2, 0]]}}},
+            "relations.m.matrix",
+            "not symmetric: d[0][1]=1 != d[1][0]=2",
+        ),
+        (
+            {"space": {"labels": ["a", "b"]},
+             "relations": {"d": {"encoding": "discrete"},
+                           "s": {"encoding": "subspace", "parent": "d", "subset": 0}}},
+            "relations.s.subset",
+            "subspace carrier must be nonempty",
+        ),
+        (
+            {"space": {"labels": ["a", "b", "c"]},
+             "group": {"cayley": [[1, 0, 2], [0, 1, 2], [2, 2, 2]]}},
+            "group.cayley",
+            "cayley row 2 is not a permutation",
+        ),
+        (
+            {"space": {"labels": ["a", "b"]}, "maps": {"f": {"images": [0, 2]}}},
+            "maps.f.images",
+            "image of element 1 out of range: 2",
+        ),
+        (
+            {"space": {"labels": ["a", "b"]}, "partition": {"blocks": [[0, 1], [1]]}},
+            "partition.blocks",
+            "partition block 1 overlaps an earlier block",
+        ),
+    ],
+)
+def test_library_refusals_name_the_document_field(document, location, message):
+    # each field passes the parser's own checks and is refused by the
+    # library constructor, whose message the parser keeps
+    with pytest.raises(WorkspaceError) as raised:
+        parse_workspace(json.dumps(document))
+    assert raised.value.location == location
+    assert str(raised.value) == f"{location}: {message}"
