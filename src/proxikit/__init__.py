@@ -63,7 +63,6 @@ from .groups import (
     cyclic_group,
     dihedral_group,
     direct_product_group,
-    hom_criterion_check,
     invertible_subsets,
     is_proximal_group,
     normal_subgroups,
@@ -82,6 +81,7 @@ from .harnesses import (
     check_descriptive_proximal_group,
     first_iso_harness,
     hausdorff_check,
+    hom_criterion_check,
     inversion_continuity_harness,
     multiplication_continuity_harness,
     projection_hom_demo,

@@ -40,7 +40,6 @@ from .groups import (
     check_proximal_group,
     check_proximal_homomorphism,
     check_translations,
-    hom_criterion_check,
     product_proximal_group,
     quotient_proximal_group,
     subgroup_proximal_group,
@@ -48,6 +47,7 @@ from .groups import (
 from .harnesses import (
     check_descriptive_proximal_group,
     first_iso_harness,
+    hom_criterion_check,
     second_iso_harness,
     third_iso_harness,
 )
@@ -109,10 +109,8 @@ def _report_lines(
 
 def _continuity(report) -> AxiomReport:
     """The mu1/mu2 verdicts of a proximal-group report, as one report."""
-    checks = {"mu1": report.mu1_pcont, "mu2": report.mu2_pcont}
-    return AxiomReport(
-        {tag: check.ok for tag, check in checks.items()},
-        {tag: check.witness for tag, check in checks.items() if not check.ok},
+    return AxiomReport.from_witnesses(
+        {"mu1": report.mu1_pcont.witness, "mu2": report.mu2_pcont.witness}
     )
 
 
@@ -341,11 +339,11 @@ def _cmd_hom_check(ws, flags):
         # (tests/test_groups.py::test_hom_criterion_hypothesis_is_its_conclusion)
         crit = hom_criterion_check(eta, group, rel1, group, rel2)
         payload["criterion"] = {
-            "hypothesis": crit.hypothesis.ok,
+            "hypothesis": crit.hypotheses_ok,
             "conclusion": crit.conclusion.ok,
             "implication_ok": crit.implication_ok,
         }
-        lines.append(f"criterion hypothesis {'PASS' if crit.hypothesis.ok else 'FAIL'}")
+        lines.append(f"criterion hypothesis {'PASS' if crit.hypotheses_ok else 'FAIL'}")
         lines.append(f"criterion conclusion {'PASS' if crit.conclusion.ok else 'FAIL'}")
         lines.append(f"criterion implication {'PASS' if crit.implication_ok else 'FAIL'}")
     return payload, lines, witnesses, report.ok
@@ -423,10 +421,9 @@ def _cmd_descriptive_check(ws, flags):
     name, probes = _pick(ws, flags, "probes")
     lodato = check_descriptive_lodato(probes)
     ef = check_descriptive_ef(probes)
-    # DL1-DL4 from the Lodato report, then DEF from the EF one
+    # both read DL1-DL4 off one relation with one checker: DL1-DL5, then DEF
     axioms = AxiomReport(
-        {**lodato.verdicts, "DEF": ef.verdicts["DEF"]},
-        {**lodato.witnesses, **{k: w for k, w in ef.witnesses.items() if k == "DEF"}},
+        {**lodato.verdicts, **ef.verdicts}, {**lodato.witnesses, **ef.witnesses}
     )
     lines, verdicts, witnesses = _report_lines(axioms, probes.space)
     ok = lodato.ok and ef.ok

@@ -49,20 +49,15 @@ def describe(probes: ProbeTable, b: int) -> DescriptionSet:
     return frozenset(probes.values[i] for i in bits(b))
 
 
-def _same_description_rows(probes: ProbeTable) -> list[int]:
-    n = probes.space.size
-    rows = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if probes.values[i] == probes.values[j]:
-                rows[i] |= 1 << j
-    return rows
-
-
 def descriptive_proximity(probes: ProbeTable) -> ProximityRelation:
-    """Near iff some members share a description vector."""
+    """Near iff some members share a description vector.  The point
+    relation puts each point in the class of points with its vector, the
+    classes gathered in one pass over the vectors."""
+    classes: dict[tuple[int, ...], int] = {}
+    for i, vec in enumerate(probes.values):
+        classes[vec] = classes.get(vec, 0) | 1 << i
     return relation_from_point_pairs(
-        probes.space, _same_description_rows(probes), "descriptive"
+        probes.space, [classes[vec] for vec in probes.values], "descriptive"
     )
 
 
@@ -110,12 +105,14 @@ def check_descriptive_ef(probes: ProbeTable) -> AxiomReport:
 
 
 def check_dpcont(f: SpaceMap, probes1: ProbeTable, probes2: ProbeTable) -> AxiomReport:
-    """Descriptive proximal continuity of f between the induced relations."""
+    """Descriptive proximal continuity of f between the induced relations:
+    the one key ``dpcont``, with the ``pcont`` witness of :func:`check_pcont`."""
     if f.domain != probes1.space or f.codomain != probes2.space:
         raise ValueError("map endpoints do not match the probe-table carriers")
     rel1 = descriptive_proximity(probes1)
     rel2 = descriptive_proximity(probes2)
-    return check_pcont(f, rel1, rel2, key="dpcont")
+    pcont = check_pcont(f, rel1, rel2)
+    return AxiomReport.from_witnesses({"dpcont": pcont.witnesses.get("pcont")})
 
 
 @dataclass(frozen=True)

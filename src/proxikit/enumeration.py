@@ -39,7 +39,6 @@ from .groups import (
     check_proximal_group,  # unused here; perfbench.spans.VERIFY_SITE patches it
     check_translations,
     coset_partition,
-    hom_criterion_check,
     is_proximal_group,
     normal_subgroups,
     product_proximal_group,
@@ -48,6 +47,7 @@ from .groups import (
 from .harnesses import (
     first_iso_harness,
     hausdorff_check,
+    hom_criterion_check,
     inversion_continuity_harness,
     multiplication_continuity_harness,
     second_iso_harness,

@@ -619,56 +619,6 @@ def check_proximal_homomorphism(
     )
 
 
-@dataclass(frozen=True)
-class HomCriterionReport:
-    """Nearness-to-identity criterion versus actual proximal continuity."""
-
-    hypothesis: Check
-    conclusion: Check
-
-    @property
-    def implication_ok(self) -> bool:
-        return not self.hypothesis.ok or self.conclusion.ok
-
-
-def hom_criterion_check(
-    eta: SpaceMap,
-    g1: FiniteGroup,
-    rel1: ProximityRelation,
-    g2: FiniteGroup,
-    rel2: ProximityRelation,
-) -> HomCriterionReport:
-    """Test: if B near {e1} forces eta(B) near {e2}, then eta is pcont.
-
-    Requires eta to be a group homomorphism between verified proximal groups
-    (:func:`is_proximal_group`).  Verified structures are Cech, so the pcont
-    check reads their point relations and no scan cap applies.
-
-    The hypothesis is decided on the point relations P1 and P2 too.  On a
-    Cech table B is near {e1} exactly when B meets P1[e1], and eta(B) is
-    near {e2} exactly when eta(x) is in P2[e2] for some x in B.  So B
-    violates the hypothesis exactly when it meets P1[e1] and eta sends none
-    of its members into P2[e2].  Let x be the lowest point of P1[e1] with
-    eta(x) not in P2[e2]: {x} violates, and a violating B holds such a
-    point, at least x, so B >= 1 << x.  The witness of the first violating
-    B is thus (1 << x, 1 << e1), and with no such x the hypothesis holds.
-    """
-    hom_witness = homomorphism_violation(eta, g1, g2)
-    if hom_witness is not None:
-        raise ValueError(f"map is not a group homomorphism at {hom_witness}")
-    _require_proximal_group(g1, rel1, "domain structure")
-    _require_proximal_group(g2, rel2, "codomain structure")
-    near_e2 = rel2.point_graph[g2.identity]
-    x = next(
-        (x for x in bits(rel1.point_graph[g1.identity]) if not (near_e2 >> eta.images[x]) & 1),
-        None,
-    )
-    hypothesis = Check(True) if x is None else Check(False, (1 << x, 1 << g1.identity))
-    pcont = check_pcont(eta, rel1, rel2)
-    conclusion = Check(pcont.verdicts["pcont"], pcont.witnesses.get("pcont"))
-    return HomCriterionReport(hypothesis, conclusion)
-
-
 # ---------------------------------------------------------------------------
 # derived structures
 

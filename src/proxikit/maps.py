@@ -102,11 +102,10 @@ def check_pcont(
     rel2: ProximityRelation,
     *,
     max_size: int = SCAN_CAP,
-    key: str = "pcont",
 ) -> AxiomReport:
     """Pass iff every near pair maps to a near pair of images: read off the
     point relations when both tables are Cech (:func:`pcont_point_witness`),
-    else off the tables."""
+    else off the tables.  The report has the one key ``pcont``."""
     if f.domain != rel1.space or f.codomain != rel2.space:
         raise ValueError("map endpoints do not match the relation carriers")
     p1, p2 = rel1.point_graph, rel2.point_graph
@@ -116,8 +115,8 @@ def check_pcont(
         require_scan_size(f.domain.size, max_size, "pcont table")
         witness = _table_pcont_witness(f, rel1, rel2)
     if witness is None:
-        return AxiomReport({key: True})
-    return AxiomReport({key: False}, {key: witness})
+        return AxiomReport({"pcont": True})
+    return AxiomReport({"pcont": False}, {"pcont": witness})
 
 
 def _bijection_violation(f: SpaceMap) -> tuple[int, ...] | None:
@@ -146,18 +145,17 @@ def check_proximal_isomorphism(
     Witness carriers: ``bijective`` ``({i}, {j})``, the first two elements
     with one image, and ``pcont`` on the domain; ``bijective`` ``({y},)``,
     the lowest point an injective map misses, and ``inverse_pcont`` on the
-    codomain.
+    codomain.  ``pcont`` is the ``pcont`` witness of :func:`check_pcont` on
+    f, and ``inverse_pcont`` that of f^-1 from ``rel2`` to ``rel1``.
     """
     bijective = f.is_bijective()
-    reports = [check_pcont(f, rel1, rel2, max_size=max_size)]
+    found = {
+        "bijective": None if bijective else _bijection_violation(f),
+        "pcont": check_pcont(f, rel1, rel2, max_size=max_size).witnesses.get("pcont"),
+    }
     if bijective:
-        reports.append(
-            check_pcont(f.inverse(), rel2, rel1, max_size=max_size, key="inverse_pcont")
-        )
-    found = {"bijective": None if bijective else _bijection_violation(f)}
-    for report in reports:
-        for axiom in report.verdicts:
-            found[axiom] = report.witnesses.get(axiom)
+        inverse = check_pcont(f.inverse(), rel2, rel1, max_size=max_size)
+        found["inverse_pcont"] = inverse.witnesses.get("pcont")
     return AxiomReport.from_witnesses(found)
 
 

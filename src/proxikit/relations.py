@@ -196,9 +196,10 @@ def make_metric_proximity(
 
 
 def relation_from_near_pairs(
-    space: FiniteSpace, pairs: Sequence[tuple[int, int]], provenance: str = "explicit"
+    space: FiniteSpace, pairs: Sequence[tuple[int, int]]
 ) -> tuple[ProximityRelation, bool]:
-    """Build a table from listed near pairs, closing it symmetrically.
+    """Build an ``explicit`` table from listed near pairs, closing it
+    symmetrically.
 
     Returns the relation and a flag saying whether the input was asymmetric
     (closure added entries).
@@ -209,7 +210,7 @@ def relation_from_near_pairs(
         space.check_mask(b)
         rows[a] |= 1 << b
     closed = [row | col for row, col in zip(rows, transpose(rows))]
-    return ProximityRelation(space, tuple(closed), provenance), closed != rows
+    return ProximityRelation(space, tuple(closed)), closed != rows
 
 
 def subspace_proximity(

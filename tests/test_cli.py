@@ -670,6 +670,29 @@ def test_hom_check_verb_with_criterion():
     assert result.payload["criterion"]["implication_ok"] is True
 
 
+def test_hom_check_criterion_prints_a_failing_hypothesis(capsys):
+    # coarse -> discrete: the identity is not pcont, and the hypothesis
+    # fails with it, so the implication holds vacuously
+    argv = ["hom-check", str(FIXTURES / "z2_first_iso.json"),
+            "--rel", "c", "--rel2", "d", "--map", "id", "--criterion"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "group_homomorphism PASS",
+        "pcont FAIL witness sets=({a}, {b}) masks=(1, 2)",
+        "criterion hypothesis FAIL",
+        "criterion conclusion FAIL",
+        "criterion implication PASS",
+    ]
+    assert main([*argv, "--format", "json"]) == 1
+    payload = {
+        "criterion": {"conclusion": False, "hypothesis": False, "implication_ok": True},
+        "map": "id", "ok": False, "relation": "c", "relation2": "d", "verb": "hom-check",
+        "verdicts": {"group_homomorphism": True, "pcont": False},
+        "witnesses": {"pcont": {"labels": [["a"], ["b"]], "masks": [1, 2]}},
+    }
+    assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def test_quotient_verb_with_normal_flag():
     ws = parse_workspace((FIXTURES / "z4_quotient.json").read_text())
     result = run_command("quotient", ws, {"rel": "d", "normal": 0b0101})

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 from proxikit import (
     MappingSpaceVerdict,
     SpaceMap,
+    all_groups_up_to,
     bits,
     check_descriptive_ef,
     check_descriptive_lodato,
+    check_descriptive_proximal_group,
     check_dpcont,
     check_efremovic,
     check_lodato,
@@ -22,8 +24,10 @@ from proxikit import (
     make_coarse_proximity,
     make_discrete_proximity,
     mapping_space_relation,
+    normal_subgroups,
     probe_table,
     product_probe_table,
+    subset_product,
 )
 
 S3 = default_space(3)
@@ -267,3 +271,65 @@ def test_product_probe_table_matches_factor_conjunction():
 def test_dpcont_refuses_a_map_off_the_probe_carriers():
     with pytest.raises(ValueError, match="^map endpoints do not match the probe-table carriers$"):
         check_dpcont(identity_map(default_space(2)), INJECTIVE3, INJECTIVE3)
+
+
+# --- descriptive proximal groups ----------------------------------------------
+
+
+def _set_partitions(n):
+    """Every set partition of range(n), as the block index of each point
+    (blocks numbered in order of their lowest point)."""
+    if n == 0:
+        yield ()
+        return
+    for head in _set_partitions(n - 1):
+        for block in range(max(head, default=-1) + 2):
+            yield head + (block,)
+
+
+def _group_verdict_is_the_coset_test(g, labels):
+    """Assert that the probe table with these labels has the label classes
+    as its point relation, and that it makes g a descriptive proximal group
+    exactly when the classes are the cosets of a normal subgroup; return
+    that verdict."""
+    cosets = [{subset_product(g, 1 << a, n) for a in range(g.order)} for n in normal_subgroups(g)]
+    probes = probe_table(g.space, [[block] for block in labels])
+    # each point's class, pair by pair
+    classes = [sum(1 << j for j, other in enumerate(labels) if other == block) for block in labels]
+    assert list(descriptive_proximity(probes).point_graph) == classes
+    ok = check_descriptive_proximal_group(g, probes).ok
+    assert ok == (set(classes) in cosets)
+    return ok
+
+
+def test_descriptive_proximal_groups_are_the_normal_coset_partitions():
+    # every set partition of every catalog group of order <= 6 as a probe
+    # table: the descriptive relation is the Cech extension of "same
+    # description", and such a relation makes G a proximal group exactly
+    # when its classes are the cosets of a normal subgroup
+    tables = groups = 0
+    for _, g in all_groups_up_to(6):
+        for labels in _set_partitions(g.order):
+            groups += _group_verdict_is_the_coset_test(g, labels)
+            tables += 1
+    # the Bell numbers of the 8 orders, and the normal subgroups of the 8 groups
+    assert (tables, groups) == (496, 22)
+
+
+def test_descriptive_proximal_groups_at_orders_seven_and_eight():
+    # a seeded sample: each normal coset partition under shuffled labels,
+    # and random labellings with up to n labels
+    rng = random.Random(7)
+    for _, g in all_groups_up_to(8):
+        if g.order < 7:
+            continue
+        cosets = []
+        for n in normal_subgroups(g):
+            names = rng.sample(range(g.order), g.order)
+            cosets.append([names[min(bits(subset_product(g, 1 << a, n)))] for a in range(g.order)])
+        assert all(_group_verdict_is_the_coset_test(g, labels) for labels in cosets)
+        verdicts = []
+        for _ in range(300):
+            k = rng.randint(1, g.order)
+            verdicts.append(_group_verdict_is_the_coset_test(g, [rng.randrange(k) for _ in range(g.order)]))
+        assert not all(verdicts)

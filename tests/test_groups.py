@@ -610,13 +610,13 @@ def test_non_homomorphism_reported():
 
 def test_hom_criterion_identity():
     report = hom_criterion_check(identity_map(Z4.space), Z4, D4, Z4, D4)
-    assert report.hypothesis.ok and report.conclusion.ok and report.implication_ok
+    assert report.hypotheses_ok and report.conclusion.ok and report.implication_ok
 
 
 def test_hom_criterion_discrete_to_coarse():
     c4 = make_coarse_proximity(Z4.space)
     report = hom_criterion_check(identity_map(Z4.space), Z4, D4, Z4, c4)
-    assert report.hypothesis.ok and report.conclusion.ok
+    assert report.hypotheses_ok and report.conclusion.ok
 
 
 def test_hom_criterion_verifies_each_structure_once(monkeypatch):
@@ -663,7 +663,7 @@ def test_hom_criterion_hypothesis_on_p_equals_the_subset_scan(scope, cases):
     seen = failed = 0
     for i in _homomorphism_instances(scope):
         args = (i["map_images"], i["group"][1], i["relation"], i["group2"][1], i["relation2"])
-        hypothesis = hom_criterion_check(*args).hypothesis
+        hypothesis = hom_criterion_check(*args).hypotheses["near_identity"]
         assert hypothesis == _subset_hypothesis(*args)
         seen += 1
         failed += not hypothesis.ok
@@ -682,7 +682,7 @@ def test_hom_criterion_hypothesis_is_its_conclusion(scope, cases):
     for i in _homomorphism_instances(scope):
         args = (i["map_images"], i["group"][1], i["relation"], i["group2"][1], i["relation2"])
         report = hom_criterion_check(*args)
-        assert report.hypothesis.ok == report.conclusion.ok
+        assert report.hypotheses_ok == report.conclusion.ok
         seen += 1
     assert seen == cases
 

@@ -11,10 +11,13 @@ function, method, lambda, comprehension and generator expression carry
 (``co_lines``), less the code object's first line, where its call event
 fires: the ``def`` line, or its first decorator.  A nested ``def`` line is
 a body line of the function around it.  Module and class bodies run at
-import and are not counted.  Docstrings compile to no instruction.  Lines
-that run only in a subprocess (the CLI tests that start ``python -m
-proxikit``) count as missed.  Hypothesis tests run without a deadline,
-since tracing slows every call.
+import and are not counted.  Docstrings compile to no instruction.  Each
+child python that a test starts (the CLI tests start ``python -m
+proxikit``) runs under the same tracer: a ``sitecustomize.py`` in a
+temporary directory on the child's ``PYTHONPATH`` starts it, and the child
+writes its lines to that directory at exit, where they join this
+process's.  Hypothesis tests run without a deadline, since tracing slows
+every call.
 
 Run from the repository root; extra arguments go to pytest::
 
@@ -27,9 +30,11 @@ The whole suite takes a few times its untraced time.
 """
 from __future__ import annotations
 
+import atexit
 import inspect
 import os
 import sys
+import tempfile
 import threading
 import types
 from pathlib import Path
@@ -53,14 +58,20 @@ def body_lines(module: types.CodeType) -> set[int]:
     return lines
 
 
-def run_traced(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
-    """Run pytest in this process; its exit status and the (file, line)
-    pairs that ran in the package."""
-    import pytest
-    from hypothesis import settings
+# The sitecustomize.py of each child python: import this file and trace.
+SITECUSTOMIZE = """\
+import sys
+sys.path.insert(0, {tests!r})
+import trace_lines
+del sys.path[0]
+trace_lines.trace_child({out!r})
+"""
 
+
+def start_tracing(hits: set[tuple[str, int]]) -> None:
+    """Add each (file, line) that runs in the package, in this thread and
+    in threads started from now on, to ``hits``."""
     prefix = str(PACKAGE)
-    hits: set[tuple[str, int]] = set()
 
     def local(frame, event, arg):
         if event == "line":
@@ -70,20 +81,57 @@ def run_traced(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
     def tracer(frame, event, arg):
         return local if frame.f_code.co_filename.startswith(prefix) else None
 
-    settings.register_profile("trace-lines", deadline=None)
-    settings.load_profile("trace-lines")
     threading.settrace(tracer)
     sys.settrace(tracer)
-    try:
-        # hypothesis is imported before pytest loads it as a plugin
-        status = pytest.main([
-            "-q", "-p", "no:cacheprovider",
-            "-W", "ignore::pytest.PytestAssertRewriteWarning", *pytest_args,
-        ])
-    finally:
+
+
+def trace_child(out: str) -> None:
+    """Trace this child python, and write its lines to ``out`` at exit."""
+    hits: set[tuple[str, int]] = set()
+    start_tracing(hits)
+
+    def save() -> None:
         sys.settrace(None)
-        threading.settrace(None)  # type: ignore[arg-type]
-    return int(status), hits
+        lines = "".join(f"{line}\t{name}\n" for name, line in hits)
+        Path(out, f"{os.getpid()}.hits").write_text(lines)
+
+    atexit.register(save)
+
+
+def child_hits(out: Path) -> set[tuple[str, int]]:
+    """The (file, line) pairs that the children wrote to ``out``."""
+    hits = set()
+    for path in out.glob("*.hits"):
+        for entry in path.read_text().splitlines():
+            line, name = entry.split("\t", 1)
+            hits.add((name, int(line)))
+    return hits
+
+
+def run_traced(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
+    """Run pytest in this process; its exit status and the (file, line)
+    pairs that ran in the package, here and in the children it started."""
+    import pytest
+    from hypothesis import settings
+
+    settings.register_profile("trace-lines", deadline=None)
+    settings.load_profile("trace-lines")
+    hits: set[tuple[str, int]] = set()
+    with tempfile.TemporaryDirectory() as out:
+        site = SITECUSTOMIZE.format(tests=str(ROOT / "tests"), out=out)
+        Path(out, "sitecustomize.py").write_text(site)
+        os.environ["PYTHONPATH"] = os.pathsep.join((out, os.environ["PYTHONPATH"]))
+        start_tracing(hits)
+        try:
+            # hypothesis is imported before pytest loads it as a plugin
+            status = pytest.main([
+                "-q", "-p", "no:cacheprovider",
+                "-W", "ignore::pytest.PytestAssertRewriteWarning", *pytest_args,
+            ])
+        finally:
+            sys.settrace(None)
+            threading.settrace(None)  # type: ignore[arg-type]
+        return int(status), hits | child_hits(Path(out))
 
 
 def main(argv: list[str]) -> int:
