@@ -663,11 +663,22 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args's build_parser(only), by verb name (None: the full parser)
+_PARSERS: dict[str | None, argparse.ArgumentParser] = {}
+
+
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """Parse a command line with the parser of its verb, or the full parser
-    when it does not start with one."""
+    when it does not start with one.
+
+    Each parser is built on its first parse and kept for the process: a
+    parse returns a fresh namespace and changes nothing in the parser, and
+    help reads the terminal width when it prints.  Callers that want a
+    parser of their own use :func:`build_parser`."""
     only = argv[0] if argv and argv[0] in VERBS else None
-    return build_parser(only).parse_args(argv)
+    if only not in _PARSERS:
+        _PARSERS[only] = build_parser(only)
+    return _PARSERS[only].parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -147,6 +147,14 @@ def mapping_space_relation(
     an x in A and y in B for that f and g, so as for
     ``pcont_point_witness`` the first violating A is {x}, then B is {y},
     and then come the first maps.
+
+    That first (x, y, f, g) is found per point.  Each f is pcont, so
+    x P1 y gives f(x) P2 f(y), and P2 is an equivalence, so f(x) P2 g(y)
+    exactly when f(y) P2 g(y).  Hence (x, y, f, g) breaks the test exactly
+    when x P1 y and y is bad for (f, g): f(y) not P2 g(y).  The bad points
+    and each one's first (f, g) take O(n·|maps1|·|maps2|); x is then the
+    first point whose P1-class holds a bad point, y the first bad point
+    in that class, and f, g the first maps that y is bad for.
     """
     rel1 = descriptive_proximity(probes1)
     rel2 = descriptive_proximity(probes2)
@@ -158,17 +166,20 @@ def mapping_space_relation(
                     " proximally continuous"
                 )
     p1, p2 = rel1.point_graph, rel2.point_graph
-    for x in range(probes1.space.size):
-        for y in bits(p1[x]):
-            for i, f in enumerate(maps1):
-                near = p2[f.images[x]]
-                for j, g in enumerate(maps2):
-                    if not (near >> g.images[y]) & 1:
-                        return MappingSpaceVerdict(
-                            False,
-                            (1 << x, 1 << y, _map_identity("maps1", i, f),
-                             _map_identity("maps2", j, g)),
-                        )
+    first_maps = {}  # bad point y: the first (f, g) with f(y) not P2 g(y)
+    for y in range(probes1.space.size):
+        for i, f in enumerate(maps1):
+            near = p2[f.images[y]]
+            j = next((j for j, g in enumerate(maps2) if not (near >> g.images[y]) & 1), None)
+            if j is not None:
+                first_maps[y] = (_map_identity("maps1", i, f), _map_identity("maps2", j, maps2[j]))
+                break
+    bad = sum(1 << y for y in first_maps)
+    for x, cls in enumerate(p1):
+        hit = cls & bad
+        if hit:
+            y = (hit & -hit).bit_length() - 1
+            return MappingSpaceVerdict(False, (1 << x, 1 << y, *first_maps[y]))
     return MappingSpaceVerdict(True)
 
 

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from proxikit import parse_workspace, run_command
-from proxikit.cli import VERBS, Verb, build_parser, main, parse_args
+from proxikit import cli
+from proxikit.cli import FLAGS, VERBS, Verb, build_parser, main, parse_args
 from proxikit.workspace import WorkspaceError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -899,12 +900,16 @@ def parse_outcome(parse, argv, capsys):
 @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
 def test_main_parses_like_the_full_parser(argv, capsys):
     # the full parser is the reference: same namespace (keys in order), or
-    # the same exit code, stdout and stderr
+    # the same exit code, stdout and stderr; parse_args keeps its parser, so
+    # a second parse (after an error or --help too) must read the same
     full = parse_outcome(build_parser().parse_args, argv, capsys)
+    assert parse_outcome(parse_args, argv, capsys) == full
     assert parse_outcome(parse_args, argv, capsys) == full
 
 
 def test_main_builds_only_the_subparser_of_its_verb(monkeypatch, capsys):
+    # a command line that starts with a verb builds that verb's subparser
+    # alone, on its first parse only; --help builds the full parser once
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -913,16 +918,59 @@ def test_main_builds_only_the_subparser_of_its_verb(monkeypatch, capsys):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    monkeypatch.setattr(cli, "_PARSERS", {})
     assert main(["census", "--n", "2"]) == 0
     assert built == ["census"]
     monkeypatch.setattr(sys, "argv", ["proxikit", "census", "--n", "2"])
     assert main() == 0
-    assert built == ["census"] * 2
+    assert built == ["census"]
     built.clear()
-    with pytest.raises(SystemExit) as exc:
-        main(["-h"])
-    assert exc.value.code == 0
-    assert built == list(VERBS)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert built == list(VERBS)
+    assert list(cli._PARSERS) == ["census", None]
+    # build_parser itself keeps nothing
+    assert build_parser("census") is not build_parser("census")
+
+
+def test_no_parser_argument_has_a_mutable_default():
+    # parse_args reuses one parser per verb, so a list, dict or set default
+    # would be shared by every parse in the process
+    mutable = (list, dict, set)
+    assert not [flag for flag, spec in FLAGS.items() if isinstance(spec.get("default"), mutable)]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(VERBS)
+    for verb, parser in sub.choices.items():
+        for action in parser._actions:
+            assert not isinstance(action.default, mutable), (verb, action.dest)
+
+
+def test_group_check_names_the_mu1_and_mu2_witnesses(tmp_path, capsys):
+    # Z3 with a, b at distance 0 and c apart: P = [ab, ab, c] is Cech and
+    # EF, but {a, b} is no subgroup, so mu1 and mu2 fail with witnesses of
+    # different arity: ({a}, {a}, {b}, {b}) and ({a}, {b})
+    document = {
+        "space": {"labels": ["a", "b", "c"]},
+        "relations": {"p": {"encoding": "metric", "matrix": [[0, 0, 1], [0, 0, 1], [1, 1, 0]]}},
+        "group": {"cayley": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "identity": 0},
+    }
+    path = tmp_path / "z3_ab.json"
+    path.write_text(json.dumps(document))
+    assert main(["group-check", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"axioms {axiom} PASS" for axiom in ("L1", "L2", "L3", "L4", "EF")),
+        "mu1 FAIL witness sets=({a}, {a}, {b}, {b}) masks=(1, 1, 2, 2)",
+        "mu2 FAIL witness sets=({a}, {b}) masks=(1, 2)",
+    ]
+    assert main(["group-check", str(path), "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["mu1"], payload["mu2"], payload["ok"]) == (False, False, False)
+    assert payload["witnesses"] == {
+        "mu1": {"labels": [["a"], ["a"], ["b"], ["b"]], "masks": [1, 1, 2, 2]},
+        "mu2": {"labels": [["a"], ["b"]], "masks": [1, 2]},
+    }
 
 
 @pytest.mark.parametrize(

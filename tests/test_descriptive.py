@@ -29,6 +29,7 @@ from proxikit import (
     product_probe_table,
     subset_product,
 )
+from proxikit.enumeration import _all_homomorphisms
 
 S3 = default_space(3)
 INJECTIVE3 = probe_table(S3, [[0], [1], [2]])
@@ -314,6 +315,34 @@ def test_descriptive_proximal_groups_are_the_normal_coset_partitions():
             tables += 1
     # the Bell numbers of the 8 orders, and the normal subgroups of the 8 groups
     assert (tables, groups) == (496, 22)
+
+
+def coset_probes(g, n_mask):
+    """The probe table that describes each point a by its coset aN, named
+    by its smallest member."""
+    return probe_table(g.space, [[min(bits(subset_product(g, 1 << a, n_mask)))]
+                                 for a in range(g.order)])
+
+
+def test_dpcont_of_a_homomorphism_is_the_image_of_n1_inside_n2():
+    # with coset-index probes the descriptive relations are the coset
+    # relations of N1 and N2, and a homomorphism is dpcont exactly when
+    # eta(N1) lies in N2, over every pair of catalog groups up to order 6
+    cases = fails = 0
+    catalog = [g for _, g in all_groups_up_to(6)]
+    for g1 in catalog:
+        for g2 in catalog:
+            homs = list(_all_homomorphisms(g1, g2))
+            for n1 in normal_subgroups(g1):
+                probes1 = coset_probes(g1, n1)
+                for n2 in normal_subgroups(g2):
+                    probes2 = coset_probes(g2, n2)
+                    for eta in homs:
+                        inside = eta.image_mask(n1) & ~n2 == 0
+                        assert check_dpcont(eta, probes1, probes2).ok == inside
+                        cases += 1
+                        fails += not inside
+    assert (cases, fails) == (1753, 410)
 
 
 def test_descriptive_proximal_groups_at_orders_seven_and_eight():
